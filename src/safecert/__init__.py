@@ -83,8 +83,6 @@ from .kernels import (
     NumericError,
     fit_weights,
     gram_matrix,
-    kernel_eval,
-    weights_at,
 )
 from .metrics import BrierReport, brier_decomposition, brier_decomposition_mc, excess_rmse, rmse
 

@@ -216,10 +216,7 @@ def fit_barrier_candidate(
 ) -> BarrierCandidate:
     """Ridge-fit a kernel expansion through (centers, targets)."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    gram = fit_weights(spec, centers)
-    from scipy.linalg import cho_solve
-
-    alpha = cho_solve(gram._factor, np.asarray(targets, dtype=float))
+    alpha = fit_weights(spec, centers).solve(targets)
     return BarrierCandidate(spec=spec, centers=centers, alpha=alpha)
 
 

@@ -6,12 +6,14 @@ The safety value functions satisfy V_T = 1_S and
 
 and the conditional expectation is replaced by ridge weights over the
 transition samples (x_i, x_i^+).  The recursion only ever needs the values at
-the sampled next states, so the whole backward pass reduces to one transfer
-matrix
+the sampled next states, so each backward step applies the transfer operator
 
-    transfer[i, j] = w_j(x_i^+)
+    transfer[i, j] = w_j(x_i^+),   transfer = K(x^+, x) (K + M lam I)^{-1},
 
-built with a single factorization, followed by T matrix-vector products.
+to the value vector.  The operator is never formed: each application is one
+single-vector solve with the Cholesky factor of K + M lam I followed by one
+product with K(x^+, x), so a fit holds two M x M arrays and the whole pass
+costs T solves instead of an M x M solve with M right-hand sides.
 With eps = 0 the norm penalty vanishes; otherwise ||V|| is approximated by
 the representer norm of the ridge interpolant of the value vector, a finite
 surrogate used in place of the intractable RKHS norm.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmark import OneStepPairs, SafeRegion, is_safe
-from .kernels import KAPPA, GramSystem, KernelSpec, fit_weights
+from .kernels import KAPPA, GramSystem, KernelSpec, fit_weights, gram_matrix
 
 __all__ = [
     "DpModel",
@@ -40,7 +42,7 @@ __all__ = [
 
 
 class SpectralConvergenceError(RuntimeError):
-    """Power iteration failed to converge; carries the last estimate."""
+    """The eigensolver failed to converge; carries the last estimate."""
 
     def __init__(self, message: str, last_estimate: float):
         super().__init__(message)
@@ -57,18 +59,25 @@ class ValueVector:
 
 @dataclass
 class DpModel:
-    """One-step conditional model over transition samples."""
+    """One-step conditional model over transition samples.
 
-    transfer: np.ndarray          # (M, M), transfer[i, j] = w_j(x_i^+)
+    A kernel-backed model (``fit_dp``) holds the factored ridge system over
+    the source states and k_next = K(x^+, x), and applies the transfer
+    operator as k_next @ (K + M lam I)^{-1} v.  A chain model
+    (``from_transfer``) holds an explicit transfer matrix instead.
+    """
+
     safe_mask_next: np.ndarray    # (M,) floats, 1_S at the sampled next states
     region: SafeRegion | None
     ambiguity: float = 0.0
     gram: GramSystem | None = None     # over source states; None for exact chains
     x_next: np.ndarray | None = None
+    k_next: np.ndarray | None = None   # (M, M) K(x_i^+, x_j); kernel-backed only
+    explicit: np.ndarray | None = None  # (M, M) transfer matrix; chains only
 
     @property
     def n(self) -> int:
-        return self.transfer.shape[0]
+        return self.safe_mask_next.shape[0]
 
     @classmethod
     def from_transfer(
@@ -80,8 +89,27 @@ class DpModel:
         if transfer.shape[0] != transfer.shape[1] or transfer.shape[0] != safe_mask.shape[0]:
             raise ValueError("transfer must be square and match the safety mask")
         return cls(
-            transfer=transfer, safe_mask_next=safe_mask, region=None, ambiguity=ambiguity
+            safe_mask_next=safe_mask, region=None, ambiguity=ambiguity, explicit=transfer
         )
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """transfer @ v for a value vector v at the sampled next states."""
+        if self.explicit is not None:
+            return self.explicit @ v
+        return self.k_next @ self.gram.solve(v)
+
+    @property
+    def transfer(self) -> np.ndarray:
+        """The transfer matrix, transfer[i, j] = w_j(x_i^+).
+
+        A kernel-backed model materialises it with an M x M solve with M
+        right-hand sides, O(M^3) work and a third M x M array; it is meant
+        for diagnostics and tests, and nothing in the fit or the recursion
+        reads it.
+        """
+        if self.explicit is not None:
+            return self.explicit
+        return self.gram.solve(self.k_next.T).T
 
     def value_norm(self, v: np.ndarray) -> float:
         if self.gram is None:
@@ -92,19 +120,18 @@ class DpModel:
 def fit_dp(
     spec: KernelSpec, pairs: OneStepPairs, region: SafeRegion, ambiguity: float = 0.0
 ) -> DpModel:
-    """Factor the ridge system over source states and precompute the transfer matrix."""
+    """Factor the ridge system over source states and build K(x^+, x)."""
     if ambiguity < 0:
         raise ValueError("ambiguity must be nonnegative")
     gram = fit_weights(spec, pairs.x)
-    transfer = gram.weights_at(pairs.x_next)
-    safe_mask = is_safe(region, pairs.x_next).astype(float)
+    x_next = np.asarray(pairs.x_next, dtype=float)
     return DpModel(
-        transfer=transfer,
-        safe_mask_next=safe_mask,
+        safe_mask_next=is_safe(region, x_next).astype(float),
         region=region,
         ambiguity=ambiguity,
         gram=gram,
-        x_next=np.asarray(pairs.x_next, dtype=float),
+        x_next=x_next,
+        k_next=gram_matrix(spec, x_next, gram.inputs),
     )
 
 
@@ -122,7 +149,7 @@ def backward_value(model: DpModel, T: int) -> list[ValueVector]:
         pen = 0.0
         if model.ambiguity > 0:
             pen = model.ambiguity * KAPPA * model.value_norm(v)
-        v = model.safe_mask_next * np.clip(model.transfer @ v - pen, 0.0, 1.0)
+        v = model.safe_mask_next * np.clip(model.apply(v) - pen, 0.0, 1.0)
         levels.append(ValueVector(level=level, v=v))
     levels.reverse()
     return levels
@@ -161,54 +188,54 @@ class SpectralDecay:
 def spectral_decay(
     model: DpModel, T: int, tol: float = 1e-10, max_iter: int = 10_000
 ) -> SpectralDecay:
-    """Spectral radius of diag(safe_mask) @ transfer by power iteration.
+    """Spectral radius of diag(safe_mask) @ transfer.
 
     rho below 1 means the observed value decay is intrinsic to the fitted
     operator rather than an artifact of the horizon; rho**T quantifies it.
 
-    Convergence is residual-based.  A simple dominant eigenvalue is read off
-    the Rayleigh quotient; when the iterate keeps rotating (dominant complex
-    or opposite-sign pair), the magnitude is extracted from the quadratic
-    that three consecutive iterates satisfy on the invariant subspace.
+    A kernel-backed operator is never formed: ARPACK's implicitly restarted
+    Arnoldi method (``scipy.sparse.linalg.eigs``) finds the eigenvalue of
+    largest magnitude from operator applications alone, complex and
+    opposite-sign dominant pairs included.  ``tol`` is its relative accuracy
+    of the eigenvalue and ``max_iter`` its limit on restarts.  Explicit
+    matrices, and operators with fewer than 3 states, where ARPACK cannot
+    run, go to a dense eigensolver.  ``iterations`` is the number of operator
+    applications, 0 on the dense path.
     """
-    a = model.safe_mask_next[:, None] * model.transfer
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(a.shape[0])
-    x /= np.linalg.norm(x)
-    last = np.nan
-    for it in range(1, max_iter + 1):
-        y = a @ x
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0:
-            return SpectralDecay(rho=0.0, rho_pow_T=0.0, iterations=it)
-        lam = float(x @ y)
-        if np.linalg.norm(y - lam * x) <= tol * max(1.0, abs(lam)):
-            rho = abs(lam)
-            return SpectralDecay(rho=rho, rho_pow_T=rho ** T, iterations=it)
-        # Rayleigh-Ritz on span{x, y}: catches rotating iterates (complex or
-        # opposite-sign dominant pairs) that a plain norm ratio cannot settle
-        q2 = y - lam * x
-        nq2 = float(np.linalg.norm(q2))
-        if nq2 > 0.0:
-            q2 = q2 / nq2
-            aq2 = a @ q2
-            basis = np.stack([x, q2], axis=1)
-            image = np.stack([y, aq2], axis=1)
-            h = basis.T @ image
-            vals, vecs = np.linalg.eig(h)
-            k = int(np.argmax(np.abs(vals)))
-            theta, s = vals[k], vecs[:, k]
-            resid = float(np.linalg.norm(image @ s - theta * (basis @ s)))
-            if resid <= tol * max(1.0, abs(theta)):
-                rho = float(abs(theta))
-                return SpectralDecay(rho=rho, rho_pow_T=rho ** T, iterations=it)
-        last = ny
-        x = y / ny
-    raise SpectralConvergenceError(
-        f"power iteration did not converge within {max_iter} iterations "
-        f"(last estimate {last:.12g})",
-        last_estimate=last,
-    )
+    # imported here: scipy.sparse.linalg adds ~0.3 s to every import of the
+    # package, and only this diagnostic needs it
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+
+    mask = model.safe_mask_next
+    n = model.n
+    if model.explicit is not None or n < 3:
+        vals = np.linalg.eigvals(mask[:, None] * model.transfer)
+        rho = float(np.max(np.abs(vals)))
+        return SpectralDecay(rho=rho, rho_pow_T=rho ** T, iterations=0)
+
+    applications = 0
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        nonlocal applications
+        applications += 1
+        return mask * model.apply(np.ravel(x))
+
+    v0 = np.random.default_rng(0).standard_normal(n)
+    if not np.any(matvec(v0)):
+        return SpectralDecay(rho=0.0, rho_pow_T=0.0, iterations=applications)
+    op = LinearOperator((n, n), matvec=matvec, dtype=float)
+    try:
+        vals = eigs(op, k=1, which="LM", v0=v0, tol=tol, maxiter=max_iter,
+                    return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
+        last = float(np.max(np.abs(exc.eigenvalues))) if len(exc.eigenvalues) else np.nan
+        raise SpectralConvergenceError(
+            f"ARPACK did not converge within {max_iter} restarts "
+            f"(last estimate {last:.12g})",
+            last_estimate=last,
+        ) from exc
+    rho = float(np.abs(vals[0]))
+    return SpectralDecay(rho=rho, rho_pow_T=rho ** T, iterations=applications)
 
 
 def stack_to_csv(stack: list[ValueVector], header_comment: str = "") -> str:

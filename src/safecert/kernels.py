@@ -17,10 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-__all__ = ["KernelSpec", "GramSystem", "NumericError", "gram_matrix", "fit_weights", "weights_at"]
+__all__ = ["KernelSpec", "GramSystem", "NumericError", "gram_matrix", "fit_weights"]
 
 # sup_x sqrt(k(x, x)) for the Gaussian kernel
 KAPPA = 1.0
+
+# rows per block when adding squared norms in gram_matrix
+_ROW_BLOCK = 256
 
 
 class NumericError(RuntimeError):
@@ -75,43 +78,56 @@ def _scaled(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
 
 
 def gram_matrix(spec: KernelSpec, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-    """Kernel matrix k(x_i, y_j); with ``y=None`` the symmetric Gram of x."""
+    """Kernel matrix k(x_i, y_j); with ``y=None`` the symmetric Gram of x.
+
+    The result is built in place in one (n_x, n_y) buffer.
+    """
     u = _scaled(spec, x)
+    v = u if y is None else _scaled(spec, y)
+    k = u @ v.T                      # exactly symmetric when v is u
+    k *= -2.0
+    su = np.sum(u * u, axis=1)
+    sv = su if y is None else np.sum(v * v, axis=1)
+    # |u_i|^2 + |v_j|^2 is added as one rounded term, so the result stays
+    # symmetric; a block of rows at a time bounds the temporary
+    for r0 in range(0, k.shape[0], _ROW_BLOCK):
+        k[r0:r0 + _ROW_BLOCK] += su[r0:r0 + _ROW_BLOCK, None] + sv[None, :]
+    np.maximum(k, 0.0, out=k)
+    k *= -0.5
+    np.exp(k, out=k)
     if y is None:
-        sq = np.sum(u * u, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (u @ u.T)
-        np.maximum(d2, 0.0, out=d2)
-        k = np.exp(-0.5 * d2)
-        k = 0.5 * (k + k.T)
         np.fill_diagonal(k, 1.0)
-        return k
-    v = _scaled(spec, y)
-    d2 = (
-        np.sum(u * u, axis=1)[:, None]
-        + np.sum(v * v, axis=1)[None, :]
-        - 2.0 * (u @ v.T)
-    )
-    np.maximum(d2, 0.0, out=d2)
-    return np.exp(-0.5 * d2)
-
-
-def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """Single kernel evaluation k(x, y)."""
-    return float(gram_matrix(spec, np.atleast_2d(x), np.atleast_2d(y))[0, 0])
+    return k
 
 
 @dataclass
 class GramSystem:
-    """Factorized ridge system over a fixed set of training inputs."""
+    """Cholesky-factored ridge system K + M lam I over fixed training inputs.
+
+    Only the lower Cholesky factor is held (one M x M array, the buffer the
+    Gram matrix was built in); K itself is not kept.  ``solve`` applies
+    (K + M lam I)^{-1} to values on the inputs, ``weights_at`` gives the ridge
+    weights at query points.
+    """
 
     spec: KernelSpec
     inputs: np.ndarray          # (M, d)
-    gram: np.ndarray            # (M, M)
     _factor: tuple = field(repr=False, default=None)
 
     @property
     def size(self) -> int:
         return self.inputs.shape[0]
+
+    def solve(self, values: np.ndarray) -> np.ndarray:
+        """(K + M lam I)^{-1} values for a vector (M,) or columns (M, k)."""
+        return self._solve(np.asarray(values, dtype=float), overwrite=False)
+
+    def _solve(self, b: np.ndarray, overwrite: bool) -> np.ndarray:
+        if not np.all(np.isfinite(b)):
+            raise ValueError("right-hand side must not contain infs or NaNs")
+        # the factor was checked when it was built; checking it again per
+        # solve would cost as much as a single-vector solve
+        return cho_solve(self._factor, b, overwrite_b=overwrite, check_finite=False)
 
     def weights_at(self, query: np.ndarray) -> np.ndarray:
         """Ridge weights w(x) for one query (d,) or a batch (n, d).
@@ -121,7 +137,8 @@ class GramSystem:
         q = np.asarray(query, dtype=float)
         single = q.ndim == 1
         kq = gram_matrix(self.spec, np.atleast_2d(q), self.inputs)  # (n, M)
-        w = cho_solve(self._factor, kq.T).T
+        # kq.T is Fortran-ordered, so the solve runs in place
+        w = self._solve(kq.T, overwrite=True).T
         return w[0] if single else w
 
     def representer_norm(self, values: np.ndarray) -> float:
@@ -129,33 +146,42 @@ class GramSystem:
 
         norm = sqrt(alpha^T K alpha) with alpha = (K + M lam I)^{-1} values.
         This is a finite surrogate for the norm of the underlying function.
+        K alpha is read off the ridge system as values - M lam alpha, so the
+        Gram matrix is not needed.
         """
         v = np.asarray(values, dtype=float)
-        alpha = cho_solve(self._factor, v)
-        sq = float(alpha @ (self.gram @ alpha))
+        alpha = self.solve(v)
+        sq = float(alpha @ (v - (self.size * self.spec.lam) * alpha))
         return float(np.sqrt(max(sq, 0.0)))
 
 
+def _ridge_matrix(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
+    """K + M lam I, with the ridge added in place on the Gram buffer."""
+    a = gram_matrix(spec, x)
+    a[np.diag_indices(x.shape[0])] += x.shape[0] * spec.lam
+    return a
+
+
 def fit_weights(spec: KernelSpec, train_inputs: np.ndarray) -> GramSystem:
-    """Build and factor the ridge system K + M lam I over ``train_inputs``."""
+    """Build and factor the ridge system K + M lam I over ``train_inputs``.
+
+    The Gram matrix is built, regularized and factored in one M x M buffer.
+    """
     x = np.atleast_2d(np.asarray(train_inputs, dtype=float))
     m = x.shape[0]
     if m == 0:
         raise ValueError("training set is empty")
-    k = gram_matrix(spec, x)
-    a = k + (m * spec.lam) * np.eye(m)
+    a = _ridge_matrix(spec, x)
     try:
-        factor = cho_factor(a, lower=True)
+        # a is symmetric, so its transpose is the same matrix in Fortran
+        # order, which LAPACK factors in place
+        factor = cho_factor(a.T, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
-        eigs = np.linalg.eigvalsh(a)
+        # the failed factorization overwrote a; rebuild it for the estimate
+        eigs = np.linalg.eigvalsh(_ridge_matrix(spec, x))
         cond = eigs[-1] / eigs[0] if eigs[0] != 0 else np.inf
         raise NumericError(
             f"ridge system not positive definite (condition estimate {cond:.3e}); "
             "increase lam or deduplicate inputs"
         ) from exc
-    return GramSystem(spec=spec, inputs=x, gram=k, _factor=factor)
-
-
-def weights_at(sys: GramSystem, query: np.ndarray) -> np.ndarray:
-    """Module-level alias for :meth:`GramSystem.weights_at`."""
-    return sys.weights_at(query)
+    return GramSystem(spec=spec, inputs=x, _factor=factor)

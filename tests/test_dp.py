@@ -8,11 +8,13 @@ from safecert import (
     SafeRegion,
     SynthSystemParams,
     backward_value,
+    is_safe,
     evaluate_dp,
     fit_dp,
     spectral_decay,
 )
 from safecert.dp import stack_to_csv
+from safecert.kernels import KAPPA, gram_matrix
 
 
 def chain_value_oracle(P: np.ndarray, safe: np.ndarray, T: int) -> np.ndarray:
@@ -32,6 +34,43 @@ def random_fitted_model(seed: int, n: int = 20) -> DpModel:
     region = SafeRegion(low=(-4.0, -4.0), high=(4.0, 4.0), obstacles=(((1.0, 1.0), (2.0, 2.0)),))
     pairs = OneStepPairs(x=x, x_next=x_next, params=SynthSystemParams(), seed=seed, mode="iid")
     return fit_dp(KernelSpec.isotropic(0.8, 2, 1e-4), pairs, region)
+
+
+def explicit_backward(spec: KernelSpec, pairs: OneStepPairs, region: SafeRegion,
+                      ambiguity: float, T: int) -> list[np.ndarray]:
+    """The backward recursion through an explicitly built transfer matrix
+    K(x+, x) (K + M lam I)^{-1}, with the representer norm from alpha^T K alpha."""
+    m = pairs.x.shape[0]
+    K = gram_matrix(spec, pairs.x)
+    a = K + m * spec.lam * np.eye(m)
+    transfer = np.linalg.solve(a, gram_matrix(spec, pairs.x_next, pairs.x).T).T
+    safe = is_safe(region, pairs.x_next).astype(float)
+    v = safe.copy()
+    levels = [v]
+    for _ in range(T):
+        alpha = np.linalg.solve(a, v)
+        pen = ambiguity * KAPPA * np.sqrt(max(float(alpha @ K @ alpha), 0.0))
+        v = safe * np.clip(transfer @ v - pen, 0.0, 1.0)
+        levels.append(v)
+    return levels[::-1]
+
+
+def held_bytes(obj, seen: set | None = None) -> int:
+    """Bytes of the arrays reachable from obj's fields; a view counts its
+    whole base buffer, once."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        if id(obj) in seen:
+            return 0
+        seen.add(id(obj))
+        return obj.nbytes
+    if isinstance(obj, (tuple, list)):
+        return sum(held_bytes(item, seen) for item in obj)
+    if hasattr(obj, "__dataclass_fields__"):
+        return sum(held_bytes(getattr(obj, name), seen) for name in obj.__dataclass_fields__)
+    return 0
 
 
 class TestExactChains:
@@ -168,6 +207,32 @@ class TestFittedModels:
         with pytest.raises(ValueError):
             evaluate_dp(model, stack, np.zeros(2))
 
+    @pytest.mark.parametrize("ambiguity", [0.0, 0.002])
+    def test_matrix_free_stack_matches_explicit_transfer(self, ambiguity):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-2, 2, size=(120, 2))
+        x_next = x + 0.3 * rng.standard_normal((120, 2))
+        region = SafeRegion(low=(-4.0, -4.0), high=(4.0, 4.0), obstacles=(((1.0, 1.0), (2.0, 2.0)),))
+        pairs = OneStepPairs(x=x, x_next=x_next, params=SynthSystemParams(), seed=5, mode="iid")
+        spec = KernelSpec.isotropic(0.8, 2, 1e-4)
+        T = 8
+        got = backward_value(fit_dp(spec, pairs, region, ambiguity=ambiguity), T)
+        want = explicit_backward(spec, pairs, region, ambiguity, T)
+        assert np.any((got[0].v > 0.0) & (got[0].v < 1.0))
+        for vv in got:
+            assert np.max(np.abs(vv.v - want[vv.level])) <= 1e-10
+
+    def test_fitted_model_holds_two_m_by_m_arrays(self):
+        """The Cholesky factor and K(x+, x); no Gram matrix, no transfer."""
+        rng = np.random.default_rng(6)
+        m = 300
+        x = rng.uniform(-2, 2, size=(m, 2))
+        x_next = x + 0.3 * rng.standard_normal((m, 2))
+        region = SafeRegion(low=(-4.0, -4.0), high=(4.0, 4.0), obstacles=())
+        pairs = OneStepPairs(x=x, x_next=x_next, params=SynthSystemParams(), seed=6, mode="iid")
+        model = fit_dp(KernelSpec.isotropic(0.8, 2, 1e-4), pairs, region)
+        assert held_bytes(model) <= 2 * 8 * m * m + 64 * m
+
     def test_negative_ambiguity_rejected(self):
         pairs = OneStepPairs(
             x=np.zeros((3, 2)), x_next=np.zeros((3, 2)),
@@ -210,6 +275,25 @@ class TestSpectralDecay:
         want = float(np.max(np.abs(np.linalg.eigvals(a))))
         dec = spectral_decay(model, T=10)
         assert abs(dec.rho - want) < 1e-8
+
+
+    def test_matches_dense_eigensolver_on_a_large_fitted_model(self):
+        """Past ARPACK's 20-vector Krylov space, so restarts are exercised."""
+        model = random_fitted_model(3, n=250)
+        want = float(np.max(np.abs(np.linalg.eigvals(model.safe_mask_next[:, None] * model.transfer))))
+        dec = spectral_decay(model, T=10)
+        assert abs(dec.rho - want) <= 1e-8
+        assert dec.iterations > 0
+
+    def test_zero_kernel_operator(self):
+        """Every sampled next state unsafe: the masked operator is zero."""
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-2, 2, size=(30, 2))
+        pairs = OneStepPairs(x=x, x_next=x + 0.1, params=SynthSystemParams(), seed=7, mode="iid")
+        region = SafeRegion(low=(5.0, 5.0), high=(6.0, 6.0), obstacles=())
+        model = fit_dp(KernelSpec.isotropic(0.8, 2, 1e-4), pairs, region)
+        dec = spectral_decay(model, T=3)
+        assert dec.rho == 0.0 and dec.rho_pow_T == 0.0
 
 
 class TestStackCsv:

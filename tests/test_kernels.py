@@ -7,7 +7,6 @@ from safecert import (
     NumericError,
     fit_weights,
     gram_matrix,
-    kernel_eval,
 )
 
 
@@ -51,11 +50,6 @@ class TestGramMatrix:
         K = gram_matrix(KernelSpec.isotropic(0.8, 2, 1e-3), x)
         assert np.array_equal(K, K.T)
         assert np.array_equal(np.diag(K), np.ones(15))
-
-    def test_kernel_eval_single_pair(self):
-        spec = KernelSpec(lengthscales=(0.5, 2.0), lam=1e-3)
-        v = kernel_eval(spec, [0.1, -0.3], [0.4, 0.5])
-        assert v == pytest.approx(manual_kernel([0.1, -0.3], [0.4, 0.5], np.array([0.5, 2.0])), abs=1e-15)
 
 
 class TestWeights:
@@ -111,6 +105,46 @@ class TestWeights:
         K = gram_matrix(spec, x)
         alpha = np.linalg.solve(K + 7 * spec.lam * np.eye(7), v)
         assert sys.representer_norm(v) == pytest.approx(float(np.sqrt(alpha @ K @ alpha)), rel=1e-10)
+
+    def test_representer_norm_at_the_tuned_ridge_floor(self):
+        """K alpha is read off the ridge system as v - M lam alpha; at the
+        smallest tuned ridge the system's condition (~1e6) leaves ~1e-9 of
+        rounding in either form, so 1e-8 separates rounding from error."""
+        rng = np.random.default_rng(11)
+        m = 300
+        x = rng.uniform(-2, 2, size=(m, 2))
+        spec = KernelSpec.from_variances((0.772, 1.572), 3e-8)
+        sys = fit_weights(spec, x)
+        K = gram_matrix(spec, x)
+        for _ in range(3):
+            v = rng.uniform(0, 1, size=m)
+            alpha = np.linalg.solve(K + m * spec.lam * np.eye(m), v)
+            want = float(np.sqrt(alpha @ K @ alpha))
+            assert sys.representer_norm(v) == pytest.approx(want, rel=1e-8)
+
+    def test_solve_matches_dense_ridge_solve(self):
+        rng = np.random.default_rng(12)
+        x = rng.uniform(-2, 2, size=(40, 2))
+        spec = KernelSpec.isotropic(0.7, 2, 1e-4)
+        sys = fit_weights(spec, x)
+        a = gram_matrix(spec, x) + 40 * spec.lam * np.eye(40)
+        b = rng.standard_normal((40, 3))
+        assert np.max(np.abs(sys.solve(b) - np.linalg.solve(a, b))) < 1e-10
+        assert np.max(np.abs(sys.solve(b[:, 0]) - np.linalg.solve(a, b[:, 0]))) < 1e-10
+        with pytest.raises(ValueError):
+            sys.solve(np.full(40, np.nan))
+
+    def test_factor_failure_reports_condition_of_the_rebuilt_system(self):
+        """The factorization runs in place on the Gram buffer, so the
+        condition estimate must come from a rebuilt system: exact duplicates
+        make it singular to rounding."""
+        rng = np.random.default_rng(13)
+        pts = rng.uniform(-1, 1, size=(20, 2))
+        x = np.vstack([pts, pts[:5]])
+        with pytest.raises(NumericError, match="condition estimate") as info:
+            fit_weights(KernelSpec.isotropic(1.0, 2, 1e-300), x)
+        cond = float(str(info.value).split("condition estimate ")[1].split(")")[0])
+        assert abs(cond) > 1e12
 
     def test_duplicate_points_with_zero_ridge_raise(self):
         x = np.zeros((3, 2))
