@@ -19,8 +19,6 @@ straddling a boundary.
 
 from __future__ import annotations
 
-import csv
-import io
 import warnings
 from dataclasses import dataclass
 
@@ -39,8 +37,6 @@ __all__ = [
     "imp_value_iteration",
     "ssr_value_iteration",
     "evaluate_abstraction",
-    "interval_model_to_csv",
-    "cell_values_to_csv",
 ]
 
 
@@ -298,29 +294,3 @@ def evaluate_abstraction(
     idx, inbox = part.locate(q)
     out = np.where(inbox, np.asarray(v0, dtype=float)[idx], 0.0)
     return float(out[0]) if single else out
-
-
-def interval_model_to_csv(model: IntervalModel, header_comment: str = "") -> str:
-    buf = io.StringIO()
-    if header_comment:
-        buf.write(f"# {header_comment}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["cell_i", "cell_j", "phat", "lower", "upper"])
-    n = model.phat.shape[0]
-    for i in range(n):
-        for j in range(n):
-            writer.writerow(
-                [i, j, f"{model.phat[i, j]:.17g}", f"{model.lower[i, j]:.17g}",
-                 f"{model.upper[i, j]:.17g}"]
-            )
-    return buf.getvalue()
-
-
-def cell_values_to_csv(v0: np.ndarray, header_comment: str = "") -> str:
-    lines = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
-    lines.append("cell,v0")
-    for i, val in enumerate(np.asarray(v0, dtype=float)):
-        lines.append(f"{i},{val:.17g}")
-    return "\n".join(lines) + "\n"

@@ -38,8 +38,7 @@ __all__ = [
     "check_barrier",
     "uniform_mc_oracle",
     "fit_barrier_candidate",
-    "candidate_to_csv",
-    "candidate_from_csv",
+    "box_mesh",
 ]
 
 
@@ -87,7 +86,11 @@ class BarrierReport:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _mesh(low: np.ndarray, high: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
+def box_mesh(low: np.ndarray, high: np.ndarray, counts: tuple[int, ...]) -> np.ndarray:
+    """Regular grid over the box [low, high], corners included: (prod(counts), d).
+
+    Axis k carries ``counts[k]`` evenly spaced points from low[k] to high[k].
+    """
     axes = [np.linspace(low[k], high[k], counts[k]) for k in range(len(counts))]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
@@ -128,14 +131,14 @@ def check_barrier(
 
     x0_low = np.asarray(x0_box[0], dtype=float)
     x0_high = np.asarray(x0_box[1], dtype=float)
-    init_pts = _mesh(x0_low, x0_high, counts)
+    init_pts = box_mesh(x0_low, x0_high, counts)
 
     unsafe_pts = np.vstack(
-        [_mesh(np.asarray(ol), np.asarray(oh), counts) for ol, oh in region.obstacles]
+        [box_mesh(np.asarray(ol), np.asarray(oh), counts) for ol, oh in region.obstacles]
     )
 
     lo, hi = region.box_array()
-    box_pts = _mesh(lo, hi, counts)
+    box_pts = box_mesh(lo, hi, counts)
     safe_pts = box_pts[is_safe(region, box_pts)]
     if safe_pts.shape[0] == 0:
         raise ValueError("safe-set grid is empty; refine the grid")
@@ -195,7 +198,7 @@ def uniform_mc_oracle(
     """
     dim = region.dim
     counts = _resolve_counts(grids, dim)
-    grid = _mesh(np.asarray(x0_box[0], dtype=float), np.asarray(x0_box[1], dtype=float), counts)
+    grid = box_mesh(np.asarray(x0_box[0], dtype=float), np.asarray(x0_box[1], dtype=float), counts)
     estimates = np.empty(grid.shape[0])
     for g in range(grid.shape[0]):
         rng = stream(seed, "barrier-mc", g)
@@ -218,24 +221,3 @@ def fit_barrier_candidate(
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     alpha = fit_weights(spec, centers).solve(targets)
     return BarrierCandidate(spec=spec, centers=centers, alpha=alpha)
-
-
-def candidate_to_csv(candidate: BarrierCandidate, header_comment: str = "") -> str:
-    d = candidate.centers.shape[1]
-    lines = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
-    lines.append(",".join([f"cx{k + 1}" for k in range(d)] + ["alpha"]))
-    for c, a in zip(candidate.centers, candidate.alpha):
-        lines.append(",".join([f"{v:.17g}" for v in c] + [f"{a:.17g}"]))
-    return "\n".join(lines) + "\n"
-
-
-def candidate_from_csv(text: str, spec: KernelSpec) -> BarrierCandidate:
-    rows = [
-        line.split(",")
-        for line in text.splitlines()
-        if line and not line.startswith("#")
-    ][1:]
-    arr = np.asarray([[float(v) for v in r] for r in rows])
-    return BarrierCandidate(spec=spec, centers=arr[:, :-1], alpha=arr[:, -1])

@@ -19,12 +19,11 @@ through t = T is safe.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .io import format_table, parse_table
 from .rng import stream
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "default_safe_region",
     "simulate",
     "simulate_batch",
-    "rollout_fn",
     "is_safe",
     "trajectory_safe",
     "gen_dataset",
@@ -181,15 +179,6 @@ def simulate(
     return simulate_batch(params, np.asarray(x0, dtype=float)[None, :], T, rng)[0]
 
 
-def rollout_fn(params: SynthSystemParams):
-    """Adapter giving the generic sampler signature (x0s, T, rng) -> (n, T+1, d)."""
-
-    def rollout(x0s: np.ndarray, T: int, rng: np.random.Generator) -> np.ndarray:
-        return simulate_batch(params, x0s, T, rng)
-
-    return rollout
-
-
 @dataclass
 class TrajectorySet:
     """A batch of rollouts plus the provenance needed to reproduce it."""
@@ -211,28 +200,18 @@ class TrajectorySet:
         return self.states[:, 0, :]
 
     def to_csv(self, header_comment: str = "") -> str:
-        buf = io.StringIO()
-        if header_comment:
-            buf.write(f"# {header_comment}\n")
-        d = self.states.shape[2]
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["traj_id", "t"] + [f"x{k + 1}" for k in range(d)])
-        for i in range(self.n):
-            for t in range(self.horizon + 1):
-                writer.writerow([i, t] + [f"{v:.17g}" for v in self.states[i, t]])
-        return buf.getvalue()
+        columns = ["traj_id", "t"] + [f"x{k + 1}" for k in range(self.states.shape[2])]
+        rows = ([i, t, *x] for i, traj in enumerate(self.states)
+                for t, x in enumerate(traj.tolist()))
+        return format_table(columns, rows, header_comment)
 
     @classmethod
     def from_csv(cls, text: str, params: SynthSystemParams | None = None, seed: int = 0) -> "TrajectorySet":
-        rows = [r for r in csv.reader(_data_lines(text))]
-        header, body = rows[0], rows[1:]
-        d = len(header) - 2
-        ids = sorted({int(r[0]) for r in body})
-        ts = sorted({int(r[1]) for r in body})
-        states = np.empty((len(ids), len(ts), d))
-        id_pos = {v: k for k, v in enumerate(ids)}
-        for r in body:
-            states[id_pos[int(r[0])], int(r[1])] = [float(v) for v in r[2:]]
+        _, columns, data = parse_table(text)
+        ids, traj_of_row = np.unique(data[:, 0], return_inverse=True)
+        t = data[:, 1].astype(int)
+        states = np.empty((len(ids), len(np.unique(t)), len(columns) - 2))
+        states[traj_of_row, t] = data[:, 2:]
         return cls(states=states, params=params or SynthSystemParams(), seed=seed)
 
 
@@ -251,26 +230,16 @@ class OneStepPairs:
         return self.x.shape[0]
 
     def to_csv(self, header_comment: str = "") -> str:
-        buf = io.StringIO()
-        if header_comment:
-            buf.write(f"# {header_comment}\n")
         d = self.x.shape[1]
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f"x{k + 1}" for k in range(d)] + [f"xn{k + 1}" for k in range(d)])
-        for i in range(self.n):
-            writer.writerow(
-                [f"{v:.17g}" for v in self.x[i]] + [f"{v:.17g}" for v in self.x_next[i]]
-            )
-        return buf.getvalue()
+        columns = [f"x{k + 1}" for k in range(d)] + [f"xn{k + 1}" for k in range(d)]
+        return format_table(columns, np.hstack([self.x, self.x_next]).tolist(), header_comment)
 
     @classmethod
     def from_csv(cls, text: str, params: SynthSystemParams | None = None, seed: int = 0) -> "OneStepPairs":
-        rows = [r for r in csv.reader(_data_lines(text))]
-        header, body = rows[0], rows[1:]
-        d = len(header) // 2
-        arr = np.asarray([[float(v) for v in r] for r in body])
+        _, columns, data = parse_table(text)
+        d = len(columns) // 2
         return cls(
-            x=arr[:, :d], x_next=arr[:, d:], params=params or SynthSystemParams(), seed=seed
+            x=data[:, :d], x_next=data[:, d:], params=params or SynthSystemParams(), seed=seed
         )
 
 
@@ -284,26 +253,13 @@ class GroundTruthGrid:
     seed: int = 0
 
     def to_csv(self, header_comment: str = "") -> str:
-        buf = io.StringIO()
-        if header_comment:
-            buf.write(f"# {header_comment}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["gx", "gy", "p_mc"])
-        for g, p in zip(self.grid, self.p_mc):
-            writer.writerow([f"{g[0]:.17g}", f"{g[1]:.17g}", f"{p:.17g}"])
-        return buf.getvalue()
+        rows = np.column_stack([self.grid, self.p_mc]).tolist()
+        return format_table(["gx", "gy", "p_mc"], rows, header_comment)
 
     @classmethod
     def from_csv(cls, text: str, n_mc: int = 0, seed: int = 0) -> "GroundTruthGrid":
-        rows = [r for r in csv.reader(_data_lines(text))][1:]
-        arr = np.asarray([[float(v) for v in r] for r in rows])
-        return cls(grid=arr[:, :2], p_mc=arr[:, 2], n_mc=n_mc, seed=seed)
-
-
-def _data_lines(text: str):
-    for line in text.splitlines():
-        if line and not line.startswith("#"):
-            yield line
+        _, _, data = parse_table(text)
+        return cls(grid=data[:, :2], p_mc=data[:, 2], n_mc=n_mc, seed=seed)
 
 
 def gen_dataset(

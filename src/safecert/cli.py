@@ -10,15 +10,14 @@ Subcommands mirror the experiment stages:
   sweep       all of the above for the full config grid
 
 Exit codes: 0 on success, 1 on runtime or numeric failure (missing data
-files included), 2 on usage or config errors.  Every output file embeds the
-config hash and seed in a leading comment line, and file writes are atomic.
+files and tables written under another config hash, seed, alpha or T
+included), 2 on usage or config errors.  Every output file embeds the config
+hash and seed in a leading comment line, and file writes are atomic.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io as _io
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -32,8 +31,8 @@ from . import calibration as cal
 from . import metrics as mx
 from .config import ConfigError, ExperimentConfig, load_config
 from .direct import fit_direct, predict
-from .dp import backward_value, evaluate_dp, fit_dp
-from .io import atomic_write, header_comment, strip_comments
+from .dp import DpModel, backward_value, evaluate_dp, fit_dp
+from .io import atomic_write, format_table, header_comment, parse_table, read_table
 from .kernels import NumericError
 
 __all__ = ["main"]
@@ -70,23 +69,18 @@ def _out_dir(cfg: ExperimentConfig, args) -> Path:
     return Path(args.out) if args.out else Path(cfg["out_dir"])
 
 
+def _read_cell(cfg: ExperimentConfig, out: Path, name: str, alpha: float, T: int,
+               seed: int) -> str:
+    """Text of the cell's table ``<name>_<tag>.csv``; a file written under
+    another config hash, seed, alpha or T is refused with a ValueError."""
+    path = out / f"{name}_{_tag(alpha, T, seed)}.csv"
+    return read_table(path, config=cfg.config_hash, seed=seed, alpha=f"{alpha:g}", T=T)
+
+
 def _write_grid_csv(path: Path, grid: np.ndarray, values: np.ndarray,
                     value_name: str, header: str) -> None:
-    buf = _io.StringIO()
-    buf.write(f"# {header}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["gx", "gy", value_name])
-    for g, v in zip(grid, values):
-        writer.writerow([f"{g[0]:.17g}", f"{g[1]:.17g}", f"{v:.17g}"])
-    atomic_write(path, buf.getvalue())
-
-
-def _read_grid_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    if not path.exists():
-        raise FileNotFoundError(f"missing data file: {path}")
-    rows = list(csv.reader(strip_comments(path.read_text()).splitlines()))[1:]
-    arr = np.asarray([[float(v) for v in r] for r in rows if r])
-    return arr[:, :2], arr[:, 2]
+    rows = np.column_stack([grid, values]).tolist()
+    atomic_write(path, format_table(["gx", "gy", value_name], rows, header))
 
 
 # ---------------------------------------------------------------- gen-data
@@ -107,8 +101,7 @@ def _gen_cell(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed: int)
 
 
 def cmd_gen_data(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(cfg, args)
-    _run_cells(_gen_cell, cfg, out, args)
+    _run_cells(_gen_cell, cfg, _out_dir(cfg, args), args)
     return 0
 
 
@@ -124,43 +117,39 @@ def _mc_cell(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed: int) 
 
 
 def cmd_mc_oracle(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(cfg, args)
-    _run_cells(_mc_cell, cfg, out, args)
+    _run_cells(_mc_cell, cfg, _out_dir(cfg, args), args)
     return 0
 
 
 # ---------------------------------------------------------------- certify
 
 def _load_pairs(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed: int) -> bm.OneStepPairs:
-    path = out / "data" / f"pairs_{_tag(alpha, T, seed)}.csv"
-    if not path.exists():
-        raise FileNotFoundError(f"missing data file: {path}")
-    return bm.OneStepPairs.from_csv(path.read_text(), params=_system(cfg, alpha), seed=seed)
+    text = _read_cell(cfg, out, "data/pairs", alpha, T, seed)
+    return bm.OneStepPairs.from_csv(text, params=_system(cfg, alpha), seed=seed)
 
 
 def _load_trajs(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed: int) -> bm.TrajectorySet:
-    path = out / "data" / f"trajs_{_tag(alpha, T, seed)}.csv"
-    if not path.exists():
-        raise FileNotFoundError(f"missing data file: {path}")
-    return bm.TrajectorySet.from_csv(path.read_text(), params=_system(cfg, alpha), seed=seed)
+    text = _read_cell(cfg, out, "data/trajs", alpha, T, seed)
+    return bm.TrajectorySet.from_csv(text, params=_system(cfg, alpha), seed=seed)
 
 
-def _certify_estimates(cfg: ExperimentConfig, out: Path, method: str,
+def _fit_dp_cell(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed: int) -> DpModel:
+    pairs = _load_pairs(cfg, out, alpha, T, seed)
+    return fit_dp(cfg.kernel_spec("dp", T), pairs, bm.default_safe_region(),
+                  ambiguity=cfg["dp.ambiguity"])
+
+
+def _certify_estimates(cfg: ExperimentConfig, out: Path, method: str, model: DpModel | None,
                        alpha: float, T: int, seed: int) -> None:
     region = bm.default_safe_region()
     grid = _grid(cfg, region)
     if method == "direct":
         ts = _load_trajs(cfg, out, alpha, T, seed)
-        model = fit_direct(cfg.kernel_spec("direct", T), ts, region)
-        est = predict(model, grid)
+        est = predict(fit_direct(cfg.kernel_spec("direct", T), ts, region), grid)
     elif method == "dp":
-        pairs = _load_pairs(cfg, out, alpha, T, seed)
-        model = fit_dp(cfg.kernel_spec("dp", T), pairs, region, ambiguity=cfg["dp.ambiguity"])
         stack = backward_value(model, T)
         est = evaluate_dp(model, stack, grid)
-    elif method in ("imp", "ssr"):
-        pairs = _load_pairs(cfg, out, alpha, T, seed)
-        model = fit_dp(cfg.kernel_spec("dp", T), pairs, region, ambiguity=cfg["dp.ambiguity"])
+    else:  # imp or ssr
         part = ab.build_partition(region, (cfg["abstraction.nx"], cfg["abstraction.ny"]))
         if method == "imp":
             probs = ab.empirical_cell_probs(part, model)
@@ -169,23 +158,20 @@ def _certify_estimates(cfg: ExperimentConfig, out: Path, method: str,
         else:
             v0 = ab.ssr_value_iteration(part, model, ab.SsrParams(delta=cfg["ssr.delta"]), T)
         est = ab.evaluate_abstraction(v0, part, grid)
-    else:
-        raise ValueError(f"unhandled method {method!r}")
     head = header_comment(cfg.config_hash, seed, alpha=f"{alpha:g}", T=T, method=method)
     _write_grid_csv(out / "pred" / f"{method}_{_tag(alpha, T, seed)}.csv",
                     grid, est, "estimate", head)
 
 
-def _certify_barrier(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed: int) -> None:
+def _certify_barrier(cfg: ExperimentConfig, out: Path, model: DpModel, alpha: float, T: int,
+                     seed: int) -> None:
     # demonstration candidate: ridge fit of the normalized squared distance
     # from the box center, checked against the fitted one-step model
     region = bm.default_safe_region()
-    pairs = _load_pairs(cfg, out, alpha, T, seed)
-    model = fit_dp(cfg.kernel_spec("dp", T), pairs, region, ambiguity=cfg["dp.ambiguity"])
     lo, hi = region.box_array()
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    centers = bar._mesh(lo, hi, (9,) * region.dim)
+    centers = bar.box_mesh(lo, hi, (9,) * region.dim)
     targets = np.sum(((centers - center) / half) ** 2, axis=1) / region.dim + 0.05
     candidate = bar.fit_barrier_candidate(cfg.kernel_spec("dp", T), centers, targets)
     x0_box = (center - 0.1 * half, center + 0.1 * half)
@@ -199,11 +185,16 @@ def _certify_barrier(cfg: ExperimentConfig, out: Path, alpha: float, T: int, see
 
 def _certify_cell(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed: int,
                   methods: tuple[str, ...] = ()) -> None:
+    # dp, imp, ssr and barrier share one dp fit, made when the first of them
+    # comes up so that it is not held while direct fits its own model
+    dp_model = None
     for method in methods:
+        if method != "direct" and dp_model is None:
+            dp_model = _fit_dp_cell(cfg, out, alpha, T, seed)
         if method == "barrier":
-            _certify_barrier(cfg, out, alpha, T, seed)
+            _certify_barrier(cfg, out, dp_model, alpha, T, seed)
         else:
-            _certify_estimates(cfg, out, method, alpha, T, seed)
+            _certify_estimates(cfg, out, method, dp_model, alpha, T, seed)
 
 
 def _certify_methods(cfg: ExperimentConfig, args) -> tuple[str, ...]:
@@ -215,17 +206,15 @@ def _certify_methods(cfg: ExperimentConfig, args) -> tuple[str, ...]:
 
 
 def cmd_certify(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(cfg, args)
     methods = _certify_methods(cfg, args)
-    _run_cells(_certify_cell, cfg, out, args, methods=methods)
+    _run_cells(_certify_cell, cfg, _out_dir(cfg, args), args, methods=methods)
     return 0
 
 
 # ---------------------------------------------------------------- calibrate
 
 def _calibrate_cell(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed: int,
-                    methods: tuple[str, ...] = ("direct",)) -> None:
-    method = methods[0]
+                    method: str = "direct") -> None:
     region = bm.default_safe_region()
     params = _system(cfg, alpha)
     grid = _grid(cfg, region)
@@ -234,13 +223,10 @@ def _calibrate_cell(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed
         ts = _load_trajs(cfg, out, alpha, T, seed)
         model = fit_direct(cfg.kernel_spec("direct", T), ts, region)
         score_at = lambda pts: np.asarray(predict(model, pts), dtype=float)
-    elif method == "dp":
-        pairs = _load_pairs(cfg, out, alpha, T, seed)
-        model = fit_dp(cfg.kernel_spec("dp", T), pairs, region, ambiguity=cfg["dp.ambiguity"])
+    else:  # cmd_calibrate admits only direct and dp
+        model = _fit_dp_cell(cfg, out, alpha, T, seed)
         stack = backward_value(model, T)
         score_at = lambda pts: np.asarray(evaluate_dp(model, stack, pts), dtype=float)
-    else:
-        raise ConfigError(f"calibrate supports methods 'direct' and 'dp', got {method!r}")
 
     cal_ts = bm.gen_dataset(params, region, cfg["data.n_calibration"], T, seed, purpose="cal-traj")
     scores = score_at(cal_ts.initial_states)
@@ -259,11 +245,10 @@ def _calibrate_cell(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed
 
 
 def cmd_calibrate(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(cfg, args)
     method = getattr(args, "method", None) or "direct"
     if method not in ("direct", "dp"):
         raise ConfigError(f"calibrate supports methods 'direct' and 'dp', got {method!r}")
-    _run_cells(_calibrate_cell, cfg, out, args, methods=(method,))
+    _run_cells(_calibrate_cell, cfg, _out_dir(cfg, args), args, method=method)
     return 0
 
 
@@ -277,51 +262,33 @@ def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
     methods = tuple(
         m for m in _certify_methods(cfg, args) if m != "barrier"
     )
-    rows = []
+    rows = []  # method, alpha, T, seed, then the _METRIC_COLS values
     for alpha, T, seed in _cells(cfg, args.seed_offset):
-        _, p_mc = _read_grid_csv(out / "mc" / f"mc_{_tag(alpha, T, seed)}.csv")
+        p_mc = parse_table(_read_cell(cfg, out, "mc/mc", alpha, T, seed))[2][:, 2]
         for method in methods:
-            _, est = _read_grid_csv(out / "pred" / f"{method}_{_tag(alpha, T, seed)}.csv")
+            est = parse_table(_read_cell(cfg, out, f"pred/{method}", alpha, T, seed))[2][:, 2]
             est = np.clip(est, 0.0, 1.0)
             rep = mx.brier_decomposition_mc(est, p_mc, n_bins=10)
-            rows.append({
-                "method": method, "alpha": f"{alpha:g}", "T": T, "seed": seed,
-                "rmse": mx.rmse(est, p_mc),
-                "excess_rmse": mx.excess_rmse(est, p_mc),
-                "brier": rep.brier, "brier_binned": rep.brier_binned,
-                "rel": rep.rel, "res": rep.res, "unc": rep.unc, "res_norm": rep.res_norm,
-            })
-
+            rows.append([method, f"{alpha:g}", T, seed, mx.rmse(est, p_mc),
+                         mx.excess_rmse(est, p_mc), rep.brier, rep.brier_binned,
+                         rep.rel, rep.res, rep.unc, rep.res_norm])
     head = header_comment(cfg.config_hash, args.seed_offset, kind="metrics")
-    buf = _io.StringIO()
-    buf.write(f"# {head}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["method", "alpha", "T", "seed"] + _METRIC_COLS)
-    for r in rows:
-        writer.writerow([r["method"], r["alpha"], r["T"], r["seed"]]
-                        + [f"{r[c]:.17g}" for c in _METRIC_COLS])
-    atomic_write(out / "metrics.csv", buf.getvalue())
+    columns = ["method", "alpha", "T", "seed"] + _METRIC_COLS
+    atomic_write(out / "metrics.csv", format_table(columns, rows, head))
 
-    groups: dict[tuple, list[dict]] = {}
+    groups: dict[tuple, list[list]] = {}
     for r in rows:
-        groups.setdefault((r["method"], r["alpha"], r["T"]), []).append(r)
-    buf = _io.StringIO()
-    buf.write(f"# {head}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["method", "alpha", "T", "n_seeds"]
-        + [f"mean_{c}" for c in _METRIC_COLS]
-        + [f"twosd_{c}" for c in _METRIC_COLS]
-    )
-    for (method, alpha, T), members in sorted(groups.items()):
-        means = [float(np.mean([m[c] for m in members])) for c in _METRIC_COLS]
-        twosd = [
-            2.0 * float(np.std([m[c] for m in members], ddof=1)) if len(members) > 1 else 0.0
-            for c in _METRIC_COLS
-        ]
-        writer.writerow([method, alpha, T, len(members)]
-                        + [f"{v:.17g}" for v in means] + [f"{v:.17g}" for v in twosd])
-    atomic_write(out / "metrics_aggregate.csv", buf.getvalue())
+        groups.setdefault(tuple(r[:3]), []).append(r[4:])
+    agg_rows = []
+    for key, members in sorted(groups.items()):
+        per_metric = list(zip(*members))
+        means = [float(np.mean(vals)) for vals in per_metric]
+        twosd = [2.0 * float(np.std(vals, ddof=1)) if len(members) > 1 else 0.0
+                 for vals in per_metric]
+        agg_rows.append([*key, len(members), *means, *twosd])
+    columns = (["method", "alpha", "T", "n_seeds"] + [f"mean_{c}" for c in _METRIC_COLS]
+               + [f"twosd_{c}" for c in _METRIC_COLS])
+    atomic_write(out / "metrics_aggregate.csv", format_table(columns, agg_rows, head))
     return 0
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "backward_value",
     "evaluate_dp",
     "spectral_decay",
-    "stack_to_csv",
 ]
 
 
@@ -111,10 +110,12 @@ class DpModel:
             return self.explicit
         return self.gram.solve(self.k_next.T).T
 
-    def value_norm(self, v: np.ndarray) -> float:
+    def apply_and_norm(self, v: np.ndarray) -> tuple[np.ndarray, float]:
+        """(transfer @ v, representer norm of v) from one shared ridge solve."""
         if self.gram is None:
             raise ValueError("norm penalty needs a kernel-backed model")
-        return self.gram.representer_norm(v)
+        alpha = self.gram.solve(v)
+        return self.k_next @ alpha, self.gram.representer_norm(v, alpha)
 
 
 def fit_dp(
@@ -146,10 +147,8 @@ def backward_value(model: DpModel, T: int) -> list[ValueVector]:
     v = model.safe_mask_next.astype(float).copy()
     levels = [ValueVector(level=T, v=v)]
     for level in range(T - 1, -1, -1):
-        pen = 0.0
-        if model.ambiguity > 0:
-            pen = model.ambiguity * KAPPA * model.value_norm(v)
-        v = model.safe_mask_next * np.clip(model.apply(v) - pen, 0.0, 1.0)
+        tv, norm = model.apply_and_norm(v) if model.ambiguity > 0 else (model.apply(v), 0.0)
+        v = model.safe_mask_next * np.clip(tv - model.ambiguity * KAPPA * norm, 0.0, 1.0)
         levels.append(ValueVector(level=level, v=v))
     levels.reverse()
     return levels
@@ -172,7 +171,7 @@ def evaluate_dp(
         v1 = stack[1].v
         pen = 0.0
         if model.ambiguity > 0:
-            pen = model.ambiguity * KAPPA * model.value_norm(v1)
+            pen = model.ambiguity * KAPPA * model.gram.representer_norm(v1)
         w = model.gram.weights_at(pts)
         out = safe0 * np.clip(w @ v1 - pen, 0.0, 1.0)
     return float(out[0]) if single else out
@@ -236,15 +235,3 @@ def spectral_decay(
         ) from exc
     rho = float(np.abs(vals[0]))
     return SpectralDecay(rho=rho, rho_pow_T=rho ** T, iterations=applications)
-
-
-def stack_to_csv(stack: list[ValueVector], header_comment: str = "") -> str:
-    """Serialize a value stack as level,i,v rows."""
-    lines = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
-    lines.append("level,i,v")
-    for vv in stack:
-        for i, val in enumerate(vv.v):
-            lines.append(f"{vv.level},{i},{val:.17g}")
-    return "\n".join(lines) + "\n"

@@ -141,16 +141,18 @@ class GramSystem:
         w = self._solve(kq.T, overwrite=True).T
         return w[0] if single else w
 
-    def representer_norm(self, values: np.ndarray) -> float:
+    def representer_norm(self, values: np.ndarray, alpha: np.ndarray | None = None) -> float:
         """RKHS norm of the ridge interpolant of ``values`` on the inputs.
 
-        norm = sqrt(alpha^T K alpha) with alpha = (K + M lam I)^{-1} values.
+        norm = sqrt(alpha^T K alpha) with alpha = (K + M lam I)^{-1} values;
+        a caller that has already solved for alpha passes it to skip the solve.
         This is a finite surrogate for the norm of the underlying function.
         K alpha is read off the ridge system as values - M lam alpha, so the
         Gram matrix is not needed.
         """
         v = np.asarray(values, dtype=float)
-        alpha = self.solve(v)
+        if alpha is None:
+            alpha = self.solve(v)
         sq = float(alpha @ (v - (self.size * self.spec.lam) * alpha))
         return float(np.sqrt(max(sq, 0.0)))
 

@@ -19,7 +19,6 @@ from safecert import (
     imp_value_iteration,
     ssr_value_iteration,
 )
-from safecert.abstraction import cell_values_to_csv, interval_model_to_csv
 
 UNIT_SQUARE = SafeRegion(
     low=(0.0, 0.0), high=(1.0, 1.0), obstacles=(((0.3, 0.3), (0.45, 0.45)),)
@@ -300,22 +299,3 @@ class TestEvaluation:
         assert evaluate_abstraction(v0, part, np.array([1.5, 0.5])) == 0.0
         batch = evaluate_abstraction(v0, part, np.array([[0.9, 0.9], [1.5, 0.5]]))
         assert batch.tolist() == [v0[idx[0]], 0.0]
-
-
-class TestCsvOutputs:
-    def test_interval_model_rows(self):
-        part = build_partition(UNIT_SQUARE, (3, 3))
-        probs = empirical_cell_probs(part, fitted_dp())
-        model = IntervalModel.from_radii(probs, 0.05)
-        lines = interval_model_to_csv(model, "config=cafe01234567 seed=0").strip().splitlines()
-        assert lines[0].startswith("#")
-        assert lines[1] == "cell_i,cell_j,phat,lower,upper"
-        assert len(lines) == 2 + 81
-        i, j, phat, lo, hi = lines[2].split(",")
-        assert float(lo) <= float(phat) <= float(hi)
-
-    def test_cell_values_rows(self):
-        v0 = np.array([0.25, 1.0])
-        lines = cell_values_to_csv(v0).strip().splitlines()
-        assert lines[0] == "cell,v0"
-        assert lines[1] == "0,0.25"

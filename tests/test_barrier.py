@@ -15,7 +15,6 @@ from safecert import (
     fit_dp,
     uniform_mc_oracle,
 )
-from safecert.barrier import candidate_from_csv, candidate_to_csv
 
 LINE_1D = SafeRegion(
     low=(-2.0,),
@@ -87,12 +86,6 @@ class TestCandidate:
         got = cand.value(cand.centers)
         want = cand.centers[:, 0] ** 2 + 0.1
         assert np.max(np.abs(got - want)) < 1e-4
-
-    def test_csv_round_trip(self):
-        cand = quadratic_candidate()
-        back = candidate_from_csv(candidate_to_csv(cand, "config=abc seed=1"), cand.spec)
-        assert np.array_equal(back.centers, cand.centers)
-        assert np.array_equal(back.alpha, cand.alpha)
 
 
 class TestCheckBarrier:

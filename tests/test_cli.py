@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import safecert.cli
+from safecert import load_config
 from safecert.cli import main
-from safecert.io import atomic_write, header_comment, strip_comments
+from safecert.io import atomic_write, format_table, header_comment, parse_table
 
 TINY_CONFIG = """
 system.alphas = 0.0
@@ -45,11 +47,10 @@ def tree_digest(root: Path) -> dict[str, str]:
 
 
 class TestIoHelpers:
-    def test_atomic_write_and_strip(self, tmp_path):
+    def test_atomic_write(self, tmp_path):
         target = tmp_path / "deep" / "file.csv"
         atomic_write(target, "# header\na,b\n1,2\n")
         assert target.read_text() == "# header\na,b\n1,2\n"
-        assert strip_comments(target.read_text()) == "a,b\n1,2\n"
         assert not list(tmp_path.glob("**/*.tmp"))
 
     def test_header_comment_is_sorted_and_stable(self):
@@ -77,6 +78,20 @@ class TestExitCodes:
     def test_evaluate_without_mc_exits_1(self, cfg_path, tmp_path):
         assert run("evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 1
 
+    def test_evaluate_refuses_mc_grid_of_another_config(self, cfg_path, tmp_path, capsys):
+        other = tmp_path / "other.cfg"
+        other.write_text(TINY_CONFIG.replace("mc.rollouts = 40", "mc.rollouts = 41"))
+        out = str(tmp_path / "o")
+        for stage in ("gen-data", "mc-oracle", "certify"):
+            assert run(stage, "--config", str(cfg_path), "--method", "dp", "--out", out) == 0
+        # same cell, same file name, another config: overwrites the MC grid
+        assert run("mc-oracle", "--config", str(other), "--out", out) == 0
+        capsys.readouterr()
+        assert run("evaluate", "--config", str(cfg_path), "--method", "dp", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert load_config(path=cfg_path).config_hash in err
+        assert load_config(path=other).config_hash in err
+
 
 class TestPipeline:
     def test_full_sweep_writes_every_stage(self, cfg_path, tmp_path):
@@ -97,8 +112,6 @@ class TestPipeline:
     def test_outputs_carry_config_hash_and_seed(self, cfg_path, tmp_path):
         out = tmp_path / "results"
         assert run("gen-data", "--config", str(cfg_path), "--out", str(out)) == 0
-        from safecert import load_config
-
         cfg = load_config(path=cfg_path)
         first = (out / "data" / "trajs_a0_T2_s1.csv").read_text().splitlines()[0]
         assert first.startswith("#")
@@ -108,15 +121,13 @@ class TestPipeline:
     def test_metrics_rows_match_grid_shape(self, cfg_path, tmp_path):
         out = tmp_path / "results"
         assert run("sweep", "--config", str(cfg_path), "--out", str(out)) == 0
-        lines = strip_comments((out / "metrics.csv").read_text()).strip().splitlines()
-        header = lines[0].split(",")
+        _, header, rows = parse_table((out / "metrics.csv").read_text(), dtype=str)
         assert header[:4] == ["method", "alpha", "T", "seed"]
         assert "rmse" in header and "rel" in header
         # four non-barrier methods, one cell each
-        assert len(lines) == 1 + 4
-        for row in lines[1:]:
-            vals = row.split(",")
-            assert 0.0 <= float(vals[header.index("rmse")]) <= 1.0
+        assert rows.shape == (4, len(header))
+        rmse = rows[:, header.index("rmse")].astype(float)
+        assert np.all((rmse >= 0.0) & (rmse <= 1.0))
 
     def test_barrier_report_is_json_with_header(self, cfg_path, tmp_path):
         out = tmp_path / "results"
@@ -134,6 +145,29 @@ class TestPipeline:
         assert run("gen-data", "--config", str(cfg_path), "--out", str(out),
                    "--seed-offset", "100") == 0
         assert (out / "data" / "trajs_a0_T2_s101.csv").exists()
+
+    def test_certify_fits_dp_once_per_cell(self, cfg_path, tmp_path, monkeypatch):
+        out = str(tmp_path / "o")
+        assert run("gen-data", "--config", str(cfg_path), "--out", out) == 0
+        calls = []
+        fit_dp = safecert.cli.fit_dp
+        monkeypatch.setattr(safecert.cli, "fit_dp",
+                            lambda *a, **kw: calls.append(1) or fit_dp(*a, **kw))
+        # the tiny config's methods: direct, dp, imp, ssr and barrier; one cell
+        assert run("certify", "--config", str(cfg_path), "--out", out) == 0
+        assert len(calls) == 1
+
+    def test_every_table_round_trips_through_the_parser(self, cfg_path, tmp_path):
+        out = tmp_path / "results"
+        assert run("sweep", "--config", str(cfg_path), "--out", str(out)) == 0
+        tables = sorted(out.rglob("*.csv"))
+        assert len(tables) == 10
+        for path in tables:
+            text = path.read_text()
+            dtype = str if path.name.startswith("metrics") else float
+            fields, columns, data = parse_table(text, dtype=dtype)
+            header = " ".join(f"{k}={v}" for k, v in fields.items())
+            assert format_table(columns, data.tolist(), header) == text, path.name
 
     def test_parallel_gen_matches_serial(self, cfg_path, tmp_path):
         a = tmp_path / "serial"
@@ -154,8 +188,6 @@ class TestPipeline:
         out = tmp_path / "results"
         assert run("gen-data", "--config", str(cfg_path), "--out", str(out)) == 0
         assert run("calibrate", "--config", str(cfg_path), "--out", str(out)) == 0
-        rows = strip_comments(
-            (out / "cal" / "bounds_direct_a0_T2_s1.csv").read_text()
-        ).strip().splitlines()[1:]
-        bounds = np.array([float(r.split(",")[2]) for r in rows])
+        _, _, rows = parse_table((out / "cal" / "bounds_direct_a0_T2_s1.csv").read_text())
+        bounds = rows[:, 2]
         assert np.all((bounds >= 0.0) & (bounds <= 1.0))

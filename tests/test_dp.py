@@ -13,8 +13,7 @@ from safecert import (
     fit_dp,
     spectral_decay,
 )
-from safecert.dp import stack_to_csv
-from safecert.kernels import KAPPA, gram_matrix
+from safecert.kernels import KAPPA, GramSystem, gram_matrix
 
 
 def chain_value_oracle(P: np.ndarray, safe: np.ndarray, T: int) -> np.ndarray:
@@ -222,6 +221,25 @@ class TestFittedModels:
         for vv in got:
             assert np.max(np.abs(vv.v - want[vv.level])) <= 1e-10
 
+    def test_penalized_pass_solves_once_per_level(self, monkeypatch):
+        model = random_fitted_model(3, n=60)
+        model.ambiguity = 0.002
+        T = 6
+        # the recursion as two separate solves per level: norm, then transfer
+        v = model.safe_mask_next.copy()
+        want = {T: v}
+        for level in range(T - 1, -1, -1):
+            pen = model.ambiguity * KAPPA * model.gram.representer_norm(v)
+            v = model.safe_mask_next * np.clip(model.apply(v) - pen, 0.0, 1.0)
+            want[level] = v
+        calls = []
+        solve = GramSystem.solve
+        monkeypatch.setattr(GramSystem, "solve", lambda self, b: calls.append(1) or solve(self, b))
+        stack = backward_value(model, T)
+        assert len(calls) == T
+        for vv in stack:
+            assert np.array_equal(vv.v, want[vv.level])
+
     def test_fitted_model_holds_two_m_by_m_arrays(self):
         """The Cholesky factor and K(x+, x); no Gram matrix, no transfer."""
         rng = np.random.default_rng(6)
@@ -294,17 +312,3 @@ class TestSpectralDecay:
         model = fit_dp(KernelSpec.isotropic(0.8, 2, 1e-4), pairs, region)
         dec = spectral_decay(model, T=3)
         assert dec.rho == 0.0 and dec.rho_pow_T == 0.0
-
-
-class TestStackCsv:
-    def test_rows_cover_all_levels(self):
-        model = DpModel.from_transfer(np.eye(2) * 0.5, np.ones(2))
-        stack = backward_value(model, 2)
-        text = stack_to_csv(stack, "config=deadbeef0123 seed=0")
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("#")
-        assert lines[1] == "level,i,v"
-        assert len(lines) == 2 + 3 * 2
-        level, i, v = lines[2].split(",")
-        assert (int(level), int(i)) == (0, 0)
-        assert float(v) == stack[0].v[0]
