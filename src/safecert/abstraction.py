@@ -120,9 +120,13 @@ def empirical_cell_probs(part: Partition, dp_model: DpModel) -> np.ndarray:
         raise ValueError("cell probabilities need a kernel-backed model")
     w = dp_model.gram.weights_at(part.centers)          # (n_cells, M)
     m_idx, inbox = part.locate(dp_model.x_next)
-    acc = np.zeros((part.n_cells, part.n_cells))
-    np.add.at(acc, m_idx[inbox], w[:, inbox].T)
-    probs = np.clip(acc.T, 0.0, 1.0)
+    target = m_idx[inbox]
+    n = part.n_cells
+    probs = np.empty((n, n))
+    # one row at a time, so no second (n_cells, M) array is held
+    for i, row in enumerate(w):
+        probs[i] = np.bincount(target, weights=row[inbox], minlength=n)
+    np.clip(probs, 0.0, 1.0, out=probs)
     sums = probs.sum(axis=1)
     dead = sums <= 0.0
     if np.any(dead):
@@ -133,9 +137,10 @@ def empirical_cell_probs(part: Partition, dp_model: DpModel) -> np.ndarray:
             RuntimeWarning,
             stacklevel=2,
         )
-        probs[dead] = 1.0 / part.n_cells
+        probs[dead] = 1.0 / n
         sums[dead] = 1.0
-    return probs / sums[:, None]
+    probs /= sums[:, None]
+    return probs
 
 
 @dataclass
@@ -161,28 +166,97 @@ class IntervalModel:
         r = np.broadcast_to(np.asarray(radius, dtype=float), phat.shape)
         if np.any(r < 0):
             raise ValueError("radius must be nonnegative")
-        return cls(
-            phat=phat,
-            lower=np.clip(phat - r, 0.0, 1.0),
-            upper=np.clip(phat + r, 0.0, 1.0),
-        )
+        lower, upper = phat - r, phat + r
+        np.clip(lower, 0.0, 1.0, out=lower)
+        np.clip(upper, 0.0, 1.0, out=upper)
+        return cls(phat=phat, lower=lower, upper=upper)
 
 
 _FEAS_TOL = 1e-9
+_ROW_BLOCK = 256    # rows per block of a feasibility check
+_FIRST_CHUNK = 32   # columns in the first chunk of order-maximisation
 
 
-def _check_feasible_rows(lower: np.ndarray, upper: np.ndarray) -> None:
-    if np.any(lower > upper + _FEAS_TOL):
-        i, j = np.argwhere(lower > upper + _FEAS_TOL)[0]
-        raise ValueError(f"infeasible interval: lower[{i},{j}] > upper[{i},{j}]")
-    lo_sum = lower.sum(axis=1)
-    up_sum = upper.sum(axis=1)
-    if np.any(lo_sum > 1.0 + _FEAS_TOL):
-        i = int(np.argmax(lo_sum))
-        raise ValueError(f"infeasible row {i}: sum of lower bounds {lo_sum[i]:.6g} > 1")
-    if np.any(up_sum < 1.0 - _FEAS_TOL):
-        i = int(np.argmin(up_sum))
-        raise ValueError(f"infeasible row {i}: sum of upper bounds {up_sum[i]:.6g} < 1")
+def _check_feasible_rows(
+    lower: np.ndarray, upper: np.ndarray, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """Check that the interval set of each row (all by default) is nonempty.
+
+    Rows are checked in blocks of _ROW_BLOCK, so no temporary grows past a
+    block.  Returns each row's budget 1 - sum(lower), floored at 0: the mass
+    order-maximisation hands out above the lower bounds.
+    """
+    if rows is None:
+        rows = np.arange(lower.shape[0])
+    budget = np.empty(rows.size)
+    for start in range(0, rows.size, _ROW_BLOCK):
+        block = rows[start:start + _ROW_BLOCK]
+        lo, up = lower[block], upper[block]
+        bad = lo > up + _FEAS_TOL
+        if np.any(bad):
+            k, j = np.argwhere(bad)[0]
+            raise ValueError(
+                f"infeasible interval: lower[{block[k]},{j}] > upper[{block[k]},{j}]"
+            )
+        lo_sum = lo.sum(axis=1)
+        up_sum = up.sum(axis=1)
+        if np.any(lo_sum > 1.0 + _FEAS_TOL):
+            k = int(np.argmax(lo_sum))
+            raise ValueError(
+                f"infeasible row {block[k]}: sum of lower bounds {lo_sum[k]:.6g} > 1"
+            )
+        if np.any(up_sum < 1.0 - _FEAS_TOL):
+            k = int(np.argmin(up_sum))
+            raise ValueError(
+                f"infeasible row {block[k]}: sum of upper bounds {up_sum[k]:.6g} < 1"
+            )
+        budget[start:start + block.size] = 1.0 - lo_sum
+    return np.maximum(budget, 0.0)
+
+
+def _order_max(
+    lower: np.ndarray,
+    upper: np.ndarray,
+    rows: np.ndarray,
+    v: np.ndarray,
+    order: np.ndarray,
+    budget: np.ndarray,
+    p: np.ndarray | None = None,
+) -> np.ndarray:
+    """min p @ v over {lower[r] <= p <= upper[r], sum(p) = 1} for each r in rows.
+
+    Order-maximisation: every row starts from its lower bounds and hands its
+    budget (from _check_feasible_rows) to the columns in ``order``, ascending
+    v, each up to its upper bound, until the budget is spent.  All rows share
+    the order, so the fill runs on all rows at once, over column chunks of
+    doubling width; a row leaves once its budget is spent, so a row costs
+    the columns its budget reaches, not n.  The budget left before each
+    column is a running sum of the negated gaps, the same subtractions in
+    the same order as a column-by-column loop.  When ``p`` (len(rows), n)
+    holds lower[rows], the minimising distributions are written into it.
+    """
+    value = (lower @ v)[rows]
+    active = np.flatnonzero(budget > 0.0)   # positions in rows
+    left = budget[active]
+    start, width = 0, _FIRST_CHUNK
+    while active.size and start < order.size:
+        cols = order[start:start + width]
+        idx = np.ix_(rows[active], cols)
+        gap = upper[idx] - lower[idx]
+        steps = np.empty((active.size, cols.size + 1))
+        steps[:, 0] = left
+        np.negative(gap, out=steps[:, 1:])
+        np.cumsum(steps, axis=1, out=steps)  # steps[:, k]: budget left before column k
+        before = steps[:, :-1]
+        add = np.where(before > 0.0, np.minimum(gap, before), 0.0)
+        value[active] += add @ v[cols]
+        if p is not None:
+            p[np.ix_(active, cols)] += add
+        spent = steps[:, -1] <= 0.0
+        active, left = active[~spent], steps[~spent, -1]
+        start += cols.size
+        width *= 2
+    return value
 
 
 def imp_inner_min(
@@ -197,41 +271,34 @@ def imp_inner_min(
     mass to coordinates in ascending order of v (ties broken by index).
     Returns the minimizing distribution and its value.
     """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
+    lower = np.asarray(lower, dtype=float)[None, :]
+    upper = np.asarray(upper, dtype=float)[None, :]
     v = np.asarray(v, dtype=float)
-    if np.any(lower > upper + _FEAS_TOL):
-        i = int(np.argmax(lower - upper))
-        raise ValueError(f"infeasible interval: lower[{i}] > upper[{i}]")
-    budget = 1.0 - lower.sum()
-    if budget < -_FEAS_TOL:
-        raise ValueError(f"infeasible: sum of lower bounds {lower.sum():.6g} > 1")
-    if upper.sum() < 1.0 - _FEAS_TOL:
-        raise ValueError(f"infeasible: sum of upper bounds {upper.sum():.6g} < 1")
+    budget = _check_feasible_rows(lower, upper)
     if order is None:
         order = np.argsort(v, kind="stable")
     p = lower.copy()
-    budget = max(budget, 0.0)
-    for i in order:
-        if budget <= 0.0:
-            break
-        add = min(upper[i] - lower[i], budget)
-        p[i] += add
-        budget -= add
-    return p, float(p @ v)
+    value = _order_max(lower, upper, np.zeros(1, dtype=int), v, np.asarray(order), budget, p)
+    return p[0], float(value[0])
 
 
 def imp_value_iteration(model: IntervalModel, part: Partition, T: int) -> np.ndarray:
-    """Robust backward iteration; unsafe cells are pinned at 0 at every level."""
+    """Robust backward iteration; unsafe cells are pinned at 0 at every level.
+
+    One level sorts v once and runs order-maximisation on all safe rows at
+    once; its cost is an n x n matrix-vector product plus, per row, the
+    columns its budget reaches.
+    """
     if T < 0:
         raise ValueError("T must be nonnegative")
     safe = part.safe_flags
+    rows = np.flatnonzero(safe)
+    budget = _check_feasible_rows(model.lower, model.upper, rows)
     v = safe.astype(float)
     for _ in range(T):
         order = np.argsort(v, kind="stable")
         new_v = np.zeros_like(v)
-        for i in np.flatnonzero(safe):
-            _, new_v[i] = imp_inner_min(model.lower[i], model.upper[i], v, order=order)
+        new_v[rows] = _order_max(model.lower, model.upper, rows, v, order, budget)
         v = new_v
     return v
 

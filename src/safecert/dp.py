@@ -50,10 +50,15 @@ class SpectralConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ValueVector:
-    """Value function at one level, evaluated at the sampled next states."""
+    """Value function at one level, evaluated at the sampled next states.
+
+    norm is the representer norm of v when the penalised backward pass
+    computed it (levels 1..T with ambiguity > 0), else None.
+    """
 
     level: int
     v: np.ndarray
+    norm: float | None = None
 
 
 @dataclass
@@ -147,7 +152,11 @@ def backward_value(model: DpModel, T: int) -> list[ValueVector]:
     v = model.safe_mask_next.astype(float).copy()
     levels = [ValueVector(level=T, v=v)]
     for level in range(T - 1, -1, -1):
-        tv, norm = model.apply_and_norm(v) if model.ambiguity > 0 else (model.apply(v), 0.0)
+        if model.ambiguity > 0:
+            tv, norm = model.apply_and_norm(v)
+            levels[-1] = ValueVector(level=level + 1, v=v, norm=norm)
+        else:
+            tv, norm = model.apply(v), 0.0
         v = model.safe_mask_next * np.clip(tv - model.ambiguity * KAPPA * norm, 0.0, 1.0)
         levels.append(ValueVector(level=level, v=v))
     levels.reverse()
@@ -171,7 +180,10 @@ def evaluate_dp(
         v1 = stack[1].v
         pen = 0.0
         if model.ambiguity > 0:
-            pen = model.ambiguity * KAPPA * model.gram.representer_norm(v1)
+            norm = stack[1].norm
+            if norm is None:  # a stack from a pass without the penalty
+                norm = model.gram.representer_norm(v1)
+            pen = model.ambiguity * KAPPA * norm
         w = model.gram.weights_at(pts)
         out = safe0 * np.clip(w @ v1 - pen, 0.0, 1.0)
     return float(out[0]) if single else out

@@ -19,6 +19,7 @@ from safecert import (
     imp_value_iteration,
     ssr_value_iteration,
 )
+from safecert.abstraction import _order_max
 
 UNIT_SQUARE = SafeRegion(
     low=(0.0, 0.0), high=(1.0, 1.0), obstacles=(((0.3, 0.3), (0.45, 0.45)),)
@@ -40,6 +41,47 @@ def unit_square_pairs(n: int, seed: int) -> OneStepPairs:
 
 def fitted_dp(n: int = 300, seed: int = 0) -> DpModel:
     return fit_dp(KernelSpec.isotropic(0.3, 2, 1e-5), unit_square_pairs(n, seed), UNIT_SQUARE)
+
+
+def scatter_reference(part, dp_model) -> np.ndarray:
+    """Cell probabilities by an unbuffered scatter of the transposed weights,
+    then a clip and a divide, without the in-place steps of the library."""
+    w = dp_model.gram.weights_at(part.centers)
+    m_idx, inbox = part.locate(dp_model.x_next)
+    acc = np.zeros((part.n_cells, part.n_cells))
+    np.add.at(acc, m_idx[inbox], w[:, inbox].T)
+    probs = np.clip(acc.T, 0.0, 1.0)
+    sums = probs.sum(axis=1)
+    dead = sums <= 0.0
+    probs[dead] = 1.0 / part.n_cells
+    sums[dead] = 1.0
+    return probs / sums[:, None]
+
+
+def loop_inner_min(lower, upper, v, order):
+    """Order-maximization one coordinate at a time: the scalar reference."""
+    p = lower.copy()
+    budget = max(1.0 - lower.sum(), 0.0)
+    for i in order:
+        if budget <= 0.0:
+            break
+        add = min(upper[i] - lower[i], budget)
+        p[i] += add
+        budget -= add
+    return p, float(p @ v)
+
+
+def loop_value_iteration(model, part, T):
+    """Robust backward iteration calling the scalar reference per safe cell."""
+    safe = part.safe_flags
+    v = safe.astype(float)
+    for _ in range(T):
+        order = np.argsort(v, kind="stable")
+        new_v = np.zeros_like(v)
+        for i in np.flatnonzero(safe):
+            new_v[i] = loop_inner_min(model.lower[i], model.upper[i], v, order)[1]
+        v = new_v
+    return v
 
 
 class TestPartition:
@@ -101,10 +143,13 @@ class TestPartition:
 class TestEmpiricalCellProbs:
     def test_rows_are_distributions(self):
         part = build_partition(UNIT_SQUARE, (5, 5))
-        probs = empirical_cell_probs(part, fitted_dp())
+        dp_model = fitted_dp()
+        probs = empirical_cell_probs(part, dp_model)
         assert probs.shape == (25, 25)
+        assert probs.flags.c_contiguous
         assert np.all(probs >= 0) and np.all(probs <= 1)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        assert np.max(np.abs(probs - scatter_reference(part, dp_model))) <= 1e-14
 
     def test_mass_flows_toward_the_contraction_image(self):
         part = build_partition(UNIT_SQUARE, (5, 5))
@@ -128,6 +173,22 @@ class TestEmpiricalCellProbs:
         with pytest.warns(RuntimeWarning):
             probs = empirical_cell_probs(part, model)
         assert np.allclose(probs, 1.0 / 9.0)
+
+    def test_some_dead_rows_match_the_transposed_scatter(self):
+        """Data clustered in one corner under a narrow kernel: far cell
+        centers get exactly zero weight, the others keep theirs."""
+        x = 0.1 + 0.01 * np.random.default_rng(2).standard_normal((20, 2))
+        pairs = OneStepPairs(x=x, x_next=x, params=SynthSystemParams(), seed=2, mode="iid")
+        model = fit_dp(KernelSpec.isotropic(0.01, 2, 1e-6), pairs, UNIT_SQUARE)
+        part = build_partition(UNIT_SQUARE, (5, 5))
+        with pytest.warns(RuntimeWarning):
+            probs = empirical_cell_probs(part, model)
+        uniform = np.all(probs == 1.0 / 25.0, axis=1)
+        assert 0 < np.sum(uniform) < 25
+        assert probs.flags.c_contiguous
+        assert np.all(probs >= 0) and np.all(probs <= 1)
+        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        assert np.max(np.abs(probs - scatter_reference(part, model))) <= 1e-14
 
 
 class TestIntervalInnerMin:
@@ -209,6 +270,88 @@ class TestIntervalInnerMin:
             imp_inner_min(np.array([0.5]), np.array([0.4]), np.zeros(1))
 
 
+class TestOrderMaxKernel:
+    """The row-batched kernel against the scalar reference ``loop_inner_min``."""
+
+    @staticmethod
+    def interval_rows(rng, n_rows, n):
+        """Feasible interval rows around sparse random distributions, with
+        zero-width rows, zero-budget rows (lower sums to 1) and wide rows
+        whose budget runs through several column chunks."""
+        phat = rng.exponential(size=(n_rows, n)) * (rng.uniform(size=(n_rows, n)) < 0.2)
+        phat[:, 0] += 1e-3
+        phat /= phat.sum(axis=1, keepdims=True)
+        r = rng.uniform(0.0, 0.02, size=(n_rows, 1))
+        lower = np.clip(phat - r, 0.0, 1.0)
+        upper = np.clip(phat + r, 0.0, 1.0)
+        lower[0] = upper[0] = phat[0]                # zero width
+        lower[1] = 0.0                               # lower sums to exactly 1
+        lower[1, 0] += 0.5
+        lower[1, -1] += 0.5
+        upper[1] = np.minimum(lower[1] + 0.1, 1.0)
+        lower[2], upper[2] = 0.0, min(1.5 / n, 1.0)  # budget reaches 2n/3 columns
+        lower[3], upper[3] = 0.0, 1.0                # all mass to the first column
+        return lower, upper
+
+    @staticmethod
+    def values(rng, n):
+        """Negative entries and ties: values drawn from a few levels."""
+        return rng.choice(rng.uniform(-1.0, 2.0, size=max(n // 4, 2)), size=n)
+
+    @pytest.mark.parametrize("n", [1, 5, 40, 300])
+    def test_batch_matches_scalar_reference(self, n):
+        rng = np.random.default_rng(n)
+        lower, upper = self.interval_rows(rng, 12, n)
+        rows = np.arange(12)
+        for _ in range(5):
+            v = self.values(rng, n)
+            order = np.argsort(v, kind="stable")
+            budget = np.maximum(1.0 - lower.sum(axis=1), 0.0)
+            p = lower.copy()
+            got = _order_max(lower, upper, rows, v, order, budget, p)
+            for i in rows:
+                want_p, want = loop_inner_min(lower[i], upper[i], v, order)
+                assert abs(got[i] - want) <= 1e-12
+                assert np.max(np.abs(p[i] - want_p)) <= 1e-12
+
+    def test_single_row_matches_scalar_reference(self):
+        rng = np.random.default_rng(8)
+        lower, upper = self.interval_rows(rng, 8, 200)
+        for i in range(8):
+            v = self.values(rng, 200)
+            p, val = imp_inner_min(lower[i], upper[i], v)
+            want_p, want = loop_inner_min(lower[i], upper[i], v, np.argsort(v, kind="stable"))
+            assert abs(val - want) <= 1e-12
+            assert np.max(np.abs(p - want_p)) <= 1e-12
+
+    def test_subset_of_rows(self):
+        rng = np.random.default_rng(9)
+        lower, upper = self.interval_rows(rng, 10, 60)
+        rows = np.array([7, 2, 3, 9])
+        v = self.values(rng, 60)
+        order = np.argsort(v, kind="stable")
+        budget = np.maximum(1.0 - lower[rows].sum(axis=1), 0.0)
+        got = _order_max(lower, upper, rows, v, order, budget)
+        want = [loop_inner_min(lower[i], upper[i], v, order)[1] for i in rows]
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_value_iteration_matches_scalar_reference(self):
+        part = build_partition(UNIT_SQUARE, (12, 12))
+        probs = empirical_cell_probs(part, fitted_dp())
+        model = IntervalModel.from_radii(probs, 0.01)
+        got = imp_value_iteration(model, part, 6)
+        assert np.max(got) > 0.1
+        assert np.max(np.abs(got - loop_value_iteration(model, part, 6))) <= 1e-12
+
+    def test_infeasible_row_past_the_first_block_is_named(self):
+        n = 300
+        lower = np.full((n, n), 1.0 / n)
+        upper = np.full((n, n), 2.0 / n)
+        lower[280, :2] = upper[280, :2] = 0.6
+        with pytest.raises(ValueError, match="row 280"):
+            IntervalModel(phat=lower, lower=lower, upper=upper)
+
+
 class TestIntervalModel:
     def test_from_radii_clips_to_unit_interval(self):
         phat = np.array([[0.95, 0.05], [0.5, 0.5]])
@@ -259,6 +402,17 @@ class TestValueIterations:
         v_imp = imp_value_iteration(IntervalModel.from_radii(probs, 0.0), part, 7)
         v_ssr = ssr_value_iteration(part, dp_model, SsrParams(delta=0.0), 7)
         assert np.max(np.abs(v_imp - v_ssr)) < 1e-10
+
+    def test_imp_never_exceeds_ssr_at_zero_slack(self, region, small_pairs, dp_spec):
+        """imp takes the worst case in an interval around the rows ssr uses,
+        and its terminal flags are the stricter whole-cell ones."""
+        part = build_partition(region, (12, 12))
+        dp_model = fit_dp(dp_spec, small_pairs, region)
+        probs = empirical_cell_probs(part, dp_model)
+        v_imp = imp_value_iteration(IntervalModel.from_radii(probs, 0.01), part, 6)
+        v_ssr = ssr_value_iteration(part, dp_model, SsrParams(delta=0.0), 6)
+        assert np.max(v_imp) > 0.1
+        assert np.all(v_imp <= v_ssr + 1e-12)
 
     def test_ssr_slack_only_lowers_values(self):
         part = build_partition(UNIT_SQUARE, (4, 4))

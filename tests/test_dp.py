@@ -240,6 +240,21 @@ class TestFittedModels:
         for vv in stack:
             assert np.array_equal(vv.v, want[vv.level])
 
+    def test_penalized_query_reuses_the_norm_of_v1(self, monkeypatch):
+        model = random_fitted_model(3, n=60)
+        model.ambiguity = 0.002
+        stack = backward_value(model, 4)
+        grid = np.random.default_rng(7).uniform(-3, 3, size=(25, 2))
+        v1 = stack[1].v
+        pen = model.ambiguity * KAPPA * model.gram.representer_norm(v1)
+        want = is_safe(model.region, grid) * np.clip(model.gram.weights_at(grid) @ v1 - pen, 0.0, 1.0)
+        calls = []
+        solve = GramSystem.solve
+        monkeypatch.setattr(GramSystem, "solve", lambda self, b: calls.append(1) or solve(self, b))
+        got = evaluate_dp(model, stack, grid)
+        assert calls == []
+        assert np.array_equal(got, want)
+
     def test_fitted_model_holds_two_m_by_m_arrays(self):
         """The Cholesky factor and K(x+, x); no Gram matrix, no transfer."""
         rng = np.random.default_rng(6)
