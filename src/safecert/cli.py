@@ -1,11 +1,14 @@
 """Command-line pipeline over the library.
 
-Subcommands mirror the experiment stages:
+Subcommands mirror the experiment stages; only certify fits models:
 
-  gen-data    trajectories and one-step pairs per (alpha, T, seed)
-  mc-oracle   Monte Carlo ground-truth grids
-  certify     fit a method and write grid estimates (or a barrier report)
-  calibrate   histogram-binning calibration of a method's scores
+  gen-data    data/{trajs,pairs,cal}_*: trajectories, one-step pairs and the
+              calibration set (initial state x1, x2; whole-trajectory safe)
+  mc-oracle   mc/mc_*: Monte Carlo ground-truth grids
+  certify     pred/<method>_*: each method's grid estimates (a report for
+              barrier), and cal/scores_<method>_*: its calibration-set scores
+  calibrate   cal/calibrator_* and cal/bounds_*: binned calibration of the
+              scores certify wrote for direct, dp, imp or ssr
   evaluate    metrics of predictions against the MC grids
   sweep       all of the above for the full config grid
 
@@ -99,6 +102,12 @@ def _gen_cell(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed: int)
     head = header_comment(cfg.config_hash, seed, alpha=f"{alpha:g}", T=T, kind=f"pairs-{mode}")
     atomic_write(out / "data" / f"pairs_{_tag(alpha, T, seed)}.csv", pairs.to_csv(head))
 
+    cal_ts = bm.gen_dataset(params, region, cfg["data.n_calibration"], T, seed, purpose="cal-traj")
+    rows = np.column_stack([cal_ts.initial_states, bm.trajectory_safe(region, cal_ts.states)])
+    head = header_comment(cfg.config_hash, seed, alpha=f"{alpha:g}", T=T, kind="calibration")
+    atomic_write(out / "data" / f"cal_{_tag(alpha, T, seed)}.csv",
+                 format_table(["x1", "x2", "safe"], rows.tolist(), head))
+
 
 def cmd_gen_data(cfg: ExperimentConfig, args) -> int:
     _run_cells(_gen_cell, cfg, _out_dir(cfg, args), args)
@@ -128,11 +137,6 @@ def _load_pairs(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed: in
     return bm.OneStepPairs.from_csv(text, params=_system(cfg, alpha), seed=seed)
 
 
-def _load_trajs(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed: int) -> bm.TrajectorySet:
-    text = _read_cell(cfg, out, "data/trajs", alpha, T, seed)
-    return bm.TrajectorySet.from_csv(text, params=_system(cfg, alpha), seed=seed)
-
-
 def _fit_dp_cell(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed: int) -> DpModel:
     pairs = _load_pairs(cfg, out, alpha, T, seed)
     return fit_dp(cfg.kernel_spec("dp", T), pairs, bm.default_safe_region(),
@@ -140,15 +144,16 @@ def _fit_dp_cell(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed: i
 
 
 def _certify_estimates(cfg: ExperimentConfig, out: Path, method: str, model: DpModel | None,
-                       alpha: float, T: int, seed: int) -> None:
+                       x_cal: np.ndarray, alpha: float, T: int, seed: int) -> None:
     region = bm.default_safe_region()
-    grid = _grid(cfg, region)
     if method == "direct":
-        ts = _load_trajs(cfg, out, alpha, T, seed)
-        est = predict(fit_direct(cfg.kernel_spec("direct", T), ts, region), grid)
+        ts = bm.TrajectorySet.from_csv(_read_cell(cfg, out, "data/trajs", alpha, T, seed),
+                                       params=_system(cfg, alpha), seed=seed)
+        direct = fit_direct(cfg.kernel_spec("direct", T), ts, region)
+        score_at = lambda pts: predict(direct, pts)
     elif method == "dp":
         stack = backward_value(model, T)
-        est = evaluate_dp(model, stack, grid)
+        score_at = lambda pts: evaluate_dp(model, stack, pts)
     else:  # imp or ssr
         part = ab.build_partition(region, (cfg["abstraction.nx"], cfg["abstraction.ny"]))
         if method == "imp":
@@ -157,10 +162,14 @@ def _certify_estimates(cfg: ExperimentConfig, out: Path, method: str, model: DpM
             v0 = ab.imp_value_iteration(imodel, part, T)
         else:
             v0 = ab.ssr_value_iteration(part, model, ab.SsrParams(delta=cfg["ssr.delta"]), T)
-        est = ab.evaluate_abstraction(v0, part, grid)
+        score_at = lambda pts: ab.evaluate_abstraction(v0, part, pts)
+    grid = _grid(cfg, region)
     head = header_comment(cfg.config_hash, seed, alpha=f"{alpha:g}", T=T, method=method)
-    _write_grid_csv(out / "pred" / f"{method}_{_tag(alpha, T, seed)}.csv",
-                    grid, est, "estimate", head)
+    tag = _tag(alpha, T, seed)
+    _write_grid_csv(out / "pred" / f"{method}_{tag}.csv", grid, score_at(grid), "estimate", head)
+    # the same fit scored at the calibration set, for calibrate to bin
+    atomic_write(out / "cal" / f"scores_{method}_{tag}.csv",
+                 format_table(["score"], score_at(x_cal)[:, None].tolist(), head))
 
 
 def _certify_barrier(cfg: ExperimentConfig, out: Path, model: DpModel, alpha: float, T: int,
@@ -185,6 +194,7 @@ def _certify_barrier(cfg: ExperimentConfig, out: Path, model: DpModel, alpha: fl
 
 def _certify_cell(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed: int,
                   methods: tuple[str, ...] = ()) -> None:
+    x_cal = parse_table(_read_cell(cfg, out, "data/cal", alpha, T, seed))[2][:, :2]
     # dp, imp, ssr and barrier share one dp fit, made when the first of them
     # comes up so that it is not held while direct fits its own model
     dp_model = None
@@ -194,7 +204,7 @@ def _certify_cell(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed: 
         if method == "barrier":
             _certify_barrier(cfg, out, dp_model, alpha, T, seed)
         else:
-            _certify_estimates(cfg, out, method, dp_model, alpha, T, seed)
+            _certify_estimates(cfg, out, method, dp_model, x_cal, alpha, T, seed)
 
 
 def _certify_methods(cfg: ExperimentConfig, args) -> tuple[str, ...]:
@@ -203,6 +213,11 @@ def _certify_methods(cfg: ExperimentConfig, args) -> tuple[str, ...]:
             raise ConfigError(f"unknown method {args.method!r}; valid: {_CERTIFY_METHODS}")
         return (args.method,)
     return tuple(m for m in cfg["methods"] if m in _CERTIFY_METHODS)
+
+
+def _scored_methods(cfg: ExperimentConfig, args) -> tuple[str, ...]:
+    """certify's methods that write estimates: all but barrier."""
+    return tuple(m for m in _certify_methods(cfg, args) if m != "barrier")
 
 
 def cmd_certify(cfg: ExperimentConfig, args) -> int:
@@ -214,41 +229,27 @@ def cmd_certify(cfg: ExperimentConfig, args) -> int:
 # ---------------------------------------------------------------- calibrate
 
 def _calibrate_cell(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed: int,
-                    method: str = "direct") -> None:
-    region = bm.default_safe_region()
-    params = _system(cfg, alpha)
-    grid = _grid(cfg, region)
-
-    if method == "direct":
-        ts = _load_trajs(cfg, out, alpha, T, seed)
-        model = fit_direct(cfg.kernel_spec("direct", T), ts, region)
-        score_at = lambda pts: np.asarray(predict(model, pts), dtype=float)
-    else:  # cmd_calibrate admits only direct and dp
-        model = _fit_dp_cell(cfg, out, alpha, T, seed)
-        stack = backward_value(model, T)
-        score_at = lambda pts: np.asarray(evaluate_dp(model, stack, pts), dtype=float)
-
-    cal_ts = bm.gen_dataset(params, region, cfg["data.n_calibration"], T, seed, purpose="cal-traj")
-    scores = score_at(cal_ts.initial_states)
-    outcomes = bm.trajectory_safe(region, cal_ts.states)
-    calibrator = cal.calibrate(
-        scores, outcomes, n_bins=cfg["calibration.bins"], delta_conf=cfg["calibration.delta"]
-    )
-    head = header_comment(cfg.config_hash, seed, alpha=f"{alpha:g}", T=T, method=method)
-    atomic_write(
-        out / "cal" / f"calibrator_{method}_{_tag(alpha, T, seed)}.json",
-        f"// {head}\n" + calibrator.to_json() + "\n",
-    )
-    bounds = cal.certified_lower_bound(calibrator, score_at(grid))
-    _write_grid_csv(out / "cal" / f"bounds_{method}_{_tag(alpha, T, seed)}.csv",
-                    grid, bounds, "lower_bound", head)
+                    methods: tuple[str, ...] = ()) -> None:
+    # post-processing only: the scores and grid estimates are certify's
+    outcomes = parse_table(_read_cell(cfg, out, "data/cal", alpha, T, seed))[2][:, 2]
+    tag = _tag(alpha, T, seed)
+    for method in methods:
+        scores = parse_table(_read_cell(cfg, out, f"cal/scores_{method}", alpha, T, seed))[2][:, 0]
+        pred = parse_table(_read_cell(cfg, out, f"pred/{method}", alpha, T, seed))[2]
+        calibrator = cal.calibrate(scores, outcomes, n_bins=cfg["calibration.bins"],
+                                   delta_conf=cfg["calibration.delta"])
+        head = header_comment(cfg.config_hash, seed, alpha=f"{alpha:g}", T=T, method=method)
+        atomic_write(out / "cal" / f"calibrator_{method}_{tag}.json",
+                     f"// {head}\n" + calibrator.to_json() + "\n")
+        bounds = cal.certified_lower_bound(calibrator, pred[:, 2])
+        _write_grid_csv(out / "cal" / f"bounds_{method}_{tag}.csv",
+                        pred[:, :2], bounds, "lower_bound", head)
 
 
 def cmd_calibrate(cfg: ExperimentConfig, args) -> int:
-    method = getattr(args, "method", None) or "direct"
-    if method not in ("direct", "dp"):
-        raise ConfigError(f"calibrate supports methods 'direct' and 'dp', got {method!r}")
-    _run_cells(_calibrate_cell, cfg, _out_dir(cfg, args), args, method=method)
+    if getattr(args, "method", None) == "barrier":
+        raise ConfigError("calibrate needs scores; barrier writes a report, not estimates")
+    _run_cells(_calibrate_cell, cfg, _out_dir(cfg, args), args, methods=_scored_methods(cfg, args))
     return 0
 
 
@@ -259,9 +260,7 @@ _METRIC_COLS = ["rmse", "excess_rmse", "brier", "brier_binned", "rel", "res", "u
 
 def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
-    methods = tuple(
-        m for m in _certify_methods(cfg, args) if m != "barrier"
-    )
+    methods = _scored_methods(cfg, args)
     rows = []  # method, alpha, T, seed, then the _METRIC_COLS values
     for alpha, T, seed in _cells(cfg, args.seed_offset):
         p_mc = parse_table(_read_cell(cfg, out, "mc/mc", alpha, T, seed))[2][:, 2]

@@ -135,6 +135,22 @@ def _validate(v: dict) -> None:
             raise ConfigError("system.alphas entries must lie in [0, 1)")
     if not (0.0 < v["calibration.delta"] < 1.0):
         raise ConfigError("calibration.delta must lie in (0, 1)")
+    # checked here so that a bad value stops the run before any stage writes
+    if any(T < 1 for T in v["horizons"]):
+        raise ConfigError("horizons entries must be at least 1")
+    for key in ("system.sigma", "system.h"):
+        if v[key] <= 0:
+            raise ConfigError(f"{key} must be positive")
+    for key in ("data.n_pairs", "imp.radius", "dp.ambiguity"):
+        if v[key] < 0:
+            raise ConfigError(f"{key} must be nonnegative")
+    if not (0.0 <= v["ssr.delta"] <= 1.0):
+        raise ConfigError("ssr.delta must lie in [0, 1]")
+    if v["calibration.bins"] > v["data.n_calibration"]:
+        raise ConfigError(
+            f"calibration.bins ({v['calibration.bins']}) must not exceed "
+            f"data.n_calibration ({v['data.n_calibration']})"
+        )
 
 
 @dataclass

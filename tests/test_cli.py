@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 import safecert.cli
+from safecert import benchmark as bm
+from safecert import calibration as cal
 from safecert import load_config
 from safecert.cli import main
+from safecert.direct import fit_direct, predict
 from safecert.io import atomic_write, format_table, header_comment, parse_table
 
 TINY_CONFIG = """
@@ -161,7 +164,7 @@ class TestPipeline:
         out = tmp_path / "results"
         assert run("sweep", "--config", str(cfg_path), "--out", str(out)) == 0
         tables = sorted(out.rglob("*.csv"))
-        assert len(tables) == 10
+        assert len(tables) == 18
         for path in tables:
             text = path.read_text()
             dtype = str if path.name.startswith("metrics") else float
@@ -187,7 +190,85 @@ class TestPipeline:
     def test_calibrated_bounds_are_conservative_scores(self, cfg_path, tmp_path):
         out = tmp_path / "results"
         assert run("gen-data", "--config", str(cfg_path), "--out", str(out)) == 0
+        assert run("certify", "--config", str(cfg_path), "--out", str(out)) == 0
         assert run("calibrate", "--config", str(cfg_path), "--out", str(out)) == 0
         _, _, rows = parse_table((out / "cal" / "bounds_direct_a0_T2_s1.csv").read_text())
         bounds = rows[:, 2]
         assert np.all((bounds >= 0.0) & (bounds <= 1.0))
+
+
+class TestCalibrateFromCertifyScores:
+    """calibrate bins the scores certify wrote; it fits and draws nothing."""
+
+    def test_sweep_fits_each_model_once(self, cfg_path, tmp_path, monkeypatch):
+        calls = []
+        for name in ("fit_direct", "fit_dp"):
+            fit = getattr(safecert.cli, name)
+            monkeypatch.setattr(safecert.cli, name,
+                                lambda *a, _fit=fit, **kw: calls.append(1) or _fit(*a, **kw))
+        assert run("sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 0
+        # one cell: one direct fit and one dp fit, both in certify
+        assert len(calls) == 2
+
+    def test_calibrate_neither_fits_nor_generates(self, cfg_path, tmp_path, monkeypatch):
+        out = str(tmp_path / "o")
+        for stage in ("gen-data", "certify"):
+            assert run(stage, "--config", str(cfg_path), "--out", out) == 0
+
+        def refuse(*a, **kw):
+            raise AssertionError("calibrate must not fit or generate data")
+
+        monkeypatch.setattr(safecert.cli, "fit_direct", refuse)
+        monkeypatch.setattr(safecert.cli, "fit_dp", refuse)
+        monkeypatch.setattr(bm, "gen_dataset", refuse)
+        assert run("calibrate", "--config", str(cfg_path), "--out", out) == 0
+        for method in ("direct", "dp", "imp", "ssr"):
+            assert (tmp_path / "o" / "cal" / f"bounds_{method}_a0_T2_s1.csv").exists()
+
+    def test_direct_bounds_match_a_refit_reference(self, cfg_path, tmp_path):
+        out = tmp_path / "o"
+        assert run("sweep", "--config", str(cfg_path), "--out", str(out)) == 0
+        # the old calibrate: refit direct, redraw the calibration set, score both
+        cfg = load_config(path=cfg_path)
+        region = bm.default_safe_region()
+        params = bm.SynthSystemParams(alpha=0.0, sigma=cfg["system.sigma"], h=cfg["system.h"],
+                                      beta_c=cfg["system.beta_c"], gamma_c=cfg["system.gamma_c"])
+        ts = bm.TrajectorySet.from_csv((out / "data" / "trajs_a0_T2_s1.csv").read_text(),
+                                       params=params, seed=1)
+        model = fit_direct(cfg.kernel_spec("direct", 2), ts, region)
+        cal_ts = bm.gen_dataset(params, region, cfg["data.n_calibration"], 2, 1,
+                                purpose="cal-traj")
+        calibrator = cal.calibrate(predict(model, cal_ts.initial_states),
+                                   bm.trajectory_safe(region, cal_ts.states),
+                                   n_bins=cfg["calibration.bins"],
+                                   delta_conf=cfg["calibration.delta"])
+        grid = bm.eval_grid(region, (cfg["grid.nx"], cfg["grid.ny"]))
+        bounds = cal.certified_lower_bound(calibrator, predict(model, grid))
+        head = header_comment(cfg.config_hash, 1, alpha="0", T=2, method="direct")
+        want = format_table(["gx", "gy", "lower_bound"],
+                            np.column_stack([grid, bounds]).tolist(), head)
+        assert (out / "cal" / "bounds_direct_a0_T2_s1.csv").read_text() == want
+        calibrator_text = (out / "cal" / "calibrator_direct_a0_T2_s1.json").read_text()
+        assert calibrator_text == f"// {head}\n" + calibrator.to_json() + "\n"
+
+    def test_calibrate_before_certify_names_the_missing_scores(self, cfg_path, tmp_path, capsys):
+        out = str(tmp_path / "o")
+        assert run("gen-data", "--config", str(cfg_path), "--out", out) == 0
+        capsys.readouterr()
+        assert run("calibrate", "--config", str(cfg_path), "--out", out) == 1
+        assert "cal/scores_direct_a0_T2_s1.csv" in capsys.readouterr().err
+
+    def test_calibrate_imp_writes_bounds_in_unit_interval(self, cfg_path, tmp_path):
+        out = tmp_path / "o"
+        for stage in ("gen-data", "certify", "calibrate"):
+            assert run(stage, "--config", str(cfg_path), "--method", "imp",
+                       "--out", str(out)) == 0
+        _, _, rows = parse_table((out / "cal" / "bounds_imp_a0_T2_s1.csv").read_text())
+        bounds = rows[:, 2]
+        assert bounds.size == 25
+        assert np.all((bounds >= 0.0) & (bounds <= 1.0))
+        assert not (out / "cal" / "bounds_direct_a0_T2_s1.csv").exists()
+
+    def test_calibrate_barrier_exits_2(self, cfg_path, tmp_path):
+        assert run("calibrate", "--config", str(cfg_path), "--method", "barrier",
+                   "--out", str(tmp_path / "o")) == 2

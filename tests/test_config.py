@@ -63,6 +63,29 @@ class TestValidation:
         with pytest.raises(ConfigError):
             parse_config(line + "\n")
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("calibration.bins = 11\ndata.n_calibration = 10", "calibration.bins"),
+            ("imp.radius = -0.01", "imp.radius"),
+            ("ssr.delta = -0.1", "ssr.delta"),
+            ("ssr.delta = 1.5", "ssr.delta"),
+            ("dp.ambiguity = -0.002", "dp.ambiguity"),
+            ("data.n_pairs = -5", "data.n_pairs"),
+            ("horizons = 0", "horizons"),
+            ("horizons = 5, -1", "horizons"),
+            ("system.sigma = 0", "system.sigma"),
+            ("system.h = -0.1", "system.h"),
+        ],
+    )
+    def test_out_of_range_values_name_their_key(self, text, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(text + "\n")
+
+    def test_range_edges_accepted(self):
+        parse_config("calibration.bins = 10\ndata.n_calibration = 10\nimp.radius = 0\n"
+                     "ssr.delta = 1\ndp.ambiguity = 0\ndata.n_pairs = 0\nhorizons = 1\n")
+
 
 class TestHashing:
     def test_comments_and_order_do_not_change_the_hash(self):
