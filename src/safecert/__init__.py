@@ -50,7 +50,6 @@ from .calibration import (
     BinnedCalibrator,
     calibrate,
     certified_lower_bound,
-    soundness_and_discrimination,
 )
 from .config import ConfigError, ExperimentConfig, default_kernel_spec, load_config
 from .direct import (
@@ -63,7 +62,6 @@ from .direct import (
     fit_direct,
     lower_bound,
     predict,
-    predict_quantitative,
     smoothed_safety,
 )
 from .dp import (

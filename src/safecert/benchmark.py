@@ -46,6 +46,11 @@ __all__ = [
 # states are saturated here to keep diverging rollouts finite
 SATURATION = 1.0e6
 
+# rollouts mc_ground_truth simulates at once: enough to spread the per-step
+# numpy calls over many rollouts, few enough that a block's noise and states
+# stay near 1 MB each at T = 15
+_MC_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class SynthSystemParams:
@@ -120,16 +125,22 @@ def default_safe_region() -> SafeRegion:
     )
 
 
+def _in_box(pts: np.ndarray, low: tuple[float, ...], high: tuple[float, ...]) -> np.ndarray:
+    """Closed-box membership of each row of ``pts`` (n, d), one coordinate at a time."""
+    inside = (pts[:, 0] >= low[0]) & (pts[:, 0] <= high[0])
+    for k in range(1, len(low)):
+        inside &= (pts[:, k] >= low[k]) & (pts[:, k] <= high[k])
+    return inside
+
+
 def is_safe(region: SafeRegion, x: np.ndarray) -> np.ndarray | bool:
     """Membership in the safe set for one point (d,) or a batch (n, d)."""
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    lo, hi = region.box_array()
-    ok = np.all((pts >= lo) & (pts <= hi), axis=1)
+    ok = _in_box(pts, region.low, region.high)
     for olow, ohigh in region.obstacles:
-        inside = np.all((pts >= np.asarray(olow)) & (pts <= np.asarray(ohigh)), axis=1)
-        ok &= ~inside
+        ok &= ~_in_box(pts, olow, ohigh)
     return bool(ok[0]) if single else ok
 
 
@@ -142,8 +153,7 @@ def trajectory_safe(region: SafeRegion, traj: np.ndarray) -> np.ndarray | bool:
     single = arr.ndim == 2
     arr = arr[None] if single else arr
     n, steps, d = arr.shape
-    flat = is_safe(region, arr.reshape(n * steps, d)).reshape(n, steps)
-    ok = np.all(flat, axis=1)
+    ok = is_safe(region, arr.reshape(n * steps, d)).reshape(n, steps).all(axis=1)
     return bool(ok[0]) if single else ok
 
 
@@ -152,24 +162,39 @@ def _drift(x: np.ndarray) -> np.ndarray:
     return np.stack([x2, x1 ** 3 / 3.0 - x1 - x2], axis=-1)
 
 
-def simulate_batch(
-    params: SynthSystemParams, x0s: np.ndarray, T: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Roll out ``T`` steps from each row of ``x0s``; returns (n, T+1, 2)."""
-    if T < 0:
-        raise ValueError("T must be nonnegative")
-    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
-    n = x0s.shape[0]
-    out = np.empty((n, T + 1, 2))
+def _rollout(params: SynthSystemParams, x0s: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Euler-Maruyama rollouts of every row of ``x0s`` (n, 2) at once.
+
+    ``noise`` holds the standard normals drawn in advance, (T+1, n, 2):
+    ``noise[0]`` sets z_0 and ``noise[t + 1]`` is the innovation w_t after
+    step t (drawn but unused at t = T).  Every operation is elementwise, so
+    row i depends only on ``x0s[i]`` and ``noise[:, i]``.  Returns (n, T+1, 2).
+    """
+    T = noise.shape[0] - 1
+    out = np.empty((noise.shape[1], T + 1, 2))
     out[:, 0] = np.clip(x0s, -SATURATION, SATURATION)
-    z = params.sigma * rng.standard_normal((n, 2))
+    z = params.sigma * noise[0]
     w_scale = params.sigma * np.sqrt(1.0 - params.alpha ** 2)
     for t in range(T):
         x = out[:, t]
         out[:, t + 1] = np.clip(x + params.h * _drift(x) + z, -SATURATION, SATURATION)
         fb = params.beta_c * np.tanh(params.gamma_c * x[:, 0])
-        z = params.alpha * (z + fb[:, None]) + w_scale * rng.standard_normal((n, 2))
+        z = params.alpha * (z + fb[:, None]) + w_scale * noise[t + 1]
     return out
+
+
+def simulate_batch(
+    params: SynthSystemParams, x0s: np.ndarray, T: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Roll out ``T`` steps from each row of ``x0s``; returns (n, T+1, 2).
+
+    Draws ``rng.standard_normal((T+1, n, 2))`` in one call: the same values,
+    in the same order, as T+1 draws of (n, 2), one per step.
+    """
+    if T < 0:
+        raise ValueError("T must be nonnegative")
+    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
+    return _rollout(params, x0s, rng.standard_normal((T + 1, x0s.shape[0], 2)))
 
 
 def simulate(
@@ -275,16 +300,24 @@ def gen_dataset(
     Each trajectory owns a named substream of (seed, purpose, i), so
     trajectory i is the same no matter how many others are drawn alongside
     it, and distinct purposes (training vs calibration) never share noise.
+    Stream i gives x0 first (``uniform(lo, hi)``, d values), then the
+    trajectory's noise (``standard_normal((T+1, 2))``, z_0 and then one
+    innovation per step).  All n trajectories are simulated in one pass, so
+    the noise is held next to the states: (T+1)·n·2 floats, the size of the
+    result.
     """
     if n <= 0:
         raise ValueError("n must be positive")
+    if T < 0:
+        raise ValueError("T must be nonnegative")
     lo, hi = region.box_array()
-    states = np.empty((n, T + 1, region.dim))
+    x0s = np.empty((n, region.dim))
+    noise = np.empty((T + 1, n, 2))
     for i in range(n):
         rng = stream(seed, purpose, i)
-        x0 = rng.uniform(lo, hi)
-        states[i] = simulate(params, x0, T, rng)
-    return TrajectorySet(states=states, params=params, seed=seed)
+        x0s[i] = rng.uniform(lo, hi)
+        noise[:, i] = rng.standard_normal((T + 1, 2))
+    return TrajectorySet(states=_rollout(params, x0s, noise), params=params, seed=seed)
 
 
 def extract_onestep_pairs(
@@ -352,17 +385,27 @@ def mc_ground_truth(
 ) -> GroundTruthGrid:
     """Monte Carlo estimate of the safety probability at each grid point.
 
-    Each grid point owns a named substream and is evaluated with ``n_mc``
-    vectorized rollouts; unsafe starting points are 0 without simulation.
+    Grid point g owns the substream (seed, "mc", g) and draws all of its
+    noise from it in one call, ``standard_normal((T+1, n_mc, 2))``: step by
+    step, n_mc rollouts at a time.  Unsafe starting points are 0 and draw
+    nothing.  Safe points are simulated and scored in blocks of whole points,
+    as many as fit in ``_MC_BLOCK`` rollouts and at least one, so a block
+    holds max(_MC_BLOCK, n_mc)·(T+1)·2 floats of noise and as many of states.
     """
+    if T < 0:
+        raise ValueError("T must be nonnegative")
+    if n_mc <= 0:
+        raise ValueError("n_mc must be positive")
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     p = np.zeros(grid.shape[0])
-    start_safe = is_safe(region, grid)
-    for g in range(grid.shape[0]):
-        if not start_safe[g]:
-            continue
-        rng = stream(seed, "mc", g)
-        x0s = np.tile(grid[g], (n_mc, 1))
-        rolls = simulate_batch(params, x0s, T, rng)
-        p[g] = float(np.mean(trajectory_safe(region, rolls)))
+    safe_starts = np.flatnonzero(is_safe(region, grid))
+    per_block = max(1, _MC_BLOCK // n_mc)
+    for first in range(0, safe_starts.size, per_block):
+        points = safe_starts[first:first + per_block]
+        noise = np.empty((T + 1, points.size * n_mc, 2))
+        for j, g in enumerate(points):
+            rng = stream(seed, "mc", g)
+            noise[:, j * n_mc:(j + 1) * n_mc] = rng.standard_normal((T + 1, n_mc, 2))
+        rolls = _rollout(params, np.repeat(grid[points], n_mc, axis=0), noise)
+        p[points] = trajectory_safe(region, rolls).reshape(points.size, n_mc).mean(axis=1)
     return GroundTruthGrid(grid=grid, p_mc=p, n_mc=n_mc, seed=seed)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["BinnedCalibrator", "calibrate", "certified_lower_bound", "soundness_and_discrimination"]
+__all__ = ["BinnedCalibrator", "calibrate", "certified_lower_bound"]
 
 _DEGENERATE_SPAN = 1e-12
 
@@ -171,17 +171,3 @@ def certified_lower_bound(cal: BinnedCalibrator, scores: np.ndarray) -> np.ndarr
     single = s.ndim == 0
     out = cal.certified[cal.bin_of(np.atleast_1d(s))]
     return float(out[0]) if single else out
-
-
-def soundness_and_discrimination(
-    cal: BinnedCalibrator, scores: np.ndarray, p_mc: np.ndarray
-) -> tuple[float, float]:
-    """Fraction of points whose bound respects the MC truth, and bound spread.
-
-    Soundness is the fraction of grid points with bound <= p_mc; the
-    discrimination proxy is the standard deviation of the bounds (a flat,
-    useless bound scores zero).
-    """
-    bounds = certified_lower_bound(cal, scores)
-    soundness = float(np.mean(bounds <= np.asarray(p_mc, dtype=float)))
-    return soundness, float(np.std(bounds))

@@ -216,7 +216,11 @@ def _certify_methods(cfg: ExperimentConfig, args) -> tuple[str, ...]:
 
 
 def _scored_methods(cfg: ExperimentConfig, args) -> tuple[str, ...]:
-    """certify's methods that write estimates: all but barrier."""
+    """certify's methods that write estimates: all but barrier, which is a
+    usage error when asked for by ``--method``."""
+    if getattr(args, "method", None) == "barrier":
+        raise ConfigError("barrier writes a report, not estimates; only certify takes "
+                          "--method barrier")
     return tuple(m for m in _certify_methods(cfg, args) if m != "barrier")
 
 
@@ -247,8 +251,6 @@ def _calibrate_cell(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed
 
 
 def cmd_calibrate(cfg: ExperimentConfig, args) -> int:
-    if getattr(args, "method", None) == "barrier":
-        raise ConfigError("calibrate needs scores; barrier writes a report, not estimates")
     _run_cells(_calibrate_cell, cfg, _out_dir(cfg, args), args, methods=_scored_methods(cfg, args))
     return 0
 

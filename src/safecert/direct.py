@@ -44,7 +44,6 @@ __all__ = [
     "Eps3Estimate",
     "fit_direct",
     "predict",
-    "predict_quantitative",
     "lower_bound",
     "smoothed_safety",
     "eps1",
@@ -150,7 +149,7 @@ class DirectModel:
     labels: np.ndarray          # (N,) 0/1 floats
     horizon: int
     region: SafeRegion
-    trajectories: np.ndarray    # (N, T+1, d), kept for functionals and error terms
+    trajectories: np.ndarray    # (N, T+1, d), kept for the error terms
 
     @property
     def n(self) -> int:
@@ -174,25 +173,6 @@ def predict(model: DirectModel, x0: np.ndarray) -> np.ndarray | float:
     """Raw estimate sum_i w_i(x0) * label_i; may leave [0, 1], never clipped here."""
     w = model.gram.weights_at(x0)
     return w @ model.labels
-
-
-def predict_quantitative(
-    model: DirectModel,
-    robustness: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    budget: ErrorBudget | None = None,
-) -> np.ndarray | float:
-    """Lower bound on E[rho~(X_{0:T})] for a caller-supplied functional.
-
-    ``robustness`` maps one trajectory (T+1, d) to a real value and must
-    under-approximate the quantity being certified.  The ambiguity penalty
-    eps * kappa * norm_bound is taken from ``budget`` (zero by default), so
-    with an indicator functional and eps = 0 this reduces to ``predict``.
-    """
-    budget = budget or ErrorBudget()
-    values = np.asarray([float(robustness(traj)) for traj in model.trajectories])
-    w = model.gram.weights_at(x0)
-    return w @ values - budget.ambiguity * KAPPA * budget.norm_bound
 
 
 def eps1(model: DirectModel, budget: ErrorBudget, x0: np.ndarray) -> np.ndarray | float:

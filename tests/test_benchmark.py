@@ -15,7 +15,7 @@ from safecert import (
     simulate_batch,
     trajectory_safe,
 )
-from safecert.benchmark import SATURATION, _drift
+from safecert.benchmark import _MC_BLOCK, SATURATION, _drift
 from safecert.rng import stream
 
 
@@ -24,6 +24,34 @@ def recover_noise(params: SynthSystemParams, states: np.ndarray) -> np.ndarray:
     of trajectories: z_t = x_{t+1} - x_t - h * f(x_t)."""
     x, x_next = states[:, :-1], states[:, 1:]
     return x_next - x - params.h * _drift(x)
+
+
+def stepwise_rollout(params: SynthSystemParams, x0s: np.ndarray, T: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """The Euler-Maruyama recursion with its noise drawn step by step: (n, 2)
+    standard normals for z_0, then (n, 2) more after each step."""
+    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
+    n = x0s.shape[0]
+    out = np.empty((n, T + 1, 2))
+    out[:, 0] = np.clip(x0s, -SATURATION, SATURATION)
+    z = params.sigma * rng.standard_normal((n, 2))
+    w_scale = params.sigma * np.sqrt(1.0 - params.alpha ** 2)
+    for t in range(T):
+        x = out[:, t]
+        drift = np.stack([x[:, 1], x[:, 0] ** 3 / 3.0 - x[:, 0] - x[:, 1]], axis=-1)
+        out[:, t + 1] = np.clip(x + params.h * drift + z, -SATURATION, SATURATION)
+        fb = params.beta_c * np.tanh(params.gamma_c * x[:, 0])
+        z = params.alpha * (z + fb[:, None]) + w_scale * rng.standard_normal((n, 2))
+    return out
+
+
+def broadcast_safe(region: SafeRegion, pts: np.ndarray) -> np.ndarray:
+    """Safe-set membership of the rows of ``pts`` by broadcasting each box."""
+    lo, hi = region.box_array()
+    ok = np.all((pts >= lo) & (pts <= hi), axis=1)
+    for olow, ohigh in region.obstacles:
+        ok &= ~np.all((pts >= np.asarray(olow)) & (pts <= np.asarray(ohigh)), axis=1)
+    return ok
 
 
 class TestRegion:
@@ -55,6 +83,32 @@ class TestRegion:
         pts = np.array([[0.0, 0.0], [0.5, 0.3], [9.0, 9.0]])
         flags = is_safe(region, pts)
         assert flags.tolist() == [True, False, False]
+
+    @pytest.mark.parametrize("box", [
+        SafeRegion(low=(-1.0,), high=(2.0,), obstacles=(((0.0,), (0.5,)), ((1.0,), (1.0,)))),
+        SafeRegion(low=(-1.0, -1.0, -1.0), high=(1.0, 1.0, 1.0),
+                   obstacles=(((0.0, 0.0, 0.0), (0.5, 0.5, 0.5)),
+                              ((-0.5, -1.0, -0.2), (-0.1, -0.4, 0.3)))),
+    ])
+    def test_columnwise_predicate_on_faces(self, box):
+        """Every face coordinate, a point between each pair and a point just
+        past each end, in every combination across the axes."""
+        faces = sorted({*box.low, *box.high, *(v for ob in box.obstacles for b in ob for v in b)})
+        values = sorted({*faces, *np.convolve(faces, [0.5, 0.5], "valid"),
+                         faces[0] - 1e-12, faces[-1] + 1e-12})
+        mesh = np.meshgrid(*[values] * box.dim, indexing="ij")
+        pts = np.stack(mesh, axis=-1).reshape(-1, box.dim)
+        want = broadcast_safe(box, pts)
+        assert np.array_equal(is_safe(box, pts), want)
+        assert 0 < want.sum() < want.size
+        # both boxes are closed: faces of the box are safe, faces of an obstacle are not
+        assert is_safe(box, np.asarray(box.low)) and is_safe(box, np.asarray(box.high))
+        for olow, ohigh in box.obstacles:
+            assert not is_safe(box, np.asarray(olow)) and not is_safe(box, np.asarray(ohigh))
+        steps = pts.shape[0] // 4 * 4
+        trajs = pts[:steps].reshape(-1, 4, box.dim)
+        assert np.array_equal(trajectory_safe(box, trajs), want[:steps].reshape(-1, 4).all(axis=1))
+        assert trajectory_safe(box, trajs[0]) == bool(want[:4].all())
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError):
@@ -147,6 +201,31 @@ class TestSimulation:
         assert batch.shape == (2, 4, 2)
         assert np.array_equal(batch[:, 0], x0s)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.95])
+    @pytest.mark.parametrize("T", [0, 1, 7])
+    @pytest.mark.parametrize("n", [1, 5, 300])
+    def test_simulate_batch_is_the_stepwise_recursion(self, alpha, T, n):
+        params = SynthSystemParams(alpha=alpha)
+        x0s = stream(3, "x0").uniform(-3.0, 2.5, size=(n, 2))
+        rng_a, rng_b = stream(1, "x"), stream(1, "x")
+        assert np.array_equal(simulate_batch(params, x0s, T, rng_a),
+                              stepwise_rollout(params, x0s, T, rng_b))
+        # the same number of draws: both generators go on identically
+        assert rng_a.random() == rng_b.random()
+        assert np.array_equal(simulate(params, x0s[0], T, stream(2, "y")),
+                              stepwise_rollout(params, x0s[:1], T, stream(2, "y"))[0])
+
+    @pytest.mark.parametrize("purpose", ["traj", "cal-traj"])
+    @pytest.mark.parametrize("T", [0, 6])
+    def test_gen_dataset_is_the_stepwise_recursion_per_trajectory(self, region, purpose, T):
+        params = SynthSystemParams(alpha=0.95)
+        ts = gen_dataset(params, region, n=200, T=T, seed=8, purpose=purpose)
+        lo, hi = region.box_array()
+        for i in range(ts.n):
+            rng = stream(8, purpose, i)
+            x0 = rng.uniform(lo, hi)
+            assert np.array_equal(ts.states[i], stepwise_rollout(params, x0, T, rng)[0])
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             SynthSystemParams(alpha=1.0)
@@ -210,6 +289,31 @@ class TestGroundTruth:
         short = mc_ground_truth(markov_params, region, grid, 3, 80, seed=7)
         long = mc_ground_truth(markov_params, region, grid, 9, 80, seed=7)
         assert np.all(long.p_mc <= short.p_mc + 1e-12)
+
+    @pytest.mark.parametrize("T, n_mc, grid", [
+        (2, 1, "fine"),
+        (0, _MC_BLOCK // 2, "mixed"),
+        (3, _MC_BLOCK // 2, "mixed"),
+        (1, _MC_BLOCK + 1, "mixed"),
+    ])
+    def test_mc_is_the_stepwise_recursion_per_point(self, region, T, n_mc, grid):
+        """Blocks of rollouts from several points' streams score each point as
+        its own step-by-step rollouts would; unsafe starts sit between them."""
+        params = SynthSystemParams(alpha=0.95)
+        if grid == "fine":
+            grid = eval_grid(region, (80, 70))
+        else:
+            grid = np.array([[-2.0, 0.0], [0.5, 0.3], [-2.5, -1.8], [9.0, 9.0],
+                             [1.0, -0.5], [-1.0, -1.2], [2.0, 0.5], [0.0, 0.0]])
+        start_safe = broadcast_safe(region, grid)
+        assert start_safe.sum() * n_mc > _MC_BLOCK and not start_safe.all()
+        got = mc_ground_truth(params, region, grid, T, n_mc, seed=6).p_mc
+        want = np.zeros(grid.shape[0])
+        for g in np.flatnonzero(start_safe):
+            rolls = stepwise_rollout(params, np.tile(grid[g], (n_mc, 1)), T, stream(6, "mc", g))
+            safe = broadcast_safe(region, rolls.reshape(-1, 2)).reshape(n_mc, T + 1)
+            want[g] = np.mean(safe.all(axis=1))
+        assert np.array_equal(got, want)
 
 
 class TestCsvRoundTrips:

@@ -5,7 +5,6 @@ from safecert import (
     BinnedCalibrator,
     calibrate,
     certified_lower_bound,
-    soundness_and_discrimination,
 )
 from safecert.calibration import _merge_empty_bins
 
@@ -150,16 +149,6 @@ class TestCoverage:
             if certified_lower_bound(cal, np.float64(p_test)) > p_test:
                 miss += 1
         assert miss / reps <= 0.13
-
-    def test_soundness_and_discrimination_hand_case(self):
-        scores, outcomes = balanced_set()
-        cal = calibrate(scores, outcomes, n_bins=4)
-        s = np.array([0.1, 0.9])
-        bounds = certified_lower_bound(cal, s)
-        p_mc = np.array([bounds[0] + 0.01, bounds[1] - 0.01])
-        soundness, disc = soundness_and_discrimination(cal, s, p_mc)
-        assert soundness == 0.5
-        assert disc == pytest.approx(float(np.std(bounds)))
 
 
 class TestSerialization:

@@ -81,6 +81,16 @@ class TestExitCodes:
     def test_evaluate_without_mc_exits_1(self, cfg_path, tmp_path):
         assert run("evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 1
 
+    def test_evaluate_barrier_exits_2(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        for stage in ("gen-data", "mc-oracle"):
+            assert run(stage, "--config", str(cfg_path), "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run("evaluate", "--config", str(cfg_path), "--method", "barrier",
+                   "--out", str(out)) == 2
+        assert "barrier writes a report" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
     def test_evaluate_refuses_mc_grid_of_another_config(self, cfg_path, tmp_path, capsys):
         other = tmp_path / "other.cfg"
         other.write_text(TINY_CONFIG.replace("mc.rollouts = 40", "mc.rollouts = 41"))

@@ -15,9 +15,7 @@ from safecert import (
     gen_dataset,
     lower_bound,
     predict,
-    predict_quantitative,
     smoothed_safety,
-    trajectory_safe,
 )
 from safecert.direct import _mollifier_components
 from safecert.kernels import gram_matrix
@@ -118,22 +116,6 @@ class TestDirectEstimator:
         model = fit_direct(spec, ts, region)
         grid_vals = predict(model, ts.initial_states)
         assert np.min(grid_vals) < 0.0 or np.max(grid_vals) > 1.0
-
-    def test_quantitative_with_indicator_reduces_to_predict(self, region, markov_params):
-        ts = gen_dataset(markov_params, region, n=30, T=3, seed=9)
-        model = fit_direct(KernelSpec.isotropic(0.8, 2, 1e-4), ts, region)
-        q = np.array([0.0, 0.0])
-        rho = lambda traj: float(trajectory_safe(region, traj))
-        assert predict_quantitative(model, rho, q) == pytest.approx(predict(model, q), abs=1e-14)
-
-    def test_quantitative_subtracts_ambiguity_penalty(self, region, markov_params):
-        ts = gen_dataset(markov_params, region, n=30, T=3, seed=9)
-        model = fit_direct(KernelSpec.isotropic(0.8, 2, 1e-4), ts, region)
-        q = np.array([0.0, 0.0])
-        rho = lambda traj: float(trajectory_safe(region, traj))
-        budget = ErrorBudget(ambiguity=0.2, norm_bound=1.5)
-        plain = predict_quantitative(model, rho, q)
-        assert predict_quantitative(model, rho, q, budget) == pytest.approx(plain - 0.3, abs=1e-12)
 
 
 class TestErrorTerms:
