@@ -28,7 +28,7 @@ import numpy as np
 
 from .benchmark import SafeRegion, is_safe, trajectory_safe
 from .dp import DpModel
-from .kernels import KAPPA, KernelSpec, fit_weights, gram_matrix
+from .kernels import KAPPA, GramSystem, KernelSpec, fit_weights, gram_matrix
 from .rng import stream
 
 __all__ = [
@@ -57,11 +57,8 @@ class BarrierCandidate:
             raise ValueError("alpha must have one coefficient per center")
 
     def value(self, x: np.ndarray) -> np.ndarray | float:
-        q = np.asarray(x, dtype=float)
-        single = q.ndim == 1
-        k = gram_matrix(self.spec, np.atleast_2d(q), self.centers)
-        out = k @ self.alpha
-        return float(out[0]) if single else out
+        out = GramSystem(self.spec, self.centers).expand(x, self.alpha)
+        return float(out) if np.ndim(x) == 1 else out
 
     def rkhs_norm(self) -> float:
         k = gram_matrix(self.spec, self.centers)
@@ -97,9 +94,7 @@ def box_mesh(low: np.ndarray, high: np.ndarray, counts: tuple[int, ...]) -> np.n
 
 
 def _resolve_counts(grids, dim: int) -> tuple[int, ...]:
-    if isinstance(grids, int):
-        return (grids,) * dim
-    counts = tuple(int(c) for c in grids)
+    counts = (grids,) * dim if isinstance(grids, int) else tuple(int(c) for c in grids)
     if len(counts) != dim or any(c < 2 for c in counts):
         raise ValueError("grid counts must give at least 2 points per dimension")
     return counts
@@ -146,9 +141,8 @@ def check_barrier(
     eta = float(np.max(candidate.value(init_pts)))
     gamma_lvl = float(np.min(candidate.value(unsafe_pts)))
 
-    b_next = candidate.value(dp_model.x_next)
-    w = dp_model.gram.weights_at(safe_pts)
-    drift = w @ b_next - candidate.value(safe_pts)
+    alpha = dp_model.gram.solve(candidate.value(dp_model.x_next))
+    drift = dp_model.gram.expand(safe_pts, alpha) - candidate.value(safe_pts)
     penalty = dp_model.ambiguity * KAPPA * candidate.rkhs_norm()
     beta = float(np.max(drift)) + penalty
 

@@ -14,6 +14,7 @@ and can be overridden per run.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -144,6 +145,12 @@ def _validate(v: dict) -> None:
     for key in ("data.n_pairs", "imp.radius", "dp.ambiguity"):
         if v[key] < 0:
             raise ConfigError(f"{key} must be nonnegative")
+    for method in ("direct", "dp"):  # one variance per state dimension (x1, x2)
+        var, lam = v[f"kernel.{method}.variances"], v[f"kernel.{method}.lam"]
+        if var and (len(var) != 2 or not all(0.0 < x < math.inf for x in var)):
+            raise ConfigError(f"kernel.{method}.variances must be empty or 2 finite values > 0")
+        if not 0.0 <= lam < math.inf:
+            raise ConfigError(f"kernel.{method}.lam must be finite and >= 0 (0: tuned default)")
     if not (0.0 <= v["ssr.delta"] <= 1.0):
         raise ConfigError("ssr.delta must lie in [0, 1]")
     if v["calibration.bins"] > v["data.n_calibration"]:

@@ -171,8 +171,7 @@ def fit_direct(spec: KernelSpec, ts: TrajectorySet, region: SafeRegion) -> Direc
 
 def predict(model: DirectModel, x0: np.ndarray) -> np.ndarray | float:
     """Raw estimate sum_i w_i(x0) * label_i; may leave [0, 1], never clipped here."""
-    w = model.gram.weights_at(x0)
-    return w @ model.labels
+    return model.gram.expand(x0, model.gram.solve(model.labels))
 
 
 def eps1(model: DirectModel, budget: ErrorBudget, x0: np.ndarray) -> np.ndarray | float:
@@ -181,8 +180,7 @@ def eps1(model: DirectModel, budget: ErrorBudget, x0: np.ndarray) -> np.ndarray 
     rho_tilde = smoothed_safety(
         model.region, model.trajectories, gamma_n, budget.smoothing_order
     )
-    w = model.gram.weights_at(x0)
-    return np.abs(w @ (model.labels - rho_tilde))
+    return np.abs(model.gram.expand(x0, model.gram.solve(model.labels - rho_tilde)))
 
 
 def eps2(

@@ -50,15 +50,10 @@ class SpectralConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ValueVector:
-    """Value function at one level, evaluated at the sampled next states.
-
-    norm is the representer norm of v when the penalised backward pass
-    computed it (levels 1..T with ambiguity > 0), else None.
-    """
+    """Value function V_level at the sampled next states."""
 
     level: int
     v: np.ndarray
-    norm: float | None = None
 
 
 @dataclass
@@ -154,7 +149,6 @@ def backward_value(model: DpModel, T: int) -> list[ValueVector]:
     for level in range(T - 1, -1, -1):
         if model.ambiguity > 0:
             tv, norm = model.apply_and_norm(v)
-            levels[-1] = ValueVector(level=level + 1, v=v, norm=norm)
         else:
             tv, norm = model.apply(v), 0.0
         v = model.safe_mask_next * np.clip(tv - model.ambiguity * KAPPA * norm, 0.0, 1.0)
@@ -177,15 +171,11 @@ def evaluate_dp(
     if T == 0:
         out = safe0
     else:
+        # one solve gives both the estimate and the norm in the penalty
         v1 = stack[1].v
-        pen = 0.0
-        if model.ambiguity > 0:
-            norm = stack[1].norm
-            if norm is None:  # a stack from a pass without the penalty
-                norm = model.gram.representer_norm(v1)
-            pen = model.ambiguity * KAPPA * norm
-        w = model.gram.weights_at(pts)
-        out = safe0 * np.clip(w @ v1 - pen, 0.0, 1.0)
+        alpha = model.gram.solve(v1)
+        pen = model.ambiguity * KAPPA * model.gram.representer_norm(v1, alpha)
+        out = safe0 * np.clip(model.gram.expand(pts, alpha) - pen, 0.0, 1.0)
     return float(out[0]) if single else out
 
 

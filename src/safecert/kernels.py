@@ -1,13 +1,14 @@
 """Gaussian kernel machinery shared by every estimator in the package.
 
-All conditional-expectation estimates reduce to kernel ridge weights
+All conditional-expectation estimates are sums over kernel ridge weights,
 
-    w(x) = [K + M lam I]^{-1} k_M(x),
+    sum_i w_i(x) v_i = k_M(x)^T alpha,   alpha = [K + M lam I]^{-1} v,
 
 where K is the Gram matrix of the M training inputs and k_M(x) the vector of
-kernel evaluations against them.  The ridge term is scaled by the sample
-count M so that ``lam`` keeps a consistent meaning across sample sizes.
-Weights may be negative; nothing here clips them.
+kernel evaluations against them; this dual form takes one solve for any number
+of query points.  The ridge term is scaled by the sample count M so that
+``lam`` keeps a consistent meaning across sample sizes.  Weights may be
+negative; nothing here clips them.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ class KernelSpec:
     Parameters
     ----------
     lengthscales : array-like, shape (d,)
-        Per-dimension scale sigma_l > 0.
+        Per-dimension scale sigma_l > 0, finite.
     lam : float
-        Ridge regularizer lambda > 0; the solve uses M * lam on the diagonal.
+        Ridge regularizer lambda > 0, finite; the solve uses M * lam on the diagonal.
     """
 
     lengthscales: tuple[float, ...]
@@ -50,10 +51,10 @@ class KernelSpec:
     def __post_init__(self) -> None:
         ls = tuple(float(s) for s in np.atleast_1d(np.asarray(self.lengthscales, dtype=float)))
         object.__setattr__(self, "lengthscales", ls)
-        if any(s <= 0 for s in ls):
-            raise ValueError("lengthscales must be positive")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not all(0 < s < np.inf for s in ls):
+            raise ValueError("lengthscales must be finite and positive")
+        if not 0 < self.lam < np.inf:
+            raise ValueError("lam must be finite and positive")
 
     @property
     def dim(self) -> int:
@@ -67,6 +68,8 @@ class KernelSpec:
     def from_variances(cls, variances, lam: float) -> "KernelSpec":
         """Build from squared lengthscales (the form hyperparameter tables use)."""
         v = np.asarray(variances, dtype=float)
+        if not np.all(v > 0):
+            raise ValueError("variances must be positive")
         return cls(lengthscales=tuple(np.sqrt(v)), lam=lam)
 
 
@@ -105,9 +108,9 @@ class GramSystem:
     """Cholesky-factored ridge system K + M lam I over fixed training inputs.
 
     Only the lower Cholesky factor is held (one M x M array, the buffer the
-    Gram matrix was built in); K itself is not kept.  ``solve`` applies
-    (K + M lam I)^{-1} to values on the inputs, ``weights_at`` gives the ridge
-    weights at query points.
+    Gram matrix was built in); K itself is not kept.  ``solve`` gives the dual
+    coefficients (K + M lam I)^{-1} values, ``expand`` their expansion at query
+    points, and ``weights_at`` the ridge weights, for callers needing columns.
     """
 
     spec: KernelSpec
@@ -128,6 +131,13 @@ class GramSystem:
         # the factor was checked when it was built; checking it again per
         # solve would cost as much as a single-vector solve
         return cho_solve(self._factor, b, overwrite_b=overwrite, check_finite=False)
+
+    def expand(self, query: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """K(query, inputs) @ alpha at one query (d,) or a batch (n, d); with
+        alpha = solve(values), the ridge estimate sum_i w_i(x) values_i."""
+        q = np.asarray(query, dtype=float)
+        out = gram_matrix(self.spec, np.atleast_2d(q), self.inputs) @ alpha
+        return out[0] if q.ndim == 1 else out
 
     def weights_at(self, query: np.ndarray) -> np.ndarray:
         """Ridge weights w(x) for one query (d,) or a batch (n, d).

@@ -144,6 +144,14 @@ class TestCheckBarrier:
         with pytest.raises(ValueError):
             check_barrier(quadratic_candidate(), chain, LINE_1D, X0_BOX, T=5)
 
+    @pytest.mark.parametrize("grids", [1, (1,)])
+    def test_single_point_grid_rejected(self, dp_1d, grids):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            check_barrier(quadratic_candidate(), dp_1d, LINE_1D, X0_BOX, T=5, grids=grids)
+        with pytest.raises(ValueError, match="at least 2 points"):
+            uniform_mc_oracle(contraction_rollout, LINE_1D, X0_BOX, T=2, n_mc=10, seed=1,
+                              grids=grids)
+
     def test_ambiguity_raises_beta(self):
         pairs = contraction_pairs(200, 5)
         spec = KernelSpec.isotropic(0.4, 1, 1e-6)

@@ -74,6 +74,14 @@ class TestExitCodes:
         assert run("certify", "--config", str(cfg_path), "--method", "oracle",
                    "--out", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("line", ["kernel.dp.lam = -1e-6", "kernel.direct.variances = 1, 1, 1"])
+    def test_bad_kernel_override_exits_2_before_any_write(self, tmp_path, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG + line + "\n")
+        out = tmp_path / "o"
+        assert run("sweep", "--config", str(bad), "--out", str(out)) == 2
+        assert not out.exists() or not any(out.iterdir())
+
     def test_certify_before_gen_data_exits_1(self, cfg_path, tmp_path):
         assert run("certify", "--config", str(cfg_path), "--method", "dp",
                    "--out", str(tmp_path / "o")) == 1

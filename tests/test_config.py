@@ -76,6 +76,15 @@ class TestValidation:
             ("horizons = 5, -1", "horizons"),
             ("system.sigma = 0", "system.sigma"),
             ("system.h = -0.1", "system.h"),
+            ("kernel.dp.lam = -1e-6", "kernel.dp.lam"),
+            ("kernel.direct.lam = nan", "kernel.direct.lam"),
+            ("kernel.dp.lam = inf", "kernel.dp.lam"),
+            ("kernel.direct.variances = 1, 1, 1", "kernel.direct.variances"),
+            ("kernel.dp.variances = 0.5", "kernel.dp.variances"),
+            ("kernel.dp.variances = -1, 1", "kernel.dp.variances"),
+            ("kernel.direct.variances = 0, 1", "kernel.direct.variances"),
+            ("kernel.dp.variances = nan, 1", "kernel.dp.variances"),
+            ("kernel.direct.variances = 1, inf", "kernel.direct.variances"),
         ],
     )
     def test_out_of_range_values_name_their_key(self, text, key):
@@ -85,6 +94,10 @@ class TestValidation:
     def test_range_edges_accepted(self):
         parse_config("calibration.bins = 10\ndata.n_calibration = 10\nimp.radius = 0\n"
                      "ssr.delta = 1\ndp.ambiguity = 0\ndata.n_pairs = 0\nhorizons = 1\n")
+
+    def test_kernel_defaults_and_overrides_accepted(self):
+        parse_config("kernel.dp.lam = 0\nkernel.direct.variances =\n")
+        parse_config("kernel.direct.variances = 0.5, 2\nkernel.dp.lam = 1e-6\n")
 
 
 class TestHashing:

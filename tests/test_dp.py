@@ -241,6 +241,8 @@ class TestFittedModels:
             assert np.array_equal(vv.v, want[vv.level])
 
     def test_penalized_query_reuses_the_norm_of_v1(self, monkeypatch):
+        """One solve for v1 gives both the estimate and the norm in the
+        penalty; the result matches the weight-matrix form to rounding."""
         model = random_fitted_model(3, n=60)
         model.ambiguity = 0.002
         stack = backward_value(model, 4)
@@ -252,8 +254,9 @@ class TestFittedModels:
         solve = GramSystem.solve
         monkeypatch.setattr(GramSystem, "solve", lambda self, b: calls.append(1) or solve(self, b))
         got = evaluate_dp(model, stack, grid)
-        assert calls == []
-        assert np.array_equal(got, want)
+        assert len(calls) == 1
+        assert np.any((got > 0.0) & (got < 1.0))
+        assert np.max(np.abs(got - want)) <= 1e-10
 
     def test_fitted_model_holds_two_m_by_m_arrays(self):
         """The Cholesky factor and K(x+, x); no Gram matrix, no transfer."""

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,10 +28,19 @@ class TestKernelSpec:
         spec = KernelSpec.isotropic(0.7, 3, 1e-2)
         assert spec.lengthscales == (0.7, 0.7, 0.7)
 
-    @pytest.mark.parametrize("ls,lam", [((0.0, 1.0), 1e-3), ((1.0,), 0.0), ((-1.0,), 1e-3), ((1.0,), -1e-3)])
+    @pytest.mark.parametrize("ls,lam", [((0.0, 1.0), 1e-3), ((1.0,), 0.0), ((-1.0,), 1e-3), ((1.0,), -1e-3),
+                                        ((np.nan,), 1e-3), ((np.inf,), 1e-3), ((1.0,), np.nan),
+                                        ((1.0,), np.inf), ((-1.0, 1.0), 1e-3)])
     def test_rejects_nonpositive_parameters(self, ls, lam):
         with pytest.raises(ValueError):
             KernelSpec(lengthscales=ls, lam=lam)
+        # the same parameters as squared lengthscales, signs kept: a negative
+        # variance is refused, not turned into a NaN lengthscale
+        variances = np.sign(ls) * np.square(ls)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                KernelSpec.from_variances(variances, lam)
 
 
 class TestGramMatrix:
@@ -90,6 +101,21 @@ class TestWeights:
         sys = fit_weights(KernelSpec.isotropic(1.0, 2, 1e-13), x)
         w = sys.weights_at(x)
         assert np.max(np.abs(w - np.eye(5))) < 1e-6
+
+    @pytest.mark.parametrize("single", [True, False])
+    @pytest.mark.parametrize("cols", [None, 3])
+    def test_expand_of_solve_matches_weights(self, single, cols):
+        """expand(q, solve(values)) is weights_at(q) @ values, formed
+        without the (n, M) weight matrix."""
+        rng = np.random.default_rng(14)
+        x = rng.uniform(-2, 2, size=(30, 2))
+        sys = fit_weights(KernelSpec(lengthscales=(0.9, 0.6), lam=1e-4), x)
+        q = rng.uniform(-2, 2, size=2 if single else (7, 2))
+        values = rng.uniform(0, 1, size=30 if cols is None else (30, cols))
+        got = sys.expand(q, sys.solve(values))
+        want = sys.weights_at(q) @ values
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-10
 
     def test_representer_norm_single_point(self):
         sys = fit_weights(KernelSpec.isotropic(1.0, 1, 0.5), np.array([[0.0]]))
