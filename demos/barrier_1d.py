@@ -19,7 +19,6 @@ from safecert import (
     KernelSpec,
     OneStepPairs,
     SafeRegion,
-    SynthSystemParams,
     check_barrier,
     fit_barrier_candidate,
     fit_dp,
@@ -37,7 +36,7 @@ sigma_w = 0.05
 rng = np.random.default_rng(3)
 x = rng.uniform(-2, 2, size=(500, 1))
 x_next = 0.5 * x + sigma_w * rng.standard_normal((500, 1))
-pairs = OneStepPairs(x=x, x_next=x_next, params=SynthSystemParams(), seed=3, mode="iid")
+pairs = OneStepPairs(x=x, x_next=x_next)
 model = fit_dp(KernelSpec.isotropic(0.4, 1, 1e-6), pairs, region)
 
 # candidate: x^2 + 0.1 interpolated through 41 kernel centers

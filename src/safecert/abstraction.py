@@ -145,18 +145,17 @@ def empirical_cell_probs(part: Partition, dp_model: DpModel) -> np.ndarray:
 
 @dataclass
 class IntervalModel:
-    """Rectangular ambiguity set [lower, upper] around an empirical row matrix."""
+    """Rectangular ambiguity set: the row-stochastic matrices between lower and upper."""
 
-    phat: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("phat", "lower", "upper"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        n = self.phat.shape[0]
-        if self.phat.shape != (n, n) or self.lower.shape != (n, n) or self.upper.shape != (n, n):
-            raise ValueError("phat, lower, upper must be equal square matrices")
+        self.lower = np.asarray(self.lower, dtype=float)
+        self.upper = np.asarray(self.upper, dtype=float)
+        n = self.lower.shape[0]
+        if self.lower.shape != (n, n) or self.upper.shape != (n, n):
+            raise ValueError("lower and upper must be equal square matrices")
         _check_feasible_rows(self.lower, self.upper)
 
     @classmethod
@@ -169,7 +168,7 @@ class IntervalModel:
         lower, upper = phat - r, phat + r
         np.clip(lower, 0.0, 1.0, out=lower)
         np.clip(upper, 0.0, 1.0, out=upper)
-        return cls(phat=phat, lower=lower, upper=upper)
+        return cls(lower=lower, upper=upper)
 
 
 _FEAS_TOL = 1e-9

@@ -19,7 +19,7 @@ through t = T is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -206,11 +206,9 @@ def simulate(
 
 @dataclass
 class TrajectorySet:
-    """A batch of rollouts plus the provenance needed to reproduce it."""
+    """A batch of rollouts."""
 
     states: np.ndarray  # (N, T+1, d)
-    params: SynthSystemParams
-    seed: int
 
     @property
     def n(self) -> int:
@@ -231,13 +229,13 @@ class TrajectorySet:
         return format_table(columns, rows, header_comment)
 
     @classmethod
-    def from_csv(cls, text: str, params: SynthSystemParams | None = None, seed: int = 0) -> "TrajectorySet":
+    def from_csv(cls, text: str) -> "TrajectorySet":
         _, columns, data = parse_table(text)
         ids, traj_of_row = np.unique(data[:, 0], return_inverse=True)
         t = data[:, 1].astype(int)
         states = np.empty((len(ids), len(np.unique(t)), len(columns) - 2))
         states[traj_of_row, t] = data[:, 2:]
-        return cls(states=states, params=params or SynthSystemParams(), seed=seed)
+        return cls(states=states)
 
 
 @dataclass
@@ -246,9 +244,6 @@ class OneStepPairs:
 
     x: np.ndarray       # (M, d)
     x_next: np.ndarray  # (M, d)
-    params: SynthSystemParams
-    seed: int
-    mode: str = "iid"
 
     @property
     def n(self) -> int:
@@ -260,12 +255,10 @@ class OneStepPairs:
         return format_table(columns, np.hstack([self.x, self.x_next]).tolist(), header_comment)
 
     @classmethod
-    def from_csv(cls, text: str, params: SynthSystemParams | None = None, seed: int = 0) -> "OneStepPairs":
+    def from_csv(cls, text: str) -> "OneStepPairs":
         _, columns, data = parse_table(text)
         d = len(columns) // 2
-        return cls(
-            x=data[:, :d], x_next=data[:, d:], params=params or SynthSystemParams(), seed=seed
-        )
+        return cls(x=data[:, :d], x_next=data[:, d:])
 
 
 @dataclass
@@ -274,17 +267,15 @@ class GroundTruthGrid:
 
     grid: np.ndarray   # (G, d)
     p_mc: np.ndarray   # (G,)
-    n_mc: int
-    seed: int = 0
 
     def to_csv(self, header_comment: str = "") -> str:
         rows = np.column_stack([self.grid, self.p_mc]).tolist()
         return format_table(["gx", "gy", "p_mc"], rows, header_comment)
 
     @classmethod
-    def from_csv(cls, text: str, n_mc: int = 0, seed: int = 0) -> "GroundTruthGrid":
+    def from_csv(cls, text: str) -> "GroundTruthGrid":
         _, _, data = parse_table(text)
-        return cls(grid=data[:, :2], p_mc=data[:, 2], n_mc=n_mc, seed=seed)
+        return cls(grid=data[:, :2], p_mc=data[:, 2])
 
 
 def gen_dataset(
@@ -317,7 +308,7 @@ def gen_dataset(
         rng = stream(seed, purpose, i)
         x0s[i] = rng.uniform(lo, hi)
         noise[:, i] = rng.standard_normal((T + 1, 2))
-    return TrajectorySet(states=_rollout(params, x0s, noise), params=params, seed=seed)
+    return TrajectorySet(states=_rollout(params, x0s, noise))
 
 
 def extract_onestep_pairs(
@@ -345,7 +336,7 @@ def extract_onestep_pairs(
         lo, hi = region.box_array()
         x0s = rng.uniform(lo, hi, size=(count, region.dim))
         rolls = simulate_batch(params, x0s, 1, rng)
-        return OneStepPairs(x=rolls[:, 0], x_next=rolls[:, 1], params=params, seed=seed, mode=mode)
+        return OneStepPairs(x=rolls[:, 0], x_next=rolls[:, 1])
     if mode == "dependent":
         if ts is None:
             raise ValueError("dependent mode needs a trajectory set")
@@ -358,7 +349,7 @@ def extract_onestep_pairs(
         if count < total:
             idx = np.sort(stream(seed, "pairs-sub").choice(total, size=count, replace=False))
             x, x_next = x[idx], x_next[idx]
-        return OneStepPairs(x=x, x_next=x_next, params=ts.params, seed=seed, mode=mode)
+        return OneStepPairs(x=x, x_next=x_next)
     raise ValueError(f"unknown pair mode {mode!r}")
 
 
@@ -408,4 +399,4 @@ def mc_ground_truth(
             noise[:, j * n_mc:(j + 1) * n_mc] = rng.standard_normal((T + 1, n_mc, 2))
         rolls = _rollout(params, np.repeat(grid[points], n_mc, axis=0), noise)
         p[points] = trajectory_safe(region, rolls).reshape(points.size, n_mc).mean(axis=1)
-    return GroundTruthGrid(grid=grid, p_mc=p, n_mc=n_mc, seed=seed)
+    return GroundTruthGrid(grid=grid, p_mc=p)

@@ -19,13 +19,22 @@ produced the scores.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["BinnedCalibrator", "calibrate", "certified_lower_bound"]
 
 _DEGENERATE_SPAN = 1e-12
+
+
+def _bin_index(edges: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Bin of each score under the B+1 ``edges``: bin b holds
+    edges[b] <= s < edges[b+1], and scores outside map to the end bins.
+
+    Searching the B-1 inner edges gives indices in [0, B-1], so no clip is
+    needed."""
+    return np.searchsorted(edges[1:-1], scores, side="right")
 
 
 @dataclass
@@ -48,9 +57,7 @@ class BinnedCalibrator:
 
     def bin_of(self, scores: np.ndarray) -> np.ndarray:
         """Bin index for each score; outside scores map to the end bins."""
-        s = np.asarray(scores, dtype=float)
-        idx = np.searchsorted(self.edges[1:-1], s, side="right")
-        return np.clip(idx, 0, self.n_bins - 1)
+        return _bin_index(self.edges, np.asarray(scores, dtype=float))
 
     def to_json(self) -> str:
         payload = {
@@ -135,15 +142,11 @@ def calibrate(
             if e > edges[-1]:
                 edges.append(float(e))
 
-    def assign(e: list[float]) -> np.ndarray:
-        idx = np.searchsorted(np.asarray(e[1:-1]), s, side="right")
-        return np.clip(idx, 0, len(e) - 2)
-
-    bins = assign(edges)
+    bins = _bin_index(np.asarray(edges), s)
     counts = np.bincount(bins, minlength=len(edges) - 1)
     if np.any(counts == 0):
         edges = _merge_empty_bins(edges, counts)
-        bins = assign(edges)
+        bins = _bin_index(np.asarray(edges), s)
         counts = np.bincount(bins, minlength=len(edges) - 1)
 
     b_eff = len(counts)

@@ -12,10 +12,17 @@ Subcommands mirror the experiment stages; only certify fits models:
   evaluate    metrics of predictions against the MC grids
   sweep       all of the above for the full config grid
 
+Every stage runs over the cells of the config grid, one per (alpha, T, seed).
+A cell record owns the cell's files: their names ``<name>_a<alpha>_T<T>_s<seed>``,
+the provenance header each one starts with (config hash, seed, alpha, T), and
+the checked read that refuses a table whose header names another cell or
+config.  A config whose cells would share a file name is refused before any
+stage runs.
+
 Exit codes: 0 on success, 1 on runtime or numeric failure (missing data
 files and tables written under another config hash, seed, alpha or T
-included), 2 on usage or config errors.  Every output file embeds the config
-hash and seed in a leading comment line, and file writes are atomic.
+included), 2 on usage or config errors (cells that would share file names
+included).  File writes are atomic.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +40,7 @@ from . import barrier as bar
 from . import benchmark as bm
 from . import calibration as cal
 from . import metrics as mx
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import METHODS, ConfigError, ExperimentConfig, load_config
 from .direct import fit_direct, predict
 from .dp import DpModel, backward_value, evaluate_dp, fit_dp
 from .io import atomic_write, format_table, header_comment, parse_table, read_table
@@ -40,115 +48,120 @@ from .kernels import NumericError
 
 __all__ = ["main"]
 
-_CERTIFY_METHODS = ("direct", "dp", "imp", "ssr", "barrier")
+
+@dataclass(frozen=True)
+class _Cell:
+    """One (alpha, T, seed) cell of the config grid and the files it owns under ``out``.
+
+    Each file is ``out/<name>_<tag>.csv`` (``.json`` for reports), headed by
+    the cell's provenance; ``read`` refuses a table whose header differs.
+    """
+
+    cfg: ExperimentConfig
+    out: Path
+    alpha: float
+    T: int
+    seed: int
+
+    @property
+    def alpha_text(self) -> str:
+        return f"{self.alpha:g}"
+
+    @property
+    def tag(self) -> str:
+        return f"a{self.alpha_text}_T{self.T}_s{self.seed}"
+
+    @property
+    def params(self) -> bm.SynthSystemParams:
+        cfg = self.cfg
+        return bm.SynthSystemParams(alpha=self.alpha, sigma=cfg["system.sigma"], h=cfg["system.h"],
+                                    beta_c=cfg["system.beta_c"], gamma_c=cfg["system.gamma_c"])
+
+    def path(self, name: str, suffix: str = ".csv") -> Path:
+        return self.out / f"{name}_{self.tag}{suffix}"
+
+    def header(self, **extra) -> str:
+        return header_comment(self.cfg.config_hash, self.seed, alpha=self.alpha_text, T=self.T,
+                              **extra)
+
+    def read(self, name: str) -> str:
+        """Text of the table ``<name>_<tag>.csv``; a file written under
+        another config hash, seed, alpha or T is refused with a ValueError."""
+        return read_table(self.path(name), config=self.cfg.config_hash, seed=self.seed,
+                          alpha=self.alpha_text, T=self.T)
+
+    def table(self, name: str) -> np.ndarray:
+        return parse_table(self.read(name))[2]
+
+    def write_table(self, name: str, table, **extra) -> None:
+        """Write ``<name>_<tag>.csv`` under the cell's header plus ``extra``:
+        ``table`` is a dataset record or a (columns, rows) pair."""
+        head = self.header(**extra)
+        text = format_table(*table, head) if isinstance(table, tuple) else table.to_csv(head)
+        atomic_write(self.path(name), text)
+
+    def write_json(self, name: str, body: str, **extra) -> None:
+        atomic_write(self.path(name, ".json"), f"// {self.header(**extra)}\n{body}\n")
 
 
-def _system(cfg: ExperimentConfig, alpha: float) -> bm.SynthSystemParams:
-    return bm.SynthSystemParams(
-        alpha=alpha,
-        sigma=cfg["system.sigma"],
-        h=cfg["system.h"],
-        beta_c=cfg["system.beta_c"],
-        gamma_c=cfg["system.gamma_c"],
-    )
+def _cells(cfg: ExperimentConfig, out: Path, seed_offset: int) -> list[_Cell]:
+    """The config grid's cells; a ConfigError if two of them share a file tag."""
+    cells = [_Cell(cfg, out, alpha, T, seed + seed_offset) for alpha in cfg["system.alphas"]
+             for T in cfg["horizons"] for seed in cfg["seeds"]]
+    seen: dict[str, _Cell] = {}
+    for cell in cells:
+        other = seen.setdefault(cell.tag, cell)
+        if other is not cell:
+            raise ConfigError(
+                f"cells (alpha={other.alpha!r}, T={other.T}, seed={other.seed}) and "
+                f"(alpha={cell.alpha!r}, T={cell.T}, seed={cell.seed}) share the file tag "
+                f"{cell.tag}; system.alphas, horizons and seeds must name distinct cells"
+            )
+    return cells
 
 
 def _grid(cfg: ExperimentConfig, region: bm.SafeRegion) -> np.ndarray:
     return bm.eval_grid(region, (cfg["grid.nx"], cfg["grid.ny"]))
 
 
-def _cells(cfg: ExperimentConfig, seed_offset: int):
-    for alpha in cfg["system.alphas"]:
-        for T in cfg["horizons"]:
-            for seed in cfg["seeds"]:
-                yield alpha, T, seed + seed_offset
-
-
-def _tag(alpha: float, T: int, seed: int) -> str:
-    return f"a{alpha:g}_T{T}_s{seed}"
-
-
-def _out_dir(cfg: ExperimentConfig, args) -> Path:
-    return Path(args.out) if args.out else Path(cfg["out_dir"])
-
-
-def _read_cell(cfg: ExperimentConfig, out: Path, name: str, alpha: float, T: int,
-               seed: int) -> str:
-    """Text of the cell's table ``<name>_<tag>.csv``; a file written under
-    another config hash, seed, alpha or T is refused with a ValueError."""
-    path = out / f"{name}_{_tag(alpha, T, seed)}.csv"
-    return read_table(path, config=cfg.config_hash, seed=seed, alpha=f"{alpha:g}", T=T)
-
-
-def _write_grid_csv(path: Path, grid: np.ndarray, values: np.ndarray,
-                    value_name: str, header: str) -> None:
-    rows = np.column_stack([grid, values]).tolist()
-    atomic_write(path, format_table(["gx", "gy", value_name], rows, header))
+def _grid_table(grid: np.ndarray, values: np.ndarray, value_name: str) -> tuple:
+    return ["gx", "gy", value_name], np.column_stack([grid, values]).tolist()
 
 
 # ---------------------------------------------------------------- gen-data
 
-def _gen_cell(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed: int) -> None:
-    params = _system(cfg, alpha)
+def _gen_cell(cell: _Cell) -> None:
+    cfg, params, T, seed = cell.cfg, cell.params, cell.T, cell.seed
     region = bm.default_safe_region()
     ts = bm.gen_dataset(params, region, cfg["data.n_trajectories"], T, seed)
-    head = header_comment(cfg.config_hash, seed, alpha=f"{alpha:g}", T=T, kind="trajectories")
-    atomic_write(out / "data" / f"trajs_{_tag(alpha, T, seed)}.csv", ts.to_csv(head))
+    cell.write_table("data/trajs", ts, kind="trajectories")
 
     mode = cfg["data.mode"]
-    pairs = bm.extract_onestep_pairs(
-        ts, cfg.n_pairs(T), mode, seed, params=params, region=region
-    )
-    head = header_comment(cfg.config_hash, seed, alpha=f"{alpha:g}", T=T, kind=f"pairs-{mode}")
-    atomic_write(out / "data" / f"pairs_{_tag(alpha, T, seed)}.csv", pairs.to_csv(head))
+    pairs = bm.extract_onestep_pairs(ts, cfg.n_pairs(T), mode, seed, params=params, region=region)
+    cell.write_table("data/pairs", pairs, kind=f"pairs-{mode}")
 
     cal_ts = bm.gen_dataset(params, region, cfg["data.n_calibration"], T, seed, purpose="cal-traj")
     rows = np.column_stack([cal_ts.initial_states, bm.trajectory_safe(region, cal_ts.states)])
-    head = header_comment(cfg.config_hash, seed, alpha=f"{alpha:g}", T=T, kind="calibration")
-    atomic_write(out / "data" / f"cal_{_tag(alpha, T, seed)}.csv",
-                 format_table(["x1", "x2", "safe"], rows.tolist(), head))
-
-
-def cmd_gen_data(cfg: ExperimentConfig, args) -> int:
-    _run_cells(_gen_cell, cfg, _out_dir(cfg, args), args)
-    return 0
+    cell.write_table("data/cal", (["x1", "x2", "safe"], rows.tolist()), kind="calibration")
 
 
 # ---------------------------------------------------------------- mc-oracle
 
-def _mc_cell(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed: int) -> None:
-    params = _system(cfg, alpha)
+def _mc_cell(cell: _Cell) -> None:
     region = bm.default_safe_region()
-    grid = _grid(cfg, region)
-    gt = bm.mc_ground_truth(params, region, grid, T, cfg["mc.rollouts"], seed)
-    head = header_comment(cfg.config_hash, seed, alpha=f"{alpha:g}", T=T, kind="mc")
-    atomic_write(out / "mc" / f"mc_{_tag(alpha, T, seed)}.csv", gt.to_csv(head))
-
-
-def cmd_mc_oracle(cfg: ExperimentConfig, args) -> int:
-    _run_cells(_mc_cell, cfg, _out_dir(cfg, args), args)
-    return 0
+    gt = bm.mc_ground_truth(cell.params, region, _grid(cell.cfg, region), cell.T,
+                            cell.cfg["mc.rollouts"], cell.seed)
+    cell.write_table("mc/mc", gt, kind="mc")
 
 
 # ---------------------------------------------------------------- certify
 
-def _load_pairs(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed: int) -> bm.OneStepPairs:
-    text = _read_cell(cfg, out, "data/pairs", alpha, T, seed)
-    return bm.OneStepPairs.from_csv(text, params=_system(cfg, alpha), seed=seed)
-
-
-def _fit_dp_cell(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed: int) -> DpModel:
-    pairs = _load_pairs(cfg, out, alpha, T, seed)
-    return fit_dp(cfg.kernel_spec("dp", T), pairs, bm.default_safe_region(),
-                  ambiguity=cfg["dp.ambiguity"])
-
-
-def _certify_estimates(cfg: ExperimentConfig, out: Path, method: str, model: DpModel | None,
-                       x_cal: np.ndarray, alpha: float, T: int, seed: int) -> None:
+def _certify_estimates(cell: _Cell, method: str, model: DpModel | None,
+                       x_cal: np.ndarray) -> None:
+    cfg, T = cell.cfg, cell.T
     region = bm.default_safe_region()
     if method == "direct":
-        ts = bm.TrajectorySet.from_csv(_read_cell(cfg, out, "data/trajs", alpha, T, seed),
-                                       params=_system(cfg, alpha), seed=seed)
+        ts = bm.TrajectorySet.from_csv(cell.read("data/trajs"))
         direct = fit_direct(cfg.kernel_spec("direct", T), ts, region)
         score_at = lambda pts: predict(direct, pts)
     elif method == "dp":
@@ -164,16 +177,14 @@ def _certify_estimates(cfg: ExperimentConfig, out: Path, method: str, model: DpM
             v0 = ab.ssr_value_iteration(part, model, ab.SsrParams(delta=cfg["ssr.delta"]), T)
         score_at = lambda pts: ab.evaluate_abstraction(v0, part, pts)
     grid = _grid(cfg, region)
-    head = header_comment(cfg.config_hash, seed, alpha=f"{alpha:g}", T=T, method=method)
-    tag = _tag(alpha, T, seed)
-    _write_grid_csv(out / "pred" / f"{method}_{tag}.csv", grid, score_at(grid), "estimate", head)
+    cell.write_table(f"pred/{method}", _grid_table(grid, score_at(grid), "estimate"),
+                     method=method)
     # the same fit scored at the calibration set, for calibrate to bin
-    atomic_write(out / "cal" / f"scores_{method}_{tag}.csv",
-                 format_table(["score"], score_at(x_cal)[:, None].tolist(), head))
+    cell.write_table(f"cal/scores_{method}", (["score"], score_at(x_cal)[:, None].tolist()),
+                     method=method)
 
 
-def _certify_barrier(cfg: ExperimentConfig, out: Path, model: DpModel, alpha: float, T: int,
-                     seed: int) -> None:
+def _certify_barrier(cell: _Cell, model: DpModel) -> None:
     # demonstration candidate: ridge fit of the normalized squared distance
     # from the box center, checked against the fitted one-step model
     region = bm.default_safe_region()
@@ -182,77 +193,42 @@ def _certify_barrier(cfg: ExperimentConfig, out: Path, model: DpModel, alpha: fl
     half = 0.5 * (hi - lo)
     centers = bar.box_mesh(lo, hi, (9,) * region.dim)
     targets = np.sum(((centers - center) / half) ** 2, axis=1) / region.dim + 0.05
-    candidate = bar.fit_barrier_candidate(cfg.kernel_spec("dp", T), centers, targets)
+    candidate = bar.fit_barrier_candidate(cell.cfg.kernel_spec("dp", cell.T), centers, targets)
     x0_box = (center - 0.1 * half, center + 0.1 * half)
-    report = bar.check_barrier(candidate, model, region, x0_box, T, grids=21)
-    head = header_comment(cfg.config_hash, seed, alpha=f"{alpha:g}", T=T, method="barrier")
-    atomic_write(
-        out / "pred" / f"barrier_{_tag(alpha, T, seed)}.json",
-        f"// {head}\n" + report.to_json() + "\n",
-    )
+    report = bar.check_barrier(candidate, model, region, x0_box, cell.T, grids=21)
+    cell.write_json("pred/barrier", report.to_json(), method="barrier")
 
 
-def _certify_cell(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed: int,
-                  methods: tuple[str, ...] = ()) -> None:
-    x_cal = parse_table(_read_cell(cfg, out, "data/cal", alpha, T, seed))[2][:, :2]
+def _certify_cell(cell: _Cell, methods: tuple[str, ...]) -> None:
+    x_cal = cell.table("data/cal")[:, :2]
     # dp, imp, ssr and barrier share one dp fit, made when the first of them
     # comes up so that it is not held while direct fits its own model
     dp_model = None
     for method in methods:
         if method != "direct" and dp_model is None:
-            dp_model = _fit_dp_cell(cfg, out, alpha, T, seed)
+            pairs = bm.OneStepPairs.from_csv(cell.read("data/pairs"))
+            dp_model = fit_dp(cell.cfg.kernel_spec("dp", cell.T), pairs, bm.default_safe_region(),
+                              ambiguity=cell.cfg["dp.ambiguity"])
         if method == "barrier":
-            _certify_barrier(cfg, out, dp_model, alpha, T, seed)
+            _certify_barrier(cell, dp_model)
         else:
-            _certify_estimates(cfg, out, method, dp_model, x_cal, alpha, T, seed)
-
-
-def _certify_methods(cfg: ExperimentConfig, args) -> tuple[str, ...]:
-    if getattr(args, "method", None):
-        if args.method not in _CERTIFY_METHODS:
-            raise ConfigError(f"unknown method {args.method!r}; valid: {_CERTIFY_METHODS}")
-        return (args.method,)
-    return tuple(m for m in cfg["methods"] if m in _CERTIFY_METHODS)
-
-
-def _scored_methods(cfg: ExperimentConfig, args) -> tuple[str, ...]:
-    """certify's methods that write estimates: all but barrier, which is a
-    usage error when asked for by ``--method``."""
-    if getattr(args, "method", None) == "barrier":
-        raise ConfigError("barrier writes a report, not estimates; only certify takes "
-                          "--method barrier")
-    return tuple(m for m in _certify_methods(cfg, args) if m != "barrier")
-
-
-def cmd_certify(cfg: ExperimentConfig, args) -> int:
-    methods = _certify_methods(cfg, args)
-    _run_cells(_certify_cell, cfg, _out_dir(cfg, args), args, methods=methods)
-    return 0
+            _certify_estimates(cell, method, dp_model, x_cal)
 
 
 # ---------------------------------------------------------------- calibrate
 
-def _calibrate_cell(cfg: ExperimentConfig, out: Path, alpha: float, T: int, seed: int,
-                    methods: tuple[str, ...] = ()) -> None:
+def _calibrate_cell(cell: _Cell, methods: tuple[str, ...]) -> None:
     # post-processing only: the scores and grid estimates are certify's
-    outcomes = parse_table(_read_cell(cfg, out, "data/cal", alpha, T, seed))[2][:, 2]
-    tag = _tag(alpha, T, seed)
+    outcomes = cell.table("data/cal")[:, 2]
     for method in methods:
-        scores = parse_table(_read_cell(cfg, out, f"cal/scores_{method}", alpha, T, seed))[2][:, 0]
-        pred = parse_table(_read_cell(cfg, out, f"pred/{method}", alpha, T, seed))[2]
-        calibrator = cal.calibrate(scores, outcomes, n_bins=cfg["calibration.bins"],
-                                   delta_conf=cfg["calibration.delta"])
-        head = header_comment(cfg.config_hash, seed, alpha=f"{alpha:g}", T=T, method=method)
-        atomic_write(out / "cal" / f"calibrator_{method}_{tag}.json",
-                     f"// {head}\n" + calibrator.to_json() + "\n")
+        scores = cell.table(f"cal/scores_{method}")[:, 0]
+        pred = cell.table(f"pred/{method}")
+        calibrator = cal.calibrate(scores, outcomes, n_bins=cell.cfg["calibration.bins"],
+                                   delta_conf=cell.cfg["calibration.delta"])
+        cell.write_json(f"cal/calibrator_{method}", calibrator.to_json(), method=method)
         bounds = cal.certified_lower_bound(calibrator, pred[:, 2])
-        _write_grid_csv(out / "cal" / f"bounds_{method}_{tag}.csv",
-                        pred[:, :2], bounds, "lower_bound", head)
-
-
-def cmd_calibrate(cfg: ExperimentConfig, args) -> int:
-    _run_cells(_calibrate_cell, cfg, _out_dir(cfg, args), args, methods=_scored_methods(cfg, args))
-    return 0
+        cell.write_table(f"cal/bounds_{method}", _grid_table(pred[:, :2], bounds, "lower_bound"),
+                         method=method)
 
 
 # ---------------------------------------------------------------- evaluate
@@ -260,20 +236,18 @@ def cmd_calibrate(cfg: ExperimentConfig, args) -> int:
 _METRIC_COLS = ["rmse", "excess_rmse", "brier", "brier_binned", "rel", "res", "unc", "res_norm"]
 
 
-def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(cfg, args)
-    methods = _scored_methods(cfg, args)
+def _evaluate(cells: list[_Cell], methods: tuple[str, ...], seed_offset: int) -> None:
     rows = []  # method, alpha, T, seed, then the _METRIC_COLS values
-    for alpha, T, seed in _cells(cfg, args.seed_offset):
-        p_mc = parse_table(_read_cell(cfg, out, "mc/mc", alpha, T, seed))[2][:, 2]
+    for cell in cells:
+        p_mc = cell.table("mc/mc")[:, 2]
         for method in methods:
-            est = parse_table(_read_cell(cfg, out, f"pred/{method}", alpha, T, seed))[2][:, 2]
-            est = np.clip(est, 0.0, 1.0)
+            est = np.clip(cell.table(f"pred/{method}")[:, 2], 0.0, 1.0)
             rep = mx.brier_decomposition_mc(est, p_mc, n_bins=10)
-            rows.append([method, f"{alpha:g}", T, seed, mx.rmse(est, p_mc),
+            rows.append([method, cell.alpha_text, cell.T, cell.seed, mx.rmse(est, p_mc),
                          mx.excess_rmse(est, p_mc), rep.brier, rep.brier_binned,
                          rep.rel, rep.res, rep.unc, rep.res_norm])
-    head = header_comment(cfg.config_hash, args.seed_offset, kind="metrics")
+    cfg, out = cells[0].cfg, cells[0].out
+    head = header_comment(cfg.config_hash, seed_offset, kind="metrics")
     columns = ["method", "alpha", "T", "seed"] + _METRIC_COLS
     atomic_write(out / "metrics.csv", format_table(columns, rows, head))
 
@@ -290,32 +264,43 @@ def cmd_evaluate(cfg: ExperimentConfig, args) -> int:
     columns = (["method", "alpha", "T", "n_seeds"] + [f"mean_{c}" for c in _METRIC_COLS]
                + [f"twosd_{c}" for c in _METRIC_COLS])
     atomic_write(out / "metrics_aggregate.csv", format_table(columns, agg_rows, head))
-    return 0
-
-
-# ---------------------------------------------------------------- sweep
-
-def cmd_sweep(cfg: ExperimentConfig, args) -> int:
-    for step in (cmd_gen_data, cmd_mc_oracle, cmd_certify, cmd_calibrate, cmd_evaluate):
-        code = step(cfg, args)
-        if code != 0:
-            return code
-    return 0
 
 
 # ---------------------------------------------------------------- plumbing
 
-def _run_cells(fn, cfg: ExperimentConfig, out: Path, args, **kwargs) -> None:
-    cells = list(_cells(cfg, args.seed_offset))
-    threads = max(1, args.threads)
-    if threads == 1:
-        for alpha, T, seed in cells:
-            fn(cfg, out, alpha, T, seed, **kwargs)
+# the pipeline in sweep order: stage -> (help, function, the methods it takes).
+# evaluate runs once over all cells, every other stage once per cell.  Methods
+# are None for stages without any, "all" for certify's, or "scored" for those
+# that write estimates: all but barrier, which writes a report.
+_STAGES = {
+    "gen-data": ("generate trajectory and one-step pair datasets", _gen_cell, None),
+    "mc-oracle": ("Monte Carlo ground-truth safety grids", _mc_cell, None),
+    "certify": ("fit a method and write grid estimates", _certify_cell, "all"),
+    "calibrate": ("histogram-binning calibration of a method's scores", _calibrate_cell, "scored"),
+    "evaluate": ("metrics of stored predictions against MC grids", _evaluate, "scored"),
+}
+
+
+def _methods(cfg: ExperimentConfig, method: str | None, takes: str) -> tuple[str, ...]:
+    """The config's methods, or the one ``--method`` names, that a stage takes."""
+    scored = takes == "scored"
+    if method:
+        if method not in METHODS:
+            raise ConfigError(f"unknown method {method!r}; valid: {METHODS}")
+        if scored and method == "barrier":
+            raise ConfigError("barrier writes a report, not estimates; only certify takes "
+                              "--method barrier")
+        return (method,)
+    return tuple(m for m in cfg["methods"] if not (scored and m == "barrier"))
+
+
+def _run_cells(fn, cells: list[_Cell], threads: int, **kwargs) -> None:
+    if threads <= 1:
+        for cell in cells:
+            fn(cell, **kwargs)
         return
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [
-            pool.submit(fn, cfg, out, alpha, T, seed, **kwargs) for alpha, T, seed in cells
-        ]
+        futures = [pool.submit(fn, cell, **kwargs) for cell in cells]
         for fut in futures:
             fut.result()
 
@@ -326,14 +311,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="certified safety-probability bounds from sampled trajectories",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("gen-data", "generate trajectory and one-step pair datasets"),
-        ("mc-oracle", "Monte Carlo ground-truth safety grids"),
-        ("certify", "fit a method and write grid estimates"),
-        ("calibrate", "histogram-binning calibration of a method's scores"),
-        ("evaluate", "metrics of stored predictions against MC grids"),
-        ("sweep", "run the full pipeline over the config grid"),
-    ]:
+    commands = [(name, helptext) for name, (helptext, _, _) in _STAGES.items()]
+    for name, helptext in commands + [("sweep", "run the full pipeline over the config grid")]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", default=None, help="path to the experiment config file")
         p.add_argument("--method", default=None, help="restrict to one method")
@@ -343,32 +322,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "mc-oracle": cmd_mc_oracle,
-    "certify": cmd_certify,
-    "calibrate": cmd_calibrate,
-    "evaluate": cmd_evaluate,
-    "sweep": cmd_sweep,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.command](cfg, args)
+        cells = _cells(cfg, Path(args.out or cfg["out_dir"]), args.seed_offset)
+        # every usage error is raised here, before the first stage writes
+        stages = []
+        for name in list(_STAGES) if args.command == "sweep" else [args.command]:
+            _, fn, takes = _STAGES[name]
+            stages.append((fn, {} if takes is None else {"methods": _methods(cfg, args.method, takes)}))
+        for fn, kwargs in stages:
+            if fn is _evaluate:
+                _evaluate(cells, seed_offset=args.seed_offset, **kwargs)
+            else:
+                _run_cells(fn, cells, args.threads, **kwargs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (FileNotFoundError, NumericError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .kernels import KernelSpec
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config", "default_kernel_spec"]
+__all__ = ["METHODS", "ConfigError", "ExperimentConfig", "parse_config", "load_config",
+           "default_kernel_spec"]
 
 
 class ConfigError(ValueError):
@@ -76,7 +77,8 @@ _SCHEMA: dict[str, tuple[str, object]] = {
 }
 
 _VALID_MODES = ("iid", "dependent")
-_VALID_METHODS = ("direct", "dp", "imp", "ssr", "barrier")
+# every certification method; calibrate and evaluate take all but barrier
+METHODS = ("direct", "dp", "imp", "ssr", "barrier")
 
 
 def _parse_value(key: str, raw: str):
@@ -122,8 +124,8 @@ def _validate(v: dict) -> None:
     if v["data.mode"] not in _VALID_MODES:
         raise ConfigError(f"data.mode must be one of {_VALID_MODES}")
     for m in v["methods"]:
-        if m not in _VALID_METHODS:
-            raise ConfigError(f"unknown method {m!r}; valid: {_VALID_METHODS}")
+        if m not in METHODS:
+            raise ConfigError(f"unknown method {m!r}; valid: {METHODS}")
     for key in ("data.n_trajectories", "data.n_calibration", "mc.rollouts",
                 "grid.nx", "grid.ny", "abstraction.nx", "abstraction.ny",
                 "calibration.bins"):
@@ -145,6 +147,12 @@ def _validate(v: dict) -> None:
     for key in ("data.n_pairs", "imp.radius", "dp.ambiguity"):
         if v[key] < 0:
             raise ConfigError(f"{key} must be nonnegative")
+    available = v["data.n_trajectories"] * min(v["horizons"])
+    if v["data.mode"] == "dependent" and v["data.n_pairs"] > available:
+        raise ConfigError(
+            f"data.n_pairs ({v['data.n_pairs']}) exceeds the {available} pairs that "
+            f"data.mode = dependent has at the shortest horizon (data.n_trajectories * T)"
+        )
     for method in ("direct", "dp"):  # one variance per state dimension (x1, x2)
         var, lam = v[f"kernel.{method}.variances"], v[f"kernel.{method}.lam"]
         if var and (len(var) != 2 or not all(0.0 < x < math.inf for x in var)):
@@ -166,7 +174,6 @@ class ExperimentConfig:
 
     values: dict
     config_hash: str
-    source: str = ""
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -207,7 +214,7 @@ def load_config(path: str | Path | None = None, text: str | None = None) -> Expe
             text = p.read_text()
     values = parse_config(text)
     digest = hashlib.sha256(_canonical(values).encode("utf-8")).hexdigest()[:12]
-    return ExperimentConfig(values=values, config_hash=digest, source=str(path or "<defaults>"))
+    return ExperimentConfig(values=values, config_hash=digest)
 
 
 def default_kernel_spec(

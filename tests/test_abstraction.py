@@ -10,7 +10,6 @@ from safecert import (
     OneStepPairs,
     SafeRegion,
     SsrParams,
-    SynthSystemParams,
     build_partition,
     empirical_cell_probs,
     evaluate_abstraction,
@@ -36,7 +35,7 @@ def unit_square_pairs(n: int, seed: int) -> OneStepPairs:
     rng = np.random.default_rng(seed)
     x = rng.uniform(0, 1, size=(n, 2))
     x_next = 0.5 + 0.7 * (x - 0.5) + 0.05 * rng.standard_normal((n, 2))
-    return OneStepPairs(x=x, x_next=x_next, params=SynthSystemParams(), seed=seed, mode="iid")
+    return OneStepPairs(x=x, x_next=x_next)
 
 
 def fitted_dp(n: int = 300, seed: int = 0) -> DpModel:
@@ -164,9 +163,7 @@ class TestEmpiricalCellProbs:
         """A model trained far away assigns every cell-center weight ~0, so
         rows die and are replaced by the uniform distribution."""
         x = np.full((20, 2), 40.0) + 0.01 * np.random.default_rng(1).standard_normal((20, 2))
-        pairs = OneStepPairs(
-            x=x, x_next=x, params=SynthSystemParams(), seed=1, mode="iid"
-        )
+        pairs = OneStepPairs(x=x, x_next=x)
         far_region = SafeRegion(low=(30.0, 30.0), high=(50.0, 50.0), obstacles=(((44.0, 44.0), (45.0, 45.0)),))
         model = fit_dp(KernelSpec.isotropic(0.05, 2, 1e-6), pairs, far_region)
         part = build_partition(UNIT_SQUARE, (3, 3))
@@ -178,7 +175,7 @@ class TestEmpiricalCellProbs:
         """Data clustered in one corner under a narrow kernel: far cell
         centers get exactly zero weight, the others keep theirs."""
         x = 0.1 + 0.01 * np.random.default_rng(2).standard_normal((20, 2))
-        pairs = OneStepPairs(x=x, x_next=x, params=SynthSystemParams(), seed=2, mode="iid")
+        pairs = OneStepPairs(x=x, x_next=x)
         model = fit_dp(KernelSpec.isotropic(0.01, 2, 1e-6), pairs, UNIT_SQUARE)
         part = build_partition(UNIT_SQUARE, (5, 5))
         with pytest.warns(RuntimeWarning):
@@ -349,7 +346,7 @@ class TestOrderMaxKernel:
         upper = np.full((n, n), 2.0 / n)
         lower[280, :2] = upper[280, :2] = 0.6
         with pytest.raises(ValueError, match="row 280"):
-            IntervalModel(phat=lower, lower=lower, upper=upper)
+            IntervalModel(lower=lower, upper=upper)
 
 
 class TestIntervalModel:
@@ -361,13 +358,8 @@ class TestIntervalModel:
         assert model.lower[0, 1] == 0.0
 
     def test_infeasible_rows_rejected(self):
-        phat = np.array([[0.9, 0.1]])
         with pytest.raises(ValueError):
-            IntervalModel(
-                phat=phat,
-                lower=np.array([[0.8, 0.5]]),
-                upper=np.array([[0.9, 0.6]]),
-            )
+            IntervalModel(lower=np.array([[0.8, 0.5]]), upper=np.array([[0.9, 0.6]]))
 
 
 class TestValueIterations:

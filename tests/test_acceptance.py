@@ -371,9 +371,7 @@ class TestNumericCriteria:
         region = SafeRegion(
             low=(-4.0, -4.0), high=(4.0, 4.0), obstacles=(((1.0, 1.0), (2.0, 2.0)),)
         )
-        pairs = OneStepPairs(
-            x=x, x_next=x_next, params=SynthSystemParams(), seed=seed, mode="iid"
-        )
+        pairs = OneStepPairs(x=x, x_next=x_next)
         return fit_dp(KernelSpec.isotropic(0.8, 2, lam), pairs, region)
 
     def test_c10_spectral_diagnostic(self):

@@ -9,7 +9,6 @@ from safecert import (
     KernelSpec,
     OneStepPairs,
     SafeRegion,
-    SynthSystemParams,
     check_barrier,
     fit_barrier_candidate,
     fit_dp,
@@ -29,7 +28,7 @@ def contraction_pairs(n: int, seed: int) -> OneStepPairs:
     rng = np.random.default_rng(seed)
     x = rng.uniform(-2, 2, size=(n, 1))
     x_next = 0.5 * x + SIGMA_W * rng.standard_normal((n, 1))
-    return OneStepPairs(x=x, x_next=x_next, params=SynthSystemParams(), seed=seed, mode="iid")
+    return OneStepPairs(x=x, x_next=x_next)
 
 
 def contraction_rollout(x0s: np.ndarray, T: int, rng: np.random.Generator) -> np.ndarray:

@@ -317,16 +317,16 @@ class TestGroundTruth:
 
 
 class TestCsvRoundTrips:
-    def test_trajectory_set(self, markov_params, small_trajs):
+    def test_trajectory_set(self, small_trajs):
         text = small_trajs.to_csv("# config=abc seed=11")
-        back = TrajectorySet.from_csv(text, params=markov_params, seed=11)
+        back = TrajectorySet.from_csv(text)
         assert np.array_equal(back.states, small_trajs.states)
 
     def test_onestep_pairs(self, small_pairs):
         from safecert import OneStepPairs
 
         text = small_pairs.to_csv()
-        back = OneStepPairs.from_csv(text, params=small_pairs.params, seed=11)
+        back = OneStepPairs.from_csv(text)
         assert np.array_equal(back.x, small_pairs.x)
         assert np.array_equal(back.x_next, small_pairs.x_next)
 
@@ -335,6 +335,6 @@ class TestCsvRoundTrips:
         gt = mc_ground_truth(markov_params, region, grid, 3, 16, seed=4)
         from safecert import GroundTruthGrid
 
-        back = GroundTruthGrid.from_csv(gt.to_csv(), n_mc=16, seed=4)
+        back = GroundTruthGrid.from_csv(gt.to_csv())
         assert np.array_equal(back.grid, gt.grid)
         assert np.array_equal(back.p_mc, gt.p_mc)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,29 @@ class TestExitCodes:
         assert run("sweep", "--config", str(bad), "--out", str(out)) == 2
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("lines, named", [
+        # cells that would share a file tag, so one would overwrite the other
+        ("system.alphas = 0.5, 0.5000001", "a0.5_T2_s1"),
+        ("system.alphas = 0.5, 0.5", "a0.5_T2_s1"),
+        ("seeds = 1, 1", "a0_T2_s1"),
+        ("horizons = 2, 2", "a0_T2_s1"),
+        # 30 trajectories of 2 steps hold 60 dependent pairs
+        ("data.mode = dependent\ndata.n_pairs = 100", "data.n_pairs"),
+    ])
+    def test_refused_config_exits_2_before_any_write(self, tmp_path, capsys, lines, named):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG + lines + "\n")
+        out = tmp_path / "o"
+        assert run("sweep", "--config", str(bad), "--out", str(out)) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_sweep_method_barrier_exits_2_before_any_write(self, cfg_path, tmp_path):
+        out = tmp_path / "o"
+        assert run("sweep", "--config", str(cfg_path), "--method", "barrier",
+                   "--out", str(out)) == 2
+        assert not out.exists()
+
     def test_certify_before_gen_data_exits_1(self, cfg_path, tmp_path):
         assert run("certify", "--config", str(cfg_path), "--method", "dp",
                    "--out", str(tmp_path / "o")) == 1
@@ -129,6 +153,21 @@ class TestPipeline:
         assert (out / "cal" / "bounds_direct_a0_T2_s1.csv").exists()
         assert (out / "metrics.csv").exists()
         assert (out / "metrics_aggregate.csv").exists()
+
+    def test_every_cell_file_header_names_its_cell(self, cfg_path, tmp_path):
+        out = tmp_path / "results"
+        assert run("sweep", "--config", str(cfg_path), "--out", str(out)) == 0
+        config_hash = load_config(path=cfg_path).config_hash
+        cell_files = [p for p in sorted(out.rglob("*")) if p.is_file() and p.parent != out]
+        # data 3, mc 1, pred 4 + barrier, and cal scores, calibrators and bounds 4 each
+        assert len(cell_files) == 21
+        for path in cell_files:
+            cell = re.fullmatch(r".+_a(?P<alpha>[^_]+)_T(?P<T>\d+)_s(?P<seed>\d+)\.(csv|json)",
+                                path.name)
+            first = path.read_text().partition("\n")[0]
+            fields = dict(tok.split("=", 1) for tok in first.split() if "=" in tok)
+            assert fields["config"] == config_hash, path.name
+            assert {k: fields[k] for k in ("alpha", "T", "seed")} == cell.groupdict(), path.name
 
     def test_outputs_carry_config_hash_and_seed(self, cfg_path, tmp_path):
         out = tmp_path / "results"
@@ -251,8 +290,7 @@ class TestCalibrateFromCertifyScores:
         region = bm.default_safe_region()
         params = bm.SynthSystemParams(alpha=0.0, sigma=cfg["system.sigma"], h=cfg["system.h"],
                                       beta_c=cfg["system.beta_c"], gamma_c=cfg["system.gamma_c"])
-        ts = bm.TrajectorySet.from_csv((out / "data" / "trajs_a0_T2_s1.csv").read_text(),
-                                       params=params, seed=1)
+        ts = bm.TrajectorySet.from_csv((out / "data" / "trajs_a0_T2_s1.csv").read_text())
         model = fit_direct(cfg.kernel_spec("direct", 2), ts, region)
         cal_ts = bm.gen_dataset(params, region, cfg["data.n_calibration"], 2, 1,
                                 purpose="cal-traj")

@@ -74,6 +74,8 @@ class TestValidation:
             ("data.n_pairs = -5", "data.n_pairs"),
             ("horizons = 0", "horizons"),
             ("horizons = 5, -1", "horizons"),
+            ("data.mode = dependent\ndata.n_trajectories = 30\nhorizons = 5, 2\n"
+             "data.n_pairs = 61", "data.n_pairs"),
             ("system.sigma = 0", "system.sigma"),
             ("system.h = -0.1", "system.h"),
             ("kernel.dp.lam = -1e-6", "kernel.dp.lam"),
@@ -94,6 +96,8 @@ class TestValidation:
     def test_range_edges_accepted(self):
         parse_config("calibration.bins = 10\ndata.n_calibration = 10\nimp.radius = 0\n"
                      "ssr.delta = 1\ndp.ambiguity = 0\ndata.n_pairs = 0\nhorizons = 1\n")
+        parse_config("data.mode = dependent\ndata.n_trajectories = 30\nhorizons = 5, 2\n"
+                     "data.n_pairs = 60\n")
 
     def test_kernel_defaults_and_overrides_accepted(self):
         parse_config("kernel.dp.lam = 0\nkernel.direct.variances =\n")

@@ -6,7 +6,6 @@ from safecert import (
     ErrorBudget,
     KernelSpec,
     SafeRegion,
-    SynthSystemParams,
     TrajectorySet,
     eps1,
     eps2,
@@ -21,9 +20,8 @@ from safecert.direct import _mollifier_components
 from safecert.kernels import gram_matrix
 
 
-def make_trajset(states, params=None, seed=0):
-    params = params or SynthSystemParams(alpha=0.0)
-    return TrajectorySet(states=np.asarray(states, dtype=float), params=params, seed=seed)
+def make_trajset(states):
+    return TrajectorySet(states=np.asarray(states, dtype=float))
 
 
 UNIT_1D = SafeRegion(low=(0.0,), high=(1.0,), obstacles=())

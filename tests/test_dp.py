@@ -6,7 +6,6 @@ from safecert import (
     KernelSpec,
     OneStepPairs,
     SafeRegion,
-    SynthSystemParams,
     backward_value,
     is_safe,
     evaluate_dp,
@@ -31,7 +30,7 @@ def random_fitted_model(seed: int, n: int = 20) -> DpModel:
     x = rng.uniform(-2, 2, size=(n, 2))
     x_next = x + 0.3 * rng.standard_normal((n, 2))
     region = SafeRegion(low=(-4.0, -4.0), high=(4.0, 4.0), obstacles=(((1.0, 1.0), (2.0, 2.0)),))
-    pairs = OneStepPairs(x=x, x_next=x_next, params=SynthSystemParams(), seed=seed, mode="iid")
+    pairs = OneStepPairs(x=x, x_next=x_next)
     return fit_dp(KernelSpec.isotropic(0.8, 2, 1e-4), pairs, region)
 
 
@@ -130,9 +129,7 @@ class TestKernelChainEncoding:
         x_next = np.array(
             [self.s1] * 7 + [self.s2] * 3 + [self.s1] * 10 + [self.s2] * 10
         )
-        return OneStepPairs(
-            x=x, x_next=x_next, params=SynthSystemParams(), seed=0, mode="iid"
-        )
+        return OneStepPairs(x=x, x_next=x_next)
 
     def fit(self) -> DpModel:
         return fit_dp(KernelSpec.isotropic(0.5, 2, 1e-7), self.build_pairs(), self.region)
@@ -173,7 +170,7 @@ class TestFittedModels:
         x = rng.uniform(-2, 2, size=(30, 2))
         x_next = x + 0.3 * rng.standard_normal((30, 2))
         region = SafeRegion(low=(-4.0, -4.0), high=(4.0, 4.0), obstacles=(((1.0, 1.0), (2.0, 2.0)),))
-        pairs = OneStepPairs(x=x, x_next=x_next, params=SynthSystemParams(), seed=2, mode="iid")
+        pairs = OneStepPairs(x=x, x_next=x_next)
         spec = KernelSpec.isotropic(0.8, 2, 1e-4)
         plain = fit_dp(spec, pairs, region)
         mild = fit_dp(spec, pairs, region, ambiguity=0.02)
@@ -212,7 +209,7 @@ class TestFittedModels:
         x = rng.uniform(-2, 2, size=(120, 2))
         x_next = x + 0.3 * rng.standard_normal((120, 2))
         region = SafeRegion(low=(-4.0, -4.0), high=(4.0, 4.0), obstacles=(((1.0, 1.0), (2.0, 2.0)),))
-        pairs = OneStepPairs(x=x, x_next=x_next, params=SynthSystemParams(), seed=5, mode="iid")
+        pairs = OneStepPairs(x=x, x_next=x_next)
         spec = KernelSpec.isotropic(0.8, 2, 1e-4)
         T = 8
         got = backward_value(fit_dp(spec, pairs, region, ambiguity=ambiguity), T)
@@ -265,15 +262,12 @@ class TestFittedModels:
         x = rng.uniform(-2, 2, size=(m, 2))
         x_next = x + 0.3 * rng.standard_normal((m, 2))
         region = SafeRegion(low=(-4.0, -4.0), high=(4.0, 4.0), obstacles=())
-        pairs = OneStepPairs(x=x, x_next=x_next, params=SynthSystemParams(), seed=6, mode="iid")
+        pairs = OneStepPairs(x=x, x_next=x_next)
         model = fit_dp(KernelSpec.isotropic(0.8, 2, 1e-4), pairs, region)
         assert held_bytes(model) <= 2 * 8 * m * m + 64 * m
 
     def test_negative_ambiguity_rejected(self):
-        pairs = OneStepPairs(
-            x=np.zeros((3, 2)), x_next=np.zeros((3, 2)),
-            params=SynthSystemParams(), seed=0, mode="iid",
-        )
+        pairs = OneStepPairs(x=np.zeros((3, 2)), x_next=np.zeros((3, 2)))
         region = SafeRegion(low=(-1.0, -1.0), high=(1.0, 1.0), obstacles=())
         with pytest.raises(ValueError):
             fit_dp(KernelSpec.isotropic(1.0, 2, 1e-2), pairs, region, ambiguity=-0.1)
@@ -325,7 +319,7 @@ class TestSpectralDecay:
         """Every sampled next state unsafe: the masked operator is zero."""
         rng = np.random.default_rng(7)
         x = rng.uniform(-2, 2, size=(30, 2))
-        pairs = OneStepPairs(x=x, x_next=x + 0.1, params=SynthSystemParams(), seed=7, mode="iid")
+        pairs = OneStepPairs(x=x, x_next=x + 0.1)
         region = SafeRegion(low=(5.0, 5.0), high=(6.0, 6.0), obstacles=())
         model = fit_dp(KernelSpec.isotropic(0.8, 2, 1e-4), pairs, region)
         dec = spectral_decay(model, T=3)

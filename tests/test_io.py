@@ -5,8 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from safecert import GroundTruthGrid, OneStepPairs, SynthSystemParams, TrajectorySet
-from safecert.cli import _write_grid_csv
+from safecert import GroundTruthGrid, OneStepPairs, TrajectorySet
 from safecert.io import format_table, header_fields, parse_table, read_table
 
 HEAD = "config=abc seed=1"
@@ -15,26 +14,25 @@ HEAD = "config=abc seed=1"
 class TestExactBytes:
     def test_trajectories(self):
         states = np.array([[[0.5, -1.0], [0.1, 2.0]]])
-        ts = TrajectorySet(states=states, params=SynthSystemParams(), seed=1)
+        ts = TrajectorySet(states=states)
         assert ts.to_csv(HEAD) == (
             "# config=abc seed=1\ntraj_id,t,x1,x2\n0,0,0.5,-1\n0,1,0.10000000000000001,2\n"
         )
 
     def test_pairs(self):
-        pairs = OneStepPairs(x=np.array([[0.5, 0.25]]), x_next=np.array([[0.1, -2.0]]),
-                             params=SynthSystemParams(), seed=1)
+        pairs = OneStepPairs(x=np.array([[0.5, 0.25]]), x_next=np.array([[0.1, -2.0]]))
         assert pairs.to_csv(HEAD) == (
             "# config=abc seed=1\nx1,x2,xn1,xn2\n0.5,0.25,0.10000000000000001,-2\n"
         )
 
     def test_mc_grid(self):
-        gt = GroundTruthGrid(grid=np.array([[0.5, 0.25]]), p_mc=np.array([0.1]), n_mc=4, seed=1)
+        gt = GroundTruthGrid(grid=np.array([[0.5, 0.25]]), p_mc=np.array([0.1]))
         assert gt.to_csv(HEAD) == "# config=abc seed=1\ngx,gy,p_mc\n0.5,0.25,0.10000000000000001\n"
 
-    def test_prediction_grid(self, tmp_path: Path):
-        path = tmp_path / "pred.csv"
-        _write_grid_csv(path, np.array([[0.5, 0.25]]), np.array([1e-5]), "estimate", HEAD)
-        assert path.read_text() == (
+    def test_prediction_grid(self):
+        grid, values = np.array([[0.5, 0.25]]), np.array([1e-5])
+        text = format_table(["gx", "gy", "estimate"], np.column_stack([grid, values]).tolist(), HEAD)
+        assert text == (
             "# config=abc seed=1\ngx,gy,estimate\n0.5,0.25,1.0000000000000001e-05\n"
         )
 
