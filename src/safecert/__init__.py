@@ -20,6 +20,7 @@ from .abstraction import (
     evaluate_abstraction,
     imp_inner_min,
     imp_value_iteration,
+    ssr_backward,
     ssr_value_iteration,
 )
 from .barrier import (

@@ -35,6 +35,7 @@ __all__ = [
     "empirical_cell_probs",
     "imp_inner_min",
     "imp_value_iteration",
+    "ssr_backward",
     "ssr_value_iteration",
     "evaluate_abstraction",
 ]
@@ -163,8 +164,8 @@ class IntervalModel:
         """Symmetric intervals phat +- radius, clipped to [0, 1] entrywise."""
         phat = np.asarray(phat, dtype=float)
         r = np.broadcast_to(np.asarray(radius, dtype=float), phat.shape)
-        if np.any(r < 0):
-            raise ValueError("radius must be nonnegative")
+        if not np.all(r >= 0):  # NaN fails too: its bounds would pass every feasibility test
+            raise ValueError("radius must be nonnegative and not NaN")
         lower, upper = phat - r, phat + r
         np.clip(lower, 0.0, 1.0, out=lower)
         np.clip(upper, 0.0, 1.0, out=upper)
@@ -331,24 +332,30 @@ class SsrParams:
             )
 
 
-def ssr_value_iteration(
-    part: Partition, dp_model: DpModel, ssr: SsrParams, T: int
-) -> np.ndarray:
-    """Backward iteration on the empirical cell matrix minus per-cell slack.
+def ssr_backward(probs: np.ndarray, part: Partition, ssr: SsrParams, T: int) -> np.ndarray:
+    """Backward iteration on a given empirical cell matrix minus per-cell slack.
 
-    The terminal level uses safety of the cell representative; interior
-    levels multiply by the whole-cell safety flag, subtract delta, and clamp.
+    ``probs`` is ``empirical_cell_probs`` of ``part``, so a caller that also
+    runs the interval iteration computes the matrix once.  The terminal level
+    uses safety of the cell representative; interior levels multiply by the
+    whole-cell safety flag, subtract delta, and clamp.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
     ssr.validate_radius(part)
-    probs = empirical_cell_probs(part, dp_model)
     delta = ssr.delta_vector(part.n_cells)
     safe = part.safe_flags.astype(float)
     v = part.center_safe.astype(float)
     for _ in range(T):
         v = safe * np.clip(probs @ v - delta, 0.0, 1.0)
     return v
+
+
+def ssr_value_iteration(
+    part: Partition, dp_model: DpModel, ssr: SsrParams, T: int
+) -> np.ndarray:
+    """``ssr_backward`` on the empirical cell matrix of ``dp_model``."""
+    return ssr_backward(empirical_cell_probs(part, dp_model), part, ssr, T)
 
 
 def evaluate_abstraction(

@@ -10,7 +10,8 @@ with w_t ~ N(0, sigma^2 (1 - alpha^2) I) and z_0 ~ N(0, sigma^2 I), so the
 marginal variance of each latent component is sigma^2 at every alpha.  The
 scalar feedback beta_c * tanh(gamma_c * x1) enters both latent components.
 alpha = 0 makes the process Markovian in x; alpha near 1 produces strongly
-correlated disturbances that one-step models cannot see.
+correlated disturbances that one-step models cannot see.  The cube is
+computed as x1·x1·x1: two roundings, at most 1 ulp from numpy's float power.
 
 Only x is observed.  Safety is membership of x in a box minus a set of
 axis-aligned obstacle boxes; a trajectory is safe iff every state from t = 0
@@ -19,6 +20,7 @@ through t = T is safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +71,9 @@ class SynthSystemParams:
     def __post_init__(self) -> None:
         if not (0.0 <= self.alpha < 1.0):
             raise ValueError("alpha must lie in [0, 1)")
+        for name in ("sigma", "h", "beta_c", "gamma_c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.h <= 0:
@@ -125,12 +130,28 @@ def default_safe_region() -> SafeRegion:
     )
 
 
-def _in_box(pts: np.ndarray, low: tuple[float, ...], high: tuple[float, ...]) -> np.ndarray:
-    """Closed-box membership of each row of ``pts`` (n, d), one coordinate at a time."""
-    inside = (pts[:, 0] >= low[0]) & (pts[:, 0] <= high[0])
+def _in_box(cols: list[np.ndarray], low: tuple[float, ...], high: tuple[float, ...]) -> np.ndarray:
+    """Closed-box membership, elementwise over equally shaped coordinate arrays."""
+    inside = cols[0] >= low[0]
+    inside &= cols[0] <= high[0]
     for k in range(1, len(low)):
-        inside &= (pts[:, k] >= low[k]) & (pts[:, k] <= high[k])
+        inside &= cols[k] >= low[k]
+        inside &= cols[k] <= high[k]
     return inside
+
+
+def _safe_columns(region: SafeRegion, cols: list[np.ndarray]) -> np.ndarray:
+    """Safe-set membership, elementwise over one array per coordinate.
+
+    Each array is compared as a contiguous copy: a column of an (n, d) batch
+    is a stride-d view, and every box reads it twice.
+    """
+    cols = [np.ascontiguousarray(c) for c in cols]
+    ok = _in_box(cols, region.low, region.high)
+    for olow, ohigh in region.obstacles:
+        hit = _in_box(cols, olow, ohigh)
+        ok &= np.logical_not(hit, out=hit)
+    return ok
 
 
 def is_safe(region: SafeRegion, x: np.ndarray) -> np.ndarray | bool:
@@ -138,9 +159,7 @@ def is_safe(region: SafeRegion, x: np.ndarray) -> np.ndarray | bool:
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
-    ok = _in_box(pts, region.low, region.high)
-    for olow, ohigh in region.obstacles:
-        ok &= ~_in_box(pts, olow, ohigh)
+    ok = _safe_columns(region, [pts[:, k] for k in range(pts.shape[1])])
     return bool(ok[0]) if single else ok
 
 
@@ -152,14 +171,27 @@ def trajectory_safe(region: SafeRegion, traj: np.ndarray) -> np.ndarray | bool:
     arr = np.asarray(traj, dtype=float)
     single = arr.ndim == 2
     arr = arr[None] if single else arr
-    n, steps, d = arr.shape
-    ok = is_safe(region, arr.reshape(n * steps, d)).reshape(n, steps).all(axis=1)
+    ok = _safe_columns(region, [arr[..., k] for k in range(arr.shape[2])]).all(axis=1)
     return bool(ok[0]) if single else ok
 
 
-def _drift(x: np.ndarray) -> np.ndarray:
-    x1, x2 = x[..., 0], x[..., 1]
-    return np.stack([x2, x1 ** 3 / 3.0 - x1 - x2], axis=-1)
+def _drift(x1: np.ndarray, x2: np.ndarray, out: np.ndarray | None = None):
+    """Drift f(x) = (x2, x1^3 / 3 - x1 - x2) of the cubic oscillator, per component.
+
+    The one definition of the drift: the rollout kernel and its reference
+    implementations call it.  The cube is computed as ``x1·x1·x1``, two
+    roundings, at most 1 ulp from ``x1 ** 3`` (numpy's float power, which
+    costs ~40x more per element); about a quarter of values differ from it
+    in the last bit.  The rest is evaluated left to right,
+    ((x1·x1·x1) / 3 - x1) - x2.  Returns (x2, f2) with f2 written into
+    ``out`` when given (the shape of x1).
+    """
+    f2 = np.multiply(x1, x1, out=out)
+    f2 *= x1
+    f2 /= 3.0
+    f2 -= x1
+    f2 -= x2
+    return x2, f2
 
 
 def _rollout(params: SynthSystemParams, x0s: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -169,17 +201,42 @@ def _rollout(params: SynthSystemParams, x0s: np.ndarray, noise: np.ndarray) -> n
     ``noise[0]`` sets z_0 and ``noise[t + 1]`` is the innovation w_t after
     step t (drawn but unused at t = T).  Every operation is elementwise, so
     row i depends only on ``x0s[i]`` and ``noise[:, i]``.  Returns (n, T+1, 2).
+
+    x1, x2, z1 and z2 are stepped as contiguous (n,) arrays in place, in the
+    order of x_{t+1} = clip((x_t + h·f(x_t)) + z_t) and
+    z_{t+1} = alpha·(z_t + fb) + (w_scale·w_t), so each value is rounded as
+    in that formula; the cube in ``_drift`` is x1·x1·x1.
     """
     T = noise.shape[0] - 1
-    out = np.empty((noise.shape[1], T + 1, 2))
-    out[:, 0] = np.clip(x0s, -SATURATION, SATURATION)
-    z = params.sigma * noise[0]
+    n = noise.shape[1]
+    out = np.empty((n, T + 1, 2))
+    x0 = np.clip(x0s, -SATURATION, SATURATION)
+    out[:, 0] = x0
+    x1, x2 = np.array(x0[:, 0]), np.array(x0[:, 1])
+    z1, z2 = params.sigma * noise[0, :, 0], params.sigma * noise[0, :, 1]
     w_scale = params.sigma * np.sqrt(1.0 - params.alpha ** 2)
+    f2, fb, tmp = np.empty(n), np.empty(n), np.empty(n)
     for t in range(T):
-        x = out[:, t]
-        out[:, t + 1] = np.clip(x + params.h * _drift(x) + z, -SATURATION, SATURATION)
-        fb = params.beta_c * np.tanh(params.gamma_c * x[:, 0])
-        z = params.alpha * (z + fb[:, None]) + w_scale * noise[t + 1]
+        # the feedback and both drift terms read x_t before it is overwritten
+        f1, f2 = _drift(x1, x2, out=f2)
+        np.multiply(params.gamma_c, x1, out=fb)
+        np.tanh(fb, out=fb)
+        fb *= params.beta_c
+        np.multiply(params.h, f1, out=tmp)
+        x1 += tmp
+        x1 += z1
+        np.clip(x1, -SATURATION, SATURATION, out=x1)
+        f2 *= params.h
+        x2 += f2
+        x2 += z2
+        np.clip(x2, -SATURATION, SATURATION, out=x2)
+        out[:, t + 1, 0] = x1
+        out[:, t + 1, 1] = x2
+        for z, k in ((z1, 0), (z2, 1)):
+            z += fb
+            z *= params.alpha
+            np.multiply(w_scale, noise[t + 1, :, k], out=tmp)
+            z += tmp
     return out
 
 
@@ -291,22 +348,24 @@ def gen_dataset(
     Each trajectory owns a named substream of (seed, purpose, i), so
     trajectory i is the same no matter how many others are drawn alongside
     it, and distinct purposes (training vs calibration) never share noise.
-    Stream i gives x0 first (``uniform(lo, hi)``, d values), then the
-    trajectory's noise (``standard_normal((T+1, 2))``, z_0 and then one
-    innovation per step).  All n trajectories are simulated in one pass, so
-    the noise is held next to the states: (T+1)·n·2 floats, the size of the
-    result.
+    Stream i gives x0 first (``uniform(lo, hi)``, d values, computed as
+    ``lo + (hi - lo) * random(d)``: the same draws and roundings without
+    ``uniform``'s per-call argument handling), then the trajectory's noise
+    (``standard_normal((T+1, 2))``, z_0 and then one innovation per step).
+    All n trajectories are simulated in one pass, so the noise is held next
+    to the states: (T+1)·n·2 floats, the size of the result.
     """
     if n <= 0:
         raise ValueError("n must be positive")
     if T < 0:
         raise ValueError("T must be nonnegative")
     lo, hi = region.box_array()
+    width = hi - lo
     x0s = np.empty((n, region.dim))
     noise = np.empty((T + 1, n, 2))
     for i in range(n):
         rng = stream(seed, purpose, i)
-        x0s[i] = rng.uniform(lo, hi)
+        x0s[i] = lo + width * rng.random(region.dim)
         noise[:, i] = rng.standard_normal((T + 1, 2))
     return TrajectorySet(states=_rollout(params, x0s, noise))
 

@@ -157,6 +157,7 @@ def _mc_cell(cell: _Cell) -> None:
 # ---------------------------------------------------------------- certify
 
 def _certify_estimates(cell: _Cell, method: str, model: DpModel | None,
+                       abstraction: tuple[ab.Partition, np.ndarray] | None,
                        x_cal: np.ndarray) -> None:
     cfg, T = cell.cfg, cell.T
     region = bm.default_safe_region()
@@ -167,14 +168,13 @@ def _certify_estimates(cell: _Cell, method: str, model: DpModel | None,
     elif method == "dp":
         stack = backward_value(model, T)
         score_at = lambda pts: evaluate_dp(model, stack, pts)
-    else:  # imp or ssr
-        part = ab.build_partition(region, (cfg["abstraction.nx"], cfg["abstraction.ny"]))
+    else:  # imp or ssr, on the cell's one (partition, cell matrix) pair
+        part, probs = abstraction
         if method == "imp":
-            probs = ab.empirical_cell_probs(part, model)
             imodel = ab.IntervalModel.from_radii(probs, cfg["imp.radius"])
             v0 = ab.imp_value_iteration(imodel, part, T)
         else:
-            v0 = ab.ssr_value_iteration(part, model, ab.SsrParams(delta=cfg["ssr.delta"]), T)
+            v0 = ab.ssr_backward(probs, part, ab.SsrParams(delta=cfg["ssr.delta"]), T)
         score_at = lambda pts: ab.evaluate_abstraction(v0, part, pts)
     grid = _grid(cfg, region)
     cell.write_table(f"pred/{method}", _grid_table(grid, score_at(grid), "estimate"),
@@ -200,19 +200,25 @@ def _certify_barrier(cell: _Cell, model: DpModel) -> None:
 
 
 def _certify_cell(cell: _Cell, methods: tuple[str, ...]) -> None:
+    cfg = cell.cfg
+    region = bm.default_safe_region()
     x_cal = cell.table("data/cal")[:, :2]
-    # dp, imp, ssr and barrier share one dp fit, made when the first of them
-    # comes up so that it is not held while direct fits its own model
-    dp_model = None
+    # dp, imp, ssr and barrier share one dp fit, and imp and ssr one partition
+    # and cell matrix; each is made when the first method that needs it comes
+    # up, so that none is held while direct fits its own model
+    dp_model = abstraction = None
     for method in methods:
         if method != "direct" and dp_model is None:
             pairs = bm.OneStepPairs.from_csv(cell.read("data/pairs"))
-            dp_model = fit_dp(cell.cfg.kernel_spec("dp", cell.T), pairs, bm.default_safe_region(),
-                              ambiguity=cell.cfg["dp.ambiguity"])
+            dp_model = fit_dp(cfg.kernel_spec("dp", cell.T), pairs, region,
+                              ambiguity=cfg["dp.ambiguity"])
+        if method in ("imp", "ssr") and abstraction is None:
+            part = ab.build_partition(region, (cfg["abstraction.nx"], cfg["abstraction.ny"]))
+            abstraction = part, ab.empirical_cell_probs(part, dp_model)
         if method == "barrier":
             _certify_barrier(cell, dp_model)
         else:
-            _certify_estimates(cell, method, dp_model, x_cal)
+            _certify_estimates(cell, method, dp_model, abstraction, x_cal)
 
 
 # ---------------------------------------------------------------- calibrate

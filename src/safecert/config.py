@@ -141,6 +141,12 @@ def _validate(v: dict) -> None:
     # checked here so that a bad value stops the run before any stage writes
     if any(T < 1 for T in v["horizons"]):
         raise ConfigError("horizons entries must be at least 1")
+    # nan and inf pass the range tests below and would reach the simulator or
+    # the abstraction intervals, which fail on them only after writing
+    for key in ("system.sigma", "system.h", "system.beta_c", "system.gamma_c",
+                "imp.radius", "dp.ambiguity"):
+        if not math.isfinite(v[key]):
+            raise ConfigError(f"{key} must be finite")
     for key in ("system.sigma", "system.h"):
         if v[key] <= 0:
             raise ConfigError(f"{key} must be positive")

@@ -361,6 +361,13 @@ class TestIntervalModel:
         with pytest.raises(ValueError):
             IntervalModel(lower=np.array([[0.8, 0.5]]), upper=np.array([[0.9, 0.6]]))
 
+    @pytest.mark.parametrize("radius", [np.nan, [[0.1, np.nan], [0.1, 0.1]], -0.1])
+    def test_negative_or_nan_radius_rejected(self, radius):
+        """NaN bounds pass every feasibility comparison, so a NaN radius is
+        refused where the bounds are made."""
+        with pytest.raises(ValueError, match="radius"):
+            IntervalModel.from_radii(np.array([[0.5, 0.5], [0.5, 0.5]]), radius)
+
 
 class TestValueIterations:
     def test_imp_unsafe_cells_pinned_to_zero(self):

@@ -23,13 +23,14 @@ def recover_noise(params: SynthSystemParams, states: np.ndarray) -> np.ndarray:
     """Invert the Euler step to read the latent disturbance off a batch
     of trajectories: z_t = x_{t+1} - x_t - h * f(x_t)."""
     x, x_next = states[:, :-1], states[:, 1:]
-    return x_next - x - params.h * _drift(x)
+    return x_next - x - params.h * np.stack(_drift(x[..., 0], x[..., 1]), axis=-1)
 
 
 def stepwise_rollout(params: SynthSystemParams, x0s: np.ndarray, T: int,
                      rng: np.random.Generator) -> np.ndarray:
     """The Euler-Maruyama recursion with its noise drawn step by step: (n, 2)
-    standard normals for z_0, then (n, 2) more after each step."""
+    standard normals for z_0, then (n, 2) more after each step.  The drift is
+    the library's own, so the comparison tests the batching, not the cube."""
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     n = x0s.shape[0]
     out = np.empty((n, T + 1, 2))
@@ -38,7 +39,7 @@ def stepwise_rollout(params: SynthSystemParams, x0s: np.ndarray, T: int,
     w_scale = params.sigma * np.sqrt(1.0 - params.alpha ** 2)
     for t in range(T):
         x = out[:, t]
-        drift = np.stack([x[:, 1], x[:, 0] ** 3 / 3.0 - x[:, 0] - x[:, 1]], axis=-1)
+        drift = np.stack(_drift(x[:, 0], x[:, 1]), axis=-1)
         out[:, t + 1] = np.clip(x + params.h * drift + z, -SATURATION, SATURATION)
         fb = params.beta_c * np.tanh(params.gamma_c * x[:, 0])
         z = params.alpha * (z + fb[:, None]) + w_scale * rng.standard_normal((n, 2))
@@ -52,6 +53,16 @@ def broadcast_safe(region: SafeRegion, pts: np.ndarray) -> np.ndarray:
     for olow, ohigh in region.obstacles:
         ok &= ~np.all((pts >= np.asarray(olow)) & (pts <= np.asarray(ohigh)), axis=1)
     return ok
+
+
+def face_points(box: SafeRegion) -> np.ndarray:
+    """Every face coordinate, a point between each pair and a point just past
+    each end, in every combination across the axes: (m, d), C-ordered."""
+    faces = sorted({*box.low, *box.high, *(v for ob in box.obstacles for b in ob for v in b)})
+    values = sorted({*faces, *np.convolve(faces, [0.5, 0.5], "valid"),
+                     faces[0] - 1e-12, faces[-1] + 1e-12})
+    mesh = np.meshgrid(*[values] * box.dim, indexing="ij")
+    return np.stack(mesh, axis=-1).reshape(-1, box.dim)
 
 
 class TestRegion:
@@ -91,13 +102,7 @@ class TestRegion:
                               ((-0.5, -1.0, -0.2), (-0.1, -0.4, 0.3)))),
     ])
     def test_columnwise_predicate_on_faces(self, box):
-        """Every face coordinate, a point between each pair and a point just
-        past each end, in every combination across the axes."""
-        faces = sorted({*box.low, *box.high, *(v for ob in box.obstacles for b in ob for v in b)})
-        values = sorted({*faces, *np.convolve(faces, [0.5, 0.5], "valid"),
-                         faces[0] - 1e-12, faces[-1] + 1e-12})
-        mesh = np.meshgrid(*[values] * box.dim, indexing="ij")
-        pts = np.stack(mesh, axis=-1).reshape(-1, box.dim)
+        pts = face_points(box)
         want = broadcast_safe(box, pts)
         assert np.array_equal(is_safe(box, pts), want)
         assert 0 < want.sum() < want.size
@@ -109,6 +114,29 @@ class TestRegion:
         trajs = pts[:steps].reshape(-1, 4, box.dim)
         assert np.array_equal(trajectory_safe(box, trajs), want[:steps].reshape(-1, 4).all(axis=1))
         assert trajectory_safe(box, trajs[0]) == bool(want[:4].all())
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "empty"])
+    def test_predicate_on_any_memory_layout(self, region, layout):
+        """The columns are copied before they are compared, so Fortran-ordered
+        and strided inputs and no points give the broadcast flags."""
+        pts = face_points(region)
+        trajs = pts[:pts.shape[0] // 6 * 6].reshape(-1, 6, 2)
+        pts, trajs = {
+            "fortran": (np.asfortranarray(pts), np.asfortranarray(trajs)),
+            "strided": (np.repeat(pts, 2, axis=1)[:, ::2], trajs[:, ::2]),
+            "empty": (pts[:0], trajs[:0]),
+        }[layout]
+        assert np.array_equal(is_safe(region, pts), broadcast_safe(region, pts))
+        want = broadcast_safe(region, trajs.reshape(-1, 2)).reshape(trajs.shape[:2]).all(axis=1)
+        got = trajectory_safe(region, trajs)
+        assert got.shape == (trajs.shape[0],) and np.array_equal(got, want)
+
+    def test_single_point_and_trajectory_give_bools(self, region):
+        pts = face_points(region)
+        for p in pts:
+            assert is_safe(region, p) is bool(broadcast_safe(region, p[None])[0])
+        for traj in pts[:pts.shape[0] // 6 * 6].reshape(-1, 6, 2):
+            assert trajectory_safe(region, traj) is bool(broadcast_safe(region, traj).all())
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError):
@@ -225,6 +253,20 @@ class TestSimulation:
             rng = stream(8, purpose, i)
             x0 = rng.uniform(lo, hi)
             assert np.array_equal(ts.states[i], stepwise_rollout(params, x0, T, rng)[0])
+
+    def test_gen_dataset_x0_is_uniform_on_the_box(self, markov_params, region):
+        """x0 is lo + (hi - lo) * random(d): the draws and roundings of
+        ``uniform(lo, hi)`` on the trajectory's own stream."""
+        ts = gen_dataset(markov_params, region, n=2000, T=0, seed=13, purpose="cal-traj")
+        lo, hi = region.box_array()
+        want = np.array([stream(13, "cal-traj", i).uniform(lo, hi) for i in range(ts.n)])
+        assert np.array_equal(ts.initial_states, want)
+
+    @pytest.mark.parametrize("name", ["sigma", "h", "beta_c", "gamma_c"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_params_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SynthSystemParams(alpha=0.5, **{name: value})
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):

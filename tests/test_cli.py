@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import safecert.cli
+from safecert import abstraction as ab
 from safecert import benchmark as bm
 from safecert import calibration as cal
 from safecert import load_config
@@ -91,6 +92,14 @@ class TestExitCodes:
         ("horizons = 2, 2", "a0_T2_s1"),
         # 30 trajectories of 2 steps hold 60 dependent pairs
         ("data.mode = dependent\ndata.n_pairs = 100", "data.n_pairs"),
+        # non-finite values that the range tests let through would fail
+        # only in a later stage, after data/, mc/ and pred/ were written
+        ("system.sigma = nan", "system.sigma"),
+        ("system.h = inf", "system.h"),
+        ("system.beta_c = nan", "system.beta_c"),
+        ("system.gamma_c = inf", "system.gamma_c"),
+        ("imp.radius = nan", "imp.radius"),
+        ("dp.ambiguity = inf", "dp.ambiguity"),
     ])
     def test_refused_config_exits_2_before_any_write(self, tmp_path, capsys, lines, named):
         bad = tmp_path / "bad.cfg"
@@ -216,6 +225,19 @@ class TestPipeline:
         # the tiny config's methods: direct, dp, imp, ssr and barrier; one cell
         assert run("certify", "--config", str(cfg_path), "--out", out) == 0
         assert len(calls) == 1
+
+    def test_certify_builds_one_cell_matrix_for_imp_and_ssr(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "two-cells.cfg"
+        cfg_path.write_text(TINY_CONFIG + "seeds = 1, 2\n")
+        out = str(tmp_path / "o")
+        assert run("gen-data", "--config", str(cfg_path), "--out", out) == 0
+        calls = []
+        probs = ab.empirical_cell_probs
+        monkeypatch.setattr(ab, "empirical_cell_probs",
+                            lambda *a, **kw: calls.append(1) or probs(*a, **kw))
+        # the tiny config's methods include both imp and ssr; two cells
+        assert run("certify", "--config", str(cfg_path), "--out", out) == 0
+        assert len(calls) == 2
 
     def test_every_table_round_trips_through_the_parser(self, cfg_path, tmp_path):
         out = tmp_path / "results"

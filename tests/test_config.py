@@ -87,6 +87,15 @@ class TestValidation:
             ("kernel.direct.variances = 0, 1", "kernel.direct.variances"),
             ("kernel.dp.variances = nan, 1", "kernel.dp.variances"),
             ("kernel.direct.variances = 1, inf", "kernel.direct.variances"),
+            ("system.sigma = nan", "system.sigma"),
+            ("system.sigma = inf", "system.sigma"),
+            ("system.h = inf", "system.h"),
+            ("system.beta_c = nan", "system.beta_c"),
+            ("system.gamma_c = -inf", "system.gamma_c"),
+            ("imp.radius = nan", "imp.radius"),
+            ("imp.radius = inf", "imp.radius"),
+            ("dp.ambiguity = nan", "dp.ambiguity"),
+            ("dp.ambiguity = inf", "dp.ambiguity"),
         ],
     )
     def test_out_of_range_values_name_their_key(self, text, key):
