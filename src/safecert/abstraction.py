@@ -182,8 +182,9 @@ def _check_feasible_rows(
 ) -> np.ndarray:
     """Check that the interval set of each row (all by default) is nonempty.
 
-    Rows are checked in blocks of _ROW_BLOCK, so no temporary grows past a
-    block.  Returns each row's budget 1 - sum(lower), floored at 0: the mass
+    Bounds must be finite: a NaN passes every comparison below.  Rows are
+    checked in blocks of _ROW_BLOCK, so no temporary grows past a block.
+    Returns each row's budget 1 - sum(lower), floored at 0: the mass
     order-maximisation hands out above the lower bounds.
     """
     if rows is None:
@@ -192,6 +193,11 @@ def _check_feasible_rows(
     for start in range(0, rows.size, _ROW_BLOCK):
         block = rows[start:start + _ROW_BLOCK]
         lo, up = lower[block], upper[block]
+        for name, bound in (("lower", lo), ("upper", up)):
+            finite = np.isfinite(bound)
+            if not np.all(finite):
+                k, j = np.argwhere(~finite)[0]
+                raise ValueError(f"{name}[{block[k]},{j}] = {bound[k, j]} is not finite")
         bad = lo > up + _FEAS_TOL
         if np.any(bad):
             k, j = np.argwhere(bad)[0]

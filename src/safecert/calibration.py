@@ -126,6 +126,10 @@ def calibrate(
         raise ValueError("calibration set is empty")
     if s.size != y.size:
         raise ValueError("scores and outcomes must have equal length")
+    finite = np.isfinite(s)
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        raise ValueError(f"calibration score {i} is not finite ({s[i]})")
     if not (0.0 < delta_conf < 1.0):
         raise ValueError("delta_conf must lie in (0, 1)")
     if not (1 <= n_bins <= s.size):

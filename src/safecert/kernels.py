@@ -9,6 +9,11 @@ kernel evaluations against them; this dual form takes one solve for any number
 of query points.  The ridge term is scaled by the sample count M so that
 ``lam`` keeps a consistent meaning across sample sizes.  Weights may be
 negative; nothing here clips them.
+
+Both hot primitives are memory-bound and stream each M x M array once:
+``gram_matrix`` finishes every cache-sized block of rows (differences,
+squares, scale, exp) before moving on, and a single-vector solve runs two
+level-2 triangular solves on the stored factor.
 """
 
 from __future__ import annotations
@@ -17,14 +22,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dtrsv
 
 __all__ = ["KernelSpec", "GramSystem", "NumericError", "gram_matrix", "fit_weights"]
 
 # sup_x sqrt(k(x, x)) for the Gaussian kernel
 KAPPA = 1.0
 
-# rows per block when adding squared norms in gram_matrix
-_ROW_BLOCK = 256
+# entries per row block of gram_matrix: a block and its scratch (1 MB
+# together) stay in cache from the first difference to the exp
+_BLOCK_ENTRIES = 1 << 16
 
 
 class NumericError(RuntimeError):
@@ -40,7 +47,7 @@ class KernelSpec:
     Parameters
     ----------
     lengthscales : array-like, shape (d,)
-        Per-dimension scale sigma_l > 0, finite.
+        Per-dimension scale sigma_l > 0, finite; d >= 1.
     lam : float
         Ridge regularizer lambda > 0, finite; the solve uses M * lam on the diagonal.
     """
@@ -51,8 +58,9 @@ class KernelSpec:
     def __post_init__(self) -> None:
         ls = tuple(float(s) for s in np.atleast_1d(np.asarray(self.lengthscales, dtype=float)))
         object.__setattr__(self, "lengthscales", ls)
-        if not all(0 < s < np.inf for s in ls):
-            raise ValueError("lengthscales must be finite and positive")
+        # gram_matrix sums over at least one dimension
+        if not ls or not all(0 < s < np.inf for s in ls):
+            raise ValueError("lengthscales must be nonempty, finite and positive")
         if not 0 < self.lam < np.inf:
             raise ValueError("lam must be finite and positive")
 
@@ -83,23 +91,33 @@ def _scaled(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
 def gram_matrix(spec: KernelSpec, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     """Kernel matrix k(x_i, y_j); with ``y=None`` the symmetric Gram of x.
 
-    The result is built in place in one (n_x, n_y) buffer.
+    The (n_x, n_y) result is built in blocks of about _BLOCK_ENTRIES entries,
+    whole rows each.  A block sums the squared differences of the scaled
+    coordinates, (u_il - v_jl)^2 over l, then scales by -0.5 and takes the
+    exp in place while it is still in cache, so the result is streamed once.
+    Direct differences do not cancel the way |u|^2 + |v|^2 - 2 u.v does, and
+    since fl(a - b) = -fl(b - a) the Gram of x is exactly symmetric with a
+    unit diagonal.
     """
     u = _scaled(spec, x)
-    v = u if y is None else _scaled(spec, y)
-    k = u @ v.T                      # exactly symmetric when v is u
-    k *= -2.0
-    su = np.sum(u * u, axis=1)
-    sv = su if y is None else np.sum(v * v, axis=1)
-    # |u_i|^2 + |v_j|^2 is added as one rounded term, so the result stays
-    # symmetric; a block of rows at a time bounds the temporary
-    for r0 in range(0, k.shape[0], _ROW_BLOCK):
-        k[r0:r0 + _ROW_BLOCK] += su[r0:r0 + _ROW_BLOCK, None] + sv[None, :]
-    np.maximum(k, 0.0, out=k)
-    k *= -0.5
-    np.exp(k, out=k)
-    if y is None:
-        np.fill_diagonal(k, 1.0)
+    # one contiguous row per dimension, broadcast along each block's rows
+    vt = np.ascontiguousarray((u if y is None else _scaled(spec, y)).T)
+    n, m = u.shape[0], vt.shape[1]
+    k = np.empty((n, m))
+    rows = max(1, _BLOCK_ENTRIES // max(m, 1))
+    scratch = np.empty((min(rows, n), m))
+    for r0 in range(0, n, rows):
+        block = k[r0:r0 + rows]
+        ub = u[r0:r0 + rows]
+        np.subtract(ub[:, :1], vt[0], out=block)
+        block *= block
+        sq = scratch[:block.shape[0]]
+        for dim in range(1, vt.shape[0]):
+            np.subtract(ub[:, dim:dim + 1], vt[dim], out=sq)
+            sq *= sq
+            block += sq
+        block *= -0.5
+        np.exp(block, out=block)
     return k
 
 
@@ -122,14 +140,32 @@ class GramSystem:
         return self.inputs.shape[0]
 
     def solve(self, values: np.ndarray) -> np.ndarray:
-        """(K + M lam I)^{-1} values for a vector (M,) or columns (M, k)."""
+        """(K + M lam I)^{-1} values for a vector (M,) or columns (M, k).
+
+        A vector is solved at level 2 (two ``dtrsv`` calls), columns at
+        level 3 (``cho_solve``); ``values`` is left unchanged either way.
+        """
         return self._solve(np.asarray(values, dtype=float), overwrite=False)
 
     def _solve(self, b: np.ndarray, overwrite: bool) -> np.ndarray:
+        """The one dispatch of every ridge solve on the stored factor.
+
+        A vector (M,) takes two BLAS triangular solves (``dtrsv``, level 2),
+        which read the F-ordered factor in place, once per triangle; LAPACK
+        ``potrs`` would run them as one-column level-3 trsm calls.  Columns
+        (M, k) go to ``cho_solve`` (level 3).  ``overwrite`` lets the solve
+        reuse b's buffer.
+        """
         if not np.all(np.isfinite(b)):
             raise ValueError("right-hand side must not contain infs or NaNs")
+        c, lower = self._factor
         # the factor was checked when it was built; checking it again per
         # solve would cost as much as a single-vector solve
+        if b.ndim == 1:
+            # A = L L^T: L y = b, then L^T x = y; A = U^T U: the transposes first
+            first, second = (0, 1) if lower else (1, 0)
+            y = dtrsv(c, b, lower=lower, trans=first, overwrite_x=overwrite)
+            return dtrsv(c, y, lower=lower, trans=second, overwrite_x=True)
         return cho_solve(self._factor, b, overwrite_b=overwrite, check_finite=False)
 
     def expand(self, query: np.ndarray, alpha: np.ndarray) -> np.ndarray:

@@ -86,9 +86,19 @@ def _decompose(
     )
 
 
+def _clamped_scores(pred: np.ndarray) -> np.ndarray:
+    """Predictions clamped into [0, 1]; a non-finite one has no bin."""
+    p = np.asarray(pred, dtype=float).ravel()
+    finite = np.isfinite(p)
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        raise ValueError(f"prediction {i} is not finite ({p[i]})")
+    return np.clip(p, 0.0, 1.0)
+
+
 def brier_decomposition(pred: np.ndarray, outcomes: np.ndarray, n_bins: int = 10) -> BrierReport:
     """Decomposition against binary outcomes; scores are clamped into [0, 1]."""
-    scores = np.clip(np.asarray(pred, dtype=float).ravel(), 0.0, 1.0)
+    scores = _clamped_scores(pred)
     y = np.asarray(outcomes).astype(float).ravel()
     if scores.size != y.size or scores.size == 0:
         raise ValueError("pred and outcomes must be nonempty and equally sized")
@@ -105,7 +115,7 @@ def brier_decomposition_mc(pred: np.ndarray, p_mc: np.ndarray, n_bins: int = 10)
     contributes outcome mean p and within-point variance p(1-p), which makes
     the result identical to expanding every rollout into a binary outcome.
     """
-    scores = np.clip(np.asarray(pred, dtype=float).ravel(), 0.0, 1.0)
+    scores = _clamped_scores(pred)
     p = np.asarray(p_mc, dtype=float).ravel()
     if scores.size != p.size or scores.size == 0:
         raise ValueError("pred and p_mc must be nonempty and equally sized")

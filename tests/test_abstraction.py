@@ -361,6 +361,17 @@ class TestIntervalModel:
         with pytest.raises(ValueError):
             IntervalModel(lower=np.array([[0.8, 0.5]]), upper=np.array([[0.9, 0.6]]))
 
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bounds_rejected(self, side, bad):
+        """A NaN bound passes every feasibility comparison; the entry is named."""
+        bounds = {"lower": np.full((3, 3), 0.2), "upper": np.full((3, 3), 0.5)}
+        bounds[side][2, 1] = bad
+        with pytest.raises(ValueError, match=rf"{side}\[2,1\] = {bad} is not finite"):
+            IntervalModel(**bounds)
+        with pytest.raises(ValueError, match="not finite"):
+            imp_inner_min(bounds["lower"][2], bounds["upper"][2], np.zeros(3))
+
     @pytest.mark.parametrize("radius", [np.nan, [[0.1, np.nan], [0.1, 0.1]], -0.1])
     def test_negative_or_nan_radius_rejected(self, radius):
         """NaN bounds pass every feasibility comparison, so a NaN radius is

@@ -87,6 +87,14 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             calibrate(np.array([0.5, 0.6]), np.array([1.0, 0.0]), n_bins=3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_is_named(self, bad):
+        """A NaN score used to give edges [nan] holding every point."""
+        scores = np.linspace(0.0, 1.0, 6)
+        scores[4] = bad
+        with pytest.raises(ValueError, match=rf"calibration score 4 is not finite \({bad}\)"):
+            calibrate(scores, np.ones(6), n_bins=2)
+
 
 class TestMergeEmptyBins:
     def test_interior_empty_merges_toward_nearest(self):

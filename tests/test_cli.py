@@ -132,6 +132,20 @@ class TestExitCodes:
         assert "barrier writes a report" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
+    def test_evaluate_on_a_nan_prediction_exits_1(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        for stage in ("gen-data", "mc-oracle", "certify"):
+            assert run(stage, "--config", str(cfg_path), "--method", "dp", "--out", str(out)) == 0
+        pred = out / "pred" / "dp_a0_T2_s1.csv"
+        lines = pred.read_text().splitlines(keepends=True)
+        # the comment line, the column names, then the first grid point
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",nan\n"
+        pred.write_text("".join(lines))
+        capsys.readouterr()
+        assert run("evaluate", "--config", str(cfg_path), "--method", "dp", "--out", str(out)) == 1
+        assert "error: prediction 0 is not finite (nan)" in capsys.readouterr().err
+        assert not (out / "metrics.csv").exists()
+
     def test_evaluate_refuses_mc_grid_of_another_config(self, cfg_path, tmp_path, capsys):
         other = tmp_path / "other.cfg"
         other.write_text(TINY_CONFIG.replace("mc.rollouts = 40", "mc.rollouts = 41"))

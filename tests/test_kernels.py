@@ -10,11 +10,20 @@ from safecert import (
     fit_weights,
     gram_matrix,
 )
+from safecert.kernels import _BLOCK_ENTRIES
 
 
 def manual_kernel(x, y, ls):
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     return float(np.exp(-0.5 * np.sum((d / ls) ** 2)))
+
+
+def longdouble_kernel(spec, x, y):
+    """k(x_i, y_j) in extended precision, from the unscaled inputs."""
+    ls = np.asarray(spec.lengthscales, dtype=np.longdouble)
+    d = (np.asarray(x, dtype=np.longdouble)[:, None, :]
+         - np.asarray(y, dtype=np.longdouble)[None, :, :]) / ls
+    return np.exp(-0.5 * np.sum(d * d, axis=2))
 
 
 class TestKernelSpec:
@@ -30,7 +39,7 @@ class TestKernelSpec:
 
     @pytest.mark.parametrize("ls,lam", [((0.0, 1.0), 1e-3), ((1.0,), 0.0), ((-1.0,), 1e-3), ((1.0,), -1e-3),
                                         ((np.nan,), 1e-3), ((np.inf,), 1e-3), ((1.0,), np.nan),
-                                        ((1.0,), np.inf), ((-1.0, 1.0), 1e-3)])
+                                        ((1.0,), np.inf), ((-1.0, 1.0), 1e-3), ((), 1e-3)])
     def test_rejects_nonpositive_parameters(self, ls, lam):
         with pytest.raises(ValueError):
             KernelSpec(lengthscales=ls, lam=lam)
@@ -61,6 +70,36 @@ class TestGramMatrix:
         K = gram_matrix(KernelSpec.isotropic(0.8, 2, 1e-3), x)
         assert np.array_equal(K, K.T)
         assert np.array_equal(np.diag(K), np.ones(15))
+
+    @pytest.mark.parametrize("n_x,n_y", [
+        (500, 300),                   # several row blocks, the last one short
+        (3, _BLOCK_ENTRIES + 7),      # one row per block
+        (1, 40),
+        (0, 40),
+    ])
+    def test_matches_extended_precision_across_blocks(self, n_x, n_y):
+        """Every entry within 1e-15 of a long-double reference, also where
+        the points nearly coincide and |u|^2 + |v|^2 - 2 u.v would cancel."""
+        rng = np.random.default_rng(15)
+        spec = KernelSpec(lengthscales=(0.6, 1.3), lam=1e-4)
+        y = rng.uniform(-2, 2, size=(n_y, 2))
+        x = rng.uniform(-2, 2, size=(n_x, 2))
+        # half the rows sit within 1e-9 of a column point
+        near = n_x // 2
+        x[:near] = y[:near] + 1e-9 * rng.standard_normal((near, 2))
+        K = gram_matrix(spec, x, y)
+        assert K.shape == (n_x, n_y)
+        assert np.max(np.abs(K - longdouble_kernel(spec, x, y)), initial=0.0) <= 1e-15
+
+    def test_multi_block_gram_exactly_symmetric_with_unit_diagonal(self):
+        rng = np.random.default_rng(16)
+        x = rng.uniform(-2, 2, size=(700, 2))
+        x[350:] = x[:350] + 1e-9 * rng.standard_normal((350, 2))
+        spec = KernelSpec(lengthscales=(0.7, 1.1), lam=1e-4)
+        K = gram_matrix(spec, x)
+        assert np.array_equal(K, K.T)
+        assert np.array_equal(np.diag(K), np.ones(700))
+        assert np.max(np.abs(K - longdouble_kernel(spec, x, x))) <= 1e-15
 
 
 class TestWeights:
@@ -159,6 +198,28 @@ class TestWeights:
         assert np.max(np.abs(sys.solve(b[:, 0]) - np.linalg.solve(a, b[:, 0]))) < 1e-10
         with pytest.raises(ValueError):
             sys.solve(np.full(40, np.nan))
+
+    def test_vector_solve_matches_the_column_solve(self):
+        """The level-2 vector path and the level-3 column path agree and
+        neither writes into its argument."""
+        rng = np.random.default_rng(17)
+        x = rng.uniform(-2, 2, size=(300, 2))
+        sys = fit_weights(KernelSpec.from_variances((0.772, 1.572), 1e-6), x)
+        b = rng.uniform(0, 1, size=300)
+        kept = b.copy()
+        vec = sys.solve(b)
+        col = sys.solve(b[:, None])
+        assert vec.shape == (300,) and col.shape == (300, 1)
+        assert np.max(np.abs(vec - col[:, 0])) <= 1e-12 * np.max(np.abs(col))
+        assert np.array_equal(b, kept)
+
+    def test_factor_is_fortran_ordered(self):
+        """The triangular solves read the factor in place only when it is
+        F-contiguous; any other layout would be copied on every solve."""
+        x = np.random.default_rng(18).uniform(-2, 2, size=(50, 2))
+        factor, lower = fit_weights(KernelSpec.isotropic(0.8, 2, 1e-3), x)._factor
+        assert factor.flags.f_contiguous
+        assert lower
 
     def test_factor_failure_reports_condition_of_the_rebuilt_system(self):
         """The factorization runs in place on the Gram buffer, so the

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,17 @@ class TestBrierDecomposition:
         outcomes = np.array([0.0, 1.0, 1.0])
         rep = brier_decomposition(pred, outcomes, n_bins=10)
         assert np.isfinite(rep.brier)
+
+    @pytest.mark.parametrize("decompose", [brier_decomposition, brier_decomposition_mc])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prediction_rejected(self, decompose, bad):
+        """A NaN prediction has no bin: it used to warn and then index out
+        of range.  Clamping would turn an infinity into 0 or 1 silently."""
+        pred = np.array([0.2, 0.7, bad, 0.4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"prediction 2 is not finite \({bad}\)"):
+                decompose(pred, np.array([0.0, 1.0, 1.0, 0.0]))
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
