@@ -56,8 +56,15 @@ class BinnedCalibrator:
         return len(self.counts)
 
     def bin_of(self, scores: np.ndarray) -> np.ndarray:
-        """Bin index for each score; outside scores map to the end bins."""
-        return _bin_index(self.edges, np.asarray(scores, dtype=float))
+        """Bin index for each score; outside scores map to the end bins.
+
+        A non-finite score is refused with a ValueError naming it: the search
+        would put NaN past every edge, into the top bin."""
+        s = np.asarray(scores, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(s))
+        if bad.size:
+            raise ValueError(f"score {bad[0]} is not finite ({s.flat[bad[0]]})")
+        return _bin_index(self.edges, s)
 
     def to_json(self) -> str:
         payload = {
@@ -118,7 +125,8 @@ def calibrate(
 
     Scores with a span at or below 1e-12 collapse to a single bin.  Tied
     quantiles are deduplicated and any remaining empty bin is merged into its
-    nearest nonempty neighbor; widths use the final bin count.
+    nearest nonempty neighbor; widths use the final bin count.  Scores must be
+    finite and outcomes 0 or 1; a ValueError names the first entry that is not.
     """
     s = np.asarray(scores, dtype=float).ravel()
     y = np.asarray(outcomes).astype(float).ravel()
@@ -130,6 +138,10 @@ def calibrate(
     if not np.all(finite):
         i = int(np.argmin(finite))
         raise ValueError(f"calibration score {i} is not finite ({s[i]})")
+    binary = (y == 0.0) | (y == 1.0)
+    if not np.all(binary):
+        i = int(np.argmin(binary))
+        raise ValueError(f"calibration outcome {i} is not 0 or 1 ({y[i]})")
     if not (0.0 < delta_conf < 1.0):
         raise ValueError("delta_conf must lie in (0, 1)")
     if not (1 <= n_bins <= s.size):
@@ -173,7 +185,9 @@ def calibrate(
 
 
 def certified_lower_bound(cal: BinnedCalibrator, scores: np.ndarray) -> np.ndarray | float:
-    """Certified bound for one score or a batch: the bound of the score's bin."""
+    """Certified bound for one score or a batch: the bound of the score's bin.
+
+    A non-finite score is refused with a ValueError naming its index."""
     s = np.asarray(scores, dtype=float)
     single = s.ndim == 0
     out = cal.certified[cal.bin_of(np.atleast_1d(s))]

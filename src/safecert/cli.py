@@ -231,8 +231,9 @@ def _calibrate_cell(cell: _Cell, methods: tuple[str, ...]) -> None:
         pred = cell.table(f"pred/{method}")
         calibrator = cal.calibrate(scores, outcomes, n_bins=cell.cfg["calibration.bins"],
                                    delta_conf=cell.cfg["calibration.delta"])
-        cell.write_json(f"cal/calibrator_{method}", calibrator.to_json(), method=method)
+        # bound every estimate first: a refused one leaves neither file
         bounds = cal.certified_lower_bound(calibrator, pred[:, 2])
+        cell.write_json(f"cal/calibrator_{method}", calibrator.to_json(), method=method)
         cell.write_table(f"cal/bounds_{method}", _grid_table(pred[:, :2], bounds, "lower_bound"),
                          method=method)
 
@@ -245,9 +246,17 @@ _METRIC_COLS = ["rmse", "excess_rmse", "brier", "brier_binned", "rel", "res", "u
 def _evaluate(cells: list[_Cell], methods: tuple[str, ...], seed_offset: int) -> None:
     rows = []  # method, alpha, T, seed, then the _METRIC_COLS values
     for cell in cells:
-        p_mc = cell.table("mc/mc")[:, 2]
+        mc = cell.table("mc/mc")
+        p_mc = mc[:, 2]
         for method in methods:
-            est = np.clip(cell.table(f"pred/{method}")[:, 2], 0.0, 1.0)
+            pred = cell.table(f"pred/{method}")
+            # rows are joined by position; both tables write eval_grid's points
+            # through the same format, so their coordinates agree exactly
+            if not np.array_equal(pred[:, :2], mc[:, :2]):
+                raise ValueError(f"{cell.path(f'pred/{method}')} ({len(pred)} rows) and "
+                                 f"{cell.path('mc/mc')} ({len(mc)} rows) do not list the same "
+                                 "grid points in the same order")
+            est = np.clip(pred[:, 2], 0.0, 1.0)
             rep = mx.brier_decomposition_mc(est, p_mc, n_bins=10)
             rows.append([method, cell.alpha_text, cell.T, cell.seed, mx.rmse(est, p_mc),
                          mx.excess_rmse(est, p_mc), rep.brier, rep.brier_binned,

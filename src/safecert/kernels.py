@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dtrsv
 
 __all__ = ["KernelSpec", "GramSystem", "NumericError", "gram_matrix", "fit_weights"]
 
@@ -158,6 +156,11 @@ class GramSystem:
         """
         if not np.all(np.isfinite(b)):
             raise ValueError("right-hand side must not contain infs or NaNs")
+        # imported here: scipy.linalg adds ~0.3 s to every import of the
+        # package, and only a process that fits a ridge system solves one
+        from scipy.linalg import cho_solve
+        from scipy.linalg.blas import dtrsv
+
         c, lower = self._factor
         # the factor was checked when it was built; checking it again per
         # solve would cost as much as a single-vector solve
@@ -219,6 +222,10 @@ def fit_weights(spec: KernelSpec, train_inputs: np.ndarray) -> GramSystem:
     m = x.shape[0]
     if m == 0:
         raise ValueError("training set is empty")
+    # imported here: scipy.linalg adds ~0.3 s to every import of the
+    # package, and only the stages that fit a ridge system factor one
+    from scipy.linalg import cho_factor
+
     a = _ridge_matrix(spec, x)
     try:
         # a is symmetric, so its transpose is the same matrix in Fortran

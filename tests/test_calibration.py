@@ -95,6 +95,14 @@ class TestCalibrate:
         with pytest.raises(ValueError, match=rf"calibration score 4 is not finite \({bad}\)"):
             calibrate(scores, np.ones(6), n_bins=2)
 
+    @pytest.mark.parametrize("bad", [np.nan, 2.0, -1.0, 0.5])
+    def test_non_binary_outcome_is_named(self, bad):
+        """A NaN outcome used to give its bin a NaN rate and bound; 2.0 was averaged in."""
+        outcomes = np.ones(6)
+        outcomes[3] = bad
+        with pytest.raises(ValueError, match=rf"calibration outcome 3 is not 0 or 1 \({bad}\)"):
+            calibrate(np.linspace(0.0, 1.0, 6), outcomes, n_bins=2)
+
 
 class TestMergeEmptyBins:
     def test_interior_empty_merges_toward_nearest(self):
@@ -139,6 +147,16 @@ class TestBinLookup:
         assert isinstance(one, float)
         assert many.shape == (3,)
         assert np.all(np.diff(many) >= -1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_is_refused(self, bad):
+        """searchsorted puts NaN past every edge, which gave it the top bin's bound."""
+        scores, outcomes = balanced_set(200)
+        cal = calibrate(scores, outcomes, n_bins=5)
+        with pytest.raises(ValueError, match=rf"score 0 is not finite \({bad}\)"):
+            certified_lower_bound(cal, bad)
+        with pytest.raises(ValueError, match=rf"score 2 is not finite \({bad}\)"):
+            certified_lower_bound(cal, np.array([0.1, 0.5, bad]))
 
 
 class TestCoverage:

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +44,28 @@ def cfg_path(tmp_path: Path) -> Path:
 
 def run(*argv: str) -> int:
     return main(list(argv))
+
+
+# runs stages in a fresh interpreter and reports their exit codes and the
+# scipy modules loaded by the end
+_FRESH_STAGES = """
+import json, sys
+import safecert
+from safecert.cli import main
+config, out, *stages = sys.argv[1:]
+codes = [main([stage, "--config", config, "--out", out]) for stage in stages]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def run_fresh(cfg_path: Path, out: Path, *stages: str) -> dict:
+    src = str(Path(safecert.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_STAGES, str(cfg_path), str(out), *stages],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def tree_digest(root: Path) -> dict[str, str]:
@@ -145,6 +170,47 @@ class TestExitCodes:
         assert run("evaluate", "--config", str(cfg_path), "--method", "dp", "--out", str(out)) == 1
         assert "error: prediction 0 is not finite (nan)" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("edit", ["swap", "drop"])
+    def test_evaluate_refuses_pred_and_mc_on_other_grid_points(self, cfg_path, tmp_path, capsys,
+                                                               edit):
+        """Rows are joined by position: two swapped mc rows used to give wrong
+        metrics and exit 0, a dropped one a broadcast error naming no file."""
+        out = tmp_path / "o"
+        for stage in ("gen-data", "mc-oracle", "certify"):
+            assert run(stage, "--config", str(cfg_path), "--method", "direct",
+                       "--out", str(out)) == 0
+        mc = out / "mc" / "mc_a0_T2_s1.csv"
+        lines = mc.read_text().splitlines(keepends=True)
+        # the comment line, the column names, then the grid points
+        if edit == "swap":
+            lines[2], lines[3] = lines[3], lines[2]
+        else:
+            del lines[-1]
+        mc.write_text("".join(lines))
+        capsys.readouterr()
+        assert run("evaluate", "--config", str(cfg_path), "--method", "direct",
+                   "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "pred/direct_a0_T2_s1.csv" in err and "mc/mc_a0_T2_s1.csv" in err
+        assert not (out / "metrics.csv").exists()
+
+    def test_calibrate_on_a_nan_estimate_writes_neither_file(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "o"
+        for stage in ("gen-data", "certify"):
+            assert run(stage, "--config", str(cfg_path), "--method", "direct",
+                       "--out", str(out)) == 0
+        pred = out / "pred" / "direct_a0_T2_s1.csv"
+        lines = pred.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",nan\n"
+        pred.write_text("".join(lines))
+        capsys.readouterr()
+        assert run("calibrate", "--config", str(cfg_path), "--method", "direct",
+                   "--out", str(out)) == 1
+        assert "error: score 0 is not finite (nan)" in capsys.readouterr().err
+        assert not list((out / "cal").glob("calibrator_direct_*"))
+        assert not list((out / "cal").glob("bounds_direct_*"))
 
     def test_evaluate_refuses_mc_grid_of_another_config(self, cfg_path, tmp_path, capsys):
         other = tmp_path / "other.cfg"
@@ -288,6 +354,14 @@ class TestPipeline:
         _, _, rows = parse_table((out / "cal" / "bounds_direct_a0_T2_s1.csv").read_text())
         bounds = rows[:, 2]
         assert np.all((bounds >= 0.0) & (bounds <= 1.0))
+
+    def test_only_certify_loads_scipy(self, cfg_path, tmp_path):
+        """The stages that fit nothing never pay for importing scipy."""
+        out = tmp_path / "o"
+        assert run_fresh(cfg_path, out, "gen-data", "mc-oracle") == {"codes": [0, 0], "scipy": []}
+        fit = run_fresh(cfg_path, out, "certify")
+        assert fit["codes"] == [0] and "scipy.linalg" in fit["scipy"]
+        assert run_fresh(cfg_path, out, "calibrate", "evaluate") == {"codes": [0, 0], "scipy": []}
 
 
 class TestCalibrateFromCertifyScores:
