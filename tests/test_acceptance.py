@@ -13,6 +13,7 @@ completes in seconds.
 """
 
 import itertools
+import json
 import math
 import time
 from dataclasses import dataclass
@@ -53,6 +54,7 @@ from safecert import (
 )
 from safecert.cli import main
 
+from golden.regen import GOLDEN, compare, manifest
 from test_barrier import (
     LINE_1D,
     SIGMA_W,
@@ -472,11 +474,15 @@ class TestPipelineCriteria:
         code1 = main(["sweep", "--config", str(cfg), "--out", str(out1)])
         code2 = main(["sweep", "--config", str(cfg), "--out", str(out2)])
         d1, d2 = digest(out1), digest(out2)
-        ok = code1 == 0 and code2 == 0 and d1 == d2 and len(d1) > 0
+        # the first run against the checked-in outputs of the code that made them
+        problems, _ = compare(json.loads(GOLDEN.read_text()), manifest(out1))
+        ok = code1 == 0 and code2 == 0 and d1 == d2 and len(d1) > 0 and not problems
         n_diff = sum(1 for k in d1 if d2.get(k) != d1[k]) + len(set(d2) - set(d1))
         _verdict(
             12,
             "sweep determinism",
             ok,
-            f"{len(d1)} files byte-identical across reruns ({n_diff} differ)",
+            f"{len(d1)} files byte-identical across reruns ({n_diff} differ); "
+            f"{len(problems)} mismatches with {GOLDEN.name}"
+            + "".join(f"; {p}" for p in problems[:5]),
         )
