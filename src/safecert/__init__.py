@@ -43,7 +43,6 @@ from .benchmark import (
     gen_dataset,
     is_safe,
     mc_ground_truth,
-    simulate,
     simulate_batch,
     trajectory_safe,
 )

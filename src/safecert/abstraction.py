@@ -266,10 +266,7 @@ def _order_max(
 
 
 def imp_inner_min(
-    lower: np.ndarray,
-    upper: np.ndarray,
-    v: np.ndarray,
-    order: np.ndarray | None = None,
+    lower: np.ndarray, upper: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Minimize p @ v over {lower <= p <= upper, sum(p) = 1}.
 
@@ -281,10 +278,9 @@ def imp_inner_min(
     upper = np.asarray(upper, dtype=float)[None, :]
     v = np.asarray(v, dtype=float)
     budget = _check_feasible_rows(lower, upper)
-    if order is None:
-        order = np.argsort(v, kind="stable")
+    order = np.argsort(v, kind="stable")
     p = lower.copy()
-    value = _order_max(lower, upper, np.zeros(1, dtype=int), v, np.asarray(order), budget, p)
+    value = _order_max(lower, upper, np.zeros(1, dtype=int), v, order, budget, p)
     return p[0], float(value[0])
 
 
@@ -311,31 +307,15 @@ def imp_value_iteration(model: IntervalModel, part: Partition, T: int) -> np.nda
 
 @dataclass(frozen=True)
 class SsrParams:
-    """Slack configuration for the sampling-based relaxation.
-
-    delta is the per-step slack (scalar or per-cell vector); disc_radius, when
-    given, records the discretization radius and must cover the largest cell
-    half-diagonal.
-    """
+    """Per-step slack delta of the sampling-based relaxation: a scalar or a per-cell vector."""
 
     delta: float | np.ndarray = 0.0
-    disc_radius: float | None = None
 
     def delta_vector(self, n: int) -> np.ndarray:
         d = np.broadcast_to(np.asarray(self.delta, dtype=float), (n,))
-        if np.any(d < 0) or np.any(d > 1):
+        if not np.all((d >= 0) & (d <= 1)):  # NaN fails both comparisons
             raise ValueError("delta must lie in [0, 1]")
         return d
-
-    def validate_radius(self, part: Partition) -> None:
-        if self.disc_radius is None:
-            return
-        half_diag = float(np.max(np.linalg.norm((part.highs - part.lows) / 2.0, axis=1)))
-        if self.disc_radius < half_diag - 1e-12:
-            raise ValueError(
-                f"disc_radius {self.disc_radius:.6g} is below the largest cell "
-                f"half-diagonal {half_diag:.6g}"
-            )
 
 
 def ssr_backward(probs: np.ndarray, part: Partition, ssr: SsrParams, T: int) -> np.ndarray:
@@ -348,7 +328,6 @@ def ssr_backward(probs: np.ndarray, part: Partition, ssr: SsrParams, T: int) -> 
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
-    ssr.validate_radius(part)
     delta = ssr.delta_vector(part.n_cells)
     safe = part.safe_flags.astype(float)
     v = part.center_safe.astype(float)

@@ -93,11 +93,11 @@ def box_mesh(low: np.ndarray, high: np.ndarray, counts: tuple[int, ...]) -> np.n
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _resolve_counts(grids, dim: int) -> tuple[int, ...]:
-    counts = (grids,) * dim if isinstance(grids, int) else tuple(int(c) for c in grids)
-    if len(counts) != dim or any(c < 2 for c in counts):
+def _grid_counts(grids: int, dim: int) -> tuple[int, ...]:
+    """``grids`` points along each of ``dim`` axes."""
+    if grids < 2:
         raise ValueError("grid counts must give at least 2 points per dimension")
-    return counts
+    return (grids,) * dim
 
 
 def check_barrier(
@@ -106,7 +106,7 @@ def check_barrier(
     region: SafeRegion,
     x0_box: tuple[np.ndarray, np.ndarray],
     T: int,
-    grids: int | tuple[int, ...] = 25,
+    grids: int = 25,
 ) -> BarrierReport:
     """Evaluate conditions (a)-(c) on grids and assemble the horizon-T bound.
 
@@ -121,8 +121,7 @@ def check_barrier(
         raise ValueError("barrier check needs a kernel-backed one-step model")
     if not region.obstacles:
         raise ValueError("region has no obstacle boxes, so the unsafe grid is empty")
-    dim = region.dim
-    counts = _resolve_counts(grids, dim)
+    counts = _grid_counts(grids, region.dim)
 
     x0_low = np.asarray(x0_box[0], dtype=float)
     x0_high = np.asarray(x0_box[1], dtype=float)
@@ -183,15 +182,14 @@ def uniform_mc_oracle(
     T: int,
     n_mc: int,
     seed: int,
-    grids: int | tuple[int, ...] = 11,
+    grids: int = 11,
 ) -> OracleResult:
     """min over an X0 grid of Monte Carlo safety estimates.
 
     ``rollout(x0s, T, rng)`` must return (n, T+1, d) trajectories; the
     standard error reported is the binomial one at the minimizing point.
     """
-    dim = region.dim
-    counts = _resolve_counts(grids, dim)
+    counts = _grid_counts(grids, region.dim)
     grid = box_mesh(np.asarray(x0_box[0], dtype=float), np.asarray(x0_box[1], dtype=float), counts)
     estimates = np.empty(grid.shape[0])
     for g in range(grid.shape[0]):

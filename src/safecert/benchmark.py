@@ -35,7 +35,6 @@ __all__ = [
     "OneStepPairs",
     "GroundTruthGrid",
     "default_safe_region",
-    "simulate",
     "simulate_batch",
     "is_safe",
     "trajectory_safe",
@@ -252,13 +251,6 @@ def simulate_batch(
         raise ValueError("T must be nonnegative")
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     return _rollout(params, x0s, rng.standard_normal((T + 1, x0s.shape[0], 2)))
-
-
-def simulate(
-    params: SynthSystemParams, x0: np.ndarray, T: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Single rollout from ``x0``; returns (T+1, 2)."""
-    return simulate_batch(params, np.asarray(x0, dtype=float)[None, :], T, rng)[0]
 
 
 @dataclass

@@ -91,7 +91,16 @@ class _Cell:
                           alpha=self.alpha_text, T=self.T)
 
     def table(self, name: str) -> np.ndarray:
-        return parse_table(self.read(name))[2]
+        """The cells of ``<name>_<tag>.csv``, checked as ``read`` does; a
+        non-finite entry is refused with a ValueError naming the file, its
+        row and its column."""
+        _, columns, data = parse_table(self.read(name))
+        bad = np.argwhere(~np.isfinite(data))
+        if bad.size:
+            row, col = bad[0]
+            raise ValueError(f"{self.path(name)}: row {row}, column {columns[col]} is not "
+                             f"finite ({data[row, col]})")
+        return data
 
     def write_table(self, name: str, table, **extra) -> None:
         """Write ``<name>_<tag>.csv`` under the cell's header plus ``extra``:
@@ -226,16 +235,19 @@ def _certify_cell(cell: _Cell, methods: tuple[str, ...]) -> None:
 def _calibrate_cell(cell: _Cell, methods: tuple[str, ...]) -> None:
     # post-processing only: the scores and grid estimates are certify's
     outcomes = cell.table("data/cal")[:, 2]
+    # every method's calibrator and bounds come first, so a refused table or
+    # score writes none of the cell's files
+    results = []
     for method in methods:
         scores = cell.table(f"cal/scores_{method}")[:, 0]
         pred = cell.table(f"pred/{method}")
         calibrator = cal.calibrate(scores, outcomes, n_bins=cell.cfg["calibration.bins"],
                                    delta_conf=cell.cfg["calibration.delta"])
-        # bound every estimate first: a refused one leaves neither file
         bounds = cal.certified_lower_bound(calibrator, pred[:, 2])
+        results.append((method, calibrator, _grid_table(pred[:, :2], bounds, "lower_bound")))
+    for method, calibrator, bounds in results:
         cell.write_json(f"cal/calibrator_{method}", calibrator.to_json(), method=method)
-        cell.write_table(f"cal/bounds_{method}", _grid_table(pred[:, :2], bounds, "lower_bound"),
-                         method=method)
+        cell.write_table(f"cal/bounds_{method}", bounds, method=method)
 
 
 # ---------------------------------------------------------------- evaluate

@@ -78,7 +78,7 @@ class ErrorBudget:
         if self.smoothing_order < 1:
             raise ValueError("smoothing_order must be at least 1")
 
-    def resolve_gamma_n(self, n: int) -> float:
+    def resolve_gamma_n(self, n: int | None) -> float:
         if self.gamma_n is not None:
             return self.gamma_n
         return float(n) ** (-self.beta_exp) * self.gamma
@@ -190,12 +190,9 @@ def eps2(
     budget: ErrorBudget, norm_smoothed: float, d: int, T: int, n: int | None = None
 ) -> float:
     """Ambiguity term eps * kappa * ||rho~|| * (gamma / gamma_n)^(d(T+1)/2)."""
-    if budget.gamma_n is not None:
-        ratio = budget.gamma / budget.gamma_n
-    else:
-        if n is None:
-            raise ValueError("n is required when gamma_n is derived from the sample size")
-        ratio = budget.gamma / budget.resolve_gamma_n(n)
+    if budget.gamma_n is None and n is None:
+        raise ValueError("n is required when gamma_n is derived from the sample size")
+    ratio = budget.gamma / budget.resolve_gamma_n(n)
     return budget.ambiguity * KAPPA * norm_smoothed * ratio ** (d * (T + 1) / 2.0)
 
 

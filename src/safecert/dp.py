@@ -21,6 +21,7 @@ surrogate used in place of the intractable RKHS norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,10 @@ class DpModel:
     k_next: np.ndarray | None = None   # (M, M) K(x_i^+, x_j); kernel-backed only
     explicit: np.ndarray | None = None  # (M, M) transfer matrix; chains only
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.ambiguity < math.inf:  # NaN fails too
+            raise ValueError(f"ambiguity must be finite and nonnegative, not {self.ambiguity}")
+
     @property
     def n(self) -> int:
         return self.safe_mask_next.shape[0]
@@ -110,20 +115,24 @@ class DpModel:
             return self.explicit
         return self.gram.solve(self.k_next.T).T
 
-    def apply_and_norm(self, v: np.ndarray) -> tuple[np.ndarray, float]:
-        """(transfer @ v, representer norm of v) from one shared ridge solve."""
-        if self.gram is None:
-            raise ValueError("norm penalty needs a kernel-backed model")
-        alpha = self.gram.solve(v)
-        return self.k_next @ alpha, self.gram.representer_norm(v, alpha)
+
+def _penalised_step(model: DpModel, v: np.ndarray) -> tuple[np.ndarray, float]:
+    """(alpha, penalty) of a value vector v at the sampled next states.
+
+    alpha = (K + M lam I)^{-1} v are the dual coefficients of the step's
+    conditional expectation, and penalty = eps * kappa * ||V|| the ambiguity
+    term, with ||V|| the representer norm of the same solve.
+    """
+    if model.gram is None:
+        raise ValueError("norm penalty needs a kernel-backed model")
+    alpha = model.gram.solve(v)
+    return alpha, model.ambiguity * KAPPA * model.gram.representer_norm(v, alpha)
 
 
 def fit_dp(
     spec: KernelSpec, pairs: OneStepPairs, region: SafeRegion, ambiguity: float = 0.0
 ) -> DpModel:
     """Factor the ridge system over source states and build K(x^+, x)."""
-    if ambiguity < 0:
-        raise ValueError("ambiguity must be nonnegative")
     gram = fit_weights(spec, pairs.x)
     x_next = np.asarray(pairs.x_next, dtype=float)
     return DpModel(
@@ -148,10 +157,11 @@ def backward_value(model: DpModel, T: int) -> list[ValueVector]:
     levels = [ValueVector(level=T, v=v)]
     for level in range(T - 1, -1, -1):
         if model.ambiguity > 0:
-            tv, norm = model.apply_and_norm(v)
+            alpha, penalty = _penalised_step(model, v)
+            tv = model.k_next @ alpha
         else:
-            tv, norm = model.apply(v), 0.0
-        v = model.safe_mask_next * np.clip(tv - model.ambiguity * KAPPA * norm, 0.0, 1.0)
+            tv, penalty = model.apply(v), 0.0
+        v = model.safe_mask_next * np.clip(tv - penalty, 0.0, 1.0)
         levels.append(ValueVector(level=level, v=v))
     levels.reverse()
     return levels
@@ -171,11 +181,8 @@ def evaluate_dp(
     if T == 0:
         out = safe0
     else:
-        # one solve gives both the estimate and the norm in the penalty
-        v1 = stack[1].v
-        alpha = model.gram.solve(v1)
-        pen = model.ambiguity * KAPPA * model.gram.representer_norm(v1, alpha)
-        out = safe0 * np.clip(model.gram.expand(pts, alpha) - pen, 0.0, 1.0)
+        alpha, penalty = _penalised_step(model, stack[1].v)
+        out = safe0 * np.clip(model.gram.expand(pts, alpha) - penalty, 0.0, 1.0)
     return float(out[0]) if single else out
 
 

@@ -17,8 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["atomic_write", "header_comment", "header_fields", "format_table", "parse_table",
-           "read_table"]
+__all__ = ["atomic_write", "header_comment", "format_table", "parse_table", "read_table"]
 
 
 def atomic_write(path: str | Path, text: str) -> None:
@@ -43,7 +42,7 @@ def header_comment(config_hash: str, seed: int, **extra) -> str:
     return " ".join(parts)
 
 
-def header_fields(text: str) -> dict[str, str]:
+def _header_fields(text: str) -> dict[str, str]:
     """The ``key=value`` fields of a table's leading comment line; {} without one."""
     first = text.partition("\n")[0]
     if not first.startswith("#"):
@@ -75,7 +74,7 @@ def parse_table(text: str, dtype=float) -> tuple[dict[str, str], list[str], np.n
     columns = next(reader)
     # rows are converted as they are read, so the text is never held as cells
     data = np.array([[dtype(v) for v in row] for row in reader], dtype=dtype)
-    return header_fields(text), columns, data.reshape(-1, len(columns))
+    return _header_fields(text), columns, data.reshape(-1, len(columns))
 
 
 def read_table(path: str | Path, **expect) -> str:
@@ -88,7 +87,7 @@ def read_table(path: str | Path, **expect) -> str:
     if not path.exists():
         raise FileNotFoundError(f"missing data file: {path}")
     text = path.read_text()
-    got = header_fields(text)
+    got = _header_fields(text)
     if any(got.get(k) != str(v) for k, v in expect.items()):
         found = " ".join(f"{k}={got.get(k)}" for k in expect)
         wanted = " ".join(f"{k}={v}" for k, v in expect.items())

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["KernelSpec", "GramSystem", "NumericError", "gram_matrix", "fit_weights"]
+__all__ = ["KAPPA", "KernelSpec", "GramSystem", "NumericError", "gram_matrix", "fit_weights"]
 
 # sup_x sqrt(k(x, x)) for the Gaussian kernel
 KAPPA = 1.0

@@ -12,10 +12,10 @@ import zlib
 
 import numpy as np
 
-__all__ = ["stream", "stream_key"]
+__all__ = ["stream"]
 
 
-def stream_key(part: int | str) -> int:
+def _stream_key(part: int | str) -> int:
     """Map a stream-path component to a stable 32-bit integer."""
     if isinstance(part, (int, np.integer)):
         return int(part) & 0xFFFFFFFF
@@ -28,5 +28,5 @@ def stream(seed: int, *path: int | str) -> np.random.Generator:
     ``stream(7, "traj", 3)`` and ``stream(7, "traj", 4)`` are statistically
     independent; the same arguments always reproduce the same stream.
     """
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [stream_key(p) for p in path]
+    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_stream_key(p) for p in path]
     return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -440,13 +440,6 @@ class TestValueIterations:
         v = ssr_value_iteration(part, dp_model, SsrParams(delta=delta), 3)
         assert v.shape == (9,)
 
-    def test_ssr_radius_validation(self):
-        part = build_partition(UNIT_SQUARE, (4, 4))
-        half_diag = float(np.max(np.linalg.norm((part.highs - part.lows) / 2, axis=1)))
-        SsrParams(delta=0.0, disc_radius=half_diag + 1e-6).validate_radius(part)
-        with pytest.raises(ValueError):
-            SsrParams(delta=0.0, disc_radius=half_diag / 2).validate_radius(part)
-
     def test_invalid_slack_rejected(self):
         part = build_partition(UNIT_SQUARE, (3, 3))
         with pytest.raises(ValueError):

@@ -143,7 +143,7 @@ class TestCheckBarrier:
         with pytest.raises(ValueError):
             check_barrier(quadratic_candidate(), chain, LINE_1D, X0_BOX, T=5)
 
-    @pytest.mark.parametrize("grids", [1, (1,)])
+    @pytest.mark.parametrize("grids", [1])
     def test_single_point_grid_rejected(self, dp_1d, grids):
         with pytest.raises(ValueError, match="at least 2 points"):
             check_barrier(quadratic_candidate(), dp_1d, LINE_1D, X0_BOX, T=5, grids=grids)

@@ -11,7 +11,6 @@ from safecert import (
     gen_dataset,
     is_safe,
     mc_ground_truth,
-    simulate,
     simulate_batch,
     trajectory_safe,
 )
@@ -218,7 +217,7 @@ class TestSimulation:
 
     def test_states_saturate_instead_of_overflowing(self, markov_params):
         x0 = np.array([8e5, -8e5])
-        traj = simulate(markov_params, x0, 400, stream(0, "traj", 0))
+        traj = simulate_batch(markov_params, x0, 400, stream(0, "traj", 0))[0]
         assert np.all(np.isfinite(traj))
         assert np.max(np.abs(traj)) <= SATURATION
 
@@ -240,7 +239,7 @@ class TestSimulation:
                               stepwise_rollout(params, x0s, T, rng_b))
         # the same number of draws: both generators go on identically
         assert rng_a.random() == rng_b.random()
-        assert np.array_equal(simulate(params, x0s[0], T, stream(2, "y")),
+        assert np.array_equal(simulate_batch(params, x0s[0], T, stream(2, "y"))[0],
                               stepwise_rollout(params, x0s[:1], T, stream(2, "y"))[0])
 
     @pytest.mark.parametrize("purpose", ["traj", "cal-traj"])

@@ -168,7 +168,9 @@ class TestExitCodes:
         pred.write_text("".join(lines))
         capsys.readouterr()
         assert run("evaluate", "--config", str(cfg_path), "--method", "dp", "--out", str(out)) == 1
-        assert "error: prediction 0 is not finite (nan)" in capsys.readouterr().err
+        # the error line names the table, so a sweep's bad cell can be found
+        assert (f"error: {pred}: row 0, column estimate is not finite (nan)"
+                in capsys.readouterr().err)
         assert not (out / "metrics.csv").exists()
 
     @pytest.mark.parametrize("edit", ["swap", "drop"])
@@ -208,9 +210,26 @@ class TestExitCodes:
         capsys.readouterr()
         assert run("calibrate", "--config", str(cfg_path), "--method", "direct",
                    "--out", str(out)) == 1
-        assert "error: score 0 is not finite (nan)" in capsys.readouterr().err
+        assert (f"error: {pred}: row 0, column estimate is not finite (nan)"
+                in capsys.readouterr().err)
         assert not list((out / "cal").glob("calibrator_direct_*"))
         assert not list((out / "cal").glob("bounds_direct_*"))
+
+    def test_calibrate_writes_all_of_a_cell_or_none(self, cfg_path, tmp_path, capsys):
+        """A bad table of the cell's last method used to leave the files of
+        the methods before it written."""
+        out = tmp_path / "o"
+        for stage in ("gen-data", "certify"):
+            assert run(stage, "--config", str(cfg_path), "--out", str(out)) == 0
+        (pred,) = (out / "pred").glob("ssr_*")
+        lines = pred.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",nan\n"
+        pred.write_text("".join(lines))
+        capsys.readouterr()
+        assert run("calibrate", "--config", str(cfg_path), "--out", str(out)) == 1
+        assert str(pred) in capsys.readouterr().err
+        assert not list((out / "cal").glob("calibrator_*"))
+        assert not list((out / "cal").glob("bounds_*"))
 
     def test_evaluate_refuses_mc_grid_of_another_config(self, cfg_path, tmp_path, capsys):
         other = tmp_path / "other.cfg"

@@ -6,11 +6,14 @@ from safecert import (
     KernelSpec,
     OneStepPairs,
     SafeRegion,
+    SsrParams,
     backward_value,
+    build_partition,
     is_safe,
     evaluate_dp,
     fit_dp,
     spectral_decay,
+    ssr_backward,
 )
 from safecert.kernels import KAPPA, GramSystem, gram_matrix
 
@@ -271,6 +274,31 @@ class TestFittedModels:
         region = SafeRegion(low=(-1.0, -1.0), high=(1.0, 1.0), obstacles=())
         with pytest.raises(ValueError):
             fit_dp(KernelSpec.isotropic(1.0, 2, 1e-2), pairs, region, ambiguity=-0.1)
+
+
+def _ssr_with_slack(delta) -> np.ndarray:
+    part = build_partition(SafeRegion(low=(0.0, 0.0), high=(1.0, 1.0)), (2, 2))
+    return ssr_backward(np.full((4, 4), 0.25), part, SsrParams(delta=delta), 2)
+
+
+def _fit_with_ambiguity(ambiguity: float) -> DpModel:
+    pairs = OneStepPairs(x=np.zeros((3, 2)), x_next=np.zeros((3, 2)))
+    region = SafeRegion(low=(-1.0, -1.0), high=(1.0, 1.0))
+    return fit_dp(KernelSpec.isotropic(1.0, 2, 1e-2), pairs, region, ambiguity=ambiguity)
+
+
+@pytest.mark.parametrize("build, named", [
+    # NaN slack used to pass the range check and turn every ssr value into NaN
+    (lambda: _ssr_with_slack(np.nan), "delta"),
+    (lambda: _ssr_with_slack(np.array([0.0, np.nan, 0.1, 0.1])), "delta"),
+    # a NaN ambiguity used to fail only at the first backward step's solve
+    (lambda: _fit_with_ambiguity(np.nan), "ambiguity"),
+    (lambda: _fit_with_ambiguity(np.inf), "ambiguity"),
+    (lambda: DpModel.from_transfer(np.eye(2), np.ones(2), ambiguity=np.nan), "ambiguity"),
+], ids=["ssr-nan", "ssr-nan-cell", "fit-nan", "fit-inf", "chain-nan"])
+def test_non_finite_slack_or_ambiguity_is_refused(build, named):
+    with pytest.raises(ValueError, match=named):
+        build()
 
 
 class TestSpectralDecay:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from safecert import GroundTruthGrid, OneStepPairs, TrajectorySet
-from safecert.io import format_table, header_fields, parse_table, read_table
+from safecert.io import format_table, parse_table, read_table
 
 HEAD = "config=abc seed=1"
 
@@ -66,7 +66,7 @@ class TestParse:
         assert data.tolist() == [["dp", "0.5"]]
 
     def test_no_header_fields_without_comment(self):
-        assert header_fields("a,b\n1,2\n") == {}
+        assert parse_table("a,b\n1,2\n")[0] == {}
 
 
 class TestReadTable:
