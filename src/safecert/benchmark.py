@@ -279,12 +279,18 @@ class TrajectorySet:
 
     @classmethod
     def from_csv(cls, text: str) -> "TrajectorySet":
+        """The set ``to_csv`` wrote; rows out of its order are refused, naming the first."""
         _, columns, data = parse_table(text)
-        ids, traj_of_row = np.unique(data[:, 0], return_inverse=True)
-        t = data[:, 1].astype(int)
-        states = np.empty((len(ids), len(np.unique(t)), len(columns) - 2))
-        states[traj_of_row, t] = data[:, 2:]
-        return cls(states=states)
+        # as many steps per trajectory as the first one has
+        steps = max(1, np.count_nonzero(data[:, 0] == data[:1, 0]))
+        ids, t = np.divmod(np.arange(-(-len(data) // steps) * steps), steps)
+        bad = np.flatnonzero((data[:, 0] != ids[:len(data)]) | (data[:, 1] != t[:len(data)]))
+        r = bad[0] if bad.size else len(data)
+        if r < len(ids):
+            found = (f"trajectory {data[r, 0]:g} at t = {data[r, 1]:g}" if r < len(data)
+                     else "the end of the table")
+            raise ValueError(f"row {r}: expected trajectory {ids[r]} at t = {t[r]}, found {found}")
+        return cls(states=np.ascontiguousarray(data[:, 2:]).reshape(-1, steps, len(columns) - 2))
 
 
 @dataclass

@@ -80,21 +80,6 @@ class BinnedCalibrator:
         }
         return json.dumps(payload, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "BinnedCalibrator":
-        d = json.loads(text)
-        return cls(
-            edges=np.asarray(d["edges"], dtype=float),
-            counts=np.asarray(d["counts"], dtype=int),
-            rates=np.asarray(d["rates"], dtype=float),
-            widths=np.asarray(d["widths"], dtype=float),
-            certified=np.asarray(d["certified"], dtype=float),
-            delta_conf=float(d["delta_conf"]),
-            n_cal=int(d["n_cal"]),
-            requested_bins=int(d["requested_bins"]),
-            degenerate=bool(d["degenerate"]),
-        )
-
 
 def _merge_empty_bins(edges: list[float], counts: np.ndarray) -> list[float]:
     """Merge each empty bin toward its nearest nonempty neighbor, one edge at a time."""

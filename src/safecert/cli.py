@@ -15,9 +15,10 @@ Subcommands mirror the experiment stages; only certify fits models:
 Every stage runs over the cells of the config grid, one per (alpha, T, seed).
 A cell record owns the cell's files: their names ``<name>_a<alpha>_T<T>_s<seed>``,
 the provenance header each one starts with (config hash, seed, alpha, T), and
-the checked read that refuses a table whose header names another cell or
-config.  A config whose cells would share a file name is refused before any
-stage runs.
+``read``, the one way a stage reads a table, which refuses one whose header
+names another cell or config or that does not decode (a non-finite cell, say).
+A stage reads all its tables before it writes, and a config whose cells
+would share a file name is refused before any stage runs.
 
 Exit codes: 0 on success, 1 on runtime or numeric failure (missing data
 files and tables written under another config hash, seed, alpha or T
@@ -43,7 +44,7 @@ from . import metrics as mx
 from .config import METHODS, ConfigError, ExperimentConfig, load_config
 from .direct import fit_direct, predict
 from .dp import DpModel, backward_value, evaluate_dp, fit_dp
-from .io import atomic_write, format_table, header_comment, parse_table, read_table
+from .io import atomic_write, format_table, header_comment, read_table, table_array
 from .kernels import NumericError
 
 __all__ = ["main"]
@@ -84,23 +85,11 @@ class _Cell:
         return header_comment(self.cfg.config_hash, self.seed, alpha=self.alpha_text, T=self.T,
                               **extra)
 
-    def read(self, name: str) -> str:
-        """Text of the table ``<name>_<tag>.csv``; a file written under
-        another config hash, seed, alpha or T is refused with a ValueError."""
-        return read_table(self.path(name), config=self.cfg.config_hash, seed=self.seed,
+    def read(self, name: str, decode=table_array):
+        """``decode`` (the cell array by default) of ``<name>_<tag>.csv``; a file
+        ``decode`` refuses or written under another config is refused."""
+        return read_table(self.path(name), decode, config=self.cfg.config_hash, seed=self.seed,
                           alpha=self.alpha_text, T=self.T)
-
-    def table(self, name: str) -> np.ndarray:
-        """The cells of ``<name>_<tag>.csv``, checked as ``read`` does; a
-        non-finite entry is refused with a ValueError naming the file, its
-        row and its column."""
-        _, columns, data = parse_table(self.read(name))
-        bad = np.argwhere(~np.isfinite(data))
-        if bad.size:
-            row, col = bad[0]
-            raise ValueError(f"{self.path(name)}: row {row}, column {columns[col]} is not "
-                             f"finite ({data[row, col]})")
-        return data
 
     def write_table(self, name: str, table, **extra) -> None:
         """Write ``<name>_<tag>.csv`` under the cell's header plus ``extra``:
@@ -165,13 +154,12 @@ def _mc_cell(cell: _Cell) -> None:
 
 # ---------------------------------------------------------------- certify
 
-def _certify_estimates(cell: _Cell, method: str, model: DpModel | None,
-                       abstraction: tuple[ab.Partition, np.ndarray] | None,
+def _certify_estimates(cell: _Cell, method: str, ts: bm.TrajectorySet | None,
+                       model: DpModel | None, abstraction: tuple[ab.Partition, np.ndarray] | None,
                        x_cal: np.ndarray) -> None:
     cfg, T = cell.cfg, cell.T
     region = bm.default_safe_region()
     if method == "direct":
-        ts = bm.TrajectorySet.from_csv(cell.read("data/trajs"))
         direct = fit_direct(cfg.kernel_spec("direct", T), ts, region)
         score_at = lambda pts: predict(direct, pts)
     elif method == "dp":
@@ -211,14 +199,17 @@ def _certify_barrier(cell: _Cell, model: DpModel) -> None:
 def _certify_cell(cell: _Cell, methods: tuple[str, ...]) -> None:
     cfg = cell.cfg
     region = bm.default_safe_region()
-    x_cal = cell.table("data/cal")[:, :2]
+    # every table the methods need comes first, so a refused one writes no file
+    x_cal = cell.read("data/cal")[:, :2]
+    ts = cell.read("data/trajs", bm.TrajectorySet.from_csv) if "direct" in methods else None
+    pairs = (cell.read("data/pairs", bm.OneStepPairs.from_csv)
+             if set(methods) - {"direct"} else None)
     # dp, imp, ssr and barrier share one dp fit, and imp and ssr one partition
     # and cell matrix; each is made when the first method that needs it comes
     # up, so that none is held while direct fits its own model
     dp_model = abstraction = None
     for method in methods:
         if method != "direct" and dp_model is None:
-            pairs = bm.OneStepPairs.from_csv(cell.read("data/pairs"))
             dp_model = fit_dp(cfg.kernel_spec("dp", cell.T), pairs, region,
                               ambiguity=cfg["dp.ambiguity"])
         if method in ("imp", "ssr") and abstraction is None:
@@ -227,20 +218,20 @@ def _certify_cell(cell: _Cell, methods: tuple[str, ...]) -> None:
         if method == "barrier":
             _certify_barrier(cell, dp_model)
         else:
-            _certify_estimates(cell, method, dp_model, abstraction, x_cal)
+            _certify_estimates(cell, method, ts, dp_model, abstraction, x_cal)
 
 
 # ---------------------------------------------------------------- calibrate
 
 def _calibrate_cell(cell: _Cell, methods: tuple[str, ...]) -> None:
     # post-processing only: the scores and grid estimates are certify's
-    outcomes = cell.table("data/cal")[:, 2]
+    outcomes = cell.read("data/cal")[:, 2]
     # every method's calibrator and bounds come first, so a refused table or
     # score writes none of the cell's files
     results = []
     for method in methods:
-        scores = cell.table(f"cal/scores_{method}")[:, 0]
-        pred = cell.table(f"pred/{method}")
+        scores = cell.read(f"cal/scores_{method}")[:, 0]
+        pred = cell.read(f"pred/{method}")
         calibrator = cal.calibrate(scores, outcomes, n_bins=cell.cfg["calibration.bins"],
                                    delta_conf=cell.cfg["calibration.delta"])
         bounds = cal.certified_lower_bound(calibrator, pred[:, 2])
@@ -258,15 +249,15 @@ _METRIC_COLS = ["rmse", "excess_rmse", "brier", "brier_binned", "rel", "res", "u
 def _evaluate(cells: list[_Cell], methods: tuple[str, ...], seed_offset: int) -> None:
     rows = []  # method, alpha, T, seed, then the _METRIC_COLS values
     for cell in cells:
-        mc = cell.table("mc/mc")
-        p_mc = mc[:, 2]
+        mc = cell.read("mc/mc", bm.GroundTruthGrid.from_csv)
+        p_mc = mc.p_mc
         for method in methods:
-            pred = cell.table(f"pred/{method}")
+            pred = cell.read(f"pred/{method}")
             # rows are joined by position; both tables write eval_grid's points
             # through the same format, so their coordinates agree exactly
-            if not np.array_equal(pred[:, :2], mc[:, :2]):
+            if not np.array_equal(pred[:, :2], mc.grid):
                 raise ValueError(f"{cell.path(f'pred/{method}')} ({len(pred)} rows) and "
-                                 f"{cell.path('mc/mc')} ({len(mc)} rows) do not list the same "
+                                 f"{cell.path('mc/mc')} ({len(p_mc)} rows) do not list the same "
                                  "grid points in the same order")
             est = np.clip(pred[:, 2], 0.0, 1.0)
             rep = mx.brier_decomposition_mc(est, p_mc, n_bins=10)

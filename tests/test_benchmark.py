@@ -363,6 +363,32 @@ class TestCsvRoundTrips:
         back = TrajectorySet.from_csv(text)
         assert np.array_equal(back.states, small_trajs.states)
 
+    @pytest.mark.parametrize("edit, message", [
+        ("drop", "row 7: expected trajectory 1 at t = 1, found trajectory 1 at t = 2"),
+        ("duplicate", "row 8: expected trajectory 1 at t = 2, found trajectory 1 at t = 1"),
+        ("swap", "row 7: expected trajectory 1 at t = 1, found trajectory 1 at t = 2"),
+        ("drop last", "row 479: expected trajectory 79 at t = 5, found the end of the table"),
+        ("move trajectory", "row 0: expected trajectory 0 at t = 0, found trajectory 1 at t = 0"),
+    ])
+    def test_trajectory_rows_out_of_writer_order_are_refused(self, small_trajs, edit, message):
+        """Rows used to be scattered into an uninitialised array by their ids,
+        so a dropped row left garbage as a state and exited 0."""
+        lines = small_trajs.to_csv().splitlines(keepends=True)
+        head, rows = lines[:1], lines[1:]  # small_trajs: 80 trajectories at t = 0..5
+        if edit == "drop":
+            del rows[7]
+        elif edit == "duplicate":
+            rows.insert(7, rows[7])
+        elif edit == "swap":
+            rows[7], rows[8] = rows[8], rows[7]
+        elif edit == "drop last":
+            del rows[-1]
+        else:
+            rows = rows[6:12] + rows[:6] + rows[12:]
+        with pytest.raises(ValueError) as exc:
+            TrajectorySet.from_csv("".join(head + rows))
+        assert str(exc.value) == message
+
     def test_onestep_pairs(self, small_pairs):
         from safecert import OneStepPairs
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from safecert import (
-    BinnedCalibrator,
     calibrate,
     certified_lower_bound,
 )
@@ -175,17 +174,3 @@ class TestCoverage:
             if certified_lower_bound(cal, np.float64(p_test)) > p_test:
                 miss += 1
         assert miss / reps <= 0.13
-
-
-class TestSerialization:
-    def test_json_round_trip(self):
-        scores, outcomes = balanced_set()
-        cal = calibrate(scores, outcomes, n_bins=6, delta_conf=0.05)
-        back = BinnedCalibrator.from_json(cal.to_json())
-        assert np.array_equal(back.edges, cal.edges)
-        assert np.array_equal(back.counts, cal.counts)
-        assert np.array_equal(back.rates, cal.rates)
-        assert np.array_equal(back.certified, cal.certified)
-        assert back.delta_conf == cal.delta_conf
-        assert back.n_cal == cal.n_cal
-        assert back.degenerate == cal.degenerate

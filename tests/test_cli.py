@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -88,6 +89,39 @@ class TestIoHelpers:
         assert h == "config=abc123def456 seed=7 T=5 alpha=0.5"
 
 
+# every (stage, table it reads) pair, with the files the stage writes; the
+# edits: a nan as the last value of the first row, or the row of trajectory 3
+# at t = 1 dropped or written twice
+_STAGE_WRITES = {"certify": ("pred/*", "cal/scores_*"),
+                 "calibrate": ("cal/calibrator_*", "cal/bounds_*"),
+                 "evaluate": ("metrics*.csv",)}
+_FAULTS = [
+    ("certify", "data/cal", "nan", "row 0, column safe is not finite (nan)"),
+    ("certify", "data/trajs", "nan", "row 0, column x2 is not finite (nan)"),
+    ("certify", "data/trajs", "drop", "row 10: expected trajectory 3 at t = 1, "
+                                      "found trajectory 3 at t = 2"),
+    ("certify", "data/trajs", "duplicate", "row 11: expected trajectory 3 at t = 2, "
+                                           "found trajectory 3 at t = 1"),
+    ("certify", "data/pairs", "nan", "row 0, column xn2 is not finite (nan)"),
+    ("calibrate", "data/cal", "nan", "row 0, column safe is not finite (nan)"),
+    ("calibrate", "cal/scores_direct", "nan", "row 0, column score is not finite (nan)"),
+    ("calibrate", "pred/direct", "nan", "row 0, column estimate is not finite (nan)"),
+    ("evaluate", "mc/mc", "nan", "row 0, column p_mc is not finite (nan)"),
+    ("evaluate", "pred/dp", "nan", "row 0, column estimate is not finite (nan)"),
+]
+
+
+@pytest.fixture(scope="module")
+def certified(tmp_path_factory) -> tuple[Path, Path]:
+    """(config, output) of gen-data, mc-oracle and certify on the tiny config."""
+    root = tmp_path_factory.mktemp("certified")
+    cfg = root / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG)
+    for stage in ("gen-data", "mc-oracle", "certify"):
+        assert run(stage, "--config", str(cfg), "--out", str(root / "o")) == 0
+    return cfg, root / "o"
+
+
 class TestExitCodes:
     def test_bad_config_key_exits_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -157,22 +191,6 @@ class TestExitCodes:
         assert "barrier writes a report" in capsys.readouterr().err
         assert not (out / "metrics.csv").exists()
 
-    def test_evaluate_on_a_nan_prediction_exits_1(self, cfg_path, tmp_path, capsys):
-        out = tmp_path / "o"
-        for stage in ("gen-data", "mc-oracle", "certify"):
-            assert run(stage, "--config", str(cfg_path), "--method", "dp", "--out", str(out)) == 0
-        pred = out / "pred" / "dp_a0_T2_s1.csv"
-        lines = pred.read_text().splitlines(keepends=True)
-        # the comment line, the column names, then the first grid point
-        lines[2] = lines[2].rsplit(",", 1)[0] + ",nan\n"
-        pred.write_text("".join(lines))
-        capsys.readouterr()
-        assert run("evaluate", "--config", str(cfg_path), "--method", "dp", "--out", str(out)) == 1
-        # the error line names the table, so a sweep's bad cell can be found
-        assert (f"error: {pred}: row 0, column estimate is not finite (nan)"
-                in capsys.readouterr().err)
-        assert not (out / "metrics.csv").exists()
-
     @pytest.mark.parametrize("edit", ["swap", "drop"])
     def test_evaluate_refuses_pred_and_mc_on_other_grid_points(self, cfg_path, tmp_path, capsys,
                                                                edit):
@@ -198,22 +216,31 @@ class TestExitCodes:
         assert "pred/direct_a0_T2_s1.csv" in err and "mc/mc_a0_T2_s1.csv" in err
         assert not (out / "metrics.csv").exists()
 
-    def test_calibrate_on_a_nan_estimate_writes_neither_file(self, cfg_path, tmp_path, capsys):
+    @pytest.mark.parametrize("stage, table, edit, message", _FAULTS,
+                             ids=[f"{s}-{t.replace('/', '_')}-{e}" for s, t, e, _ in _FAULTS])
+    def test_bad_table_writes_nothing(self, certified, tmp_path, capsys, stage, table, edit,
+                                      message):
+        """A stage exits 1 on a refused table, names it and writes none of its files."""
+        cfg, built = certified
         out = tmp_path / "o"
-        for stage in ("gen-data", "certify"):
-            assert run(stage, "--config", str(cfg_path), "--method", "direct",
-                       "--out", str(out)) == 0
-        pred = out / "pred" / "direct_a0_T2_s1.csv"
-        lines = pred.read_text().splitlines(keepends=True)
-        lines[2] = lines[2].rsplit(",", 1)[0] + ",nan\n"
-        pred.write_text("".join(lines))
+        shutil.copytree(built, out)
+        for pattern in _STAGE_WRITES[stage]:
+            for p in out.glob(pattern):
+                p.unlink()
+        path = out / f"{table}_a0_T2_s1.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        # the comment line, the column names, then the rows
+        if edit == "nan":
+            lines[2] = "".join(lines[2].rpartition(",")[:2]) + "nan\n"
+        else:
+            row = next(i for i, line in enumerate(lines) if line.startswith("3,1,"))
+            lines[row:row + 1] = [] if edit == "drop" else [lines[row]] * 2
+        path.write_text("".join(lines))
         capsys.readouterr()
-        assert run("calibrate", "--config", str(cfg_path), "--method", "direct",
-                   "--out", str(out)) == 1
-        assert (f"error: {pred}: row 0, column estimate is not finite (nan)"
-                in capsys.readouterr().err)
-        assert not list((out / "cal").glob("calibrator_direct_*"))
-        assert not list((out / "cal").glob("bounds_direct_*"))
+        assert run(stage, "--config", str(cfg), "--out", str(out)) == 1
+        # the error line names the table, so a sweep's bad cell can be found
+        assert f"error: {path}: {message}\n" in capsys.readouterr().err
+        assert not [p for pattern in _STAGE_WRITES[stage] for p in out.glob(pattern)]
 
     def test_calibrate_writes_all_of_a_cell_or_none(self, cfg_path, tmp_path, capsys):
         """A bad table of the cell's last method used to leave the files of

@@ -68,12 +68,39 @@ class TestParse:
     def test_no_header_fields_without_comment(self):
         assert parse_table("a,b\n1,2\n")[0] == {}
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_is_refused_by_row_and_column(self, value):
+        with pytest.raises(ValueError, match=rf"^row 1, column y is not finite \({value}\)$"):
+            parse_table(f"x,y\n0.5,1\n2,{value}\n")
+
+    def test_string_cells_are_not_checked(self):
+        assert parse_table("method,rmse\nnan,inf\n", dtype=str)[2].tolist() == [["nan", "inf"]]
+
 
 class TestReadTable:
-    def test_matching_header_returns_text(self, tmp_path: Path):
+    def test_matching_header_returns_the_cells(self, tmp_path: Path):
         path = tmp_path / "t.csv"
-        path.write_text("# config=abc seed=1 T=3\na\n1\n")
-        assert read_table(path, config="abc", seed=1, T=3) == "# config=abc seed=1 T=3\na\n1\n"
+        path.write_text("# config=abc seed=1 T=3\na,b\n1,2\n")
+        assert read_table(path, config="abc", seed=1, T=3).tolist() == [[1.0, 2.0]]
+
+    @pytest.mark.parametrize("text, error", [
+        ("# config=abc\na,b\n1,nan\n", "row 0, column b is not finite (nan)"),
+        ("# config=abc\na,b\n1,x\n", "could not convert string to float: 'x'"),
+    ])
+    def test_decode_error_is_prefixed_with_the_path(self, tmp_path: Path, text, error):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            read_table(path, config="abc")
+        assert str(exc.value) == f"{path}: {error}"
+
+    def test_trajectory_decode_error_is_prefixed_with_the_path(self, tmp_path: Path):
+        path = tmp_path / "t.csv"
+        path.write_text("# config=abc\ntraj_id,t,x1\n0,0,1\n0,2,1\n")
+        with pytest.raises(ValueError) as exc:
+            read_table(path, TrajectorySet.from_csv, config="abc")
+        assert str(exc.value) == (f"{path}: row 1: expected trajectory 0 at t = 1, "
+                                  "found trajectory 0 at t = 2")
 
     def test_missing_file(self, tmp_path: Path):
         with pytest.raises(FileNotFoundError, match="missing data file"):
