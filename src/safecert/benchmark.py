@@ -21,6 +21,7 @@ through t = T is safe.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,6 +202,11 @@ def _rollout(params: SynthSystemParams, x0s: np.ndarray, noise: np.ndarray) -> n
     step t (drawn but unused at t = T).  Every operation is elementwise, so
     row i depends only on ``x0s[i]`` and ``noise[:, i]``.  Returns (n, T+1, 2).
 
+    Prefix contract: state t + 1 reads only ``noise[:t + 1]``, so for any
+    S <= T, ``_rollout(params, x0s, noise[:S + 1])`` equals
+    ``_rollout(params, x0s, noise)[:, :S + 1]`` bit for bit.  One rollout at
+    the longest horizon therefore holds every shorter horizon's rollouts.
+
     x1, x2, z1 and z2 are stepped as contiguous (n,) arrays in place, in the
     order of x_{t+1} = clip((x_t + h·f(x_t)) + z_t) and
     z_{t+1} = alpha·(z_t + fb) + (w_scale·w_t), so each value is rounded as
@@ -352,6 +358,12 @@ def gen_dataset(
     (``standard_normal((T+1, 2))``, z_0 and then one innovation per step).
     All n trajectories are simulated in one pass, so the noise is held next
     to the states: (T+1)·n·2 floats, the size of the result.
+
+    Prefix contract: a stream's draws at horizon S <= T are the first draws
+    it makes at T, and ``_rollout`` keeps prefixes, so
+    ``gen_dataset(..., S, ...).states`` equals
+    ``gen_dataset(..., T, ...).states[:, :S + 1]`` bit for bit for the same
+    n, seed and purpose.
     """
     if n <= 0:
         raise ValueError("n must be positive")
@@ -427,33 +439,51 @@ def mc_ground_truth(
     params: SynthSystemParams,
     region: SafeRegion,
     grid: np.ndarray,
-    T: int,
+    T: int | Sequence[int],
     n_mc: int,
     seed: int,
-) -> GroundTruthGrid:
+) -> GroundTruthGrid | list[GroundTruthGrid]:
     """Monte Carlo estimate of the safety probability at each grid point.
 
-    Grid point g owns the substream (seed, "mc", g) and draws all of its
-    noise from it in one call, ``standard_normal((T+1, n_mc, 2))``: step by
-    step, n_mc rollouts at a time.  Unsafe starting points are 0 and draw
+    ``T`` is one horizon, which returns one grid, or a sequence of horizons,
+    which returns one grid per horizon in the order given.  Grid point g owns
+    the substream (seed, "mc", g) and draws all of its noise from it in one
+    call, ``standard_normal((T+1, n_mc, 2))`` at the longest horizon T: step
+    by step, n_mc rollouts at a time.  Unsafe starting points are 0 and draw
     nothing.  Safe points are simulated and scored in blocks of whole points,
     as many as fit in ``_MC_BLOCK`` rollouts and at least one, so a block
     holds max(_MC_BLOCK, n_mc)·(T+1)·2 floats of noise and as many of states.
+
+    Prefix contract: every horizon is read off the same rollouts, through a
+    running "safe so far" flag per rollout, and the draws and states at a
+    shorter horizon are a prefix of those at the longest (see ``_rollout``).
+    So the grids of a sequence of horizons equal, bit for bit, those of one
+    call per horizon.
     """
-    if T < 0:
+    single = np.ndim(T) == 0
+    horizons = (T,) if single else tuple(T)
+    if not horizons:
+        raise ValueError("at least one horizon is needed")
+    if min(horizons) < 0:
         raise ValueError("T must be nonnegative")
     if n_mc <= 0:
         raise ValueError("n_mc must be positive")
+    T_max = max(horizons)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    p = np.zeros(grid.shape[0])
+    p = np.zeros((len(horizons), grid.shape[0]))
     safe_starts = np.flatnonzero(is_safe(region, grid))
     per_block = max(1, _MC_BLOCK // n_mc)
     for first in range(0, safe_starts.size, per_block):
         points = safe_starts[first:first + per_block]
-        noise = np.empty((T + 1, points.size * n_mc, 2))
+        noise = np.empty((T_max + 1, points.size * n_mc, 2))
         for j, g in enumerate(points):
             rng = stream(seed, "mc", g)
-            noise[:, j * n_mc:(j + 1) * n_mc] = rng.standard_normal((T + 1, n_mc, 2))
+            noise[:, j * n_mc:(j + 1) * n_mc] = rng.standard_normal((T_max + 1, n_mc, 2))
         rolls = _rollout(params, np.repeat(grid[points], n_mc, axis=0), noise)
-        p[points] = trajectory_safe(region, rolls).reshape(points.size, n_mc).mean(axis=1)
-    return GroundTruthGrid(grid=grid, p_mc=p)
+        # column t: the rollout stayed safe from step 0 through step t
+        safe = _safe_columns(region, [rolls[..., k] for k in range(rolls.shape[2])])
+        np.logical_and.accumulate(safe, axis=1, out=safe)
+        for k, horizon in enumerate(horizons):
+            p[k, points] = safe[:, horizon].reshape(points.size, n_mc).mean(axis=1)
+    grids = [GroundTruthGrid(grid=grid, p_mc=row) for row in p]
+    return grids[0] if single else grids

@@ -12,13 +12,18 @@ Subcommands mirror the experiment stages; only certify fits models:
   evaluate    metrics of predictions against the MC grids
   sweep       all of the above for the full config grid
 
-Every stage runs over the cells of the config grid, one per (alpha, T, seed).
-A cell record owns the cell's files: their names ``<name>_a<alpha>_T<T>_s<seed>``,
-the provenance header each one starts with (config hash, seed, alpha, T), and
+The config grid has one cell per (alpha, T, seed).  certify and calibrate
+run once per cell, evaluate once over all of them, and gen-data and mc-oracle
+once per (alpha, seed) column: they simulate at the column's longest horizon
+and write every cell of the column from those rollouts, since a shorter
+horizon's draws and states are a prefix of a longer one's.  A cell record
+owns the cell's files: their names ``<name>_a<alpha>_T<T>_s<seed>``, the
+provenance header each one starts with (config hash, seed, alpha, T), and
 ``read``, the one way a stage reads a table, which refuses one whose header
-names another cell or config or that does not decode (a non-finite cell, say).
-A stage reads all its tables before it writes, and a config whose cells
-would share a file name is refused before any stage runs.
+names another cell or config, whose column line is not its writer's, or that
+does not decode (a non-finite cell, say).  A stage reads all its tables
+before it writes, and a config whose cells would share a file name is
+refused before any stage runs.
 
 Exit codes: 0 on success, 1 on runtime or numeric failure (missing data
 files and tables written under another config hash, seed, alpha or T
@@ -85,11 +90,12 @@ class _Cell:
         return header_comment(self.cfg.config_hash, self.seed, alpha=self.alpha_text, T=self.T,
                               **extra)
 
-    def read(self, name: str, decode=table_array):
+    def read(self, name: str, columns: list[str], decode=table_array):
         """``decode`` (the cell array by default) of ``<name>_<tag>.csv``; a file
-        ``decode`` refuses or written under another config is refused."""
-        return read_table(self.path(name), decode, config=self.cfg.config_hash, seed=self.seed,
-                          alpha=self.alpha_text, T=self.T)
+        written under another config, with a column line other than ``columns``
+        or that ``decode`` refuses is refused."""
+        return read_table(self.path(name), decode, columns, config=self.cfg.config_hash,
+                          seed=self.seed, alpha=self.alpha_text, T=self.T)
 
     def write_table(self, name: str, table, **extra) -> None:
         """Write ``<name>_<tag>.csv`` under the cell's header plus ``extra``:
@@ -126,30 +132,51 @@ def _grid_table(grid: np.ndarray, values: np.ndarray, value_name: str) -> tuple:
     return ["gx", "gy", value_name], np.column_stack([grid, values]).tolist()
 
 
+# the column line of every table a stage reads, as its writer writes it (the
+# dataset records' to_csv at d = 2, or the stage); _Cell.read refuses any other
+_TRAJ_COLUMNS = ["traj_id", "t", "x1", "x2"]
+_PAIR_COLUMNS = ["x1", "x2", "xn1", "xn2"]
+_CAL_COLUMNS = ["x1", "x2", "safe"]
+_MC_COLUMNS = ["gx", "gy", "p_mc"]
+_PRED_COLUMNS = ["gx", "gy", "estimate"]
+_SCORE_COLUMNS = ["score"]
+
+
 # ---------------------------------------------------------------- gen-data
 
-def _gen_cell(cell: _Cell) -> None:
-    cfg, params, T, seed = cell.cfg, cell.params, cell.T, cell.seed
+def _gen_column(cells: tuple[_Cell, ...]) -> None:
+    # one draw per purpose at the column's longest horizon; each shorter
+    # horizon's rollouts are its first T + 1 states (gen_dataset's prefix
+    # contract), and its pairs are drawn for the cell alone
+    first = cells[0]
+    cfg, params, seed = first.cfg, first.params, first.seed
     region = bm.default_safe_region()
-    ts = bm.gen_dataset(params, region, cfg["data.n_trajectories"], T, seed)
-    cell.write_table("data/trajs", ts, kind="trajectories")
-
+    T_max = max(cell.T for cell in cells)
+    ts = bm.gen_dataset(params, region, cfg["data.n_trajectories"], T_max, seed)
+    cal_ts = bm.gen_dataset(params, region, cfg["data.n_calibration"], T_max, seed,
+                            purpose="cal-traj")
     mode = cfg["data.mode"]
-    pairs = bm.extract_onestep_pairs(ts, cfg.n_pairs(T), mode, seed, params=params, region=region)
-    cell.write_table("data/pairs", pairs, kind=f"pairs-{mode}")
-
-    cal_ts = bm.gen_dataset(params, region, cfg["data.n_calibration"], T, seed, purpose="cal-traj")
-    rows = np.column_stack([cal_ts.initial_states, bm.trajectory_safe(region, cal_ts.states)])
-    cell.write_table("data/cal", (["x1", "x2", "safe"], rows.tolist()), kind="calibration")
+    for cell in cells:
+        cell_ts = bm.TrajectorySet(states=ts.states[:, :cell.T + 1])
+        cell.write_table("data/trajs", cell_ts, kind="trajectories")
+        pairs = bm.extract_onestep_pairs(cell_ts, cfg.n_pairs(cell.T), mode, seed, params=params,
+                                         region=region)
+        cell.write_table("data/pairs", pairs, kind=f"pairs-{mode}")
+        safe = bm.trajectory_safe(region, cal_ts.states[:, :cell.T + 1])
+        rows = np.column_stack([cal_ts.initial_states, safe])
+        cell.write_table("data/cal", (_CAL_COLUMNS, rows.tolist()), kind="calibration")
 
 
 # ---------------------------------------------------------------- mc-oracle
 
-def _mc_cell(cell: _Cell) -> None:
+def _mc_column(cells: tuple[_Cell, ...]) -> None:
+    # every horizon of the column is scored off one set of rollouts
+    first = cells[0]
     region = bm.default_safe_region()
-    gt = bm.mc_ground_truth(cell.params, region, _grid(cell.cfg, region), cell.T,
-                            cell.cfg["mc.rollouts"], cell.seed)
-    cell.write_table("mc/mc", gt, kind="mc")
+    grids = bm.mc_ground_truth(first.params, region, _grid(first.cfg, region),
+                               [cell.T for cell in cells], first.cfg["mc.rollouts"], first.seed)
+    for cell, gt in zip(cells, grids):
+        cell.write_table("mc/mc", gt, kind="mc")
 
 
 # ---------------------------------------------------------------- certify
@@ -177,7 +204,7 @@ def _certify_estimates(cell: _Cell, method: str, ts: bm.TrajectorySet | None,
     cell.write_table(f"pred/{method}", _grid_table(grid, score_at(grid), "estimate"),
                      method=method)
     # the same fit scored at the calibration set, for calibrate to bin
-    cell.write_table(f"cal/scores_{method}", (["score"], score_at(x_cal)[:, None].tolist()),
+    cell.write_table(f"cal/scores_{method}", (_SCORE_COLUMNS, score_at(x_cal)[:, None].tolist()),
                      method=method)
 
 
@@ -200,9 +227,10 @@ def _certify_cell(cell: _Cell, methods: tuple[str, ...]) -> None:
     cfg = cell.cfg
     region = bm.default_safe_region()
     # every table the methods need comes first, so a refused one writes no file
-    x_cal = cell.read("data/cal")[:, :2]
-    ts = cell.read("data/trajs", bm.TrajectorySet.from_csv) if "direct" in methods else None
-    pairs = (cell.read("data/pairs", bm.OneStepPairs.from_csv)
+    x_cal = cell.read("data/cal", _CAL_COLUMNS)[:, :2]
+    ts = (cell.read("data/trajs", _TRAJ_COLUMNS, bm.TrajectorySet.from_csv)
+          if "direct" in methods else None)
+    pairs = (cell.read("data/pairs", _PAIR_COLUMNS, bm.OneStepPairs.from_csv)
              if set(methods) - {"direct"} else None)
     # dp, imp, ssr and barrier share one dp fit, and imp and ssr one partition
     # and cell matrix; each is made when the first method that needs it comes
@@ -225,13 +253,13 @@ def _certify_cell(cell: _Cell, methods: tuple[str, ...]) -> None:
 
 def _calibrate_cell(cell: _Cell, methods: tuple[str, ...]) -> None:
     # post-processing only: the scores and grid estimates are certify's
-    outcomes = cell.read("data/cal")[:, 2]
+    outcomes = cell.read("data/cal", _CAL_COLUMNS)[:, 2]
     # every method's calibrator and bounds come first, so a refused table or
     # score writes none of the cell's files
     results = []
     for method in methods:
-        scores = cell.read(f"cal/scores_{method}")[:, 0]
-        pred = cell.read(f"pred/{method}")
+        scores = cell.read(f"cal/scores_{method}", _SCORE_COLUMNS)[:, 0]
+        pred = cell.read(f"pred/{method}", _PRED_COLUMNS)
         calibrator = cal.calibrate(scores, outcomes, n_bins=cell.cfg["calibration.bins"],
                                    delta_conf=cell.cfg["calibration.delta"])
         bounds = cal.certified_lower_bound(calibrator, pred[:, 2])
@@ -246,13 +274,13 @@ def _calibrate_cell(cell: _Cell, methods: tuple[str, ...]) -> None:
 _METRIC_COLS = ["rmse", "excess_rmse", "brier", "brier_binned", "rel", "res", "unc", "res_norm"]
 
 
-def _evaluate(cells: list[_Cell], methods: tuple[str, ...], seed_offset: int) -> None:
+def _evaluate(cells: list[_Cell], methods: tuple[str, ...]) -> None:
     rows = []  # method, alpha, T, seed, then the _METRIC_COLS values
     for cell in cells:
-        mc = cell.read("mc/mc", bm.GroundTruthGrid.from_csv)
+        mc = cell.read("mc/mc", _MC_COLUMNS, bm.GroundTruthGrid.from_csv)
         p_mc = mc.p_mc
         for method in methods:
-            pred = cell.read(f"pred/{method}")
+            pred = cell.read(f"pred/{method}", _PRED_COLUMNS)
             # rows are joined by position; both tables write eval_grid's points
             # through the same format, so their coordinates agree exactly
             if not np.array_equal(pred[:, :2], mc.grid):
@@ -265,7 +293,8 @@ def _evaluate(cells: list[_Cell], methods: tuple[str, ...], seed_offset: int) ->
                          mx.excess_rmse(est, p_mc), rep.brier, rep.brier_binned,
                          rep.rel, rep.res, rep.unc, rep.res_norm])
     cfg, out = cells[0].cfg, cells[0].out
-    head = header_comment(cfg.config_hash, seed_offset, kind="metrics")
+    # the header's seed is the run's seed offset, by which every cell's seed is shifted
+    head = header_comment(cfg.config_hash, cells[0].seed - cfg["seeds"][0], kind="metrics")
     columns = ["method", "alpha", "T", "seed"] + _METRIC_COLS
     atomic_write(out / "metrics.csv", format_table(columns, rows, head))
 
@@ -286,17 +315,31 @@ def _evaluate(cells: list[_Cell], methods: tuple[str, ...], seed_offset: int) ->
 
 # ---------------------------------------------------------------- plumbing
 
-# the pipeline in sweep order: stage -> (help, function, the methods it takes).
-# evaluate runs once over all cells, every other stage once per cell.  Methods
-# are None for stages without any, "all" for certify's, or "scored" for those
-# that write estimates: all but barrier, which writes a report.
+# the pipeline in sweep order: stage -> (help, function, the methods it takes,
+# the unit it runs over).  Methods are None for stages without any, "all" for
+# certify's, or "scored" for those that write estimates: all but barrier, which
+# writes a report.  A stage's function is called once per unit: a "cell", an
+# (alpha, seed) "column" of cells in horizon order, or the whole "grid".
 _STAGES = {
-    "gen-data": ("generate trajectory and one-step pair datasets", _gen_cell, None),
-    "mc-oracle": ("Monte Carlo ground-truth safety grids", _mc_cell, None),
-    "certify": ("fit a method and write grid estimates", _certify_cell, "all"),
-    "calibrate": ("histogram-binning calibration of a method's scores", _calibrate_cell, "scored"),
-    "evaluate": ("metrics of stored predictions against MC grids", _evaluate, "scored"),
+    "gen-data": ("generate trajectory and one-step pair datasets", _gen_column, None, "column"),
+    "mc-oracle": ("Monte Carlo ground-truth safety grids", _mc_column, None, "column"),
+    "certify": ("fit a method and write grid estimates", _certify_cell, "all", "cell"),
+    "calibrate": ("histogram-binning calibration of a method's scores", _calibrate_cell,
+                  "scored", "cell"),
+    "evaluate": ("metrics of stored predictions against MC grids", _evaluate, "scored", "grid"),
 }
+
+
+def _units(cells: list[_Cell], unit: str) -> list:
+    """The units a stage runs over, in the order of ``cells``."""
+    if unit == "cell":
+        return cells
+    if unit == "grid":
+        return [cells]
+    columns: dict[tuple, list[_Cell]] = {}
+    for cell in cells:
+        columns.setdefault((cell.alpha, cell.seed), []).append(cell)
+    return [tuple(column) for column in columns.values()]
 
 
 def _methods(cfg: ExperimentConfig, method: str | None, takes: str) -> tuple[str, ...]:
@@ -312,13 +355,15 @@ def _methods(cfg: ExperimentConfig, method: str | None, takes: str) -> tuple[str
     return tuple(m for m in cfg["methods"] if not (scored and m == "barrier"))
 
 
-def _run_cells(fn, cells: list[_Cell], threads: int, **kwargs) -> None:
-    if threads <= 1:
-        for cell in cells:
-            fn(cell, **kwargs)
+def _run_cells(fn, units: list, threads: int, **kwargs) -> None:
+    """``fn(unit, **kwargs)`` for each unit: in a pool of up to ``threads``
+    processes when there is more than one of each, else in this process."""
+    if threads <= 1 or len(units) <= 1:
+        for unit in units:
+            fn(unit, **kwargs)
         return
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, cell, **kwargs) for cell in cells]
+    with ProcessPoolExecutor(max_workers=min(threads, len(units))) as pool:
+        futures = [pool.submit(fn, unit, **kwargs) for unit in units]
         for fut in futures:
             fut.result()
 
@@ -329,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="certified safety-probability bounds from sampled trajectories",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = [(name, helptext) for name, (helptext, _, _) in _STAGES.items()]
+    commands = [(name, helptext) for name, (helptext, *_) in _STAGES.items()]
     for name, helptext in commands + [("sweep", "run the full pipeline over the config grid")]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", default=None, help="path to the experiment config file")
@@ -348,13 +393,11 @@ def main(argv: list[str] | None = None) -> int:
         # every usage error is raised here, before the first stage writes
         stages = []
         for name in list(_STAGES) if args.command == "sweep" else [args.command]:
-            _, fn, takes = _STAGES[name]
-            stages.append((fn, {} if takes is None else {"methods": _methods(cfg, args.method, takes)}))
-        for fn, kwargs in stages:
-            if fn is _evaluate:
-                _evaluate(cells, seed_offset=args.seed_offset, **kwargs)
-            else:
-                _run_cells(fn, cells, args.threads, **kwargs)
+            _, fn, takes, unit = _STAGES[name]
+            kwargs = {} if takes is None else {"methods": _methods(cfg, args.method, takes)}
+            stages.append((fn, _units(cells, unit), kwargs))
+        for fn, units, kwargs in stages:
+            _run_cells(fn, units, args.threads, **kwargs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -5,8 +5,8 @@ cell's alpha and T where there is one), a line of column names and one
 comma-separated row per record, floats as ``.17g`` so they read back bit for
 bit.  Writes go through a temp file plus rename, so readers never observe a
 half-written file and interrupted runs leave no torn output.  ``read_table``
-checks a file's header and decodes it, by default through ``parse_table``,
-which refuses non-finite cells; a decode error names the file.
+checks a file's header and column names and decodes it, by default through
+``parse_table``, which refuses non-finite cells; a decode error names the file.
 """
 
 from __future__ import annotations
@@ -67,14 +67,18 @@ def format_table(columns, rows, header: str = "") -> str:
     return buf.getvalue()
 
 
+def _reader(text: str):
+    """The csv rows of ``text``, column names first; comment and blank lines are skipped."""
+    return csv.reader(line for line in io.StringIO(text) if line.strip() and not line.startswith("#"))
+
+
 def parse_table(text: str, dtype=float) -> tuple[dict[str, str], list[str], np.ndarray]:
     """(header fields, column names, cells as a 2-d array of ``dtype``).
 
     Comment and blank lines other than the header are skipped; a non-finite
     cell of a float table is refused with a ValueError naming its row and column.
     """
-    lines = (line for line in io.StringIO(text) if line.strip() and not line.startswith("#"))
-    reader = csv.reader(lines)
+    reader = _reader(text)
     columns = next(reader)
     # rows are converted as they are read, so the text is never held as cells
     data = np.array([[dtype(v) for v in row] for row in reader], dtype).reshape(-1, len(columns))
@@ -90,12 +94,14 @@ def table_array(text: str) -> np.ndarray:
     return parse_table(text)[2]
 
 
-def read_table(path: str | Path, decode=table_array, **expect):
-    """``decode`` of the text of the table at ``path``, whose header must hold each keyword.
+def read_table(path: str | Path, decode=table_array, columns=None, **expect):
+    """``decode`` of the text of the table at ``path``, whose header must hold
+    each keyword and whose column line, when ``columns`` is given, must be
+    those names in that order.
 
-    A missing file raises FileNotFoundError, a header holding other values a
-    ValueError naming both, and a ValueError of ``decode`` is raised again
-    with the path in front.
+    A missing file raises FileNotFoundError, a header holding other values or
+    another column line a ValueError naming both, and a ValueError of
+    ``decode`` is raised again with the path in front.
     """
     path = Path(path)
     if not path.exists():
@@ -106,6 +112,10 @@ def read_table(path: str | Path, decode=table_array, **expect):
         found = " ".join(f"{k}={got.get(k)}" for k in expect)
         wanted = " ".join(f"{k}={v}" for k, v in expect.items())
         raise ValueError(f"{path} was written under {found}, not {wanted}")
+    if columns is not None:
+        names = next(_reader(text), [])
+        if names != list(columns):
+            raise ValueError(f"{path}: columns are {names}, not {list(columns)}")
     try:
         return decode(text)
     except ValueError as exc:

@@ -253,6 +253,15 @@ class TestSimulation:
             x0 = rng.uniform(lo, hi)
             assert np.array_equal(ts.states[i], stepwise_rollout(params, x0, T, rng)[0])
 
+    @pytest.mark.parametrize("purpose", ["traj", "cal-traj"])
+    def test_shorter_horizon_is_a_prefix(self, region, purpose):
+        """A trajectory's draws at T = 3 are the first of its draws at T = 7,
+        so the shorter set is the first four states of the longer one."""
+        params = SynthSystemParams(alpha=0.95)
+        short = gen_dataset(params, region, n=150, T=3, seed=5, purpose=purpose)
+        long = gen_dataset(params, region, n=150, T=7, seed=5, purpose=purpose)
+        assert np.array_equal(short.states, long.states[:, :4])
+
     def test_gen_dataset_x0_is_uniform_on_the_box(self, markov_params, region):
         """x0 is lo + (hi - lo) * random(d): the draws and roundings of
         ``uniform(lo, hi)`` on the trajectory's own stream."""
@@ -324,12 +333,30 @@ class TestGroundTruth:
         assert np.array_equal(gt.p_mc, again.p_mc)
 
     def test_longer_horizon_never_safer(self, markov_params, region):
-        """Rollout prefixes are shared between horizons at a fixed seed, so
-        the per-point estimate is monotone in T."""
-        grid = eval_grid(region, (5, 5))
-        short = mc_ground_truth(markov_params, region, grid, 3, 80, seed=7)
-        long = mc_ground_truth(markov_params, region, grid, 9, 80, seed=7)
-        assert np.all(long.p_mc <= short.p_mc + 1e-12)
+        """Rollout prefixes are shared between horizons at a fixed seed: one
+        call at several horizons scores, bit for bit, what one call per
+        horizon does, so the per-point estimate is monotone in T.  300
+        rollouts do not divide a block, and the grid has unsafe starts."""
+        grid = np.vstack([eval_grid(region, (6, 6)), [[0.5, 0.3], [9.0, 9.0]]])
+        n_mc = 300
+        assert _MC_BLOCK % n_mc and not broadcast_safe(region, grid).all()
+        assert broadcast_safe(region, grid).sum() > _MC_BLOCK // n_mc
+        grids = mc_ground_truth(markov_params, region, grid, (2, 5, 9), n_mc, seed=7)
+        assert len(grids) == 3
+        for T, gt in zip((2, 5, 9), grids):
+            one = mc_ground_truth(markov_params, region, grid, T, n_mc, seed=7)
+            assert np.array_equal(gt.grid, one.grid)
+            assert np.array_equal(gt.p_mc, one.p_mc)
+        assert np.all(grids[2].p_mc <= grids[1].p_mc) and np.all(grids[1].p_mc <= grids[0].p_mc)
+        # the horizons come back in the order given
+        shuffled = mc_ground_truth(markov_params, region, grid, [9, 2], n_mc, seed=7)
+        assert np.array_equal(shuffled[0].p_mc, grids[2].p_mc)
+        assert np.array_equal(shuffled[1].p_mc, grids[0].p_mc)
+
+    @pytest.mark.parametrize("horizons", [(), (3, -1)])
+    def test_bad_horizon_lists_rejected(self, markov_params, region, horizons):
+        with pytest.raises(ValueError):
+            mc_ground_truth(markov_params, region, eval_grid(region, (2, 2)), horizons, 4, seed=1)
 
     @pytest.mark.parametrize("T, n_mc, grid", [
         (2, 1, "fine"),

@@ -36,6 +36,11 @@ calibration.bins = 4
 """
 
 
+# two (alpha, seed) columns of two horizons each: gen-data and mc-oracle
+# simulate each column once, at T = 4
+TWO_HORIZON_CONFIG = TINY_CONFIG + "system.alphas = 0, 0.95\nhorizons = 2, 4\n"
+
+
 @pytest.fixture()
 def cfg_path(tmp_path: Path) -> Path:
     p = tmp_path / "tiny.cfg"
@@ -90,8 +95,9 @@ class TestIoHelpers:
 
 
 # every (stage, table it reads) pair, with the files the stage writes; the
-# edits: a nan as the last value of the first row, or the row of trajectory 3
-# at t = 1 dropped or written twice
+# edits: a nan as the last value of the first row, the row of trajectory 3
+# at t = 1 dropped or written twice, the last column renamed (upper case),
+# or the last two columns swapped, names and values
 _STAGE_WRITES = {"certify": ("pred/*", "cal/scores_*"),
                  "calibrate": ("cal/calibrator_*", "cal/bounds_*"),
                  "evaluate": ("metrics*.csv",)}
@@ -109,6 +115,21 @@ _FAULTS = [
     ("evaluate", "mc/mc", "nan", "row 0, column p_mc is not finite (nan)"),
     ("evaluate", "pred/dp", "nan", "row 0, column estimate is not finite (nan)"),
 ]
+_READS = [
+    ("certify", "data/cal", ["x1", "x2", "safe"]),
+    ("certify", "data/trajs", ["traj_id", "t", "x1", "x2"]),
+    ("certify", "data/pairs", ["x1", "x2", "xn1", "xn2"]),
+    ("calibrate", "data/cal", ["x1", "x2", "safe"]),
+    ("calibrate", "cal/scores_direct", ["score"]),
+    ("calibrate", "pred/direct", ["gx", "gy", "estimate"]),
+    ("evaluate", "mc/mc", ["gx", "gy", "p_mc"]),
+    ("evaluate", "pred/dp", ["gx", "gy", "estimate"]),
+]
+_FAULTS += [(stage, table, "rename", f"columns are {cols[:-1] + [cols[-1].upper()]}, not {cols}")
+            for stage, table, cols in _READS]
+# a one-column table has no other order
+_FAULTS += [(stage, table, "reorder", f"columns are {cols[:-2] + cols[:-3:-1]}, not {cols}")
+            for stage, table, cols in _READS if len(cols) > 1]
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +253,14 @@ class TestExitCodes:
         # the comment line, the column names, then the rows
         if edit == "nan":
             lines[2] = "".join(lines[2].rpartition(",")[:2]) + "nan\n"
+        elif edit == "rename":
+            head, comma, last = lines[1].rstrip("\n").rpartition(",")
+            lines[1] = f"{head}{comma}{last.upper()}\n"
+        elif edit == "reorder":
+            for i in range(1, len(lines)):
+                fields = lines[i].rstrip("\n").split(",")
+                fields[-2:] = fields[:-3:-1]
+                lines[i] = ",".join(fields) + "\n"
         else:
             row = next(i for i, line in enumerate(lines) if line.startswith("3,1,"))
             lines[row:row + 1] = [] if edit == "drop" else [lines[row]] * 2
@@ -378,12 +407,62 @@ class TestPipeline:
             assert format_table(columns, data.tolist(), header) == text, path.name
 
     def test_parallel_gen_matches_serial(self, cfg_path, tmp_path):
-        a = tmp_path / "serial"
-        b = tmp_path / "parallel"
-        assert run("gen-data", "--config", str(cfg_path), "--out", str(a)) == 0
-        assert run("gen-data", "--config", str(cfg_path), "--out", str(b),
-                   "--threads", "2") == 0
-        assert tree_digest(a) == tree_digest(b)
+        """gen-data and mc-oracle in a pool, over one cell or over two
+        columns of two horizons, write the bytes a serial run writes."""
+        two = tmp_path / "two.cfg"
+        two.write_text(TWO_HORIZON_CONFIG)
+        for config in (cfg_path, two):
+            a = tmp_path / config.stem / "serial"
+            b = tmp_path / config.stem / "parallel"
+            for stage in ("gen-data", "mc-oracle"):
+                assert run(stage, "--config", str(config), "--out", str(a)) == 0
+                assert run(stage, "--config", str(config), "--out", str(b), "--threads", "2") == 0
+            assert tree_digest(a) == tree_digest(b)
+        assert len(tree_digest(tmp_path / "two" / "serial")) == 4 * 4
+
+    def test_shared_rollouts_match_one_horizon_runs(self, tmp_path):
+        """Below the provenance line, every data/ and mc/ file of a two-horizon
+        run is the file a run of its horizon alone writes."""
+        out = {}
+        for name, text in [("both", TWO_HORIZON_CONFIG),
+                           ("T2", TWO_HORIZON_CONFIG + "horizons = 2\n"),
+                           ("T4", TWO_HORIZON_CONFIG + "horizons = 4\n")]:
+            config = tmp_path / f"{name}.cfg"
+            config.write_text(text)
+            out[name] = tmp_path / name
+            for stage in ("gen-data", "mc-oracle"):
+                assert run(stage, "--config", str(config), "--out", str(out[name])) == 0
+
+        def bodies(root: Path) -> dict[str, str]:
+            return {str(p.relative_to(root)): p.read_text().partition("\n")[2]
+                    for p in sorted(root.rglob("*.csv"))}
+
+        both = bodies(out["both"])
+        alone = {}
+        for T in (2, 4):
+            files = bodies(out[f"T{T}"])
+            assert len(files) == 2 * 4 and all(f"_T{T}_" in name for name in files)
+            alone.update(files)
+        # two alphas, one seed and two horizons; trajectories, pairs, calibration set and mc
+        assert len(both) == 2 * 2 * 4
+        assert both == alone
+
+    def test_each_column_is_simulated_once(self, tmp_path, monkeypatch):
+        """gen-data draws the training and calibration sets once per
+        (alpha, seed) column, and mc-oracle scores all its horizons in one call."""
+        config = tmp_path / "two.cfg"
+        config.write_text(TWO_HORIZON_CONFIG)
+        calls = {"gen_dataset": [], "mc_ground_truth": []}
+        for name in calls:
+            fn = getattr(bm, name)
+            monkeypatch.setattr(bm, name, lambda *a, _fn=fn, _name=name, **kw:
+                                calls[_name].append(a[3]) or _fn(*a, **kw))
+        out = str(tmp_path / "o")
+        assert run("gen-data", "--config", str(config), "--out", out) == 0
+        # two columns, each at its longest horizon: training and calibration
+        assert calls["gen_dataset"] == [4, 4, 4, 4]
+        assert run("mc-oracle", "--config", str(config), "--out", out) == 0
+        assert calls["mc_ground_truth"] == [[2, 4], [2, 4]]
 
     def test_sweep_rerun_is_byte_identical(self, cfg_path, tmp_path):
         out = tmp_path / "results"

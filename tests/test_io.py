@@ -102,6 +102,21 @@ class TestReadTable:
         assert str(exc.value) == (f"{path}: row 1: expected trajectory 0 at t = 1, "
                                   "found trajectory 0 at t = 2")
 
+    def test_matching_column_line_returns_the_cells(self, tmp_path: Path):
+        path = tmp_path / "t.csv"
+        path.write_text("# config=abc\na,b\n1,2\n")
+        assert read_table(path, columns=["a", "b"], config="abc").tolist() == [[1.0, 2.0]]
+
+    @pytest.mark.parametrize("line", ["a,B", "b,a", "a", "a,b,c"])
+    def test_other_column_line_names_both_lists(self, tmp_path: Path, line):
+        """Columns are read by position, so a renamed, reordered, missing or
+        extra column is refused before the cells are decoded."""
+        path = tmp_path / "t.csv"
+        path.write_text(f"# config=abc\n{line}\n{','.join(['1'] * len(line.split(',')))}\n")
+        with pytest.raises(ValueError) as exc:
+            read_table(path, columns=["a", "b"], config="abc")
+        assert str(exc.value) == f"{path}: columns are {line.split(',')}, not ['a', 'b']"
+
     def test_missing_file(self, tmp_path: Path):
         with pytest.raises(FileNotFoundError, match="missing data file"):
             read_table(tmp_path / "nope.csv", config="abc")
