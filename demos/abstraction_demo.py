@@ -50,14 +50,14 @@ print(f"imp values at x0={start}:")
 for radius in (0.0, 0.01, 0.05):
     imodel = IntervalModel.from_radii(probs, radius)
     v0 = imp_value_iteration(imodel, part, T)
-    print(f"  radius {radius:<5g} value {evaluate_abstraction(v0, part, start):.4f}")
+    print(f"  radius {radius:<5g} value {evaluate_abstraction(v0, part, start[None])[0]:.4f}")
 
 # sampled relaxation: per-step slack delta plays the same role
 print()
 print(f"ssr values at x0={start}:")
 for delta in (0.0, 0.01, 0.05):
     v0 = ssr_value_iteration(part, model, SsrParams(delta=delta), T)
-    print(f"  delta  {delta:<5g} value {evaluate_abstraction(v0, part, start):.4f}")
+    print(f"  delta  {delta:<5g} value {evaluate_abstraction(v0, part, start[None])[0]:.4f}")
 
 # a slice through the grid shows the obstacle shadow: cells overlapping an
 # obstacle are pinned at zero, neighbours inherit reduced values

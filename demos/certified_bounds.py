@@ -63,8 +63,8 @@ print("analytic route (eps3 by Monte Carlo on fresh rollouts):")
 print(f"  eps3 = {e3.value:.4f} +- {e3.stderr:.4f}")
 for k in range(len(x0)):
     print(
-        f"  x0={x0[k]}  estimate {est[k]:.4f}  eps1 {float(np.atleast_1d(e1)[k]):.5f}"
-        f"  lower bound {float(np.atleast_1d(bounds)[k]):.4f}"
+        f"  x0={x0[k]}  estimate {est[k]:.4f}  eps1 {e1[k]:.5f}"
+        f"  lower bound {bounds[k]:.4f}"
     )
 
 # a nonzero ambiguity radius brings in eps2, which amplifies the radius by

@@ -51,7 +51,7 @@ def sampler(n: int, rng: np.random.Generator) -> np.ndarray:
 print(f"{'gamma_n':>8} {'eps1':>10} {'eps2':>10} {'eps3':>10}")
 for gamma_n in (0.3, 0.1, 0.05):
     budget = ErrorBudget(ambiguity=0.01, gamma=1.0, gamma_n=gamma_n, norm_bound=2.0)
-    e1 = float(np.atleast_1d(eps1(model, budget, x0))[0])
+    e1 = eps1(model, budget, x0)[0]
     e2 = eps2(budget, budget.norm_bound, region.dim, T, n=model.n)
     e3 = eps3(model, budget, n_mc=1500, seed=SEED, sampler=sampler)
     print(f"{gamma_n:>8g} {e1:>10.5f} {e2:>10.4g} {e3.value:>10.5f}")

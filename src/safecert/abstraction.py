@@ -96,7 +96,7 @@ def build_partition(region: SafeRegion, counts: tuple[int, ...]) -> Partition:
         # closed boxes: touching an obstacle already breaks cell-in-S
         hit = np.all((lows <= oh) & (highs >= ol), axis=1)
         safe &= ~hit
-    center_safe = np.asarray(is_safe(region, centers), dtype=bool)
+    center_safe = is_safe(region, centers)
     return Partition(
         region=region,
         counts=counts,
@@ -343,12 +343,8 @@ def ssr_value_iteration(
     return ssr_backward(empirical_cell_probs(part, dp_model), part, ssr, T)
 
 
-def evaluate_abstraction(
-    v0: np.ndarray, part: Partition, x0: np.ndarray
-) -> np.ndarray | float:
-    """Look up the certified value of the cell containing x0; 0 outside the box."""
-    q = np.asarray(x0, dtype=float)
-    single = q.ndim == 1
-    idx, inbox = part.locate(q)
-    out = np.where(inbox, np.asarray(v0, dtype=float)[idx], 0.0)
-    return float(out[0]) if single else out
+def evaluate_abstraction(v0: np.ndarray, part: Partition, x0: np.ndarray) -> np.ndarray:
+    """Certified value of the cell containing each point of a batch (n, d);
+    0 outside the box."""
+    idx, inbox = part.locate(x0)
+    return np.where(inbox, np.asarray(v0, dtype=float)[idx], 0.0)

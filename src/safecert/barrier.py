@@ -28,7 +28,7 @@ import numpy as np
 
 from .benchmark import SafeRegion, is_safe, trajectory_safe
 from .dp import DpModel
-from .kernels import KAPPA, GramSystem, KernelSpec, fit_weights, gram_matrix
+from .kernels import KAPPA, KernelSpec, fit_weights, gram_matrix
 from .rng import stream
 
 __all__ = [
@@ -56,9 +56,9 @@ class BarrierCandidate:
         if self.alpha.shape[0] != self.centers.shape[0]:
             raise ValueError("alpha must have one coefficient per center")
 
-    def value(self, x: np.ndarray) -> np.ndarray | float:
-        out = GramSystem(self.spec, self.centers).expand(x, self.alpha)
-        return float(out) if np.ndim(x) == 1 else out
+    def value(self, x: np.ndarray) -> np.ndarray:
+        """B at each point of a batch (n, d)."""
+        return gram_matrix(self.spec, x, self.centers) @ self.alpha
 
     def rkhs_norm(self) -> float:
         k = gram_matrix(self.spec, self.centers)

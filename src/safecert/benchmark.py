@@ -154,25 +154,17 @@ def _safe_columns(region: SafeRegion, cols: list[np.ndarray]) -> np.ndarray:
     return ok
 
 
-def is_safe(region: SafeRegion, x: np.ndarray) -> np.ndarray | bool:
-    """Membership in the safe set for one point (d,) or a batch (n, d)."""
+def is_safe(region: SafeRegion, x: np.ndarray) -> np.ndarray:
+    """Membership in the safe set for each point of a batch (n, d)."""
     pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    ok = _safe_columns(region, [pts[:, k] for k in range(pts.shape[1])])
-    return bool(ok[0]) if single else ok
+    return _safe_columns(region, [pts[:, k] for k in range(pts.shape[1])])
 
 
-def trajectory_safe(region: SafeRegion, traj: np.ndarray) -> np.ndarray | bool:
-    """Whole-trajectory safety: min over t in {0..T} of the state indicator.
-
-    ``traj`` is (T+1, d) for one trajectory or (n, T+1, d) for a batch.
-    """
+def trajectory_safe(region: SafeRegion, traj: np.ndarray) -> np.ndarray:
+    """Whole-trajectory safety of each trajectory of a batch (n, T+1, d): min
+    over t in {0..T} of the state indicator."""
     arr = np.asarray(traj, dtype=float)
-    single = arr.ndim == 2
-    arr = arr[None] if single else arr
-    ok = _safe_columns(region, [arr[..., k] for k in range(arr.shape[2])]).all(axis=1)
-    return bool(ok[0]) if single else ok
+    return _safe_columns(region, [arr[..., k] for k in range(arr.shape[2])]).all(axis=1)
 
 
 def _drift(x1: np.ndarray, x2: np.ndarray, out: np.ndarray | None = None):

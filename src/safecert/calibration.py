@@ -169,11 +169,8 @@ def calibrate(
     )
 
 
-def certified_lower_bound(cal: BinnedCalibrator, scores: np.ndarray) -> np.ndarray | float:
-    """Certified bound for one score or a batch: the bound of the score's bin.
+def certified_lower_bound(cal: BinnedCalibrator, scores: np.ndarray) -> np.ndarray:
+    """Certified bound for each score of a batch (n,): the bound of the score's bin.
 
     A non-finite score is refused with a ValueError naming its index."""
-    s = np.asarray(scores, dtype=float)
-    single = s.ndim == 0
-    out = cal.certified[cal.bin_of(np.atleast_1d(s))]
-    return float(out[0]) if single else out
+    return cal.certified[cal.bin_of(scores)]

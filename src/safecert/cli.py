@@ -21,9 +21,9 @@ owns the cell's files: their names ``<name>_a<alpha>_T<T>_s<seed>``, the
 provenance header each one starts with (config hash, seed, alpha, T), and
 ``read``, the one way a stage reads a table, which refuses one whose header
 names another cell or config, whose column line is not its writer's, or that
-does not decode (a non-finite cell, say).  A stage reads all its tables
-before it writes, and a config whose cells would share a file name is
-refused before any stage runs.
+does not decode (a non-finite cell or a ``safe`` label other than 0 or 1,
+say).  A stage reads all its tables before it writes, and a config whose
+cells would share a file name is refused before any stage runs.
 
 Exit codes: 0 on success, 1 on runtime or numeric failure (missing data
 files and tables written under another config hash, seed, alpha or T
@@ -142,6 +142,15 @@ _PRED_COLUMNS = ["gx", "gy", "estimate"]
 _SCORE_COLUMNS = ["score"]
 
 
+def _calibration_set(text: str) -> np.ndarray:
+    """The cells of a ``data/cal`` table, whose ``safe`` labels must be 0 or 1."""
+    table = table_array(text)
+    bad = np.flatnonzero((table[:, 2] != 0.0) & (table[:, 2] != 1.0))
+    if bad.size:
+        raise ValueError(f"row {bad[0]}, column safe is not 0 or 1 ({table[bad[0], 2]})")
+    return table
+
+
 # ---------------------------------------------------------------- gen-data
 
 def _gen_column(cells: tuple[_Cell, ...]) -> None:
@@ -227,7 +236,7 @@ def _certify_cell(cell: _Cell, methods: tuple[str, ...]) -> None:
     cfg = cell.cfg
     region = bm.default_safe_region()
     # every table the methods need comes first, so a refused one writes no file
-    x_cal = cell.read("data/cal", _CAL_COLUMNS)[:, :2]
+    x_cal = cell.read("data/cal", _CAL_COLUMNS, _calibration_set)[:, :2]
     ts = (cell.read("data/trajs", _TRAJ_COLUMNS, bm.TrajectorySet.from_csv)
           if "direct" in methods else None)
     pairs = (cell.read("data/pairs", _PAIR_COLUMNS, bm.OneStepPairs.from_csv)
@@ -253,13 +262,20 @@ def _certify_cell(cell: _Cell, methods: tuple[str, ...]) -> None:
 
 def _calibrate_cell(cell: _Cell, methods: tuple[str, ...]) -> None:
     # post-processing only: the scores and grid estimates are certify's
-    outcomes = cell.read("data/cal", _CAL_COLUMNS)[:, 2]
+    outcomes = cell.read("data/cal", _CAL_COLUMNS, _calibration_set)[:, 2]
+    grid = _grid(cell.cfg, bm.default_safe_region())
     # every method's calibrator and bounds come first, so a refused table or
     # score writes none of the cell's files
     results = []
     for method in methods:
         scores = cell.read(f"cal/scores_{method}", _SCORE_COLUMNS)[:, 0]
+        if len(scores) != len(outcomes):
+            raise ValueError(f"{cell.path(f'cal/scores_{method}')}: {len(scores)} scores, but "
+                             f"{cell.path('data/cal')} has {len(outcomes)} rows")
         pred = cell.read(f"pred/{method}", _PRED_COLUMNS)
+        if not np.array_equal(pred[:, :2], grid):
+            raise ValueError(f"{cell.path(f'pred/{method}')}: its {len(pred)} (gx, gy) rows are "
+                             f"not the {len(grid)} points of the config grid in order")
         calibrator = cal.calibrate(scores, outcomes, n_bins=cell.cfg["calibration.bins"],
                                    delta_conf=cell.cfg["calibration.delta"])
         bounds = cal.certified_lower_bound(calibrator, pred[:, 2])

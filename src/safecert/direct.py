@@ -133,15 +133,13 @@ def smoothed_safety(
     indicators, exact for axis-aligned geometry.
     """
     arr = np.asarray(trajs, dtype=float)
-    single = arr.ndim == 2
-    arr = arr[None] if single else arr
     n, steps, d = arr.shape
     flat = arr.reshape(n * steps, d)
     out = np.zeros(n)
     for coef, s in _mollifier_components(gamma_n, order):
         per_step = _safe_mass(region, flat, s).reshape(n, steps)
         out += coef * np.prod(per_step, axis=1)
-    return out[0] if single else out
+    return out
 
 
 @dataclass
@@ -172,13 +170,13 @@ def fit_direct(spec: KernelSpec, ts: TrajectorySet, region: SafeRegion) -> Direc
     )
 
 
-def predict(model: DirectModel, x0: np.ndarray) -> np.ndarray | float:
+def predict(model: DirectModel, x0: np.ndarray) -> np.ndarray:
     """Raw estimate sum_i w_i(x0) * label_i; may leave [0, 1], never clipped here."""
     return model.gram.expand(x0, model.gram.solve(model.labels))
 
 
-def eps1(model: DirectModel, budget: ErrorBudget, x0: np.ndarray) -> np.ndarray | float:
-    """Smoothing bias |sum_i w_i(x0) (rho_i - rho~_i)| at one or many queries."""
+def eps1(model: DirectModel, budget: ErrorBudget, x0: np.ndarray) -> np.ndarray:
+    """Smoothing bias |sum_i w_i(x0) (rho_i - rho~_i)| at each query of a batch (n, d)."""
     gamma_n = budget.resolve_gamma_n(model.n)
     rho_tilde = smoothed_safety(
         model.region, model.trajectories, gamma_n, budget.smoothing_order
@@ -238,7 +236,7 @@ def lower_bound(
     x0: np.ndarray,
     budget: ErrorBudget | None = None,
     eps3_value: float = 0.0,
-) -> np.ndarray | float:
+) -> np.ndarray:
     """Certified lower bound: predict minus the assembled error budget.
 
     With no budget this is exactly ``predict``; callers wanting the full

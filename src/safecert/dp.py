@@ -167,23 +167,15 @@ def backward_value(model: DpModel, T: int) -> list[ValueVector]:
     return levels
 
 
-def evaluate_dp(
-    model: DpModel, stack: list[ValueVector], x0: np.ndarray
-) -> np.ndarray | float:
-    """V_0 at one query (d,) or a batch (n, d); output always lies in [0, 1]."""
+def evaluate_dp(model: DpModel, stack: list[ValueVector], x0: np.ndarray) -> np.ndarray:
+    """V_0 at each query of a batch (n, d); output always lies in [0, 1]."""
     if model.gram is None or model.region is None:
         raise ValueError("query evaluation needs a kernel-backed model")
-    q = np.asarray(x0, dtype=float)
-    single = q.ndim == 1
-    pts = np.atleast_2d(q)
-    safe0 = is_safe(model.region, pts).astype(float)
-    T = stack[-1].level
-    if T == 0:
-        out = safe0
-    else:
-        alpha, penalty = _penalised_step(model, stack[1].v)
-        out = safe0 * np.clip(model.gram.expand(pts, alpha) - penalty, 0.0, 1.0)
-    return float(out[0]) if single else out
+    safe0 = is_safe(model.region, x0).astype(float)
+    if stack[-1].level == 0:
+        return safe0
+    alpha, penalty = _penalised_step(model, stack[1].v)
+    return safe0 * np.clip(model.gram.expand(x0, alpha) - penalty, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -131,7 +131,7 @@ class GramSystem:
 
     spec: KernelSpec
     inputs: np.ndarray          # (M, d)
-    _factor: tuple = field(repr=False, default=None)
+    _factor: tuple = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -172,23 +172,15 @@ class GramSystem:
         return cho_solve(self._factor, b, overwrite_b=overwrite, check_finite=False)
 
     def expand(self, query: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        """K(query, inputs) @ alpha at one query (d,) or a batch (n, d); with
+        """K(query, inputs) @ alpha at each query of a batch (n, d); with
         alpha = solve(values), the ridge estimate sum_i w_i(x) values_i."""
-        q = np.asarray(query, dtype=float)
-        out = gram_matrix(self.spec, np.atleast_2d(q), self.inputs) @ alpha
-        return out[0] if q.ndim == 1 else out
+        return gram_matrix(self.spec, query, self.inputs) @ alpha
 
     def weights_at(self, query: np.ndarray) -> np.ndarray:
-        """Ridge weights w(x) for one query (d,) or a batch (n, d).
-
-        Returns shape (M,) for a single point, (n, M) for a batch.
-        """
-        q = np.asarray(query, dtype=float)
-        single = q.ndim == 1
-        kq = gram_matrix(self.spec, np.atleast_2d(q), self.inputs)  # (n, M)
+        """Ridge weights w(x), shape (n, M), for a batch of queries (n, d)."""
+        kq = gram_matrix(self.spec, query, self.inputs)  # (n, M)
         # kq.T is Fortran-ordered, so the solve runs in place
-        w = self._solve(kq.T, overwrite=True).T
-        return w[0] if single else w
+        return self._solve(kq.T, overwrite=True).T
 
     def representer_norm(self, values: np.ndarray, alpha: np.ndarray | None = None) -> float:
         """RKHS norm of the ridge interpolant of ``values`` on the inputs.

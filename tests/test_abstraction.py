@@ -450,9 +450,6 @@ class TestEvaluation:
     def test_lookup_and_out_of_box(self):
         part = build_partition(UNIT_SQUARE, (4, 4))
         v0 = np.arange(16, dtype=float) / 16
-        inside = evaluate_abstraction(v0, part, np.array([0.9, 0.9]))
         idx, _ = part.locate(np.array([[0.9, 0.9]]))
-        assert inside == v0[idx[0]]
-        assert evaluate_abstraction(v0, part, np.array([1.5, 0.5])) == 0.0
         batch = evaluate_abstraction(v0, part, np.array([[0.9, 0.9], [1.5, 0.5]]))
         assert batch.tolist() == [v0[idx[0]], 0.0]

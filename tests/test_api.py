@@ -55,3 +55,17 @@ def test_every_traced_name_resolves(module, dotted):
         assert hasattr(holder, part), (
             f"bench/tracing.py wraps safecert.{module}.{dotted}, which does not exist")
         holder = getattr(holder, part)
+
+
+def test_no_return_annotation_joins_an_array_with_a_scalar():
+    """Every query takes a batch and returns an array of values, one per
+    point or trajectory; a function annotated to return ``np.ndarray | float``
+    (or ``| bool``) keeps a second, single-point path."""
+    forked = []
+    for path in sorted(Path(safecert.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+                members = {m.strip(" '\"") for m in ast.unparse(node.returns).split("|")}
+                if "np.ndarray" in members and members & {"float", "bool"}:
+                    forked.append(f"{path.stem}.{node.name}")
+    assert not forked, f"return annotations join np.ndarray with float or bool: {forked}"

@@ -59,7 +59,7 @@ class TestCandidate:
             alpha=np.array([1.7]),
         )
         assert cand.rkhs_norm() == pytest.approx(1.7, abs=1e-14)
-        assert cand.value(np.array([0.0])) == pytest.approx(1.7)
+        assert cand.value(np.array([[0.0]]))[0] == pytest.approx(1.7)
 
     def test_two_center_norm_closed_form(self):
         k = np.exp(-0.5)

@@ -141,9 +141,9 @@ class TestBinLookup:
     def test_certified_lower_bound_shapes(self):
         scores, outcomes = balanced_set()
         cal = calibrate(scores, outcomes, n_bins=5)
-        one = certified_lower_bound(cal, np.float64(0.5))
+        one = certified_lower_bound(cal, np.array([0.5]))
         many = certified_lower_bound(cal, np.array([0.1, 0.5, 0.9]))
-        assert isinstance(one, float)
+        assert one.shape == (1,) and one[0] == many[1]
         assert many.shape == (3,)
         assert np.all(np.diff(many) >= -1e-12)
 
@@ -153,7 +153,7 @@ class TestBinLookup:
         scores, outcomes = balanced_set(200)
         cal = calibrate(scores, outcomes, n_bins=5)
         with pytest.raises(ValueError, match=rf"score 0 is not finite \({bad}\)"):
-            certified_lower_bound(cal, bad)
+            certified_lower_bound(cal, np.array([bad]))
         with pytest.raises(ValueError, match=rf"score 2 is not finite \({bad}\)"):
             certified_lower_bound(cal, np.array([0.1, 0.5, bad]))
 
@@ -171,6 +171,6 @@ class TestCoverage:
             y = (rng.uniform(0, 1, 300) < p).astype(float)
             cal = calibrate(p, y, n_bins=10, delta_conf=0.1)
             p_test = rng.uniform(0, 1)
-            if certified_lower_bound(cal, np.float64(p_test)) > p_test:
+            if certified_lower_bound(cal, np.array([p_test]))[0] > p_test:
                 miss += 1
         assert miss / reps <= 0.13

@@ -95,9 +95,10 @@ class TestIoHelpers:
 
 
 # every (stage, table it reads) pair, with the files the stage writes; the
-# edits: a nan as the last value of the first row, the row of trajectory 3
-# at t = 1 dropped or written twice, the last column renamed (upper case),
-# or the last two columns swapped, names and values
+# edits: a nan or a 0.5 label as the last value of the first row, the row of
+# trajectory 3 at t = 1 (another table's last row) dropped or written twice,
+# the last column renamed (upper case), or the last two columns swapped,
+# names and values.  "{out}" in a message is the output directory
 _STAGE_WRITES = {"certify": ("pred/*", "cal/scores_*"),
                  "calibrate": ("cal/calibrator_*", "cal/bounds_*"),
                  "evaluate": ("metrics*.csv",)}
@@ -112,6 +113,12 @@ _FAULTS = [
     ("calibrate", "data/cal", "nan", "row 0, column safe is not finite (nan)"),
     ("calibrate", "cal/scores_direct", "nan", "row 0, column score is not finite (nan)"),
     ("calibrate", "pred/direct", "nan", "row 0, column estimate is not finite (nan)"),
+    ("calibrate", "pred/direct", "drop", "its 24 (gx, gy) rows are not the 25 points of the "
+                                         "config grid in order"),
+    ("calibrate", "cal/scores_direct", "drop", "39 scores, but {out}/data/cal_a0_T2_s1.csv "
+                                               "has 40 rows"),
+    ("certify", "data/cal", "label", "row 0, column safe is not 0 or 1 (0.5)"),
+    ("calibrate", "data/cal", "label", "row 0, column safe is not 0 or 1 (0.5)"),
     ("evaluate", "mc/mc", "nan", "row 0, column p_mc is not finite (nan)"),
     ("evaluate", "pred/dp", "nan", "row 0, column estimate is not finite (nan)"),
 ]
@@ -251,8 +258,9 @@ class TestExitCodes:
         path = out / f"{table}_a0_T2_s1.csv"
         lines = path.read_text().splitlines(keepends=True)
         # the comment line, the column names, then the rows
-        if edit == "nan":
-            lines[2] = "".join(lines[2].rpartition(",")[:2]) + "nan\n"
+        if edit in ("nan", "label"):
+            value = "nan" if edit == "nan" else "0.5"
+            lines[2] = "".join(lines[2].rpartition(",")[:2]) + value + "\n"
         elif edit == "rename":
             head, comma, last = lines[1].rstrip("\n").rpartition(",")
             lines[1] = f"{head}{comma}{last.upper()}\n"
@@ -262,13 +270,15 @@ class TestExitCodes:
                 fields[-2:] = fields[:-3:-1]
                 lines[i] = ",".join(fields) + "\n"
         else:
-            row = next(i for i, line in enumerate(lines) if line.startswith("3,1,"))
+            # a trajectory table's row of trajectory 3 at t = 1, any other table's last row
+            row = next((i for i, line in enumerate(lines) if line.startswith("3,1,")),
+                       len(lines) - 1)
             lines[row:row + 1] = [] if edit == "drop" else [lines[row]] * 2
         path.write_text("".join(lines))
         capsys.readouterr()
         assert run(stage, "--config", str(cfg), "--out", str(out)) == 1
         # the error line names the table, so a sweep's bad cell can be found
-        assert f"error: {path}: {message}\n" in capsys.readouterr().err
+        assert f"error: {path}: {message.format(out=out)}\n" in capsys.readouterr().err
         assert not [p for pattern in _STAGE_WRITES[stage] for p in out.glob(pattern)]
 
     def test_calibrate_writes_all_of_a_cell_or_none(self, cfg_path, tmp_path, capsys):

@@ -47,13 +47,13 @@ class TestMollifier:
         """1D safe interval, horizon 0: the smoothed label is the integral
         of the mollifier over [0, 1]."""
         for x in (0.12, 0.5, 0.93):
-            got = smoothed_safety(UNIT_1D, np.array([[x]]), gamma_n, order)
+            got = smoothed_safety(UNIT_1D, np.array([[[x]]]), gamma_n, order)[0]
             want, err = quad(mollifier_pdf, 0.0, 1.0, args=(x, gamma_n, order), limit=200)
             assert abs(got - want) < 1e-6 + 10 * err
 
     def test_boundary_point_sees_half_mass(self):
-        got = smoothed_safety(UNIT_1D, np.array([[0.0]]), 0.05, 1)
-        assert got == pytest.approx(0.5, abs=1e-9)
+        got = smoothed_safety(UNIT_1D, np.array([[[0.0]]]), 0.05, 1)
+        assert got == pytest.approx([0.5], abs=1e-9)
 
     def test_obstacle_mass_subtracted(self, region):
         """2D check against a plain Monte Carlo integral of the safe
@@ -61,7 +61,7 @@ class TestMollifier:
         x = np.array([0.45, 0.35])  # inside the main obstacle, near its edge
         gamma_n = 0.3
         s = gamma_n / np.sqrt(2.0)
-        got = smoothed_safety(region, np.array([[x[0], x[1]]]), gamma_n, 1)
+        got = smoothed_safety(region, x[None, None], gamma_n, 1)[0]
         rng = np.random.default_rng(0)
         pts = x + s * rng.standard_normal((400_000, 2))
         from safecert import is_safe
@@ -73,11 +73,9 @@ class TestMollifier:
     def test_horizon_factorizes_over_steps(self):
         """Per-step smoothing multiplies along the trajectory, so a two-step
         trajectory equals the product of its one-step values."""
-        traj = np.array([[0.3], [0.7]])
-        joint = smoothed_safety(UNIT_1D, traj, 0.1, 1)
-        a = smoothed_safety(UNIT_1D, np.array([[0.3]]), 0.1, 1)
-        b = smoothed_safety(UNIT_1D, np.array([[0.7]]), 0.1, 1)
-        assert joint == pytest.approx(a * b, rel=1e-12)
+        joint = smoothed_safety(UNIT_1D, np.array([[[0.3], [0.7]]]), 0.1, 1)
+        steps = smoothed_safety(UNIT_1D, np.array([[[0.3]], [[0.7]]]), 0.1, 1)
+        assert joint == pytest.approx([steps.prod()], rel=1e-12)
 
 
 class TestDirectEstimator:
@@ -88,7 +86,7 @@ class TestDirectEstimator:
 
         model = fit_direct(spec, ts, default_safe_region())
         assert model.labels.tolist() == [1.0]
-        assert predict(model, np.array([-2.0, 0.0])) == pytest.approx(1.0 / 1.05, abs=1e-12)
+        assert predict(model, np.array([[-2.0, 0.0]]))[0] == pytest.approx(1.0 / 1.05, abs=1e-12)
 
     def test_labels_use_whole_trajectory(self, region):
         states = [
@@ -121,17 +119,18 @@ class TestErrorTerms:
         ts = gen_dataset(markov_params, region, n=50, T=4, seed=13)
         model = fit_direct(KernelSpec.isotropic(0.8, 2, 1e-5), ts, region)
         budget = ErrorBudget(gamma_n=1e-4)
-        val = eps1(model, budget, np.array([0.0, 0.0]))
+        val = eps1(model, budget, np.array([[0.0, 0.0]]))[0]
         assert 0.0 <= val < 1e-8
 
     def test_eps1_is_weighted_smoothing_gap(self, region, markov_params):
         ts = gen_dataset(markov_params, region, n=25, T=4, seed=14)
         model = fit_direct(KernelSpec.isotropic(0.8, 2, 1e-4), ts, region)
         budget = ErrorBudget(gamma_n=0.15, smoothing_order=2)
-        q = np.array([-1.0, 0.2])
+        q = np.array([[-1.0, 0.2]])
         rho_t = smoothed_safety(region, ts.states, 0.15, 2)
         w = model.gram.weights_at(q)
-        assert eps1(model, budget, q) == pytest.approx(abs(w @ (model.labels - rho_t)), abs=1e-14)
+        want = np.abs(w @ (model.labels - rho_t))
+        assert eps1(model, budget, q) == pytest.approx(want, abs=1e-14)
 
     def test_eps2_closed_form(self):
         budget = ErrorBudget(ambiguity=0.1, gamma=0.4, gamma_n=0.2, norm_bound=0.0)
@@ -164,7 +163,7 @@ class TestErrorTerms:
         est = eps3(model, budget, m, seed=0, sampler=sampler)
 
         def sq_gap(y):
-            return (smoothed_safety(UNIT_1D, np.array([[y]]), gamma_n, 1) - 1.0) ** 2
+            return (smoothed_safety(UNIT_1D, np.array([[[y]]]), gamma_n, 1)[0] - 1.0) ** 2
 
         want, err = quad(sq_gap, 0.0, 1.0, limit=200)
         assert est.value == pytest.approx(np.sqrt(want), abs=1e-5)
@@ -185,7 +184,7 @@ class TestErrorTerms:
     def test_lower_bound_assembles_budget(self, region, markov_params):
         ts = gen_dataset(markov_params, region, n=40, T=4, seed=17)
         model = fit_direct(KernelSpec.isotropic(0.8, 2, 1e-4), ts, region)
-        q = np.array([-2.0, 0.0])
+        q = np.array([[-2.0, 0.0]])
         budget = ErrorBudget(ambiguity=0.01, gamma=1.0, gamma_n=0.5, norm_bound=2.0)
         e1 = eps1(model, budget, q)
         e2 = eps2(budget, budget.norm_bound, d=2, T=4)
@@ -195,5 +194,5 @@ class TestErrorTerms:
     def test_lower_bound_without_budget_is_predict(self, region, markov_params):
         ts = gen_dataset(markov_params, region, n=20, T=2, seed=18)
         model = fit_direct(KernelSpec.isotropic(0.8, 2, 1e-4), ts, region)
-        q = np.array([-2.0, 0.0])
-        assert lower_bound(model, q) == predict(model, q)
+        q = np.array([[-2.0, 0.0]])
+        assert np.array_equal(lower_bound(model, q), predict(model, q))

@@ -146,15 +146,14 @@ class TestKernelChainEncoding:
         model = self.fit()
         for T in (1, 4, 9):
             stack = backward_value(model, T)
-            v0 = evaluate_dp(model, stack, self.s0)
+            v0, v2 = evaluate_dp(model, stack, np.array([self.s0, self.s2]))
             assert v0 == pytest.approx(0.7, abs=1e-3)
-            assert evaluate_dp(model, stack, self.s2) == 0.0
+            assert v2 == 0.0
 
     def test_horizon_zero_is_membership(self):
         model = self.fit()
         stack = backward_value(model, 0)
-        assert evaluate_dp(model, stack, self.s0) == 1.0
-        assert evaluate_dp(model, stack, self.s2) == 0.0
+        assert evaluate_dp(model, stack, np.array([self.s0, self.s2])).tolist() == [1.0, 0.0]
 
 
 class TestFittedModels:
@@ -190,8 +189,7 @@ class TestFittedModels:
     def test_unsafe_queries_are_zero(self):
         model = random_fitted_model(3)
         stack = backward_value(model, 4)
-        assert evaluate_dp(model, stack, np.array([1.5, 1.5])) == 0.0
-        assert evaluate_dp(model, stack, np.array([5.0, 0.0])) == 0.0
+        assert evaluate_dp(model, stack, np.array([[1.5, 1.5], [5.0, 0.0]])).tolist() == [0.0, 0.0]
 
     def test_batch_evaluation_shape(self):
         model = random_fitted_model(4)
@@ -204,7 +202,7 @@ class TestFittedModels:
         model = DpModel.from_transfer(np.eye(2), np.ones(2))
         stack = backward_value(model, 1)
         with pytest.raises(ValueError):
-            evaluate_dp(model, stack, np.zeros(2))
+            evaluate_dp(model, stack, np.zeros((1, 2)))
 
     @pytest.mark.parametrize("ambiguity", [0.0, 0.002])
     def test_matrix_free_stack_matches_explicit_transfer(self, ambiguity):

@@ -108,7 +108,7 @@ class TestWeights:
         is 1/(1 + M*lam)."""
         x = np.array([[0.0, 0.0], [50.0, 50.0]])
         sys = fit_weights(KernelSpec.isotropic(0.5, 2, 0.01), x)
-        w = sys.weights_at(np.array([0.0, 0.0]))
+        w = sys.weights_at(np.array([[0.0, 0.0]]))[0]
         assert w[0] == pytest.approx(1.0 / 1.02, abs=1e-12)
         assert abs(w[1]) < 1e-12
 
@@ -132,7 +132,7 @@ class TestWeights:
         batch = sys.weights_at(q)
         assert batch.shape == (3, 6)
         for i in range(3):
-            assert np.allclose(sys.weights_at(q[i]), batch[i], atol=1e-12, rtol=0)
+            assert np.allclose(sys.weights_at(q[i:i + 1]), batch[i:i + 1], atol=1e-12, rtol=0)
 
     def test_interpolation_at_tiny_ridge(self):
         rng = np.random.default_rng(9)
