@@ -12,17 +12,22 @@ Subcommands mirror the experiment stages; only certify fits models:
   evaluate    metrics of predictions against the MC grids
   sweep       all of the above for the full config grid
 
-The config grid has one cell per (alpha, T, seed).  certify and calibrate
-run once per cell, evaluate once over all of them, and gen-data and mc-oracle
-once per (alpha, seed) column: they simulate at the column's longest horizon
-and write every cell of the column from those rollouts, since a shorter
-horizon's draws and states are a prefix of a longer one's.  A cell record
+The config grid has one cell per (alpha, T, seed).  calibrate runs once per
+cell, evaluate once over all of them, and gen-data and mc-oracle once per
+(alpha, seed) column: they simulate at the column's longest horizon and write
+every cell of the column from those rollouts, since a shorter horizon's draws
+and states are a prefix of a longer one's.  certify runs once per (T, seed)
+row and fits once per distinct training set in it: the cells whose decoded
+data/pairs are equal share one dp fit (iid pairs do not depend on alpha), and
+those whose trajectories start at equal states one direct factor, each cell
+keeping its own labels.  Every cell still gets its own files.  A cell record
 owns the cell's files: their names ``<name>_a<alpha>_T<T>_s<seed>``, the
 provenance header each one starts with (config hash, seed, alpha, T), and
 ``read``, the one way a stage reads a table, which refuses one whose header
 names another cell or config, whose column line is not its writer's, or that
 does not decode (a non-finite cell or a ``safe`` label other than 0 or 1,
-say).  A stage reads all its tables before it writes, and a config whose
+say).  A data table must also hold as many rows as the config asks for.  A
+stage reads all the tables of its unit before it writes, and a config whose
 cells would share a file name is refused before any stage runs.
 
 Exit codes: 0 on success, 1 on runtime or numeric failure (missing data
@@ -36,7 +41,8 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +54,7 @@ from . import calibration as cal
 from . import metrics as mx
 from .config import METHODS, ConfigError, ExperimentConfig, load_config
 from .direct import fit_direct, predict
-from .dp import DpModel, backward_value, evaluate_dp, fit_dp
+from .dp import backward_value, evaluate_dp, fit_dp
 from .io import atomic_write, format_table, header_comment, read_table, table_array
 from .kernels import NumericError
 
@@ -151,6 +157,39 @@ def _calibration_set(text: str) -> np.ndarray:
     return table
 
 
+def _check_rows(cell: _Cell, name: str, got: int, want: int, rule: str) -> None:
+    if got != want:
+        raise ValueError(f"{cell.path(name)}: {got} rows, but {rule} is {want}")
+
+
+def _read_cal(cell: _Cell) -> np.ndarray:
+    """``data/cal``, whose rows number data.n_calibration."""
+    table = cell.read("data/cal", _CAL_COLUMNS, _calibration_set)
+    _check_rows(cell, "data/cal", len(table), cell.cfg["data.n_calibration"],
+                "data.n_calibration")
+    return table
+
+
+def _read_trajs(cell: _Cell) -> bm.TrajectorySet:
+    """``data/trajs``: data.n_trajectories trajectories of T + 1 states."""
+    ts = cell.read("data/trajs", _TRAJ_COLUMNS, bm.TrajectorySet.from_csv)
+    n, steps = ts.states.shape[:2]
+    want = cell.cfg["data.n_trajectories"]
+    if (n, steps) != (want, cell.T + 1):
+        raise ValueError(f"{cell.path('data/trajs')}: {n} trajectories of {steps} states "
+                         f"({n * steps} rows), but data.n_trajectories * (T + 1) is "
+                         f"{want} * {cell.T + 1} = {want * (cell.T + 1)}")
+    return ts
+
+
+def _read_pairs(cell: _Cell) -> bm.OneStepPairs:
+    """``data/pairs``, whose rows number the config's n_pairs(T)."""
+    pairs = cell.read("data/pairs", _PAIR_COLUMNS, bm.OneStepPairs.from_csv)
+    rule = "data.n_pairs" if cell.cfg["data.n_pairs"] > 0 else "data.n_trajectories * T"
+    _check_rows(cell, "data/pairs", pairs.n, cell.cfg.n_pairs(cell.T), rule)
+    return pairs
+
+
 # ---------------------------------------------------------------- gen-data
 
 def _gen_column(cells: tuple[_Cell, ...]) -> None:
@@ -190,79 +229,124 @@ def _mc_column(cells: tuple[_Cell, ...]) -> None:
 
 # ---------------------------------------------------------------- certify
 
-def _certify_estimates(cell: _Cell, method: str, ts: bm.TrajectorySet | None,
-                       model: DpModel | None, abstraction: tuple[ab.Partition, np.ndarray] | None,
-                       x_cal: np.ndarray) -> None:
-    cfg, T = cell.cfg, cell.T
-    region = bm.default_safe_region()
-    if method == "direct":
-        direct = fit_direct(cfg.kernel_spec("direct", T), ts, region)
-        score_at = lambda pts: predict(direct, pts)
-    elif method == "dp":
-        stack = backward_value(model, T)
-        score_at = lambda pts: evaluate_dp(model, stack, pts)
-    else:  # imp or ssr, on the cell's one (partition, cell matrix) pair
-        part, probs = abstraction
-        if method == "imp":
-            imodel = ab.IntervalModel.from_radii(probs, cfg["imp.radius"])
-            v0 = ab.imp_value_iteration(imodel, part, T)
+def _groups(items: list) -> list[list[int]]:
+    """The indices of ``items`` grouped by equal content, in first-seen order;
+    an item is a tuple of arrays, equal when every array is."""
+    groups: list[list[int]] = []
+    for i, item in enumerate(items):
+        group = next((g for g in groups
+                      if all(np.array_equal(a, b) for a, b in zip(items[g[0]], item))), None)
+        if group is None:
+            groups.append([i])
         else:
-            v0 = ab.ssr_backward(probs, part, ab.SsrParams(delta=cfg["ssr.delta"]), T)
-        score_at = lambda pts: ab.evaluate_abstraction(v0, part, pts)
-    grid = _grid(cfg, region)
-    cell.write_table(f"pred/{method}", _grid_table(grid, score_at(grid), "estimate"),
-                     method=method)
-    # the same fit scored at the calibration set, for calibrate to bin
-    cell.write_table(f"cal/scores_{method}", (_SCORE_COLUMNS, score_at(x_cal)[:, None].tolist()),
-                     method=method)
+            group.append(i)
+    return groups
 
 
-def _certify_barrier(cell: _Cell, model: DpModel) -> None:
+def _estimate_writes(cells: list[_Cell], method: str, score_at, x_cal: list[np.ndarray]) -> list:
+    """The ``pred/`` and ``cal/scores_`` writes of cells that share one fit:
+    the grid is scored once, and each distinct calibration set once."""
+    grid = _grid(cells[0].cfg, bm.default_safe_region())
+    estimates = _grid_table(grid, score_at(grid), "estimate")
+    writes = []
+    for group in _groups([(x,) for x in x_cal]):
+        scores = (_SCORE_COLUMNS, score_at(x_cal[group[0]])[:, None].tolist())
+        for i in group:
+            writes += [partial(cells[i].write_table, f"pred/{method}", estimates, method=method),
+                       partial(cells[i].write_table, f"cal/scores_{method}", scores, method=method)]
+    return writes
+
+
+def _certify_direct(cells: list[_Cell], trajs: list[bm.TrajectorySet],
+                    x_cal: list[np.ndarray]) -> list:
+    # one factor over the group's start states; every other cell swaps in its
+    # own trajectories and labels
+    region = bm.default_safe_region()
+    model = fit_direct(cells[0].cfg.kernel_spec("direct", cells[0].T), trajs[0], region)
+    writes = []
+    for cell, ts, xc in zip(cells, trajs, x_cal):
+        if ts is not trajs[0]:
+            model = replace(model, labels=bm.trajectory_safe(region, ts.states).astype(float),
+                            trajectories=ts.states, horizon=ts.horizon)
+        writes += _estimate_writes([cell], "direct", lambda pts: predict(model, pts), [xc])
+    return writes
+
+
+def _barrier_candidate(cfg: ExperimentConfig, T: int) -> tuple[bar.BarrierCandidate, tuple]:
     # demonstration candidate: ridge fit of the normalized squared distance
-    # from the box center, checked against the fitted one-step model
+    # from the box center, and the initial box it is checked on against each
+    # fitted one-step model
     region = bm.default_safe_region()
     lo, hi = region.box_array()
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     centers = bar.box_mesh(lo, hi, (9,) * region.dim)
     targets = np.sum(((centers - center) / half) ** 2, axis=1) / region.dim + 0.05
-    candidate = bar.fit_barrier_candidate(cell.cfg.kernel_spec("dp", cell.T), centers, targets)
-    x0_box = (center - 0.1 * half, center + 0.1 * half)
-    report = bar.check_barrier(candidate, model, region, x0_box, cell.T, grids=21)
-    cell.write_json("pred/barrier", report.to_json(), method="barrier")
+    candidate = bar.fit_barrier_candidate(cfg.kernel_spec("dp", T), centers, targets)
+    return candidate, (center - 0.1 * half, center + 0.1 * half)
 
 
-def _certify_cell(cell: _Cell, methods: tuple[str, ...]) -> None:
-    cfg = cell.cfg
+def _certify_dp(cells: list[_Cell], pairs: bm.OneStepPairs, x_cal: list[np.ndarray],
+                methods: tuple[str, ...], barrier: tuple | None) -> list:
+    # dp, imp, ssr and barrier share the group's one dp fit, and imp and ssr
+    # one partition and cell matrix
+    cfg, T = cells[0].cfg, cells[0].T
     region = bm.default_safe_region()
-    # every table the methods need comes first, so a refused one writes no file
-    x_cal = cell.read("data/cal", _CAL_COLUMNS, _calibration_set)[:, :2]
-    ts = (cell.read("data/trajs", _TRAJ_COLUMNS, bm.TrajectorySet.from_csv)
-          if "direct" in methods else None)
-    pairs = (cell.read("data/pairs", _PAIR_COLUMNS, bm.OneStepPairs.from_csv)
-             if set(methods) - {"direct"} else None)
-    # dp, imp, ssr and barrier share one dp fit, and imp and ssr one partition
-    # and cell matrix; each is made when the first method that needs it comes
-    # up, so that none is held while direct fits its own model
-    dp_model = abstraction = None
+    model = fit_dp(cfg.kernel_spec("dp", T), pairs, region, ambiguity=cfg["dp.ambiguity"])
+    part = probs = None
+    writes = []
     for method in methods:
-        if method != "direct" and dp_model is None:
-            dp_model = fit_dp(cfg.kernel_spec("dp", cell.T), pairs, region,
-                              ambiguity=cfg["dp.ambiguity"])
-        if method in ("imp", "ssr") and abstraction is None:
-            part = ab.build_partition(region, (cfg["abstraction.nx"], cfg["abstraction.ny"]))
-            abstraction = part, ab.empirical_cell_probs(part, dp_model)
         if method == "barrier":
-            _certify_barrier(cell, dp_model)
+            candidate, x0_box = barrier
+            report = bar.check_barrier(candidate, model, region, x0_box, T, grids=21).to_json()
+            writes += [partial(cell.write_json, "pred/barrier", report, method="barrier")
+                       for cell in cells]
+            continue
+        if method == "dp":
+            stack = backward_value(model, T)
+            score_at = lambda pts: evaluate_dp(model, stack, pts)
         else:
-            _certify_estimates(cell, method, ts, dp_model, abstraction, x_cal)
+            if probs is None:
+                part = ab.build_partition(region, (cfg["abstraction.nx"], cfg["abstraction.ny"]))
+                probs = ab.empirical_cell_probs(part, model)
+            if method == "imp":
+                v0 = ab.imp_value_iteration(ab.IntervalModel.from_radii(probs, cfg["imp.radius"]),
+                                            part, T)
+            else:
+                v0 = ab.ssr_backward(probs, part, ab.SsrParams(delta=cfg["ssr.delta"]), T)
+            score_at = lambda pts: ab.evaluate_abstraction(v0, part, pts)
+        writes += _estimate_writes(cells, method, score_at, x_cal)
+    return writes
+
+
+def _certify_row(cells: tuple[_Cell, ...], methods: tuple[str, ...]) -> None:
+    cfg, T = cells[0].cfg, cells[0].T
+    # every table of every cell comes first, so a refused one writes no file
+    # of the row
+    x_cal = [_read_cal(cell)[:, :2] for cell in cells]
+    trajs = [_read_trajs(cell) for cell in cells] if "direct" in methods else []
+    dp_methods = tuple(m for m in methods if m != "direct")
+    pairs = [_read_pairs(cell) for cell in cells] if dp_methods else []
+    # one fit per distinct training set, each in a helper of its own, so that
+    # no fitted model is held while the next one is fitted; the files are
+    # written once every fit of the row has succeeded
+    writes = []
+    for group in _groups([(ts.initial_states,) for ts in trajs]):
+        writes += _certify_direct([cells[i] for i in group], [trajs[i] for i in group],
+                                  [x_cal[i] for i in group])
+    barrier = _barrier_candidate(cfg, T) if "barrier" in dp_methods else None
+    for group in _groups([(p.x, p.x_next) for p in pairs]):
+        writes += _certify_dp([cells[i] for i in group], pairs[group[0]],
+                              [x_cal[i] for i in group], dp_methods, barrier)
+    for write in writes:
+        write()
 
 
 # ---------------------------------------------------------------- calibrate
 
 def _calibrate_cell(cell: _Cell, methods: tuple[str, ...]) -> None:
     # post-processing only: the scores and grid estimates are certify's
-    outcomes = cell.read("data/cal", _CAL_COLUMNS, _calibration_set)[:, 2]
+    outcomes = _read_cal(cell)[:, 2]
     grid = _grid(cell.cfg, bm.default_safe_region())
     # every method's calibrator and bounds come first, so a refused table or
     # score writes none of the cell's files
@@ -335,11 +419,13 @@ def _evaluate(cells: list[_Cell], methods: tuple[str, ...]) -> None:
 # the unit it runs over).  Methods are None for stages without any, "all" for
 # certify's, or "scored" for those that write estimates: all but barrier, which
 # writes a report.  A stage's function is called once per unit: a "cell", an
-# (alpha, seed) "column" of cells in horizon order, or the whole "grid".
+# (alpha, seed) "column" of cells in horizon order, a (T, seed) "row" of cells
+# in alpha order, or the whole "grid".  certify runs per row so that it fits
+# once per distinct training set of the row.
 _STAGES = {
     "gen-data": ("generate trajectory and one-step pair datasets", _gen_column, None, "column"),
     "mc-oracle": ("Monte Carlo ground-truth safety grids", _mc_column, None, "column"),
-    "certify": ("fit a method and write grid estimates", _certify_cell, "all", "cell"),
+    "certify": ("fit a method and write grid estimates", _certify_row, "all", "row"),
     "calibrate": ("histogram-binning calibration of a method's scores", _calibrate_cell,
                   "scored", "cell"),
     "evaluate": ("metrics of stored predictions against MC grids", _evaluate, "scored", "grid"),
@@ -352,10 +438,11 @@ def _units(cells: list[_Cell], unit: str) -> list:
         return cells
     if unit == "grid":
         return [cells]
-    columns: dict[tuple, list[_Cell]] = {}
+    units: dict[tuple, list[_Cell]] = {}
     for cell in cells:
-        columns.setdefault((cell.alpha, cell.seed), []).append(cell)
-    return [tuple(column) for column in columns.values()]
+        key = (cell.alpha, cell.seed) if unit == "column" else (cell.T, cell.seed)
+        units.setdefault(key, []).append(cell)
+    return [tuple(members) for members in units.values()]
 
 
 def _methods(cfg: ExperimentConfig, method: str | None, takes: str) -> tuple[str, ...]:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -5,12 +6,17 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import safecert.barrier
 import safecert.cli
+import safecert.direct
+import safecert.dp
+import safecert.kernels
 from safecert import abstraction as ab
 from safecert import benchmark as bm
 from safecert import calibration as cal
@@ -97,8 +103,9 @@ class TestIoHelpers:
 # every (stage, table it reads) pair, with the files the stage writes; the
 # edits: a nan or a 0.5 label as the last value of the first row, the row of
 # trajectory 3 at t = 1 (another table's last row) dropped or written twice,
-# the last column renamed (upper case), or the last two columns swapped,
-# names and values.  "{out}" in a message is the output directory
+# every row of the last trajectory dropped, the last column renamed (upper
+# case), or the last two columns swapped, names and values.  "{out}" in a
+# message is the output directory
 _STAGE_WRITES = {"certify": ("pred/*", "cal/scores_*"),
                  "calibrate": ("cal/calibrator_*", "cal/bounds_*"),
                  "evaluate": ("metrics*.csv",)}
@@ -110,6 +117,12 @@ _FAULTS = [
     ("certify", "data/trajs", "duplicate", "row 11: expected trajectory 3 at t = 2, "
                                            "found trajectory 3 at t = 1"),
     ("certify", "data/pairs", "nan", "row 0, column xn2 is not finite (nan)"),
+    # tables whose row count is not the one the config asks for
+    ("certify", "data/cal", "drop", "39 rows, but data.n_calibration is 40"),
+    ("calibrate", "data/cal", "drop", "39 rows, but data.n_calibration is 40"),
+    ("certify", "data/pairs", "drop", "59 rows, but data.n_trajectories * T is 60"),
+    ("certify", "data/trajs", "drop-trajectory", "29 trajectories of 3 states (87 rows), but "
+                                                 "data.n_trajectories * (T + 1) is 30 * 3 = 90"),
     ("calibrate", "data/cal", "nan", "row 0, column safe is not finite (nan)"),
     ("calibrate", "cal/scores_direct", "nan", "row 0, column score is not finite (nan)"),
     ("calibrate", "pred/direct", "nan", "row 0, column estimate is not finite (nan)"),
@@ -269,6 +282,9 @@ class TestExitCodes:
                 fields = lines[i].rstrip("\n").split(",")
                 fields[-2:] = fields[:-3:-1]
                 lines[i] = ",".join(fields) + "\n"
+        elif edit == "drop-trajectory":
+            last = lines[-1].partition(",")[0]
+            lines = lines[:2] + [line for line in lines[2:] if line.partition(",")[0] != last]
         else:
             # a trajectory table's row of trajectory 3 at t = 1, any other table's last row
             row = next((i for i, line in enumerate(lines) if line.startswith("3,1,")),
@@ -296,6 +312,23 @@ class TestExitCodes:
         assert str(pred) in capsys.readouterr().err
         assert not list((out / "cal").glob("calibrator_*"))
         assert not list((out / "cal").glob("bounds_*"))
+
+    def test_certify_writes_all_of_a_row_or_none(self, tmp_path, capsys):
+        """A refused table of one cell leaves no file of any cell of its
+        (T, seed) row, although the other cells' tables are sound."""
+        config = tmp_path / "row.cfg"
+        config.write_text(TINY_CONFIG + "system.alphas = 0, 0.95\n")
+        out = tmp_path / "o"
+        assert run("gen-data", "--config", str(config), "--out", str(out)) == 0
+        pairs = out / "data" / "pairs_a0.95_T2_s1.csv"
+        lines = pairs.read_text().splitlines(keepends=True)
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",nan\n"
+        pairs.write_text("".join(lines))
+        capsys.readouterr()
+        assert run("certify", "--config", str(config), "--out", str(out)) == 1
+        assert str(pairs) in capsys.readouterr().err
+        assert not list(out.glob("pred/*_a0_T2_s1.*"))
+        assert not list(out.glob("cal/*"))
 
     def test_evaluate_refuses_mc_grid_of_another_config(self, cfg_path, tmp_path, capsys):
         other = tmp_path / "other.cfg"
@@ -390,6 +423,66 @@ class TestPipeline:
         # the tiny config's methods: direct, dp, imp, ssr and barrier; one cell
         assert run("certify", "--config", str(cfg_path), "--out", out) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("mode, dp_fits", [("iid", 4), ("dependent", 12)])
+    def test_certify_fits_each_distinct_training_set_once(self, tmp_path, monkeypatch, mode,
+                                                           dp_fits):
+        """Three alphas, two horizons and two seeds: iid pairs and the start
+        states of the trajectories are the same at every alpha, so each
+        (T, seed) row fits dp once and direct once; dependent pairs differ by
+        alpha, so dp fits once per cell."""
+        config = tmp_path / "grid.cfg"
+        config.write_text(TINY_CONFIG + "system.alphas = 0, 0.5, 0.95\nhorizons = 2, 3\n"
+                          f"seeds = 1, 2\ndata.mode = {mode}\n")
+        out = str(tmp_path / "o")
+        assert run("gen-data", "--config", str(config), "--out", out) == 0
+        calls = []
+        for name in ("fit_direct", "fit_dp"):
+            fit = getattr(safecert.cli, name)
+            monkeypatch.setattr(safecert.cli, name, lambda *a, _fit=fit, _name=name, **kw:
+                                calls.append(_name) or _fit(*a, **kw))
+        assert run("certify", "--config", str(config), "--out", out) == 0
+        assert (calls.count("fit_direct"), calls.count("fit_dp")) == (4, dp_fits)
+        assert len(list((tmp_path / "o" / "pred").glob("dp_*"))) == 12
+
+    def test_no_fitted_model_is_held_while_another_is_fitted(self, tmp_path, monkeypatch):
+        """Each ridge fit of a row starts after every ridge system an earlier
+        fit_direct or fit_dp built is freed, by reference counting alone."""
+        # one (T, seed) row of two alphas whose dependent pairs differ, so
+        # certify fits direct once and dp once per alpha
+        config = tmp_path / "row.cfg"
+        config.write_text(TINY_CONFIG + "system.alphas = 0, 0.95\ndata.mode = dependent\n")
+        out = str(tmp_path / "o")
+        assert run("gen-data", "--config", str(config), "--out", out) == 0
+        built, fits = [], []
+
+        def tracked(fit):
+            def wrapper(*a, **kw):
+                model = fit(*a, **kw)
+                built.append(weakref.ref(model.gram))
+                return model
+
+            return wrapper
+
+        for name in ("fit_direct", "fit_dp"):
+            monkeypatch.setattr(safecert.cli, name, tracked(getattr(safecert.cli, name)))
+        fit_weights = safecert.kernels.fit_weights
+
+        def checked_fit_weights(*a, **kw):
+            fits.append([ref for ref in built if ref() is not None])
+            return fit_weights(*a, **kw)
+
+        # the modules that fit a ridge system hold fit_weights under their own names
+        for module in (safecert.direct, safecert.dp, safecert.barrier):
+            monkeypatch.setattr(module, "fit_weights", checked_fit_weights)
+        gc.disable()
+        try:
+            assert run("certify", "--config", str(config), "--out", out) == 0
+        finally:
+            gc.enable()
+        # the ridge fits: direct, the barrier candidate, then dp per alpha
+        assert len(built) == 3
+        assert fits == [[]] * 4
 
     def test_certify_builds_one_cell_matrix_for_imp_and_ssr(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "two-cells.cfg"
