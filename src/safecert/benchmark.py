@@ -270,9 +270,11 @@ class TrajectorySet:
         return self.states[:, 0, :]
 
     def to_csv(self, header_comment: str = "") -> str:
-        columns = ["traj_id", "t"] + [f"x{k + 1}" for k in range(self.states.shape[2])]
-        rows = ([i, t, *x] for i, traj in enumerate(self.states)
-                for t, x in enumerate(traj.tolist()))
+        n, steps, d = self.states.shape
+        columns = ["traj_id", "t"] + [f"x{k + 1}" for k in range(d)]
+        # ids and steps as floats: below 2**53 they print under .17g as str prints them
+        rows = np.column_stack([np.repeat(np.arange(n), steps), np.tile(np.arange(steps), n),
+                                self.states.reshape(-1, d)]).astype(float)
         return format_table(columns, rows, header_comment)
 
     @classmethod
@@ -305,7 +307,7 @@ class OneStepPairs:
     def to_csv(self, header_comment: str = "") -> str:
         d = self.x.shape[1]
         columns = [f"x{k + 1}" for k in range(d)] + [f"xn{k + 1}" for k in range(d)]
-        return format_table(columns, np.hstack([self.x, self.x_next]).tolist(), header_comment)
+        return format_table(columns, np.hstack([self.x, self.x_next]), header_comment)
 
     @classmethod
     def from_csv(cls, text: str) -> "OneStepPairs":
@@ -322,7 +324,7 @@ class GroundTruthGrid:
     p_mc: np.ndarray   # (G,)
 
     def to_csv(self, header_comment: str = "") -> str:
-        rows = np.column_stack([self.grid, self.p_mc]).tolist()
+        rows = np.column_stack([self.grid, self.p_mc])
         return format_table(["gx", "gy", "p_mc"], rows, header_comment)
 
     @classmethod

@@ -39,6 +39,7 @@ included).  File writes are atomic.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -135,7 +136,7 @@ def _grid(cfg: ExperimentConfig, region: bm.SafeRegion) -> np.ndarray:
 
 
 def _grid_table(grid: np.ndarray, values: np.ndarray, value_name: str) -> tuple:
-    return ["gx", "gy", value_name], np.column_stack([grid, values]).tolist()
+    return ["gx", "gy", value_name], np.column_stack([grid, values])
 
 
 # the column line of every table a stage reads, as its writer writes it (the
@@ -212,7 +213,7 @@ def _gen_column(cells: tuple[_Cell, ...]) -> None:
         cell.write_table("data/pairs", pairs, kind=f"pairs-{mode}")
         safe = bm.trajectory_safe(region, cal_ts.states[:, :cell.T + 1])
         rows = np.column_stack([cal_ts.initial_states, safe])
-        cell.write_table("data/cal", (_CAL_COLUMNS, rows.tolist()), kind="calibration")
+        cell.write_table("data/cal", (_CAL_COLUMNS, rows), kind="calibration")
 
 
 # ---------------------------------------------------------------- mc-oracle
@@ -250,7 +251,7 @@ def _estimate_writes(cells: list[_Cell], method: str, score_at, x_cal: list[np.n
     estimates = _grid_table(grid, score_at(grid), "estimate")
     writes = []
     for group in _groups([(x,) for x in x_cal]):
-        scores = (_SCORE_COLUMNS, score_at(x_cal[group[0]])[:, None].tolist())
+        scores = (_SCORE_COLUMNS, score_at(x_cal[group[0]])[:, None])
         for i in group:
             writes += [partial(cells[i].write_table, f"pred/{method}", estimates, method=method),
                        partial(cells[i].write_table, f"cal/scores_{method}", scores, method=method)]
@@ -458,17 +459,41 @@ def _methods(cfg: ExperimentConfig, method: str | None, takes: str) -> tuple[str
     return tuple(m for m in cfg["methods"] if not (scored and m == "barrier"))
 
 
-def _run_cells(fn, units: list, threads: int, **kwargs) -> None:
-    """``fn(unit, **kwargs)`` for each unit: in a pool of up to ``threads``
-    processes when there is more than one of each, else in this process."""
+# the OpenBLAS builds that the numpy and scipy wheels bundle, next to the
+# packages, and each one's thread-count setter
+_OPENBLAS = (("numpy.libs/libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
+             ("scipy.libs/libscipy_openblas*.so", "scipy_openblas_set_num_threads"))
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: one thread for each bundled OpenBLAS, as the workers
+    already take a core each.  A library or symbol that is not there is skipped."""
+    import ctypes
+    import glob
+
+    # a build that loads later reads the variable and starts no threads
+    # (a setter call would start them, and they spin a while first); one that
+    # is loaded already, as numpy's always is, takes the setter
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    site = Path(np.__file__).parent.parent
+    for pattern, symbol in _OPENBLAS:
+        for lib in glob.glob(str(site / pattern)):
+            setter = getattr(ctypes.CDLL(lib), symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
+def _run_cells(fn, units: list, threads: int, **kwargs) -> list:
+    """``fn(unit, **kwargs)`` for each unit, in order: in a pool of up to
+    ``threads`` processes of one BLAS thread each when there is more than one
+    of each, else in this process."""
     if threads <= 1 or len(units) <= 1:
-        for unit in units:
-            fn(unit, **kwargs)
-        return
-    with ProcessPoolExecutor(max_workers=min(threads, len(units))) as pool:
+        return [fn(unit, **kwargs) for unit in units]
+    with ProcessPoolExecutor(max_workers=min(threads, len(units)),
+                             initializer=_one_blas_thread) as pool:
         futures = [pool.submit(fn, unit, **kwargs) for unit in units]
-        for fut in futures:
-            fut.result()
+        return [fut.result() for fut in futures]
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,3 +1,4 @@
+import ctypes
 import gc
 import hashlib
 import json
@@ -150,6 +151,39 @@ _FAULTS += [(stage, table, "rename", f"columns are {cols[:-1] + [cols[-1].upper(
 # a one-column table has no other order
 _FAULTS += [(stage, table, "reorder", f"columns are {cols[:-2] + cols[:-3:-1]}, not {cols}")
             for stage, table, cols in _READS if len(cols) > 1]
+# a middle row that lost its last cell; in a one-column table that leaves a
+# blank line, which the reader skips, so the score count is what refuses it
+_FAULTS += [(stage, table, "ragged", f"row {{row}} has {len(cols) - 1} cells, not {len(cols)}")
+            for stage, table, cols in _READS if len(cols) > 1]
+_FAULTS += [("calibrate", "cal/scores_direct", "ragged",
+             "39 scores, but {out}/data/cal_a0_T2_s1.csv has 40 rows")]
+
+
+def _openblas() -> list:
+    """(path, get, set) of the thread count of numpy's and then scipy's
+    bundled OpenBLAS; (None, None, None) for one that is not installed."""
+    site = Path(np.__file__).parent.parent
+    found = []
+    for pattern, suffix in (("numpy.libs/libscipy_openblas64_*.so", "64_"),
+                            ("scipy.libs/libscipy_openblas*.so", "")):
+        libs = sorted(site.glob(pattern))
+        if not libs:
+            found.append((None, None, None))
+            continue
+        lib = ctypes.CDLL(str(libs[0]))
+        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        found.append((libs[0], get, set_threads))
+    return found
+
+
+def _openblas_threads(_unit) -> list[int]:
+    """The thread counts of ``_openblas`` once scipy has loaded its own build,
+    as a certify worker does after the pool started it."""
+    import scipy.linalg  # noqa: F401
+    return [get() for _, get, _ in _openblas()]
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +305,7 @@ class TestExitCodes:
         path = out / f"{table}_a0_T2_s1.csv"
         lines = path.read_text().splitlines(keepends=True)
         # the comment line, the column names, then the rows
+        middle = (len(lines) - 2) // 2
         if edit in ("nan", "label"):
             value = "nan" if edit == "nan" else "0.5"
             lines[2] = "".join(lines[2].rpartition(",")[:2]) + value + "\n"
@@ -282,6 +317,8 @@ class TestExitCodes:
                 fields = lines[i].rstrip("\n").split(",")
                 fields[-2:] = fields[:-3:-1]
                 lines[i] = ",".join(fields) + "\n"
+        elif edit == "ragged":
+            lines[2 + middle] = lines[2 + middle].rpartition(",")[0] + "\n"
         elif edit == "drop-trajectory":
             last = lines[-1].partition(",")[0]
             lines = lines[:2] + [line for line in lines[2:] if line.partition(",")[0] != last]
@@ -294,7 +331,7 @@ class TestExitCodes:
         capsys.readouterr()
         assert run(stage, "--config", str(cfg), "--out", str(out)) == 1
         # the error line names the table, so a sweep's bad cell can be found
-        assert f"error: {path}: {message.format(out=out)}\n" in capsys.readouterr().err
+        assert f"error: {path}: {message.format(out=out, row=middle)}\n" in capsys.readouterr().err
         assert not [p for pattern in _STAGE_WRITES[stage] for p in out.glob(pattern)]
 
     def test_calibrate_writes_all_of_a_cell_or_none(self, cfg_path, tmp_path, capsys):
@@ -522,6 +559,23 @@ class TestPipeline:
                 assert run(stage, "--config", str(config), "--out", str(b), "--threads", "2") == 0
             assert tree_digest(a) == tree_digest(b)
         assert len(tree_digest(tmp_path / "two" / "serial")) == 4 * 4
+
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        """Each pooled unit sees one thread in both bundled OpenBLAS builds,
+        also where the parent runs more, and the parent keeps its count."""
+        if not all(lib for lib, _, _ in _openblas()):
+            pytest.skip("numpy's and scipy's bundled OpenBLAS builds are not installed")
+        before = [get() for _, get, _ in _openblas()]
+        # workers that fork inherit the parent's count, and spawned ones the variable
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        for _, _, set_threads in _openblas():
+            set_threads(2)
+        try:
+            assert safecert.cli._run_cells(_openblas_threads, [0, 1], threads=2) == [[1, 1]] * 2
+            assert _openblas_threads(None) == [2, 2]
+        finally:
+            for (_, _, set_threads), count in zip(_openblas(), before):
+                set_threads(count)
 
     def test_shared_rollouts_match_one_horizon_runs(self, tmp_path):
         """Below the provenance line, every data/ and mc/ file of a two-horizon

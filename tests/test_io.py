@@ -1,5 +1,7 @@
 """The on-disk table format: exact bytes of each table kind and provenance checks."""
 
+import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,40 @@ from safecert import GroundTruthGrid, OneStepPairs, TrajectorySet
 from safecert.io import format_table, parse_table, read_table
 
 HEAD = "config=abc seed=1"
+
+
+def _doubles() -> np.ndarray:
+    """Random bit patterns over the whole exponent range, the edge values of
+    a double, and integer-valued floats up to 2**53."""
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2**63, 3000, dtype=np.int64) * rng.choice([-1, 1], 3000)
+    doubles = bits.view(np.float64)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.225073858507201e-308, 2.2250738585072014e-308,
+             1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, 1e-05, 1e16, 1e17,
+             2.0**53, -(2.0**53), 2.0**53 - 1]
+    whole = rng.integers(-(2**53), 2**53, 500).astype(float)
+    values = np.concatenate([doubles[np.isfinite(doubles)], edges, whole])
+    return values[:len(values) // 4 * 4].reshape(-1, 4)
+
+
+def _csv_table(columns, rows, header: str = "") -> str:
+    """The writer the one-pass ``format_table`` replaced: the csv module, one f-string per cell."""
+    buf = io.StringIO()
+    if header:
+        buf.write(f"# {header}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row]
+                     for row in rows)
+    return buf.getvalue()
+
+
+def _csv_cells(text: str) -> tuple[list[str], list[list[float]]]:
+    """The reader the one-pass ``parse_table`` replaced: column names and
+    ``float()`` of each cell, comment and blank lines skipped."""
+    reader = csv.reader(line for line in io.StringIO(text)
+                        if line.strip() and not line.startswith("#"))
+    return next(reader), [[float(v) for v in row] for row in reader]
 
 
 class TestExactBytes:
@@ -46,6 +82,87 @@ class TestExactBytes:
 
     def test_no_header_line_without_header(self):
         assert format_table(["a"], [[1.0]]) == "a\n1\n"
+
+
+class TestOnePass:
+    """``format_table`` and ``parse_table`` against per-cell references."""
+
+    def test_floats_format_as_per_value_17g(self):
+        values = _doubles()
+        want = "# config=abc seed=1\na,b,c,d\n" + "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\n" for row in values.tolist())
+        assert format_table(["a", "b", "c", "d"], values, HEAD) == want
+        assert format_table(["a", "b", "c", "d"], values.tolist(), HEAD) == want
+
+    def test_floats_read_back_bit_for_bit(self):
+        values = _doubles()
+        _, columns, data = parse_table(format_table(["a", "b", "c", "d"], values, HEAD))
+        assert columns == ["a", "b", "c", "d"]
+        assert data.shape == values.shape
+        assert np.array_equal(data.view(np.int64), values.view(np.int64))
+
+    def test_mixed_metrics_rows_keep_their_bytes(self):
+        rows = [[m, a, T, seed, np.float64(0.1 * seed), 1e-5 * T, float(seed), 2.0**53]
+                for m in ("direct", "dp") for a in ("0", "0.95") for T in (3, 15)
+                for seed in (1, 2)]
+        columns = ["method", "alpha", "T", "seed", "rmse", "brier", "rel", "res"]
+        head = "config=abc seed=0 kind=metrics"
+        assert format_table(columns, rows, head) == _csv_table(columns, rows, head)
+
+    def test_trajectory_ids_print_as_integers(self):
+        rng = np.random.default_rng(3)
+        states = rng.standard_normal((12, 4, 2))
+        rows = [[i, t, *x] for i, traj in enumerate(states) for t, x in enumerate(traj.tolist())]
+        assert TrajectorySet(states=states).to_csv(HEAD) == _csv_table(
+            ["traj_id", "t", "x1", "x2"], rows, HEAD)
+
+    @pytest.mark.parametrize("rows", [[], np.empty((0, 2))], ids=["list", "array"])
+    def test_no_rows_write_the_header_and_the_column_line(self, rows):
+        assert format_table(["a", "b"], rows, HEAD) == "# config=abc seed=1\na,b\n"
+
+    @pytest.mark.parametrize("rows, row", [
+        ([["dp", 0.5], ["dp", 1]], 1),
+        ([["dp", 1], ["dp", 0.5]], 1),
+        ([["dp", 0.5], ["dp", 0.25], ["dp", "0.125"]], 2),
+    ])
+    def test_a_column_of_floats_and_other_cells_is_refused(self, rows, row):
+        with pytest.raises(ValueError, match=rf"^row {row}, column rmse mixes floats with other"):
+            format_table(["method", "rmse"], rows)
+
+    @pytest.mark.parametrize("rows", [[[0.5, 1.0], [2.0]], np.zeros((2, 3)), np.zeros(2)],
+                             ids=["list", "wide-array", "flat-array"])
+    def test_a_row_of_another_width_is_refused(self, rows):
+        with pytest.raises(ValueError, match="row 1 has 1 cells, not 2|not a table of 2 columns"):
+            format_table(["a", "b"], rows)
+
+    @pytest.mark.parametrize("columns, rows", [
+        (["a,b"], [[1.0]]), (["a"], [["x,y"]]), (["a"], [['say "x"']]), (["a"], [["x\ny"]]),
+    ])
+    def test_a_cell_the_format_cannot_hold_is_refused(self, columns, rows):
+        with pytest.raises(ValueError, match="holds a comma, a quote or a line break"):
+            format_table(columns, rows)
+
+    @pytest.mark.parametrize("text, error", [
+        ("a,b\n1,2\n3\n4,5\n", "row 1 has 1 cells, not 2"),
+        ("a,b\n1,2\n3,4\n5,6,7\n", "row 2 has 3 cells, not 2"),
+        ("# h\na,b,c\n\n1,2\n", "row 0 has 2 cells, not 3"),
+    ], ids=["short", "long", "after-a-blank-line"])
+    def test_a_ragged_row_is_refused_by_row(self, text, error):
+        with pytest.raises(ValueError, match=rf"^{error}$"):
+            parse_table(text)
+
+    @pytest.mark.parametrize("text", [
+        "# config=abc seed=1\n\nx,y\n0.5,-1\n\n# note\n2,1e-05\n",
+        "# config=abc\r\nx,y\r\n0.5,-1\r\n\r\n# note\r\n2,1e-05\r\n",
+        "x,y\n  \n0.5, -1\n# a,b,c\n2 ,1e-05\n\n",
+    ], ids=["blank-and-comment", "crlf", "spaces"])
+    def test_skipped_lines_read_as_the_csv_reader_read_them(self, text):
+        columns, rows = _csv_cells(text)
+        fields, got_columns, data = parse_table(text)
+        assert got_columns == columns
+        assert data.tolist() == rows
+        assert fields == ({"config": "abc", "seed": "1"} if "seed" in text
+                          else {"config": "abc"} if "config" in text else {})
 
 
 class TestParse:
