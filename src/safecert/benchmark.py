@@ -334,24 +334,30 @@ class GroundTruthGrid:
 
 
 def gen_dataset(
-    params: SynthSystemParams,
+    params: SynthSystemParams | Sequence[SynthSystemParams],
     region: SafeRegion,
     n: int,
     T: int,
     seed: int,
     purpose: str = "traj",
-) -> TrajectorySet:
+) -> TrajectorySet | list[TrajectorySet]:
     """Sample ``n`` rollouts with x0 uniform on the region bounding box.
 
-    Each trajectory owns a named substream of (seed, purpose, i), so
-    trajectory i is the same no matter how many others are drawn alongside
-    it, and distinct purposes (training vs calibration) never share noise.
-    Stream i gives x0 first (``uniform(lo, hi)``, d values, computed as
+    ``params`` is one system, which returns one set, or a sequence of
+    systems, which returns one set per system in the order given.  Each
+    trajectory owns a named substream of (seed, purpose, i), so trajectory i
+    is the same no matter how many others are drawn alongside it, and
+    distinct purposes (training vs calibration) never share noise.  Stream i
+    gives x0 first (``uniform(lo, hi)``, d values, computed as
     ``lo + (hi - lo) * random(d)``: the same draws and roundings without
     ``uniform``'s per-call argument handling), then the trajectory's noise
     (``standard_normal((T+1, 2))``, z_0 and then one innovation per step).
     All n trajectories are simulated in one pass, so the noise is held next
-    to the states: (T+1)·n·2 floats, the size of the result.
+    to the states: (T+1)·n·2 floats, the size of one result.
+
+    The draws never read ``params``: every stream is built and drawn once,
+    and each system's rollouts start from the same x0 and noise.  So a
+    sequence of systems gives, bit for bit, what one call per system gives.
 
     Prefix contract: a stream's draws at horizon S <= T are the first draws
     it makes at T, and ``_rollout`` keeps prefixes, so
@@ -359,6 +365,10 @@ def gen_dataset(
     ``gen_dataset(..., T, ...).states[:, :S + 1]`` bit for bit for the same
     n, seed and purpose.
     """
+    single = isinstance(params, SynthSystemParams)
+    systems = (params,) if single else tuple(params)
+    if not systems:
+        raise ValueError("at least one system is needed")
     if n <= 0:
         raise ValueError("n must be positive")
     if T < 0:
@@ -371,7 +381,8 @@ def gen_dataset(
         rng = stream(seed, purpose, i)
         x0s[i] = lo + width * rng.random(region.dim)
         noise[:, i] = rng.standard_normal((T + 1, 2))
-    return TrajectorySet(states=_rollout(params, x0s, noise))
+    sets = [TrajectorySet(states=_rollout(system, x0s, noise)) for system in systems]
+    return sets[0] if single else sets
 
 
 def extract_onestep_pairs(
@@ -430,23 +441,32 @@ def eval_grid(region: SafeRegion, counts: tuple[int, ...]) -> np.ndarray:
 
 
 def mc_ground_truth(
-    params: SynthSystemParams,
+    params: SynthSystemParams | Sequence[SynthSystemParams],
     region: SafeRegion,
     grid: np.ndarray,
     T: int | Sequence[int],
     n_mc: int,
     seed: int,
-) -> GroundTruthGrid | list[GroundTruthGrid]:
+) -> GroundTruthGrid | list[GroundTruthGrid] | list[list[GroundTruthGrid]]:
     """Monte Carlo estimate of the safety probability at each grid point.
 
-    ``T`` is one horizon, which returns one grid, or a sequence of horizons,
-    which returns one grid per horizon in the order given.  Grid point g owns
-    the substream (seed, "mc", g) and draws all of its noise from it in one
-    call, ``standard_normal((T+1, n_mc, 2))`` at the longest horizon T: step
-    by step, n_mc rollouts at a time.  Unsafe starting points are 0 and draw
-    nothing.  Safe points are simulated and scored in blocks of whole points,
-    as many as fit in ``_MC_BLOCK`` rollouts and at least one, so a block
-    holds max(_MC_BLOCK, n_mc)·(T+1)·2 floats of noise and as many of states.
+    ``T`` is one horizon, which gives one grid, or a sequence of horizons,
+    which gives a list of one grid per horizon in the order given.
+    ``params`` is one system, which returns what ``T`` gives, or a sequence
+    of systems, which returns a list of that, one per system in the order
+    given.  Grid point g owns the substream (seed, "mc", g) and draws all of
+    its noise from it in one call, ``standard_normal((T+1, n_mc, 2))`` at
+    the longest horizon T: step by step, n_mc rollouts at a time.  Unsafe
+    starting points are 0 and draw nothing.  Safe points are drawn in blocks
+    of whole points, as many as fit in ``_MC_BLOCK`` rollouts and at least
+    one, and each block is rolled out and scored once per system, one system
+    at a time, before the next is drawn.  So a block holds
+    max(_MC_BLOCK, n_mc)·(T+1)·2 floats of noise and as many of states, and
+    the memory held does not grow with the number of systems.
+
+    The draws never read ``params``: every stream is built and drawn once,
+    and each system's rollouts start from the same points and noise.  So a
+    sequence of systems gives, bit for bit, what one call per system gives.
 
     Prefix contract: every horizon is read off the same rollouts, through a
     running "safe so far" flag per rollout, and the draws and states at a
@@ -454,8 +474,12 @@ def mc_ground_truth(
     So the grids of a sequence of horizons equal, bit for bit, those of one
     call per horizon.
     """
-    single = np.ndim(T) == 0
-    horizons = (T,) if single else tuple(T)
+    single = isinstance(params, SynthSystemParams)
+    systems = (params,) if single else tuple(params)
+    if not systems:
+        raise ValueError("at least one system is needed")
+    one_horizon = np.ndim(T) == 0
+    horizons = (T,) if one_horizon else tuple(T)
     if not horizons:
         raise ValueError("at least one horizon is needed")
     if min(horizons) < 0:
@@ -464,7 +488,7 @@ def mc_ground_truth(
         raise ValueError("n_mc must be positive")
     T_max = max(horizons)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    p = np.zeros((len(horizons), grid.shape[0]))
+    p = np.zeros((len(systems), len(horizons), grid.shape[0]))
     safe_starts = np.flatnonzero(is_safe(region, grid))
     per_block = max(1, _MC_BLOCK // n_mc)
     for first in range(0, safe_starts.size, per_block):
@@ -473,11 +497,19 @@ def mc_ground_truth(
         for j, g in enumerate(points):
             rng = stream(seed, "mc", g)
             noise[:, j * n_mc:(j + 1) * n_mc] = rng.standard_normal((T_max + 1, n_mc, 2))
-        rolls = _rollout(params, np.repeat(grid[points], n_mc, axis=0), noise)
-        # column t: the rollout stayed safe from step 0 through step t
-        safe = _safe_columns(region, [rolls[..., k] for k in range(rolls.shape[2])])
-        np.logical_and.accumulate(safe, axis=1, out=safe)
-        for k, horizon in enumerate(horizons):
-            p[k, points] = safe[:, horizon].reshape(points.size, n_mc).mean(axis=1)
-    grids = [GroundTruthGrid(grid=grid, p_mc=row) for row in p]
-    return grids[0] if single else grids
+        for i, system in enumerate(systems):
+            # rebound, not dropped in a helper: freeing all of a block's
+            # arrays at once let the allocator return their pages, and
+            # faulting them back in cost ~45k minor faults (0.15 s) per call
+            # at the pipeline's size
+            rolls = _rollout(system, np.repeat(grid[points], n_mc, axis=0), noise)
+            # column t: the rollout stayed safe from step 0 through step t
+            safe = _safe_columns(region, [rolls[..., k] for k in range(rolls.shape[2])])
+            np.logical_and.accumulate(safe, axis=1, out=safe)
+            for k, horizon in enumerate(horizons):
+                p[i, k, points] = safe[:, horizon].reshape(points.size, n_mc).mean(axis=1)
+    results = []
+    for rows in p:
+        grids = [GroundTruthGrid(grid=grid, p_mc=row) for row in rows]
+        results.append(grids[0] if one_horizon else grids)
+    return results[0] if single else results

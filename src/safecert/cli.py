@@ -14,21 +14,23 @@ Subcommands mirror the experiment stages; only certify fits models:
 
 The config grid has one cell per (alpha, T, seed).  calibrate runs once per
 cell, evaluate once over all of them, and gen-data and mc-oracle once per
-(alpha, seed) column: they simulate at the column's longest horizon and write
-every cell of the column from those rollouts, since a shorter horizon's draws
-and states are a prefix of a longer one's.  certify runs once per (T, seed)
-row and fits once per distinct training set in it: the cells whose decoded
-data/pairs are equal share one dp fit (iid pairs do not depend on alpha), and
-those whose trajectories start at equal states one direct factor, each cell
-keeping its own labels.  Every cell still gets its own files.  A cell record
-owns the cell's files: their names ``<name>_a<alpha>_T<T>_s<seed>``, the
-provenance header each one starts with (config hash, seed, alpha, T), and
-``read``, the one way a stage reads a table, which refuses one whose header
-names another cell or config, whose column line is not its writer's, or that
-does not decode (a non-finite cell or a ``safe`` label other than 0 or 1,
-say).  A data table must also hold as many rows as the config asks for.  A
-stage reads all the tables of its unit before it writes, and a config whose
-cells would share a file name is refused before any stage runs.
+seed: every random stream they read is keyed by seed, purpose and index,
+never by alpha, so each is drawn once, at the seed's longest horizon, and
+rolled out once per alpha.  Each alpha's cells are written from that alpha's
+rollouts, since a shorter horizon's draws and states are a prefix of a longer
+one's.  certify runs once per (T, seed) row and fits once per distinct
+training set in it: the cells whose decoded data/pairs are equal share one dp
+fit (iid pairs do not depend on alpha), and those whose trajectories start at
+equal states one direct factor, each cell keeping its own labels.  Every cell
+still gets its own files.  A cell record owns the cell's files: their names
+``<name>_a<alpha>_T<T>_s<seed>``, the provenance header each one starts with
+(config hash, seed, alpha, T), and ``read``, the one way a stage reads a
+table, which refuses one whose header names another cell or config, whose
+column line is not its writer's, or that does not decode (a non-finite cell or
+a ``safe`` label other than 0 or 1, say).  A data table must also hold as
+many rows as the config asks for.  A stage reads all the tables of its unit
+before it writes, and a config whose cells would share a file name is refused
+before any stage runs.
 
 Exit codes: 0 on success, 1 on runtime or numeric failure (missing data
 files and tables written under another config hash, seed, alpha or T
@@ -193,39 +195,57 @@ def _read_pairs(cell: _Cell) -> bm.OneStepPairs:
 
 # ---------------------------------------------------------------- gen-data
 
-def _gen_column(cells: tuple[_Cell, ...]) -> None:
-    # one draw per purpose at the column's longest horizon; each shorter
+def _columns(cells: tuple[_Cell, ...]) -> list[list[_Cell]]:
+    """A seed's cells by alpha, in the order of ``cells``: each alpha's
+    (alpha, seed) column of horizons."""
+    columns: dict[str, list[_Cell]] = {}
+    for cell in cells:
+        columns.setdefault(cell.alpha_text, []).append(cell)
+    return list(columns.values())
+
+
+def _gen_seed(cells: tuple[_Cell, ...]) -> None:
+    # one draw per purpose for the whole seed, at its longest horizon, rolled
+    # out at every alpha (the draws do not depend on alpha); each shorter
     # horizon's rollouts are its first T + 1 states (gen_dataset's prefix
     # contract), and its pairs are drawn for the cell alone
     first = cells[0]
-    cfg, params, seed = first.cfg, first.params, first.seed
+    cfg, seed = first.cfg, first.seed
     region = bm.default_safe_region()
+    columns = _columns(cells)
+    params = [column[0].params for column in columns]
     T_max = max(cell.T for cell in cells)
-    ts = bm.gen_dataset(params, region, cfg["data.n_trajectories"], T_max, seed)
-    cal_ts = bm.gen_dataset(params, region, cfg["data.n_calibration"], T_max, seed,
-                            purpose="cal-traj")
+    trajs = bm.gen_dataset(params, region, cfg["data.n_trajectories"], T_max, seed)
+    cal_trajs = bm.gen_dataset(params, region, cfg["data.n_calibration"], T_max, seed,
+                               purpose="cal-traj")
     mode = cfg["data.mode"]
-    for cell in cells:
-        cell_ts = bm.TrajectorySet(states=ts.states[:, :cell.T + 1])
-        cell.write_table("data/trajs", cell_ts, kind="trajectories")
-        pairs = bm.extract_onestep_pairs(cell_ts, cfg.n_pairs(cell.T), mode, seed, params=params,
-                                         region=region)
-        cell.write_table("data/pairs", pairs, kind=f"pairs-{mode}")
-        safe = bm.trajectory_safe(region, cal_ts.states[:, :cell.T + 1])
-        rows = np.column_stack([cal_ts.initial_states, safe])
-        cell.write_table("data/cal", (_CAL_COLUMNS, rows), kind="calibration")
+    for column, system, ts, cal_ts in zip(columns, params, trajs, cal_trajs):
+        for cell in column:
+            cell_ts = bm.TrajectorySet(states=ts.states[:, :cell.T + 1])
+            cell.write_table("data/trajs", cell_ts, kind="trajectories")
+            pairs = bm.extract_onestep_pairs(cell_ts, cfg.n_pairs(cell.T), mode, seed,
+                                             params=system, region=region)
+            cell.write_table("data/pairs", pairs, kind=f"pairs-{mode}")
+            safe = bm.trajectory_safe(region, cal_ts.states[:, :cell.T + 1])
+            rows = np.column_stack([cal_ts.initial_states, safe])
+            cell.write_table("data/cal", (_CAL_COLUMNS, rows), kind="calibration")
 
 
 # ---------------------------------------------------------------- mc-oracle
 
-def _mc_column(cells: tuple[_Cell, ...]) -> None:
-    # every horizon of the column is scored off one set of rollouts
+def _mc_seed(cells: tuple[_Cell, ...]) -> None:
+    # every alpha and horizon of the seed is scored off one draw of each
+    # point's noise, rolled out once per alpha
     first = cells[0]
     region = bm.default_safe_region()
-    grids = bm.mc_ground_truth(first.params, region, _grid(first.cfg, region),
-                               [cell.T for cell in cells], first.cfg["mc.rollouts"], first.seed)
-    for cell, gt in zip(cells, grids):
-        cell.write_table("mc/mc", gt, kind="mc")
+    columns = _columns(cells)
+    # every column lists the config's horizons in the same order
+    grids = bm.mc_ground_truth([column[0].params for column in columns], region,
+                               _grid(first.cfg, region), [cell.T for cell in columns[0]],
+                               first.cfg["mc.rollouts"], first.seed)
+    for column, column_grids in zip(columns, grids):
+        for cell, gt in zip(column, column_grids):
+            cell.write_table("mc/mc", gt, kind="mc")
 
 
 # ---------------------------------------------------------------- certify
@@ -419,13 +439,14 @@ def _evaluate(cells: list[_Cell], methods: tuple[str, ...]) -> None:
 # the pipeline in sweep order: stage -> (help, function, the methods it takes,
 # the unit it runs over).  Methods are None for stages without any, "all" for
 # certify's, or "scored" for those that write estimates: all but barrier, which
-# writes a report.  A stage's function is called once per unit: a "cell", an
-# (alpha, seed) "column" of cells in horizon order, a (T, seed) "row" of cells
-# in alpha order, or the whole "grid".  certify runs per row so that it fits
-# once per distinct training set of the row.
+# writes a report.  A stage's function is called once per unit: a "cell", a
+# "seed" of cells in (alpha, T) order, a (T, seed) "row" of cells in alpha
+# order, or the whole "grid".  gen-data and mc-oracle run per seed so that
+# each stream is drawn once and rolled out at every alpha; certify runs per
+# row so that it fits once per distinct training set of the row.
 _STAGES = {
-    "gen-data": ("generate trajectory and one-step pair datasets", _gen_column, None, "column"),
-    "mc-oracle": ("Monte Carlo ground-truth safety grids", _mc_column, None, "column"),
+    "gen-data": ("generate trajectory and one-step pair datasets", _gen_seed, None, "seed"),
+    "mc-oracle": ("Monte Carlo ground-truth safety grids", _mc_seed, None, "seed"),
     "certify": ("fit a method and write grid estimates", _certify_row, "all", "row"),
     "calibrate": ("histogram-binning calibration of a method's scores", _calibrate_cell,
                   "scored", "cell"),
@@ -439,9 +460,9 @@ def _units(cells: list[_Cell], unit: str) -> list:
         return cells
     if unit == "grid":
         return [cells]
-    units: dict[tuple, list[_Cell]] = {}
+    units: dict[object, list[_Cell]] = {}
     for cell in cells:
-        key = (cell.alpha, cell.seed) if unit == "column" else (cell.T, cell.seed)
+        key = cell.seed if unit == "seed" else (cell.T, cell.seed)
         units.setdefault(key, []).append(cell)
     return [tuple(members) for members in units.values()]
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import safecert.benchmark as bm
 from safecert import (
     SafeRegion,
     SynthSystemParams,
@@ -43,6 +44,14 @@ def stepwise_rollout(params: SynthSystemParams, x0s: np.ndarray, T: int,
         fb = params.beta_c * np.tanh(params.gamma_c * x[:, 0])
         z = params.alpha * (z + fb[:, None]) + w_scale * rng.standard_normal((n, 2))
     return out
+
+
+# systems that differ in every value the rollout reads
+SYSTEMS = (
+    SynthSystemParams(alpha=0.0),
+    SynthSystemParams(alpha=0.95),
+    SynthSystemParams(alpha=0.5, sigma=0.3, h=0.05, beta_c=0.4, gamma_c=2.0),
+)
 
 
 def broadcast_safe(region: SafeRegion, pts: np.ndarray) -> np.ndarray:
@@ -258,6 +267,22 @@ class TestSimulation:
         want = np.array([stream(13, "cal-traj", i).uniform(lo, hi) for i in range(ts.n)])
         assert np.array_equal(ts.initial_states, want)
 
+    @pytest.mark.parametrize("purpose", ["traj", "cal-traj"])
+    def test_params_sequence_is_one_call_per_params(self, region, purpose):
+        """The draws never read params, so systems that differ in every value
+        share them and each gets, bit for bit, its own call's set."""
+        sets = gen_dataset(SYSTEMS, region, n=120, T=6, seed=4, purpose=purpose)
+        assert isinstance(sets, list) and len(sets) == len(SYSTEMS)
+        for params, ts in zip(SYSTEMS, sets):
+            assert np.array_equal(ts.states, gen_dataset(params, region, 120, 6, 4, purpose).states)
+        assert not np.array_equal(sets[0].states, sets[1].states)
+
+    def test_empty_params_sequence_rejected(self, region):
+        with pytest.raises(ValueError, match="at least one system"):
+            gen_dataset([], region, n=5, T=2, seed=1)
+        with pytest.raises(ValueError, match="at least one system"):
+            mc_ground_truth((), region, eval_grid(region, (2, 2)), 2, 4, seed=1)
+
     @pytest.mark.parametrize("name", ["sigma", "h", "beta_c", "gamma_c"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_params_rejected(self, name, value):
@@ -340,6 +365,43 @@ class TestGroundTruth:
         shuffled = mc_ground_truth(markov_params, region, grid, [9, 2], n_mc, seed=7)
         assert np.array_equal(shuffled[0].p_mc, grids[2].p_mc)
         assert np.array_equal(shuffled[1].p_mc, grids[0].p_mc)
+
+    def test_params_sequence_is_one_call_per_params(self, region):
+        """Systems that differ in every param share each block's draws; each
+        scores, bit for bit, what its own call scores at several horizons.
+        300 rollouts do not divide a block, and unsafe starts sit between
+        safe ones."""
+        grid = np.vstack([[[0.5, 0.3]], eval_grid(region, (6, 6)), [[9.0, 9.0], [-2.0, 0.0]]])
+        n_mc = 300
+        start_safe = broadcast_safe(region, grid)
+        assert _MC_BLOCK % n_mc and not start_safe[0] and not start_safe[-2] and start_safe[-1]
+        assert start_safe.sum() > _MC_BLOCK // n_mc
+        got = mc_ground_truth(SYSTEMS, region, grid, (2, 5), n_mc, seed=3)
+        assert len(got) == len(SYSTEMS)
+        for params, grids in zip(SYSTEMS, got):
+            one = mc_ground_truth(params, region, grid, (2, 5), n_mc, seed=3)
+            assert len(grids) == 2
+            for gt, want in zip(grids, one):
+                assert np.array_equal(gt.grid, want.grid)
+                assert np.array_equal(gt.p_mc, want.p_mc)
+        # one horizon gives one grid per system
+        single = mc_ground_truth(SYSTEMS, region, grid, 5, n_mc, seed=3)
+        assert [gt.p_mc.tolist() for gt in single] == [grids[1].p_mc.tolist() for grids in got]
+        assert not np.array_equal(got[0][1].p_mc, got[1][1].p_mc)
+
+    def test_each_stream_is_built_once_per_seed(self, region, monkeypatch):
+        """Every (seed, purpose, index) stream is built once for a sequence
+        of systems, whatever their number; unsafe starts build none."""
+        keys = []
+        monkeypatch.setattr(bm, "stream", lambda *key: keys.append(key) or stream(*key))
+        grid = np.vstack([eval_grid(region, (5, 5)), [[9.0, 9.0]]])
+        gen_dataset(SYSTEMS, region, n=30, T=4, seed=2)
+        gen_dataset(SYSTEMS, region, n=20, T=4, seed=2, purpose="cal-traj")
+        mc_ground_truth(SYSTEMS, region, grid, (2, 4), 40, seed=2)
+        safe_points = np.flatnonzero(broadcast_safe(region, grid))
+        assert sorted(keys) == sorted([(2, "traj", i) for i in range(30)]
+                                      + [(2, "cal-traj", i) for i in range(20)]
+                                      + [(2, "mc", g) for g in safe_points])
 
     @pytest.mark.parametrize("horizons", [(), (3, -1)])
     def test_bad_horizon_lists_rejected(self, markov_params, region, horizons):

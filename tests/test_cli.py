@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import weakref
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +44,13 @@ calibration.bins = 4
 """
 
 
-# two (alpha, seed) columns of two horizons each: gen-data and mc-oracle
-# simulate each column once, at T = 4
+# two alphas and two horizons of one seed: gen-data and mc-oracle draw the
+# seed's streams once, at T = 4, and roll them out at each alpha
 TWO_HORIZON_CONFIG = TINY_CONFIG + "system.alphas = 0, 0.95\nhorizons = 2, 4\n"
+
+# three alphas, two horizons and two seeds: two seed units for gen-data and
+# mc-oracle, each of whose draws is rolled out at three alphas
+SEEDS_CONFIG = TWO_HORIZON_CONFIG + "system.alphas = 0, 0.5, 0.95\nseeds = 1, 2\n"
 
 
 @pytest.fixture()
@@ -546,19 +551,30 @@ class TestPipeline:
             header = " ".join(f"{k}={v}" for k, v in fields.items())
             assert format_table(columns, data.tolist(), header) == text, path.name
 
-    def test_parallel_gen_matches_serial(self, cfg_path, tmp_path):
-        """gen-data and mc-oracle in a pool, over one cell or over two
-        columns of two horizons, write the bytes a serial run writes."""
-        two = tmp_path / "two.cfg"
-        two.write_text(TWO_HORIZON_CONFIG)
-        for config in (cfg_path, two):
+    def test_parallel_gen_matches_serial(self, cfg_path, tmp_path, monkeypatch):
+        """gen-data and mc-oracle in a pool, over one cell or over two seeds
+        of three alphas and two horizons, write the bytes a serial run writes;
+        the two seeds go through the pool."""
+        pools = []
+
+        class Pool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(safecert.cli, "ProcessPoolExecutor", Pool)
+        seeds = tmp_path / "seeds.cfg"
+        seeds.write_text(SEEDS_CONFIG)
+        for config in (cfg_path, seeds):
             a = tmp_path / config.stem / "serial"
             b = tmp_path / config.stem / "parallel"
             for stage in ("gen-data", "mc-oracle"):
                 assert run(stage, "--config", str(config), "--out", str(a)) == 0
                 assert run(stage, "--config", str(config), "--out", str(b), "--threads", "2") == 0
             assert tree_digest(a) == tree_digest(b)
-        assert len(tree_digest(tmp_path / "two" / "serial")) == 4 * 4
+        assert len(tree_digest(tmp_path / "seeds" / "serial")) == 3 * 2 * 2 * 4
+        # the one-cell config runs in this process; each stage of the other pools its two seeds
+        assert pools == [2, 2]
 
     def test_pool_workers_run_one_blas_thread(self, monkeypatch):
         """Each pooled unit sees one thread in both bundled OpenBLAS builds,
@@ -604,22 +620,35 @@ class TestPipeline:
         assert len(both) == 2 * 2 * 4
         assert both == alone
 
-    def test_each_column_is_simulated_once(self, tmp_path, monkeypatch):
-        """gen-data draws the training and calibration sets once per
-        (alpha, seed) column, and mc-oracle scores all its horizons in one call."""
-        config = tmp_path / "two.cfg"
-        config.write_text(TWO_HORIZON_CONFIG)
+    def test_each_seed_is_simulated_once(self, tmp_path, monkeypatch):
+        """gen-data draws the training and calibration sets once per seed and
+        mc-oracle scores all its alphas and horizons in one call, so every
+        trajectory and Monte Carlo stream is built once per seed."""
+        config = tmp_path / "seeds.cfg"
+        config.write_text(SEEDS_CONFIG)
         calls = {"gen_dataset": [], "mc_ground_truth": []}
         for name in calls:
             fn = getattr(bm, name)
-            monkeypatch.setattr(bm, name, lambda *a, _fn=fn, _name=name, **kw:
-                                calls[_name].append(a[3]) or _fn(*a, **kw))
+            # each call's alphas, T (the horizons for mc_ground_truth) and seed
+            monkeypatch.setattr(bm, name, lambda params, *a, _fn=fn, _name=name, **kw:
+                                calls[_name].append(([p.alpha for p in params], a[2], a[-1]))
+                                or _fn(params, *a, **kw))
+        streams = []
+        stream = bm.stream
+        monkeypatch.setattr(bm, "stream", lambda *key: streams.append(key) or stream(*key))
         out = str(tmp_path / "o")
         assert run("gen-data", "--config", str(config), "--out", out) == 0
-        # two columns, each at its longest horizon: training and calibration
-        assert calls["gen_dataset"] == [4, 4, 4, 4]
+        # per seed, at its longest horizon and every alpha: training and calibration
+        alphas = [0.0, 0.5, 0.95]
+        assert calls["gen_dataset"] == [(alphas, 4, 1), (alphas, 4, 1),
+                                        (alphas, 4, 2), (alphas, 4, 2)]
         assert run("mc-oracle", "--config", str(config), "--out", out) == 0
-        assert calls["mc_ground_truth"] == [[2, 4], [2, 4]]
+        assert calls["mc_ground_truth"] == [(alphas, [2, 4], 1), (alphas, [2, 4], 2)]
+        # per seed: 30 training and 40 calibration trajectories, and the safe grid points
+        region = bm.default_safe_region()
+        n_safe = int(bm.is_safe(region, bm.eval_grid(region, (5, 5))).sum())
+        drawn = [key for key in streams if key[1] in ("traj", "cal-traj", "mc")]
+        assert len(drawn) == len(set(drawn)) == 2 * (30 + 40 + n_safe)
 
     def test_sweep_rerun_is_byte_identical(self, cfg_path, tmp_path):
         out = tmp_path / "results"
