@@ -16,6 +16,11 @@ computed as x1·x1·x1: two roundings, at most 1 ulp from numpy's float power.
 Only x is observed.  Safety is membership of x in a box minus a set of
 axis-aligned obstacle boxes; a trajectory is safe iff every state from t = 0
 through t = T is safe.
+
+One stepping kernel, ``_states``, advances a batch of rollouts in place and
+hands each state to its caller: ``gen_dataset`` and ``simulate_batch`` store
+every state, and ``mc_ground_truth`` scores each one as it is stepped, so it
+holds no state history.
 """
 
 from __future__ import annotations
@@ -49,9 +54,9 @@ __all__ = [
 SATURATION = 1.0e6
 
 # rollouts mc_ground_truth simulates at once: enough to spread the per-step
-# numpy calls over many rollouts, few enough that a block's noise and states
-# stay near 1 MB each at T = 15
-_MC_BLOCK = 4096
+# numpy calls over many rollouts; a block holds its noise, (T+1)·2·block
+# floats (4 MB at T = 15), and a handful of (block,) arrays, but no states
+_MC_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -186,33 +191,33 @@ def _drift(x1: np.ndarray, x2: np.ndarray, out: np.ndarray | None = None):
     return x2, f2
 
 
-def _rollout(params: SynthSystemParams, x0s: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Euler-Maruyama rollouts of every row of ``x0s`` (n, 2) at once.
+def _states(params: SynthSystemParams, x0s: np.ndarray, noise: np.ndarray):
+    """Euler-Maruyama rollouts of every row of ``x0s`` (n, 2) at once, one
+    state at a time: yields (x1, x2), the (n,) coordinates of state t, for
+    t = 0..T.
 
-    ``noise`` holds the standard normals drawn in advance, (T+1, n, 2):
+    The one stepping kernel: ``_rollout`` stores the states it yields and
+    ``mc_ground_truth`` scores them.  ``noise`` holds the standard normals
+    drawn in advance, (T+1, 2, n), so each step reads contiguous (n,) rows:
     ``noise[0]`` sets z_0 and ``noise[t + 1]`` is the innovation w_t after
-    step t (drawn but unused at t = T).  Every operation is elementwise, so
-    row i depends only on ``x0s[i]`` and ``noise[:, i]``.  Returns (n, T+1, 2).
-
-    Prefix contract: state t + 1 reads only ``noise[:t + 1]``, so for any
-    S <= T, ``_rollout(params, x0s, noise[:S + 1])`` equals
-    ``_rollout(params, x0s, noise)[:, :S + 1]`` bit for bit.  One rollout at
-    the longest horizon therefore holds every shorter horizon's rollouts.
+    step t.  ``noise[T]`` is drawn but not read: it would only move z_T,
+    which no state reads.  Every operation is elementwise, so rollout i
+    depends only on ``x0s[i]`` and ``noise[:, :, i]``, and state t + 1
+    reads only ``noise[:t + 1]``.
 
     x1, x2, z1 and z2 are stepped as contiguous (n,) arrays in place, in the
     order of x_{t+1} = clip((x_t + h·f(x_t)) + z_t) and
     z_{t+1} = alpha·(z_t + fb) + (w_scale·w_t), so each value is rounded as
-    in that formula; the cube in ``_drift`` is x1·x1·x1.
+    in that formula; the cube in ``_drift`` is x1·x1·x1.  The yielded arrays
+    are the ones stepped: read them before asking for the next state.
     """
     T = noise.shape[0] - 1
-    n = noise.shape[1]
-    out = np.empty((n, T + 1, 2))
-    x0 = np.clip(x0s, -SATURATION, SATURATION)
-    out[:, 0] = x0
-    x1, x2 = np.array(x0[:, 0]), np.array(x0[:, 1])
-    z1, z2 = params.sigma * noise[0, :, 0], params.sigma * noise[0, :, 1]
+    n = noise.shape[2]
+    x1, x2 = (np.clip(x0s[:, k], -SATURATION, SATURATION) for k in (0, 1))
+    z1, z2 = params.sigma * noise[0, 0], params.sigma * noise[0, 1]
     w_scale = params.sigma * np.sqrt(1.0 - params.alpha ** 2)
     f2, fb, tmp = np.empty(n), np.empty(n), np.empty(n)
+    yield x1, x2
     for t in range(T):
         # the feedback and both drift terms read x_t before it is overwritten
         f1, f2 = _drift(x1, x2, out=f2)
@@ -227,13 +232,27 @@ def _rollout(params: SynthSystemParams, x0s: np.ndarray, noise: np.ndarray) -> n
         x2 += f2
         x2 += z2
         np.clip(x2, -SATURATION, SATURATION, out=x2)
-        out[:, t + 1, 0] = x1
-        out[:, t + 1, 1] = x2
-        for z, k in ((z1, 0), (z2, 1)):
-            z += fb
-            z *= params.alpha
-            np.multiply(w_scale, noise[t + 1, :, k], out=tmp)
-            z += tmp
+        yield x1, x2
+        if t + 1 < T:
+            for z, k in ((z1, 0), (z2, 1)):
+                z += fb
+                z *= params.alpha
+                np.multiply(w_scale, noise[t + 1, k], out=tmp)
+                z += tmp
+
+
+def _rollout(params: SynthSystemParams, x0s: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """The states ``_states(params, x0s, noise)`` yields, stored as (n, T+1, 2).
+
+    Prefix contract: for any S <= T, ``_rollout(params, x0s, noise[:S + 1])``
+    equals ``_rollout(params, x0s, noise)[:, :S + 1]`` bit for bit.  One
+    rollout at the longest horizon therefore holds every shorter horizon's
+    rollouts.
+    """
+    out = np.empty((noise.shape[2], noise.shape[0], 2))
+    for t, (x1, x2) in enumerate(_states(params, x0s, noise)):
+        out[:, t, 0] = x1
+        out[:, t, 1] = x2
     return out
 
 
@@ -248,7 +267,8 @@ def simulate_batch(
     if T < 0:
         raise ValueError("T must be nonnegative")
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
-    return _rollout(params, x0s, rng.standard_normal((T + 1, x0s.shape[0], 2)))
+    noise = rng.standard_normal((T + 1, x0s.shape[0], 2))
+    return _rollout(params, x0s, noise.transpose(0, 2, 1))
 
 
 @dataclass
@@ -376,11 +396,11 @@ def gen_dataset(
     lo, hi = region.box_array()
     width = hi - lo
     x0s = np.empty((n, region.dim))
-    noise = np.empty((T + 1, n, 2))
+    noise = np.empty((T + 1, 2, n))
     for i in range(n):
         rng = stream(seed, purpose, i)
         x0s[i] = lo + width * rng.random(region.dim)
-        noise[:, i] = rng.standard_normal((T + 1, 2))
+        noise[:, :, i] = rng.standard_normal((T + 1, 2))
     sets = [TrajectorySet(states=_rollout(system, x0s, noise)) for system in systems]
     return sets[0] if single else sets
 
@@ -460,9 +480,13 @@ def mc_ground_truth(
     starting points are 0 and draw nothing.  Safe points are drawn in blocks
     of whole points, as many as fit in ``_MC_BLOCK`` rollouts and at least
     one, and each block is rolled out and scored once per system, one system
-    at a time, before the next is drawn.  So a block holds
-    max(_MC_BLOCK, n_mc)·(T+1)·2 floats of noise and as many of states, and
-    the memory held does not grow with the number of systems.
+    at a time, before the next is drawn.  Each state is scored as it is
+    stepped, into a running "safe so far" flag per rollout, and at each
+    requested horizon a point's estimate is the count of its flags still set
+    over n_mc.  So a block holds max(_MC_BLOCK, n_mc)·(T+1)·2 floats of
+    noise, in one buffer every block reuses, and a handful of arrays of one
+    value per rollout, but no states; the memory held grows with neither the
+    number of systems nor the number of horizons.
 
     The draws never read ``params``: every stream is built and drawn once,
     and each system's rollouts start from the same points and noise.  So a
@@ -470,7 +494,7 @@ def mc_ground_truth(
 
     Prefix contract: every horizon is read off the same rollouts, through a
     running "safe so far" flag per rollout, and the draws and states at a
-    shorter horizon are a prefix of those at the longest (see ``_rollout``).
+    shorter horizon are a prefix of those at the longest (see ``_states``).
     So the grids of a sequence of horizons equal, bit for bit, those of one
     call per horizon.
     """
@@ -491,23 +515,23 @@ def mc_ground_truth(
     p = np.zeros((len(systems), len(horizons), grid.shape[0]))
     safe_starts = np.flatnonzero(is_safe(region, grid))
     per_block = max(1, _MC_BLOCK // n_mc)
+    noise = np.empty((T_max + 1, 2, min(per_block, safe_starts.size) * n_mc))
+    draws = np.empty((T_max + 1, n_mc, 2))
     for first in range(0, safe_starts.size, per_block):
         points = safe_starts[first:first + per_block]
-        noise = np.empty((T_max + 1, points.size * n_mc, 2))
+        block = noise[..., :points.size * n_mc]
         for j, g in enumerate(points):
-            rng = stream(seed, "mc", g)
-            noise[:, j * n_mc:(j + 1) * n_mc] = rng.standard_normal((T_max + 1, n_mc, 2))
+            stream(seed, "mc", g).standard_normal(out=draws)
+            block[..., j * n_mc:(j + 1) * n_mc] = draws.transpose(0, 2, 1)
+        x0s = np.repeat(grid[points], n_mc, axis=0)
         for i, system in enumerate(systems):
-            # rebound, not dropped in a helper: freeing all of a block's
-            # arrays at once let the allocator return their pages, and
-            # faulting them back in cost ~45k minor faults (0.15 s) per call
-            # at the pipeline's size
-            rolls = _rollout(system, np.repeat(grid[points], n_mc, axis=0), noise)
-            # column t: the rollout stayed safe from step 0 through step t
-            safe = _safe_columns(region, [rolls[..., k] for k in range(rolls.shape[2])])
-            np.logical_and.accumulate(safe, axis=1, out=safe)
-            for k, horizon in enumerate(horizons):
-                p[i, k, points] = safe[:, horizon].reshape(points.size, n_mc).mean(axis=1)
+            # the rollout stayed safe from step 0 through the state last read
+            ok = np.ones(block.shape[2], dtype=bool)
+            for t, state in enumerate(_states(system, x0s, block)):
+                ok &= _safe_columns(region, list(state))
+                for k, horizon in enumerate(horizons):
+                    if horizon == t:
+                        p[i, k, points] = np.count_nonzero(ok.reshape(-1, n_mc), axis=1) / n_mc
     results = []
     for rows in p:
         grids = [GroundTruthGrid(grid=grid, p_mc=row) for row in rows]

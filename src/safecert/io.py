@@ -66,6 +66,25 @@ def _data_lines(text: str) -> list[str]:
     return [line for line in text.splitlines() if line.strip() and not line.startswith("#")]
 
 
+def _column_line(text: str) -> str | None:
+    """The first of ``_data_lines(text)``, None without one, found without
+    splitting the rest of the text.
+
+    Each "\n"-ended piece is split on its own: ``str.splitlines`` breaks at
+    every "\n", so its lines are those of the pieces in turn ("\r\n" ends a
+    piece in "\r", which it drops as it would the pair).
+    """
+    start = 0
+    while start <= len(text):
+        end = text.find("\n", start)
+        end = len(text) if end < 0 else end
+        lines = _data_lines(text[start:end])
+        if lines:
+            return lines[0]
+        start = end + 1
+    return None
+
+
 def _check_plain(strings, where: str) -> None:
     """Refuse a string the unquoted format cannot hold."""
     bad = next(filter(_NEEDS_QUOTES.search, strings), None)
@@ -150,7 +169,8 @@ def read_table(path: str | Path, decode=table_array, columns=None, **expect):
 
     A missing file raises FileNotFoundError, a header holding other values or
     another column line a ValueError naming both, and a ValueError of
-    ``decode`` is raised again with the path in front.
+    ``decode`` is raised again with the path in front.  The column line is
+    read off the head of the text, so only ``decode`` splits all of it.
     """
     path = Path(path)
     if not path.exists():
@@ -162,8 +182,8 @@ def read_table(path: str | Path, decode=table_array, columns=None, **expect):
         wanted = " ".join(f"{k}={v}" for k, v in expect.items())
         raise ValueError(f"{path} was written under {found}, not {wanted}")
     if columns is not None:
-        lines = _data_lines(text)
-        names = lines[0].split(",") if lines else []
+        line = _column_line(text)
+        names = line.split(",") if line is not None else []
         if names != list(columns):
             raise ValueError(f"{path}: columns are {names}, not {list(columns)}")
     try:

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,30 @@ def stepwise_rollout(params: SynthSystemParams, x0s: np.ndarray, T: int,
         fb = params.beta_c * np.tanh(params.gamma_c * x[:, 0])
         z = params.alpha * (z + fb[:, None]) + w_scale * rng.standard_normal((n, 2))
     return out
+
+
+class PointStreams:
+    """A generator's ``standard_normal`` over the streams of several points:
+    each (n, 2) draw takes ``rows`` consecutive rows from each stream in
+    turn, so each point's rows are its own step-by-step draws."""
+
+    def __init__(self, rngs: list[np.random.Generator], rows: int):
+        self.rngs, self.rows = rngs, rows
+
+    def standard_normal(self, shape: tuple[int, int]) -> np.ndarray:
+        return np.concatenate([rng.standard_normal((self.rows, shape[1])) for rng in self.rngs])
+
+
+def stepwise_safety(params: SynthSystemParams, region: SafeRegion, points: np.ndarray,
+                    horizons: tuple[int, ...], n_mc: int,
+                    rngs: list[np.random.Generator]) -> np.ndarray:
+    """The share of each point's ``n_mc`` step-by-step rollouts, drawn from
+    its own stream, that stay safe through each horizon: (len(horizons),
+    len(points))."""
+    rolls = stepwise_rollout(params, np.repeat(points, n_mc, axis=0), max(horizons),
+                             PointStreams(rngs, n_mc))
+    safe = broadcast_safe(region, rolls.reshape(-1, 2)).reshape(len(points), n_mc, -1)
+    return np.array([safe[..., :T + 1].all(axis=2).mean(axis=1) for T in horizons])
 
 
 # systems that differ in every value the rollout reads
@@ -348,12 +375,14 @@ class TestGroundTruth:
     def test_longer_horizon_never_safer(self, markov_params, region):
         """Rollout prefixes are shared between horizons at a fixed seed: one
         call at several horizons scores, bit for bit, what one call per
-        horizon does, so the per-point estimate is monotone in T.  300
-        rollouts do not divide a block, and the grid has unsafe starts."""
+        horizon does, so the per-point estimate is monotone in T.  1000
+        rollouts do not divide a block, the safe starts fill three blocks,
+        the last partial, and the grid has unsafe starts."""
         grid = np.vstack([eval_grid(region, (6, 6)), [[0.5, 0.3], [9.0, 9.0]]])
-        n_mc = 300
-        assert _MC_BLOCK % n_mc and not broadcast_safe(region, grid).all()
-        assert broadcast_safe(region, grid).sum() > _MC_BLOCK // n_mc
+        n_mc = 1000
+        start_safe = broadcast_safe(region, grid)
+        assert _MC_BLOCK % n_mc and not start_safe.all()
+        assert start_safe.sum() > 2 * (_MC_BLOCK // n_mc) and start_safe.sum() % (_MC_BLOCK // n_mc)
         grids = mc_ground_truth(markov_params, region, grid, (2, 5, 9), n_mc, seed=7)
         assert len(grids) == 3
         for T, gt in zip((2, 5, 9), grids):
@@ -369,13 +398,13 @@ class TestGroundTruth:
     def test_params_sequence_is_one_call_per_params(self, region):
         """Systems that differ in every param share each block's draws; each
         scores, bit for bit, what its own call scores at several horizons.
-        300 rollouts do not divide a block, and unsafe starts sit between
-        safe ones."""
+        1000 rollouts do not divide a block, the safe starts fill three
+        blocks, the last partial, and unsafe starts sit between safe ones."""
         grid = np.vstack([[[0.5, 0.3]], eval_grid(region, (6, 6)), [[9.0, 9.0], [-2.0, 0.0]]])
-        n_mc = 300
+        n_mc = 1000
         start_safe = broadcast_safe(region, grid)
         assert _MC_BLOCK % n_mc and not start_safe[0] and not start_safe[-2] and start_safe[-1]
-        assert start_safe.sum() > _MC_BLOCK // n_mc
+        assert start_safe.sum() > 2 * (_MC_BLOCK // n_mc) and start_safe.sum() % (_MC_BLOCK // n_mc)
         got = mc_ground_truth(SYSTEMS, region, grid, (2, 5), n_mc, seed=3)
         assert len(got) == len(SYSTEMS)
         for params, grids in zip(SYSTEMS, got):
@@ -410,28 +439,71 @@ class TestGroundTruth:
 
     @pytest.mark.parametrize("T, n_mc, grid", [
         (2, 1, "fine"),
-        (0, _MC_BLOCK // 2, "mixed"),
-        (3, _MC_BLOCK // 2, "mixed"),
+        (0, 2048, "mixed"),
+        (3, 2048, "mixed"),
+        (1, 4097, "mixed"),
         (1, _MC_BLOCK + 1, "mixed"),
     ])
     def test_mc_is_the_stepwise_recursion_per_point(self, region, T, n_mc, grid):
         """Blocks of rollouts from several points' streams score each point as
-        its own step-by-step rollouts would; unsafe starts sit between them."""
+        its own step-by-step rollouts would; unsafe starts sit between them.
+        Every case spans more than one block, the last partial; a point's
+        rollouts fill more than a block at ``_MC_BLOCK + 1``."""
         params = SynthSystemParams(alpha=0.95)
         if grid == "fine":
-            grid = eval_grid(region, (80, 70))
+            grid = eval_grid(region, (150, 130))
         else:
-            grid = np.array([[-2.0, 0.0], [0.5, 0.3], [-2.5, -1.8], [9.0, 9.0],
-                             [1.0, -0.5], [-1.0, -1.2], [2.0, 0.5], [0.0, 0.0]])
+            grid = np.vstack([[[-2.0, 0.0], [0.5, 0.3], [-2.5, -1.8], [9.0, 9.0],
+                               [1.0, -0.5], [-1.0, -1.2], [2.0, 0.5], [0.0, 0.0]],
+                              eval_grid(region, (5, 4))])
         start_safe = broadcast_safe(region, grid)
-        assert start_safe.sum() * n_mc > _MC_BLOCK and not start_safe.all()
+        per_block = max(1, _MC_BLOCK // n_mc)
+        assert start_safe.sum() > per_block and not start_safe.all()
+        assert per_block == 1 or start_safe.sum() % per_block
         got = mc_ground_truth(params, region, grid, T, n_mc, seed=6).p_mc
         want = np.zeros(grid.shape[0])
-        for g in np.flatnonzero(start_safe):
-            rolls = stepwise_rollout(params, np.tile(grid[g], (n_mc, 1)), T, stream(6, "mc", g))
-            safe = broadcast_safe(region, rolls.reshape(-1, 2)).reshape(n_mc, T + 1)
-            want[g] = np.mean(safe.all(axis=1))
+        want[start_safe] = stepwise_safety(params, region, grid[start_safe], (T,), n_mc,
+                                           [stream(6, "mc", g) for g in np.flatnonzero(start_safe)])[0]
         assert np.array_equal(got, want)
+
+    def test_saturating_rollouts_score_as_the_stepwise_recursion(self, region):
+        """A system whose rollouts reach SATURATION within a few steps scores,
+        at horizons from 0 through the longest, what each point's
+        step-by-step rollouts score, over several blocks and with no
+        overflow or invalid-value warning."""
+        params = SynthSystemParams(alpha=0.5, sigma=2.0, h=5.0)
+        grid = np.array([[-2.0, 0.0], [0.5, 0.3], [-2.5, -1.8], [1.0, -0.5],
+                         [2.0, 0.5], [0.0, 0.0], [-0.2, 0.6], [1.8, -1.5]])
+        horizons, n_mc = (0, 2, 6), _MC_BLOCK // 3 + 1
+        start_safe = broadcast_safe(region, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mc_ground_truth(params, region, grid, horizons, n_mc, seed=8)
+        want = np.zeros((len(horizons), grid.shape[0]))
+        want[:, start_safe] = stepwise_safety(params, region, grid[start_safe], horizons, n_mc,
+                                              [stream(8, "mc", g) for g in np.flatnonzero(start_safe)])
+        assert np.array_equal([gt.p_mc for gt in got], want)
+        assert start_safe.sum() > _MC_BLOCK // n_mc and not start_safe.all()
+        rolls = stepwise_rollout(params, grid[start_safe], horizons[-1], stream(8, "x"))
+        assert np.any(np.abs(rolls) == SATURATION)
+
+    def test_a_block_holds_its_noise_and_no_states(self, region):
+        """The peak memory of one call stays under one block's noise plus
+        scratch of a few values per rollout: the (T+1)·2 states of each
+        rollout are scored as they are stepped, never stored."""
+        grid = eval_grid(region, (5, 4))
+        T, n_mc = 30, _MC_BLOCK // 16
+        assert broadcast_safe(region, grid).sum() > 16
+        noise_bytes = (T + 1) * 2 * _MC_BLOCK * 8
+        tracemalloc.start()
+        try:
+            mc_ground_truth(SynthSystemParams(alpha=0.95), region, grid, (5, T), n_mc, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a state history alone would add another noise_bytes, 62 floats
+        # per rollout; scoring as it steps needs about 20
+        assert peak < noise_bytes + 32 * 8 * _MC_BLOCK
 
 
 class TestCsvRoundTrips:

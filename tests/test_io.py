@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import safecert.io as io_module
 from safecert import GroundTruthGrid, OneStepPairs, TrajectorySet
 from safecert.io import format_table, parse_table, read_table
 
@@ -233,6 +234,27 @@ class TestReadTable:
         with pytest.raises(ValueError) as exc:
             read_table(path, columns=["a", "b"], config="abc")
         assert str(exc.value) == f"{path}: columns are {line.split(',')}, not ['a', 'b']"
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", "# c=1\n", "a,b", "a,b\n1,2\n", "# c=1\n\n  \n#x\na,b\n1,2\n",
+        "# c=1\r\na,b\r\n1,2\r\n", "\r\n\r\na,b\r\n", "# c=1\ra,b\r1,2", " #x\n",
+        "# c=1\n\x0c\x0b\na\x0bb\n", "\n\n# c=1\n\t\n a,b \n",
+    ])
+    def test_column_line_is_the_first_data_line(self, text):
+        lines = io_module._data_lines(text)
+        assert io_module._column_line(text) == (lines[0] if lines else None)
+
+    def test_column_check_splits_the_text_once(self, tmp_path: Path, monkeypatch):
+        """The column line is read off the head of the text; only the decode
+        splits all of it."""
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"# config=abc\r\n\r\n# note\r\na,b\r\n1,2\r\n3,4\r\n")
+        texts = []
+        data_lines = io_module._data_lines
+        monkeypatch.setattr(io_module, "_data_lines", lambda text: texts.append(text) or data_lines(text))
+        got = read_table(path, columns=["a", "b"], config="abc")
+        assert got.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert [t for t in texts if "1,2" in t] == [path.read_text()]
 
     def test_missing_file(self, tmp_path: Path):
         with pytest.raises(FileNotFoundError, match="missing data file"):
