@@ -26,6 +26,7 @@ import numpy as np
 
 from .benchmark import SafeRegion, is_safe
 from .dp import DpModel
+from .kernels import query_blocks
 
 __all__ = [
     "Partition",
@@ -116,17 +117,23 @@ def empirical_cell_probs(part: Partition, dp_model: DpModel) -> np.ndarray:
     the sampled next states (samples leaving the box carry no membership),
     clips to [0, 1], and renormalizes to sum 1.  Rows with no mass fall back
     to uniform with a warning.
+
+    The weights are solved for one ``query_blocks`` block of centers at a
+    time and binned row by row, so beside the (n_cells, n_cells) result one
+    block of weights is held, never the (n_cells, M) matrix.  Each weight column is its own triangular solve, so
+    the blocks give the bytes of one call over every center.
     """
     if dp_model.gram is None or dp_model.x_next is None:
         raise ValueError("cell probabilities need a kernel-backed model")
-    w = dp_model.gram.weights_at(part.centers)          # (n_cells, M)
     m_idx, inbox = part.locate(dp_model.x_next)
     target = m_idx[inbox]
     n = part.n_cells
     probs = np.empty((n, n))
-    # one row at a time, so no second (n_cells, M) array is held
-    for i, row in enumerate(w):
-        probs[i] = np.bincount(target, weights=row[inbox], minlength=n)
+    for rows in query_blocks(n, dp_model.gram.size):
+        w = dp_model.gram.weights_at(part.centers[rows])  # (block, M)
+        for i, row in enumerate(w, start=rows.start):
+            probs[i] = np.bincount(target, weights=row[inbox], minlength=n)
+        del w, row  # the block is freed before the next one is built
     np.clip(probs, 0.0, 1.0, out=probs)
     sums = probs.sum(axis=1)
     dead = sums <= 0.0

@@ -28,7 +28,7 @@ import numpy as np
 
 from .benchmark import SafeRegion, is_safe, trajectory_safe
 from .dp import DpModel
-from .kernels import KAPPA, KernelSpec, fit_weights, gram_matrix
+from .kernels import KAPPA, KernelSpec, fit_weights, gram_matrix, kernel_expansion
 from .rng import stream
 
 __all__ = [
@@ -58,7 +58,7 @@ class BarrierCandidate:
 
     def value(self, x: np.ndarray) -> np.ndarray:
         """B at each point of a batch (n, d)."""
-        return gram_matrix(self.spec, x, self.centers) @ self.alpha
+        return kernel_expansion(self.spec, x, self.centers, self.alpha)
 
     def rkhs_norm(self) -> float:
         k = gram_matrix(self.spec, self.centers)
@@ -137,16 +137,18 @@ def check_barrier(
     if safe_pts.shape[0] == 0:
         raise ValueError("safe-set grid is empty; refine the grid")
 
-    eta = float(np.max(candidate.value(init_pts)))
-    gamma_lvl = float(np.min(candidate.value(unsafe_pts)))
+    b_init = candidate.value(init_pts)
+    b_unsafe = candidate.value(unsafe_pts)
+    b_safe = candidate.value(safe_pts)
+    eta = float(np.max(b_init))
+    gamma_lvl = float(np.min(b_unsafe))
 
     alpha = dp_model.gram.solve(candidate.value(dp_model.x_next))
-    drift = dp_model.gram.expand(safe_pts, alpha) - candidate.value(safe_pts)
+    drift = dp_model.gram.expand(safe_pts, alpha) - b_safe
     penalty = dp_model.ambiguity * KAPPA * candidate.rkhs_norm()
     beta = float(np.max(drift)) + penalty
 
-    all_pts = np.vstack([init_pts, unsafe_pts, safe_pts])
-    nonneg_ok = bool(np.min(candidate.value(all_pts)) >= 0.0)
+    nonneg_ok = bool(min(np.min(b) for b in (b_init, b_unsafe, b_safe)) >= 0.0)
 
     feasible = nonneg_ok and eta >= 0.0 and gamma_lvl > eta
     bound = None
@@ -161,7 +163,7 @@ def check_barrier(
         nonneg_ok=nonneg_ok,
         horizon=T,
         ambiguity_penalty=penalty,
-        n_grid_points=all_pts.shape[0],
+        n_grid_points=b_init.size + b_unsafe.size + b_safe.size,
     )
 
 

@@ -14,6 +14,13 @@ Both hot primitives are memory-bound and stream each M x M array once:
 ``gram_matrix`` finishes every cache-sized block of rows (differences,
 squares, scale, exp) before moving on, and a single-vector solve runs two
 level-2 triangular solves on the stored factor.
+
+A batch of queries is never held as one (n, M) kernel or weight matrix:
+``query_blocks`` cuts it into row blocks of about QUERY_BLOCK_BYTES of kernel
+values (512 rows at least, 8 * 512 * M bytes), and ``kernel_expansion`` (so
+``GramSystem.expand``) and ``abstraction.empirical_cell_probs`` finish each
+block before building the next.  Beside the fitted system a query therefore
+holds one block, whatever the number of queries.
 """
 
 from __future__ import annotations
@@ -22,7 +29,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["KAPPA", "KernelSpec", "GramSystem", "NumericError", "gram_matrix", "fit_weights"]
+__all__ = [
+    "KAPPA",
+    "QUERY_BLOCK_BYTES",
+    "KernelSpec",
+    "GramSystem",
+    "NumericError",
+    "gram_matrix",
+    "query_blocks",
+    "kernel_expansion",
+    "fit_weights",
+]
 
 # sup_x sqrt(k(x, x)) for the Gaussian kernel
 KAPPA = 1.0
@@ -30,6 +47,21 @@ KAPPA = 1.0
 # entries per row block of gram_matrix: a block and its scratch (1 MB
 # together) stay in cache from the first difference to the exp
 _BLOCK_ENTRIES = 1 << 16
+
+# bytes of kernel values per block of a query batch (see query_blocks)
+QUERY_BLOCK_BYTES = 4 << 20
+
+# but at least this many rows: a block of ridge weights is one triangular
+# solve over the whole M x M factor, and narrow blocks solve slower (one
+# BLAS thread of a 2-core Xeon: 1600 queries at M = 2000 take 0.37 s in
+# 512-row blocks or one call, 0.46 s in 256-row blocks; 400 at M = 15000
+# take 4.0 s in one call, 7.1 s in 32-row blocks)
+_MIN_ROWS = 512
+
+# query rows per block are a multiple of this: a one-thread OpenBLAS dgemv
+# takes rows in groups of four, so a block boundary on a multiple of 16
+# groups every row as a product over the whole batch would
+_ROW_GRANULE = 16
 
 
 class NumericError(RuntimeError):
@@ -119,6 +151,40 @@ def gram_matrix(spec: KernelSpec, x: np.ndarray, y: np.ndarray | None = None) ->
     return k
 
 
+def query_blocks(n: int, m: int) -> list[slice]:
+    """Row slices covering a batch of ``n`` queries against ``m`` points, in
+    blocks of about QUERY_BLOCK_BYTES of kernel values each, or _MIN_ROWS
+    rows where that is more (m above 1024).
+
+    Every block but the last is a multiple of _ROW_GRANULE rows, so a product
+    over each block gives the bytes of one product over the whole batch at
+    one BLAS thread.  A last block of one row joins the block before: numpy
+    sends a (1, m) @ (m,) product through its dot path, whose sums differ in
+    the last bits from the matrix-vector kernel's.
+    """
+    rows = max(_MIN_ROWS, QUERY_BLOCK_BYTES // (8 * max(m, 1)) // _ROW_GRANULE * _ROW_GRANULE)
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def kernel_expansion(spec: KernelSpec, query: np.ndarray, points: np.ndarray,
+                     alpha: np.ndarray) -> np.ndarray:
+    """sum_j alpha_j k(x, points_j) at each query x of a batch (n, d).
+
+    ``alpha`` is (m,) or (m, k) for m points; the result is (n,) or (n, k).
+    K(query, points) is built and applied one block of ``query_blocks`` at a
+    time, so no (n, m) array is held.
+    """
+    q = np.atleast_2d(np.asarray(query, dtype=float))
+    alpha = np.asarray(alpha, dtype=float)
+    out = np.empty((q.shape[0],) + alpha.shape[1:])
+    for rows in query_blocks(q.shape[0], points.shape[0]):
+        np.matmul(gram_matrix(spec, q[rows], points), alpha, out=out[rows])
+    return out
+
+
 @dataclass
 class GramSystem:
     """Cholesky-factored ridge system K + M lam I over fixed training inputs.
@@ -173,11 +239,16 @@ class GramSystem:
 
     def expand(self, query: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """K(query, inputs) @ alpha at each query of a batch (n, d); with
-        alpha = solve(values), the ridge estimate sum_i w_i(x) values_i."""
-        return gram_matrix(self.spec, query, self.inputs) @ alpha
+        alpha = solve(values), the ridge estimate sum_i w_i(x) values_i.
+        The kernel rows are built one query block at a time."""
+        return kernel_expansion(self.spec, query, self.inputs, alpha)
 
     def weights_at(self, query: np.ndarray) -> np.ndarray:
-        """Ridge weights w(x), shape (n, M), for a batch of queries (n, d)."""
+        """Ridge weights w(x), shape (n, M), for a batch of queries (n, d).
+
+        The result is the whole (n, M) matrix; a caller with many queries
+        passes them one ``query_blocks`` block at a time.
+        """
         kq = gram_matrix(self.spec, query, self.inputs)  # (n, M)
         # kq.T is Fortran-ordered, so the solve runs in place
         return self._solve(kq.T, overwrite=True).T
@@ -198,37 +269,34 @@ class GramSystem:
         return float(np.sqrt(max(sq, 0.0)))
 
 
-def _ridge_matrix(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
-    """K + M lam I, with the ridge added in place on the Gram buffer."""
-    a = gram_matrix(spec, x)
-    a[np.diag_indices(x.shape[0])] += x.shape[0] * spec.lam
-    return a
-
-
 def fit_weights(spec: KernelSpec, train_inputs: np.ndarray) -> GramSystem:
     """Build and factor the ridge system K + M lam I over ``train_inputs``.
 
     The Gram matrix is built, regularized and factored in one M x M buffer.
+    A failed factorization raises NumericError naming the order of the
+    leading minor that failed and M lam; it holds no second M x M array and
+    does no work past the failed factorization.
     """
     x = np.atleast_2d(np.asarray(train_inputs, dtype=float))
     m = x.shape[0]
     if m == 0:
         raise ValueError("training set is empty")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("training inputs must not contain infs or NaNs")
     # imported here: scipy.linalg adds ~0.3 s to every import of the
     # package, and only the stages that fit a ridge system factor one
-    from scipy.linalg import cho_factor
+    from scipy.linalg.lapack import dpotrf
 
-    a = _ridge_matrix(spec, x)
-    try:
-        # a is symmetric, so its transpose is the same matrix in Fortran
-        # order, which LAPACK factors in place
-        factor = cho_factor(a.T, lower=True, overwrite_a=True)
-    except np.linalg.LinAlgError as exc:
-        # the failed factorization overwrote a; rebuild it for the estimate
-        eigs = np.linalg.eigvalsh(_ridge_matrix(spec, x))
-        cond = eigs[-1] / eigs[0] if eigs[0] != 0 else np.inf
+    a = gram_matrix(spec, x)
+    a[np.diag_indices(m)] += m * spec.lam
+    # a is symmetric, so its transpose is the same matrix in Fortran order,
+    # which LAPACK factors in place
+    c, info = dpotrf(a.T, lower=True, overwrite_a=True, clean=False)
+    if info != 0:
+        # info < 0 names a bad argument, which these calls never pass
         raise NumericError(
-            f"ridge system not positive definite (condition estimate {cond:.3e}); "
+            f"ridge system not positive definite: the leading minor of order {info} "
+            f"(of {m}) failed to factor with M*lam = {m * spec.lam:.3e} on the diagonal; "
             "increase lam or deduplicate inputs"
-        ) from exc
-    return GramSystem(spec=spec, inputs=x, _factor=factor)
+        )
+    return GramSystem(spec=spec, inputs=x, _factor=(c, True))

@@ -1,0 +1,151 @@
+"""Compare the sweep trees of a git revision and of the work tree, file by file.
+
+    python tests/golden/tree_diff.py REV [--configs NAME,...]
+
+exports REV with ``git archive`` into a temporary directory, then runs
+``safecert sweep`` from REV's ``src`` and from the work tree's ``src`` on four
+configs, each serially and at ``--threads 2``:
+
+* ``sweep``: ``SWEEP_CONFIG`` of tests/test_acceptance.py (criterion c12);
+* ``tiny``: ``TINY_CONFIG`` of tests/test_cli.py;
+* ``pipeline``: the benchmark's pipeline config (bench/workloads.py) at seed 7;
+* ``dependent``: three alphas, two horizons and two seeds on dependent pairs,
+  1000 rollouts at each of the 24 safe points of a 5x5 grid, so each seed's
+  Monte Carlo fills two blocks, the last one partial.
+
+The config texts are the work tree's, on both sides.  Every run pins one BLAS
+thread (OPENBLAS_NUM_THREADS=1): the last bits of a product depend on how
+OpenBLAS splits it between threads.  One line is printed per file whose
+sha256 differs, with the largest difference of its numbers when the two
+files differ in nothing else; nothing is printed when every tree matches.
+The exit status is 0 when nothing differs, 1 when a file differs and 2 when
+a sweep fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import os
+import re
+import subprocess
+import sys
+import tempfile
+import zipfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[2]
+
+DEPENDENT_CONFIG = """
+system.alphas = 0, 0.5, 0.95
+horizons = 2, 4
+seeds = 1, 2
+data.n_trajectories = 30
+data.n_calibration = 40
+data.mode = dependent
+grid.nx = 5
+grid.ny = 5
+mc.rollouts = 1000
+abstraction.nx = 4
+abstraction.ny = 4
+calibration.bins = 4
+"""
+
+# a decimal number as the tables and JSON reports write them
+_NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?inf|nan")
+
+
+def configs() -> dict[str, str]:
+    """The config text of each name, read from the work tree."""
+    for path in (REPO / "src", REPO / "tests", REPO):
+        sys.path.insert(0, str(path))
+    from bench.workloads import config_text
+    from test_acceptance import SWEEP_CONFIG
+    from test_cli import TINY_CONFIG
+
+    return {"sweep": SWEEP_CONFIG, "tiny": TINY_CONFIG,
+            "pipeline": config_text("pipeline", 7, "full"), "dependent": DEPENDENT_CONFIG}
+
+
+def export(rev: str, dest: Path) -> Path:
+    """Extract the files of ``rev`` into ``dest``."""
+    archive = subprocess.run(["git", "-C", str(REPO), "archive", "--format=zip", rev],
+                             check=True, capture_output=True).stdout
+    with zipfile.ZipFile(io.BytesIO(archive)) as zf:
+        zf.extractall(dest)
+    return dest
+
+
+def sweep(tree: Path, config: Path, out: Path, threads: int) -> subprocess.CompletedProcess:
+    """``safecert sweep`` run from the ``src`` of ``tree``, at one BLAS thread."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "safecert.cli", "sweep", "--config", str(config),
+                           "--out", str(out), "--threads", str(threads)],
+                          env=env, capture_output=True, text=True)
+
+
+def digest(root: Path) -> dict[str, str]:
+    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def max_delta(a: str, b: str) -> float | None:
+    """The largest difference between the numbers of two texts that are
+    the same around their numbers; None when anything else differs."""
+    if _NUMBER.sub("#", a) != _NUMBER.sub("#", b):
+        return None
+    pairs = zip(_NUMBER.findall(a), _NUMBER.findall(b))
+    return max((abs(float(x) - float(y)) for x, y in pairs if x != y), default=0.0)
+
+
+def differences(old: Path, new: Path) -> list[str]:
+    """One line per file under ``old`` or ``new`` whose sha256 differs."""
+    a, b = digest(old), digest(new)
+    lines = []
+    for path in sorted(a.keys() | b.keys()):
+        if path not in b:
+            lines.append(f"{path}: only at the revision")
+        elif path not in a:
+            lines.append(f"{path}: only in the work tree")
+        elif a[path] != b[path]:
+            delta = max_delta((old / path).read_text(), (new / path).read_text())
+            lines.append(f"{path}: " + ("differs beyond its numbers" if delta is None
+                                        else f"max |delta| {delta:.3g}"))
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("rev", help="the git revision to compare the work tree with")
+    parser.add_argument("--configs", default="sweep,tiny,pipeline,dependent",
+                        help="comma-separated config names (default: all four)")
+    args = parser.parse_args(argv)
+    texts = configs()
+    names = args.configs.split(",")
+    unknown = sorted(set(names) - texts.keys())
+    if unknown:
+        parser.error(f"unknown config {unknown}; valid: {sorted(texts)}")
+    found = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        trees = {"rev": export(args.rev, tmp / "rev"), "work": REPO}
+        for name in names:
+            config = tmp / f"{name}.cfg"
+            config.write_text(texts[name])
+            for threads in (1, 2):
+                outs = {side: tmp / side / "out" / f"{name}-t{threads}" for side in trees}
+                for side, tree in trees.items():
+                    done = sweep(tree, config, outs[side], threads)
+                    if done.returncode != 0:
+                        print(f"{name} --threads {threads}: the sweep at {side} exited "
+                              f"{done.returncode}: {done.stderr.strip()}")
+                        return 2
+                for line in differences(outs["rev"], outs["work"]):
+                    print(f"{name} --threads {threads}: {line}")
+                    found += 1
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from safecert import (
     ssr_value_iteration,
 )
 from safecert.abstraction import _order_max
+from safecert.kernels import query_blocks
 
 UNIT_SQUARE = SafeRegion(
     low=(0.0, 0.0), high=(1.0, 1.0), obstacles=(((0.3, 0.3), (0.45, 0.45)),)
@@ -139,7 +141,54 @@ class TestPartition:
             build_partition(region, (4,))
 
 
+def one_call_probs(part, dp_model) -> np.ndarray:
+    """Cell probabilities from one ``weights_at`` call over every center,
+    then the library's steps row by row: the unstreamed form."""
+    w = dp_model.gram.weights_at(part.centers)
+    m_idx, inbox = part.locate(dp_model.x_next)
+    n = part.n_cells
+    probs = np.empty((n, n))
+    for i, row in enumerate(w):
+        probs[i] = np.bincount(m_idx[inbox], weights=row[inbox], minlength=n)
+    np.clip(probs, 0.0, 1.0, out=probs)
+    sums = probs.sum(axis=1)
+    dead = sums <= 0.0
+    probs[dead] = 1.0 / n
+    sums[dead] = 1.0
+    probs /= sums[:, None]
+    return probs
+
+
+@pytest.fixture(scope="module")
+def wide_model() -> tuple:
+    """(partition, model): 1600 cells against M = 2000 samples span three
+    query blocks of 512 centers and a partial one of 64."""
+    return build_partition(UNIT_SQUARE, (40, 40)), fitted_dp(2000, 3)
+
+
 class TestEmpiricalCellProbs:
+    def test_streamed_blocks_match_one_weights_call(self, wide_model):
+        part, dp_model = wide_model
+        blocks = query_blocks(part.n_cells, dp_model.gram.size)
+        assert len(blocks) > 2 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
+        got = empirical_cell_probs(part, dp_model)
+        assert got.tobytes() == one_call_probs(part, dp_model).tobytes()
+
+    def test_holds_no_cells_by_samples_array(self, wide_model):
+        """The (1600, 2000) weight matrix would be 25.6 MB; streamed, the
+        call holds its (1600, 1600) result and about one block beside it."""
+        part, dp_model = wide_model
+        empirical_cell_probs(build_partition(UNIT_SQUARE, (2, 2)), dp_model)  # imports done
+        tracemalloc.start()
+        try:
+            probs = empirical_cell_probs(part, dp_model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = query_blocks(part.n_cells, dp_model.gram.size)[0].stop * dp_model.gram.size * 8
+        assert peak < probs.nbytes + 1.5 * block
+        assert 1.5 * block < part.n_cells * dp_model.gram.size * 8
+
     def test_rows_are_distributions(self):
         part = build_partition(UNIT_SQUARE, (5, 5))
         dp_model = fitted_dp()

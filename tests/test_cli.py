@@ -1,4 +1,3 @@
-import ctypes
 import gc
 import hashlib
 import json
@@ -26,6 +25,8 @@ from safecert import load_config
 from safecert.cli import main
 from safecert.direct import fit_direct, predict
 from safecert.io import atomic_write, format_table, header_comment, parse_table
+
+from conftest import openblas
 
 TINY_CONFIG = """
 system.alphas = 0.0
@@ -164,31 +165,11 @@ _FAULTS += [("calibrate", "cal/scores_direct", "ragged",
              "39 scores, but {out}/data/cal_a0_T2_s1.csv has 40 rows")]
 
 
-def _openblas() -> list:
-    """(path, get, set) of the thread count of numpy's and then scipy's
-    bundled OpenBLAS; (None, None, None) for one that is not installed."""
-    site = Path(np.__file__).parent.parent
-    found = []
-    for pattern, suffix in (("numpy.libs/libscipy_openblas64_*.so", "64_"),
-                            ("scipy.libs/libscipy_openblas*.so", "")):
-        libs = sorted(site.glob(pattern))
-        if not libs:
-            found.append((None, None, None))
-            continue
-        lib = ctypes.CDLL(str(libs[0]))
-        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        found.append((libs[0], get, set_threads))
-    return found
-
-
 def _openblas_threads(_unit) -> list[int]:
-    """The thread counts of ``_openblas`` once scipy has loaded its own build,
+    """The thread counts of ``openblas`` once scipy has loaded its own build,
     as a certify worker does after the pool started it."""
     import scipy.linalg  # noqa: F401
-    return [get() for _, get, _ in _openblas()]
+    return [get() for _, get, _ in openblas()]
 
 
 @pytest.fixture(scope="module")
@@ -579,18 +560,18 @@ class TestPipeline:
     def test_pool_workers_run_one_blas_thread(self, monkeypatch):
         """Each pooled unit sees one thread in both bundled OpenBLAS builds,
         also where the parent runs more, and the parent keeps its count."""
-        if not all(lib for lib, _, _ in _openblas()):
+        if not all(lib for lib, _, _ in openblas()):
             pytest.skip("numpy's and scipy's bundled OpenBLAS builds are not installed")
-        before = [get() for _, get, _ in _openblas()]
+        before = [get() for _, get, _ in openblas()]
         # workers that fork inherit the parent's count, and spawned ones the variable
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        for _, _, set_threads in _openblas():
+        for _, _, set_threads in openblas():
             set_threads(2)
         try:
             assert safecert.cli._run_cells(_openblas_threads, [0, 1], threads=2) == [[1, 1]] * 2
             assert _openblas_threads(None) == [2, 2]
         finally:
-            for (_, _, set_threads), count in zip(_openblas(), before):
+            for (_, _, set_threads), count in zip(openblas(), before):
                 set_threads(count)
 
     def test_shared_rollouts_match_one_horizon_runs(self, tmp_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from safecert import (
     fit_weights,
     gram_matrix,
 )
-from safecert.kernels import _BLOCK_ENTRIES
+from safecert.kernels import _BLOCK_ENTRIES, QUERY_BLOCK_BYTES, query_blocks
 
 
 def manual_kernel(x, y, ls):
@@ -221,17 +222,42 @@ class TestWeights:
         assert factor.flags.f_contiguous
         assert lower
 
-    def test_factor_failure_reports_condition_of_the_rebuilt_system(self):
-        """The factorization runs in place on the Gram buffer, so the
-        condition estimate must come from a rebuilt system: exact duplicates
-        make it singular to rounding."""
+    def test_factor_failure_reports_the_failing_minor_and_ridge(self):
+        """Exact duplicates make the system singular to rounding: the error
+        names the leading minor that failed, which holds the first
+        duplicate, and M lam."""
         rng = np.random.default_rng(13)
         pts = rng.uniform(-1, 1, size=(20, 2))
         x = np.vstack([pts, pts[:5]])
-        with pytest.raises(NumericError, match="condition estimate") as info:
+        with pytest.raises(NumericError, match=r"leading minor of order (\d+) \(of 25\)") as info:
             fit_weights(KernelSpec.isotropic(1.0, 2, 1e-300), x)
-        cond = float(str(info.value).split("condition estimate ")[1].split(")")[0])
-        assert abs(cond) > 1e12
+        message = str(info.value)
+        order = int(message.split("order ")[1].split()[0])
+        assert 21 <= order <= 25
+        assert "M*lam = 2.500e-299" in message
+
+    def test_factor_failure_holds_one_system_array(self):
+        """A failed factorization raises without rebuilding the system or
+        taking its spectrum: the call's peak stays within one M x M array
+        (and the Gram build's small scratch)."""
+        import scipy.linalg.lapack  # noqa: F401  (its import would count towards the peak)
+
+        m = 1000
+        x = np.zeros((m, 2))
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericError):
+                fit_weights(KernelSpec.isotropic(1.0, 2, 1e-300), x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * m * m
+
+    def test_non_finite_inputs_rejected(self):
+        x = np.random.default_rng(19).uniform(-1, 1, size=(10, 2))
+        x[3, 1] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fit_weights(KernelSpec.isotropic(1.0, 2, 1e-3), x)
 
     def test_duplicate_points_with_zero_ridge_raise(self):
         x = np.zeros((3, 2))
@@ -241,3 +267,60 @@ class TestWeights:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             fit_weights(KernelSpec.isotropic(1.0, 3, 1e-3), np.zeros((4, 2)))
+
+
+class TestQueryBlocks:
+    @pytest.mark.parametrize("n,m", [(0, 500), (1, 500), (5000, 500), (2 * 1040 + 1, 500),
+                                     (1600, 2000), (100, 10**6), (17, 1)])
+    def test_blocks_cover_the_batch_in_bounded_rows(self, n, m):
+        blocks = query_blocks(n, m)
+        assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+        if n == 0:
+            assert blocks == []
+        else:
+            assert (blocks[0].start, blocks[-1].stop) == (0, n)
+        rows = query_blocks(2**20, m)[0].stop
+        assert rows % 16 == 0
+        # a block holds about QUERY_BLOCK_BYTES of kernel values, or 512 rows
+        assert rows >= 512
+        assert rows * m * 8 <= QUERY_BLOCK_BYTES or rows == 512
+        for b in blocks[:-1]:
+            assert b.stop - b.start == rows
+        # a one-row tail joins the block before it
+        if n > 1:
+            assert blocks[-1].stop - blocks[-1].start > 1
+
+    @pytest.mark.parametrize("tail", [13, 1])
+    def test_expand_gives_the_bytes_of_one_product(self, tail, one_blas_thread):
+        """Over 2 blocks and a partial one (or a one-row tail, which joins the
+        block before), the streamed expansion equals the product over the
+        whole batch byte for byte."""
+        rng = np.random.default_rng(20)
+        m = 500
+        x = rng.uniform(-2, 2, size=(m, 2))
+        spec = KernelSpec(lengthscales=(0.9, 0.6), lam=1e-4)
+        sys = fit_weights(spec, x)
+        alpha = sys.solve(rng.uniform(0, 1, size=m))
+        rows = query_blocks(2**20, m)[0].stop
+        q = rng.uniform(-2, 2, size=(2 * rows + tail, 2))
+        assert len(query_blocks(q.shape[0], m)) == (3 if tail > 1 else 2)
+        got = sys.expand(q, alpha)
+        want = gram_matrix(spec, q, x) @ alpha
+        assert got.tobytes() == want.tobytes()
+
+    def test_expand_holds_no_query_by_input_array(self):
+        """20000 queries against M = 500 inputs would be an 80 MB kernel
+        matrix built whole; streamed, the call peaks near one block."""
+        rng = np.random.default_rng(21)
+        x = rng.uniform(-2, 2, size=(500, 2))
+        sys = fit_weights(KernelSpec(lengthscales=(0.9, 0.6), lam=1e-4), x)
+        alpha = sys.solve(rng.uniform(0, 1, size=500))
+        q = rng.uniform(-2, 2, size=(20000, 2))
+        tracemalloc.start()
+        try:
+            out = sys.expand(q, alpha)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (20000,)
+        assert peak < 2 * QUERY_BLOCK_BYTES
