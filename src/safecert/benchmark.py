@@ -299,8 +299,13 @@ class TrajectorySet:
 
     @classmethod
     def from_csv(cls, text: str) -> "TrajectorySet":
-        """The set ``to_csv`` wrote; rows out of its order are refused, naming the first."""
-        _, columns, data = parse_table(text)
+        """The set ``to_csv`` wrote, as ``from_table`` decodes its cells."""
+        return cls.from_table(parse_table(text)[2])
+
+    @classmethod
+    def from_table(cls, data: np.ndarray) -> "TrajectorySet":
+        """The set whose ``to_csv`` cells are ``data``; rows out of its order
+        are refused, naming the first."""
         # as many steps per trajectory as the first one has
         steps = max(1, np.count_nonzero(data[:, 0] == data[:1, 0]))
         ids, t = np.divmod(np.arange(-(-len(data) // steps) * steps), steps)
@@ -310,7 +315,7 @@ class TrajectorySet:
             found = (f"trajectory {data[r, 0]:g} at t = {data[r, 1]:g}" if r < len(data)
                      else "the end of the table")
             raise ValueError(f"row {r}: expected trajectory {ids[r]} at t = {t[r]}, found {found}")
-        return cls(states=np.ascontiguousarray(data[:, 2:]).reshape(-1, steps, len(columns) - 2))
+        return cls(states=np.ascontiguousarray(data[:, 2:]).reshape(-1, steps, data.shape[1] - 2))
 
 
 @dataclass
@@ -331,8 +336,12 @@ class OneStepPairs:
 
     @classmethod
     def from_csv(cls, text: str) -> "OneStepPairs":
-        _, columns, data = parse_table(text)
-        d = len(columns) // 2
+        return cls.from_table(parse_table(text)[2])
+
+    @classmethod
+    def from_table(cls, data: np.ndarray) -> "OneStepPairs":
+        """The pairs whose ``to_csv`` cells are ``data``."""
+        d = data.shape[1] // 2
         return cls(x=data[:, :d], x_next=data[:, d:])
 
 

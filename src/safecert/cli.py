@@ -27,10 +27,11 @@ still gets its own files.  A cell record owns the cell's files: their names
 (config hash, seed, alpha, T), and ``read``, the one way a stage reads a
 table, which refuses one whose header names another cell or config, whose
 column line is not its writer's, or that does not decode (a non-finite cell or
-a ``safe`` label other than 0 or 1, say).  A data table must also hold as
-many rows as the config asks for.  A stage reads all the tables of its unit
-before it writes, and a config whose cells would share a file name is refused
-before any stage runs.
+a ``safe`` label other than 0 or 1, say); it parses each file once.  A data
+table must also hold as many rows as the config asks for, and a ``gx, gy``
+grid table the config grid's points in order.  A stage reads all the tables
+of its unit before it writes, and a config whose cells would share a file name
+is refused before any stage runs.
 
 Exit codes: 0 on success, 1 on runtime or numeric failure (missing data
 files and tables written under another config hash, seed, alpha or T
@@ -58,7 +59,7 @@ from . import metrics as mx
 from .config import METHODS, ConfigError, ExperimentConfig, load_config
 from .direct import fit_direct, predict
 from .dp import backward_value, evaluate_dp, fit_dp
-from .io import atomic_write, format_table, header_comment, read_table, table_array
+from .io import atomic_write, format_table, header_comment, read_table
 from .kernels import NumericError
 
 __all__ = ["main"]
@@ -99,11 +100,11 @@ class _Cell:
         return header_comment(self.cfg.config_hash, self.seed, alpha=self.alpha_text, T=self.T,
                               **extra)
 
-    def read(self, name: str, columns: list[str], decode=table_array):
-        """``decode`` (the cell array by default) of ``<name>_<tag>.csv``; a file
+    def read(self, name: str, columns: list[str], decode=None):
+        """The cells of ``<name>_<tag>.csv``, or ``decode`` of them; a file
         written under another config, with a column line other than ``columns``
-        or that ``decode`` refuses is refused."""
-        return read_table(self.path(name), decode, columns, config=self.cfg.config_hash,
+        or whose cells ``parse_table`` or ``decode`` refuses is refused."""
+        return read_table(self.path(name), columns, decode, config=self.cfg.config_hash,
                           seed=self.seed, alpha=self.alpha_text, T=self.T)
 
     def write_table(self, name: str, table, **extra) -> None:
@@ -146,14 +147,11 @@ def _grid_table(grid: np.ndarray, values: np.ndarray, value_name: str) -> tuple:
 _TRAJ_COLUMNS = ["traj_id", "t", "x1", "x2"]
 _PAIR_COLUMNS = ["x1", "x2", "xn1", "xn2"]
 _CAL_COLUMNS = ["x1", "x2", "safe"]
-_MC_COLUMNS = ["gx", "gy", "p_mc"]
-_PRED_COLUMNS = ["gx", "gy", "estimate"]
 _SCORE_COLUMNS = ["score"]
 
 
-def _calibration_set(text: str) -> np.ndarray:
+def _calibration_set(table: np.ndarray) -> np.ndarray:
     """The cells of a ``data/cal`` table, whose ``safe`` labels must be 0 or 1."""
-    table = table_array(text)
     bad = np.flatnonzero((table[:, 2] != 0.0) & (table[:, 2] != 1.0))
     if bad.size:
         raise ValueError(f"row {bad[0]}, column safe is not 0 or 1 ({table[bad[0], 2]})")
@@ -175,7 +173,7 @@ def _read_cal(cell: _Cell) -> np.ndarray:
 
 def _read_trajs(cell: _Cell) -> bm.TrajectorySet:
     """``data/trajs``: data.n_trajectories trajectories of T + 1 states."""
-    ts = cell.read("data/trajs", _TRAJ_COLUMNS, bm.TrajectorySet.from_csv)
+    ts = cell.read("data/trajs", _TRAJ_COLUMNS, bm.TrajectorySet.from_table)
     n, steps = ts.states.shape[:2]
     want = cell.cfg["data.n_trajectories"]
     if (n, steps) != (want, cell.T + 1):
@@ -187,10 +185,22 @@ def _read_trajs(cell: _Cell) -> bm.TrajectorySet:
 
 def _read_pairs(cell: _Cell) -> bm.OneStepPairs:
     """``data/pairs``, whose rows number the config's n_pairs(T)."""
-    pairs = cell.read("data/pairs", _PAIR_COLUMNS, bm.OneStepPairs.from_csv)
+    pairs = cell.read("data/pairs", _PAIR_COLUMNS, bm.OneStepPairs.from_table)
     rule = "data.n_pairs" if cell.cfg["data.n_pairs"] > 0 else "data.n_trajectories * T"
     _check_rows(cell, "data/pairs", pairs.n, cell.cfg.n_pairs(cell.T), rule)
     return pairs
+
+
+def _read_grid(cell: _Cell, name: str, value_column: str) -> np.ndarray:
+    """The values of ``<name>_<tag>.csv``, a ``gx, gy, <value_column>`` table
+    whose rows must be the config grid's points in order: the stages join
+    grid tables by row."""
+    table = cell.read(name, ["gx", "gy", value_column])
+    grid = _grid(cell.cfg, bm.default_safe_region())
+    if not np.array_equal(table[:, :2], grid):
+        raise ValueError(f"{cell.path(name)}: its {len(table)} (gx, gy) rows are not the "
+                         f"{len(grid)} points of the config grid in order")
+    return table[:, 2]
 
 
 # ---------------------------------------------------------------- gen-data
@@ -377,14 +387,11 @@ def _calibrate_cell(cell: _Cell, methods: tuple[str, ...]) -> None:
         if len(scores) != len(outcomes):
             raise ValueError(f"{cell.path(f'cal/scores_{method}')}: {len(scores)} scores, but "
                              f"{cell.path('data/cal')} has {len(outcomes)} rows")
-        pred = cell.read(f"pred/{method}", _PRED_COLUMNS)
-        if not np.array_equal(pred[:, :2], grid):
-            raise ValueError(f"{cell.path(f'pred/{method}')}: its {len(pred)} (gx, gy) rows are "
-                             f"not the {len(grid)} points of the config grid in order")
+        estimates = _read_grid(cell, f"pred/{method}", "estimate")
         calibrator = cal.calibrate(scores, outcomes, n_bins=cell.cfg["calibration.bins"],
                                    delta_conf=cell.cfg["calibration.delta"])
-        bounds = cal.certified_lower_bound(calibrator, pred[:, 2])
-        results.append((method, calibrator, _grid_table(pred[:, :2], bounds, "lower_bound")))
+        bounds = cal.certified_lower_bound(calibrator, estimates)
+        results.append((method, calibrator, _grid_table(grid, bounds, "lower_bound")))
     for method, calibrator, bounds in results:
         cell.write_json(f"cal/calibrator_{method}", calibrator.to_json(), method=method)
         cell.write_table(f"cal/bounds_{method}", bounds, method=method)
@@ -398,17 +405,10 @@ _METRIC_COLS = ["rmse", "excess_rmse", "brier", "brier_binned", "rel", "res", "u
 def _evaluate(cells: list[_Cell], methods: tuple[str, ...]) -> None:
     rows = []  # method, alpha, T, seed, then the _METRIC_COLS values
     for cell in cells:
-        mc = cell.read("mc/mc", _MC_COLUMNS, bm.GroundTruthGrid.from_csv)
-        p_mc = mc.p_mc
+        # rows are joined by position: both tables hold the config grid in order
+        p_mc = _read_grid(cell, "mc/mc", "p_mc")
         for method in methods:
-            pred = cell.read(f"pred/{method}", _PRED_COLUMNS)
-            # rows are joined by position; both tables write eval_grid's points
-            # through the same format, so their coordinates agree exactly
-            if not np.array_equal(pred[:, :2], mc.grid):
-                raise ValueError(f"{cell.path(f'pred/{method}')} ({len(pred)} rows) and "
-                                 f"{cell.path('mc/mc')} ({len(p_mc)} rows) do not list the same "
-                                 "grid points in the same order")
-            est = np.clip(pred[:, 2], 0.0, 1.0)
+            est = np.clip(_read_grid(cell, f"pred/{method}", "estimate"), 0.0, 1.0)
             rep = mx.brier_decomposition_mc(est, p_mc, n_bins=10)
             rows.append([method, cell.alpha_text, cell.T, cell.seed, mx.rmse(est, p_mc),
                          mx.excess_rmse(est, p_mc), rep.brier, rep.brier_binned,

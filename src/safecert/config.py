@@ -123,9 +123,12 @@ def parse_config(text: str) -> dict:
 def _validate(v: dict) -> None:
     if v["data.mode"] not in _VALID_MODES:
         raise ConfigError(f"data.mode must be one of {_VALID_MODES}")
-    for m in v["methods"]:
+    for i, m in enumerate(v["methods"]):
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; valid: {METHODS}")
+        # a repeated method would write and count each of its metrics rows twice
+        if m in v["methods"][:i]:
+            raise ConfigError(f"methods lists {m!r} twice; list each method once")
     for key in ("data.n_trajectories", "data.n_calibration", "mc.rollouts",
                 "grid.nx", "grid.ny", "abstraction.nx", "abstraction.ny",
                 "calibration.bins"):

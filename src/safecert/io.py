@@ -8,10 +8,11 @@ double quote or a line break.  A table is formatted and parsed in one pass
 each: ``format_table`` applies one row template, repeated per row, with one
 ``%`` to all the cells, and ``parse_table`` converts all the cells with one
 ``np.array`` call.  Writes go through a temp file plus rename, so readers
-never observe a half-written file and interrupted runs leave no torn output.
-``read_table`` checks a file's header and column names and decodes it, by
-default through ``parse_table``, which refuses ragged rows and non-finite
-cells; a decode error names the file.
+never observe a half-written file and interrupted runs leave no torn output;
+the file gets the mode a plain ``open`` gives it.  ``read_table`` checks a
+file's header, parses it once with ``parse_table`` (which refuses ragged rows
+and non-finite cells), checks the parsed column names and hands the cells to
+a decoder; every error names the file.
 """
 
 from __future__ import annotations
@@ -24,20 +25,26 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["atomic_write", "header_comment", "format_table", "parse_table", "table_array",
-           "read_table"]
+__all__ = ["atomic_write", "header_comment", "format_table", "parse_table", "read_table"]
 
 # what the csv module would have quoted; the format has no quoting
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def atomic_write(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file and a rename, with the
+    mode ``open`` would give a new file, 0o666 less the umask (``mkstemp``
+    makes the temp file 0o600)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
+        # the umask can only be read by setting it; set it straight back
+        umask = os.umask(0o022)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -64,25 +71,6 @@ def _header_fields(text: str) -> dict[str, str]:
 def _data_lines(text: str) -> list[str]:
     """The lines of ``text``, column names first, without comment and blank lines."""
     return [line for line in text.splitlines() if line.strip() and not line.startswith("#")]
-
-
-def _column_line(text: str) -> str | None:
-    """The first of ``_data_lines(text)``, None without one, found without
-    splitting the rest of the text.
-
-    Each "\n"-ended piece is split on its own: ``str.splitlines`` breaks at
-    every "\n", so its lines are those of the pieces in turn ("\r\n" ends a
-    piece in "\r", which it drops as it would the pair).
-    """
-    start = 0
-    while start <= len(text):
-        end = text.find("\n", start)
-        end = len(text) if end < 0 else end
-        lines = _data_lines(text[start:end])
-        if lines:
-            return lines[0]
-        start = end + 1
-    return None
 
 
 def _check_plain(strings, where: str) -> None:
@@ -157,20 +145,15 @@ def parse_table(text: str, dtype=float) -> tuple[dict[str, str], list[str], np.n
     return _header_fields(text), columns, data
 
 
-def table_array(text: str) -> np.ndarray:
-    """The cells of a float table, as ``parse_table`` reads them."""
-    return parse_table(text)[2]
+def read_table(path: str | Path, columns, decode=None, **expect):
+    """The cells of the table at ``path``, or ``decode`` of them: its header
+    must hold each keyword and its column line must be ``columns``, in order.
 
-
-def read_table(path: str | Path, decode=table_array, columns=None, **expect):
-    """``decode`` of the text of the table at ``path``, whose header must hold
-    each keyword and whose column line, when ``columns`` is given, must be
-    those names in that order.
-
-    A missing file raises FileNotFoundError, a header holding other values or
-    another column line a ValueError naming both, and a ValueError of
-    ``decode`` is raised again with the path in front.  The column line is
-    read off the head of the text, so only ``decode`` splits all of it.
+    A missing file raises FileNotFoundError and a header holding other values
+    a ValueError naming both, before the text is parsed.  The text is then
+    parsed once, by ``parse_table``; its errors, a column line other than
+    ``columns`` and a ValueError of ``decode`` are raised as ValueErrors with
+    the path in front.
     """
     path = Path(path)
     if not path.exists():
@@ -181,12 +164,10 @@ def read_table(path: str | Path, decode=table_array, columns=None, **expect):
         found = " ".join(f"{k}={got.get(k)}" for k in expect)
         wanted = " ".join(f"{k}={v}" for k, v in expect.items())
         raise ValueError(f"{path} was written under {found}, not {wanted}")
-    if columns is not None:
-        line = _column_line(text)
-        names = line.split(",") if line is not None else []
-        if names != list(columns):
-            raise ValueError(f"{path}: columns are {names}, not {list(columns)}")
     try:
-        return decode(text)
+        _, names, data = parse_table(text)
+        if names != list(columns):
+            raise ValueError(f"columns are {names}, not {list(columns)}")
+        return data if decode is None else decode(data)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

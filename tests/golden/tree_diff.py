@@ -15,9 +15,12 @@ configs, each serially and at ``--threads 2``:
 
 The config texts are the work tree's, on both sides.  Every run pins one BLAS
 thread (OPENBLAS_NUM_THREADS=1): the last bits of a product depend on how
-OpenBLAS splits it between threads.  One line is printed per file whose
-sha256 differs, with the largest difference of its numbers when the two
-files differ in nothing else; nothing is printed when every tree matches.
+OpenBLAS splits it between threads.  For each config, the work tree's
+``--threads 2`` tree is also compared with its ``--threads 1`` tree, so one
+command checks both halves of a byte claim: against the revision, and pooled
+against serial.  One line is printed per file whose sha256 differs, with the
+largest difference of its numbers when the two files differ in nothing else;
+nothing is printed when every tree matches.
 The exit status is 0 when nothing differs, 1 when a file differs and 2 when
 a sweep fails.
 """
@@ -99,15 +102,17 @@ def max_delta(a: str, b: str) -> float | None:
     return max((abs(float(x) - float(y)) for x, y in pairs if x != y), default=0.0)
 
 
-def differences(old: Path, new: Path) -> list[str]:
-    """One line per file under ``old`` or ``new`` whose sha256 differs."""
+def differences(old: Path, new: Path,
+                sides: tuple[str, str] = ("at the revision", "in the work tree")) -> list[str]:
+    """One line per file under ``old`` or ``new`` whose sha256 differs; a
+    file only one tree holds is "only" ``sides[0]`` or ``sides[1]``."""
     a, b = digest(old), digest(new)
     lines = []
     for path in sorted(a.keys() | b.keys()):
         if path not in b:
-            lines.append(f"{path}: only at the revision")
+            lines.append(f"{path}: only {sides[0]}")
         elif path not in a:
-            lines.append(f"{path}: only in the work tree")
+            lines.append(f"{path}: only {sides[1]}")
         elif a[path] != b[path]:
             delta = max_delta((old / path).read_text(), (new / path).read_text())
             lines.append(f"{path}: " + ("differs beyond its numbers" if delta is None
@@ -144,6 +149,10 @@ def main(argv: list[str] | None = None) -> int:
                 for line in differences(outs["rev"], outs["work"]):
                     print(f"{name} --threads {threads}: {line}")
                     found += 1
+            pooled, serial = (tmp / "work" / "out" / f"{name}-t{t}" for t in (2, 1))
+            for line in differences(serial, pooled, ("at --threads 1", "at --threads 2")):
+                print(f"{name} --threads 2 against --threads 1 in the work tree: {line}")
+                found += 1
     return 1 if found else 0
 
 

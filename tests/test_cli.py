@@ -141,6 +141,10 @@ _FAULTS = [
     ("calibrate", "data/cal", "label", "row 0, column safe is not 0 or 1 (0.5)"),
     ("evaluate", "mc/mc", "nan", "row 0, column p_mc is not finite (nan)"),
     ("evaluate", "pred/dp", "nan", "row 0, column estimate is not finite (nan)"),
+    ("evaluate", "pred/dp", "drop", "its 24 (gx, gy) rows are not the 25 points of the config "
+                                    "grid in order"),
+    ("evaluate", "mc/mc", "drop", "its 24 (gx, gy) rows are not the 25 points of the config "
+                                  "grid in order"),
 ]
 _READS = [
     ("certify", "data/cal", ["x1", "x2", "safe"]),
@@ -220,6 +224,8 @@ class TestExitCodes:
         ("system.gamma_c = inf", "system.gamma_c"),
         ("imp.radius = nan", "imp.radius"),
         ("dp.ambiguity = inf", "dp.ambiguity"),
+        # each of its metrics rows would be written and counted twice
+        ("methods = direct, direct", "methods"),
     ])
     def test_refused_config_exits_2_before_any_write(self, tmp_path, capsys, lines, named):
         bad = tmp_path / "bad.cfg"
@@ -256,7 +262,8 @@ class TestExitCodes:
     def test_evaluate_refuses_pred_and_mc_on_other_grid_points(self, cfg_path, tmp_path, capsys,
                                                                edit):
         """Rows are joined by position: two swapped mc rows used to give wrong
-        metrics and exit 0, a dropped one a broadcast error naming no file."""
+        metrics and exit 0, a dropped one a broadcast error naming no file.
+        The mc table is refused on its own, as not the config grid in order."""
         out = tmp_path / "o"
         for stage in ("gen-data", "mc-oracle", "certify"):
             assert run(stage, "--config", str(cfg_path), "--method", "direct",
@@ -272,9 +279,10 @@ class TestExitCodes:
         capsys.readouterr()
         assert run("evaluate", "--config", str(cfg_path), "--method", "direct",
                    "--out", str(out)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "pred/direct_a0_T2_s1.csv" in err and "mc/mc_a0_T2_s1.csv" in err
+        rows = 25 if edit == "swap" else 24
+        assert capsys.readouterr().err == (
+            f"error: {mc}: its {rows} (gx, gy) rows are not the 25 points of the config grid "
+            "in order\n")
         assert not (out / "metrics.csv").exists()
 
     @pytest.mark.parametrize("stage, table, edit, message", _FAULTS,
@@ -371,7 +379,14 @@ class TestExitCodes:
 class TestPipeline:
     def test_full_sweep_writes_every_stage(self, cfg_path, tmp_path):
         out = tmp_path / "results"
-        assert run("sweep", "--config", str(cfg_path), "--out", str(out)) == 0
+        umask = os.umask(0o027)
+        try:
+            assert run("sweep", "--config", str(cfg_path), "--out", str(out)) == 0
+        finally:
+            os.umask(umask)
+        # every file gets the mode open gives under the umask (0o640), not mkstemp's 0o600
+        modes = {p.stat().st_mode & 0o777 for p in out.rglob("*") if p.is_file()}
+        assert modes == {0o640}
 
         assert (out / "data" / "trajs_a0_T2_s1.csv").exists()
         assert (out / "data" / "pairs_a0_T2_s1.csv").exists()

@@ -96,6 +96,7 @@ class TestValidation:
             ("imp.radius = inf", "imp.radius"),
             ("dp.ambiguity = nan", "dp.ambiguity"),
             ("dp.ambiguity = inf", "dp.ambiguity"),
+            ("methods = direct, dp, direct", "methods"),
         ],
     )
     def test_out_of_range_values_name_their_key(self, text, key):

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import os
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import safecert.io as io_module
 from safecert import GroundTruthGrid, OneStepPairs, TrajectorySet
-from safecert.io import format_table, parse_table, read_table
+from safecert.io import atomic_write, format_table, parse_table, read_table
 
 HEAD = "config=abc seed=1"
 
@@ -199,7 +200,7 @@ class TestReadTable:
     def test_matching_header_returns_the_cells(self, tmp_path: Path):
         path = tmp_path / "t.csv"
         path.write_text("# config=abc seed=1 T=3\na,b\n1,2\n")
-        assert read_table(path, config="abc", seed=1, T=3).tolist() == [[1.0, 2.0]]
+        assert read_table(path, ["a", "b"], config="abc", seed=1, T=3).tolist() == [[1.0, 2.0]]
 
     @pytest.mark.parametrize("text, error", [
         ("# config=abc\na,b\n1,nan\n", "row 0, column b is not finite (nan)"),
@@ -209,31 +210,33 @@ class TestReadTable:
         path = tmp_path / "t.csv"
         path.write_text(text)
         with pytest.raises(ValueError) as exc:
-            read_table(path, config="abc")
+            read_table(path, ["a", "b"], config="abc")
         assert str(exc.value) == f"{path}: {error}"
 
     def test_trajectory_decode_error_is_prefixed_with_the_path(self, tmp_path: Path):
         path = tmp_path / "t.csv"
         path.write_text("# config=abc\ntraj_id,t,x1\n0,0,1\n0,2,1\n")
         with pytest.raises(ValueError) as exc:
-            read_table(path, TrajectorySet.from_csv, config="abc")
+            read_table(path, ["traj_id", "t", "x1"], TrajectorySet.from_table, config="abc")
         assert str(exc.value) == (f"{path}: row 1: expected trajectory 0 at t = 1, "
                                   "found trajectory 0 at t = 2")
 
     def test_matching_column_line_returns_the_cells(self, tmp_path: Path):
         path = tmp_path / "t.csv"
         path.write_text("# config=abc\na,b\n1,2\n")
-        assert read_table(path, columns=["a", "b"], config="abc").tolist() == [[1.0, 2.0]]
+        assert read_table(path, ["a", "b"], config="abc").tolist() == [[1.0, 2.0]]
 
     @pytest.mark.parametrize("line", ["a,B", "b,a", "a", "a,b,c"])
     def test_other_column_line_names_both_lists(self, tmp_path: Path, line):
         """Columns are read by position, so a renamed, reordered, missing or
         extra column is refused before the cells are decoded."""
+        decoded = []
         path = tmp_path / "t.csv"
         path.write_text(f"# config=abc\n{line}\n{','.join(['1'] * len(line.split(',')))}\n")
         with pytest.raises(ValueError) as exc:
-            read_table(path, columns=["a", "b"], config="abc")
+            read_table(path, ["a", "b"], decoded.append, config="abc")
         assert str(exc.value) == f"{path}: columns are {line.split(',')}, not ['a', 'b']"
+        assert decoded == []
 
     @pytest.mark.parametrize("text", [
         "", "\n", "# c=1\n", "a,b", "a,b\n1,2\n", "# c=1\n\n  \n#x\na,b\n1,2\n",
@@ -241,33 +244,72 @@ class TestReadTable:
         "# c=1\n\x0c\x0b\na\x0bb\n", "\n\n# c=1\n\t\n a,b \n",
     ])
     def test_column_line_is_the_first_data_line(self, text):
-        lines = io_module._data_lines(text)
-        assert io_module._column_line(text) == (lines[0] if lines else None)
+        """The column line ``read_table`` checks is the parsed one: the first
+        line that is neither blank nor a comment, as ``str.splitlines`` splits."""
+        lines = [line for line in text.splitlines() if line.strip() and not line.startswith("#")]
+        if not lines:
+            with pytest.raises(ValueError, match="^the table has no column line$"):
+                parse_table(text, dtype=str)
+        else:
+            assert parse_table(text, dtype=str)[1] == lines[0].split(",")
 
     def test_column_check_splits_the_text_once(self, tmp_path: Path, monkeypatch):
-        """The column line is read off the head of the text; only the decode
-        splits all of it."""
+        """The column line is checked on the one parse of the text, which the
+        decoder's cells come from."""
         path = tmp_path / "t.csv"
         path.write_bytes(b"# config=abc\r\n\r\n# note\r\na,b\r\n1,2\r\n3,4\r\n")
         texts = []
         data_lines = io_module._data_lines
         monkeypatch.setattr(io_module, "_data_lines", lambda text: texts.append(text) or data_lines(text))
-        got = read_table(path, columns=["a", "b"], config="abc")
-        assert got.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        got = read_table(path, ["a", "b"], np.transpose, config="abc")
+        assert got.tolist() == [[1.0, 3.0], [2.0, 4.0]]
         assert [t for t in texts if "1,2" in t] == [path.read_text()]
 
     def test_missing_file(self, tmp_path: Path):
         with pytest.raises(FileNotFoundError, match="missing data file"):
-            read_table(tmp_path / "nope.csv", config="abc")
+            read_table(tmp_path / "nope.csv", ["a"], config="abc")
 
     def test_other_config_names_both_hashes(self, tmp_path: Path):
         path = tmp_path / "t.csv"
         path.write_text("# config=abc seed=1 T=3\na\n1\n")
         with pytest.raises(ValueError, match="config=abc seed=1 T=3, not config=def seed=1 T=3"):
-            read_table(path, config="def", seed=1, T=3)
+            read_table(path, ["a"], config="def", seed=1, T=3)
+
+    def test_header_is_checked_before_the_text_is_parsed(self, tmp_path: Path):
+        path = tmp_path / "t.csv"
+        path.write_text("# config=abc\nb,a\n1,2,3\nnan\n")
+        with pytest.raises(ValueError, match=r"config=abc, not config=def$"):
+            read_table(path, ["a", "b"], config="def")
+
+    def test_a_broken_row_is_reported_before_the_column_line(self, tmp_path: Path):
+        path = tmp_path / "t.csv"
+        path.write_text("# config=abc\nb,a\n1,2\n3\n")
+        with pytest.raises(ValueError) as exc:
+            read_table(path, ["a", "b"], config="abc")
+        assert str(exc.value) == f"{path}: row 1 has 1 cells, not 2"
 
     def test_missing_field_is_a_mismatch(self, tmp_path: Path):
         path = tmp_path / "t.csv"
         path.write_text("a\n1\n")
         with pytest.raises(ValueError, match="config=None"):
-            read_table(path, config="abc")
+            read_table(path, ["a"], config="abc")
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077, 0o027])
+    def test_file_mode_is_what_open_gives(self, tmp_path: Path, umask):
+        """The temp file's 0o600 does not survive the rename: the file gets
+        0o666 less the umask, as a plain ``open`` would create it."""
+        old = os.umask(umask)
+        try:
+            atomic_write(tmp_path / "a" / "t.csv", "a\n1\n")
+            # reading the umask leaves it as it was
+            assert os.umask(umask) == umask
+            with open(tmp_path / "plain.csv", "w") as fh:
+                fh.write("a\n1\n")
+        finally:
+            os.umask(old)
+        mode = (tmp_path / "a" / "t.csv").stat().st_mode & 0o777
+        assert mode == 0o666 & ~umask == (tmp_path / "plain.csv").stat().st_mode & 0o777
+        assert (tmp_path / "a" / "t.csv").read_text() == "a\n1\n"
+        assert not list(tmp_path.glob("**/*.tmp"))

@@ -39,11 +39,16 @@ def test_differences_name_each_file_and_its_largest_shift(tmp_path):
         "new.csv: only in the work tree",
         "pred/moved.csv: max |delta| 2e-13",
     ]
+    assert _tree_diff().differences(old, new, ("at --threads 1", "at --threads 2"))[1:3] == [
+        "gone.csv: only at --threads 1",
+        "new.csv: only at --threads 2",
+    ]
 
 
 def test_head_prints_nothing():
     """``tree_diff.py HEAD`` on the tiny config, serial and pooled, finds
-    every file of the work tree's sweeps as HEAD writes it."""
+    every file of the work tree's sweeps as HEAD writes it, and the pooled
+    tree equal to the serial one."""
     if shutil.which("git") is None:
         pytest.skip("git is not installed")
     clean = subprocess.run(["git", "-C", str(REPO), "diff", "--quiet", "HEAD", "--", "src"],
