@@ -11,9 +11,17 @@ the sampled next states, so each backward step applies the transfer operator
     transfer[i, j] = w_j(x_i^+),   transfer = K(x^+, x) (K + M lam I)^{-1},
 
 to the value vector.  The operator is never formed: each application is one
-single-vector solve with the Cholesky factor of K + M lam I followed by one
-product with K(x^+, x), so a fit holds two M x M arrays and the whole pass
-costs T solves instead of an M x M solve with M right-hand sides.
+single-vector solve alpha = (K + M lam I)^{-1} v with the Cholesky factor,
+followed by K(x^+, x) @ alpha, and the whole pass costs T solves instead of
+an M x M solve with M right-hand sides.
+
+Where a next state x_i^+ is bitwise a training input x_j, as it is for most
+pairs sliced out of trajectories, row j of the ridge system gives its row of
+the product for free: K(x_j, x) @ alpha = v_j - M lam alpha_j.  So a fit
+stores K(x^+, x) only at the unmatched next states and holds the M x M
+factor plus an (M - matched) x M block: two M x M arrays for iid pairs,
+little more than one for dependent pairs.
+
 With eps = 0 the norm penalty vanishes; otherwise ||V|| is approximated by
 the representer norm of the ridge interpolant of the value vector, a finite
 surrogate used in place of the intractable RKHS norm.
@@ -62,9 +70,12 @@ class DpModel:
     """One-step conditional model over transition samples.
 
     A kernel-backed model (``fit_dp``) holds the factored ridge system over
-    the source states and k_next = K(x^+, x), and applies the transfer
-    operator as k_next @ (K + M lam I)^{-1} v.  A chain model
-    (``from_transfer``) holds an explicit transfer matrix instead.
+    the source states, ``source`` (the training input each next state
+    bitwise equals, or -1) and k_next, the rows of K(x^+, x) at the
+    unmatched next states.  ``next_expansion`` assembles K(x^+, x) @ alpha
+    from the two, and every application of the transfer operator goes
+    through it.  A chain model (``from_transfer``) holds an explicit transfer
+    matrix instead.
     """
 
     safe_mask_next: np.ndarray    # (M,) floats, 1_S at the sampled next states
@@ -72,7 +83,8 @@ class DpModel:
     ambiguity: float = 0.0
     gram: GramSystem | None = None     # over source states; None for exact chains
     x_next: np.ndarray | None = None
-    k_next: np.ndarray | None = None   # (M, M) K(x_i^+, x_j); kernel-backed only
+    source: np.ndarray | None = None   # (M,) j with x_i^+ bitwise x_j, or -1
+    k_next: np.ndarray | None = None   # (n_unmatched, M) K(x_i^+, x) where source[i] < 0
     explicit: np.ndarray | None = None  # (M, M) transfer matrix; chains only
 
     def __post_init__(self) -> None:
@@ -100,20 +112,35 @@ class DpModel:
         """transfer @ v for a value vector v at the sampled next states."""
         if self.explicit is not None:
             return self.explicit @ v
-        return self.k_next @ self.gram.solve(v)
+        return self.next_expansion(v, self.gram.solve(v))
+
+    def next_expansion(self, v: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """K(x^+, x) @ alpha at the sampled next states, for alpha = (K + M lam I)^{-1} v.
+
+        A next state that is the training input x_j takes row j of the ridge
+        system, v_j - M lam alpha_j; the others take one product with the
+        stored rows of K(x^+, x).  With no matched rows (iid pairs) this is
+        exactly K(x^+, x) @ alpha.
+        """
+        hit = self.source >= 0
+        out = np.empty(self.n)
+        out[~hit] = self.k_next @ alpha
+        j = self.source[hit]
+        out[hit] = self.gram.fitted(v[j], alpha[j])
+        return out
 
     @property
     def transfer(self) -> np.ndarray:
         """The transfer matrix, transfer[i, j] = w_j(x_i^+).
 
-        A kernel-backed model materialises it with an M x M solve with M
-        right-hand sides, O(M^3) work and a third M x M array; it is meant
-        for diagnostics and tests, and nothing in the fit or the recursion
-        reads it.
+        A kernel-backed model rebuilds K(x^+, x) at every next state and
+        materialises the transfer with an M x M solve with M right-hand
+        sides: O(M^3) work and two more M x M arrays.  It is meant for
+        diagnostics and tests; nothing in the fit or the recursion reads it.
         """
         if self.explicit is not None:
             return self.explicit
-        return self.gram.solve(self.k_next.T).T
+        return self.gram.solve(gram_matrix(self.gram.spec, self.x_next, self.gram.inputs).T).T
 
 
 def _penalised_step(model: DpModel, v: np.ndarray) -> tuple[np.ndarray, float]:
@@ -129,19 +156,49 @@ def _penalised_step(model: DpModel, v: np.ndarray) -> tuple[np.ndarray, float]:
     return alpha, model.ambiguity * KAPPA * model.gram.representer_norm(v, alpha)
 
 
+def _source_rows(inputs: np.ndarray, x_next: np.ndarray) -> np.ndarray:
+    """source[i] = the first j whose inputs[j] is bitwise x_next[i], or -1.
+
+    Rows are compared by their bytes through one dict, in O(M), never within
+    a tolerance; -0.0 and +0.0 differ there, which only costs a stored row.
+    """
+    def rows(a: np.ndarray) -> list[bytes]:
+        a = np.ascontiguousarray(a)
+        return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel().tolist()
+
+    first: dict[bytes, int] = {}
+    for j, row in enumerate(rows(inputs)):
+        first.setdefault(row, j)
+    return np.array([first.get(row, -1) for row in rows(x_next)], dtype=np.intp)
+
+
 def fit_dp(
     spec: KernelSpec, pairs: OneStepPairs, region: SafeRegion, ambiguity: float = 0.0
 ) -> DpModel:
-    """Factor the ridge system over source states and build K(x^+, x)."""
-    gram = fit_weights(spec, pairs.x)
+    """Factor the ridge system over source states and build K(x^+, x) at the
+    next states that are not training inputs.
+
+    ``pairs.x_next`` must hold one finite row per row of ``pairs.x``, of the
+    same dimension; otherwise ValueError, before anything is fitted.
+    """
+    x = np.atleast_2d(np.asarray(pairs.x, dtype=float))
     x_next = np.asarray(pairs.x_next, dtype=float)
+    if x_next.shape != x.shape:
+        raise ValueError(f"pairs.x_next has shape {x_next.shape}, but pairs.x has "
+                         f"{x.shape}: one next state per source state")
+    bad = np.flatnonzero(~np.all(np.isfinite(x_next), axis=1))
+    if bad.size:
+        raise ValueError(f"pairs.x_next row {bad[0]} is not finite: {x_next[bad[0]].tolist()}")
+    gram = fit_weights(spec, x)
+    source = _source_rows(gram.inputs, x_next)
     return DpModel(
         safe_mask_next=is_safe(region, x_next).astype(float),
         region=region,
         ambiguity=ambiguity,
         gram=gram,
         x_next=x_next,
-        k_next=gram_matrix(spec, x_next, gram.inputs),
+        source=source,
+        k_next=gram_matrix(spec, x_next[source < 0], gram.inputs),
     )
 
 
@@ -158,7 +215,7 @@ def backward_value(model: DpModel, T: int) -> list[ValueVector]:
     for level in range(T - 1, -1, -1):
         if model.ambiguity > 0:
             alpha, penalty = _penalised_step(model, v)
-            tv = model.k_next @ alpha
+            tv = model.next_expansion(v, alpha)
         else:
             tv, penalty = model.apply(v), 0.0
         v = model.safe_mask_next * np.clip(tv - penalty, 0.0, 1.0)

@@ -259,14 +259,23 @@ class GramSystem:
         norm = sqrt(alpha^T K alpha) with alpha = (K + M lam I)^{-1} values;
         a caller that has already solved for alpha passes it to skip the solve.
         This is a finite surrogate for the norm of the underlying function.
-        K alpha is read off the ridge system as values - M lam alpha, so the
-        Gram matrix is not needed.
+        K alpha is read off the ridge system (``fitted``), so the Gram matrix
+        is not needed.
         """
         v = np.asarray(values, dtype=float)
         if alpha is None:
             alpha = self.solve(v)
-        sq = float(alpha @ (v - (self.size * self.spec.lam) * alpha))
+        sq = float(alpha @ self.fitted(v, alpha))
         return float(np.sqrt(max(sq, 0.0)))
+
+    def fitted(self, values: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """K alpha, the ridge fit at the inputs, for alpha = solve(values).
+
+        Row i of the ridge system gives it without K: (K alpha)_i = values_i
+        - M lam alpha_i.  This is elementwise, so a caller may pass both
+        arrays at any subset of the inputs.
+        """
+        return values - (self.size * self.spec.lam) * alpha
 
 
 def fit_weights(spec: KernelSpec, train_inputs: np.ndarray) -> GramSystem:

@@ -1,10 +1,18 @@
-"""Golden manifest of the c12 sweep: the outputs a refactor must leave unchanged.
+"""Golden manifests of two small sweeps: the outputs a refactor must leave unchanged.
 
-``tests/golden/sweep.json`` describes every file that ``safecert sweep``
-writes for ``SWEEP_CONFIG`` (tests/test_acceptance.py): its path, header
-fields and column names, and its numbers, rounded or summarised so that the
-manifest stays small.  Acceptance criterion 12 compares the first of its two
-sweeps with the manifest, within a tolerance per kind of file:
+Each manifest describes every file that ``safecert sweep`` writes for one
+config: its path, header fields and column names, and its numbers, rounded
+or summarised so that the manifest stays small.
+
+* ``tests/golden/sweep.json``: ``SWEEP_CONFIG`` (tests/test_acceptance.py),
+  iid pairs and all five methods at one horizon; acceptance criterion 12
+  compares the first of its two sweeps with it.
+* ``tests/golden/sweep_dependent.json``: ``DEPENDENT_CONFIG``
+  (tests/golden/tree_diff.py), dependent pairs, three alphas, two horizons
+  and two seeds, with each seed's Monte Carlo filling two blocks, the last
+  one partial; tests/test_golden.py compares its sweep with it.
+
+A sweep is compared with its manifest within a tolerance per kind of file:
 
 * ``data/`` and ``mc/``: 1e-12, since they come from the random streams and
   elementwise steps only;
@@ -26,13 +34,15 @@ a fit moves them by far more.  The weighted sum also catches reordered rows.
 Regenerating accepts whatever the code now writes, so it is a deliberate
 act.  Run
 
-    PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py [sweep] [dependent]
 
-and record in CHANGES.md why, with the largest shift per kind that it prints.
+(both manifests when no name is given) and record in CHANGES.md why, with
+the largest shift per kind that it prints.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import sys
@@ -42,6 +52,7 @@ from pathlib import Path
 from safecert.io import parse_table
 
 GOLDEN = Path(__file__).with_name("sweep.json")
+GOLDEN_DEPENDENT = Path(__file__).with_name("sweep_dependent.json")
 
 _DECIMALS = 10
 _STORED = ("pred/", "metrics")  # files whose numeric columns are stored value by value
@@ -178,29 +189,44 @@ def compare(want: dict, got: dict) -> tuple[list[str], dict[str, float]]:
     return problems, shifts
 
 
-def main() -> int:
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-    from test_acceptance import SWEEP_CONFIG
-
+def regenerate(config: str, golden: Path) -> int:
+    """Run the sweep of ``config`` and write its manifest to ``golden``,
+    printing the largest shift per kind against the manifest it replaces."""
     from safecert.cli import main as cli
 
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "sweep.cfg", Path(tmp) / "out"
-        cfg.write_text(SWEEP_CONFIG)
+        cfg.write_text(config)
         if cli(["sweep", "--config", str(cfg), "--out", str(out)]) != 0:
-            print("the sweep failed; the manifest is unchanged", file=sys.stderr)
+            print(f"the sweep failed; {golden.name} is unchanged", file=sys.stderr)
             return 1
         new = manifest(out)
-    if GOLDEN.exists():
-        problems, shifts = compare(json.loads(GOLDEN.read_text()), new)
-        print(f"{len(problems)} mismatches against the old manifest; largest shift per kind:")
+    if golden.exists():
+        problems, shifts = compare(json.loads(golden.read_text()), new)
+        print(f"{len(problems)} mismatches against the old {golden.name}; "
+              "largest shift per kind:")
         for kind, shift in sorted(shifts.items()):
             print(f"  {kind}: {shift:.3g}")
     # one line per file, so a regeneration diffs file by file
     lines = ",\n".join(json.dumps(entry, separators=(",", ":")) for entry in new["files"])
-    GOLDEN.write_text(f'{{"files": [\n{lines}\n]}}\n')
-    print(f"wrote {GOLDEN} ({len(new['files'])} files)")
+    golden.write_text(f'{{"files": [\n{lines}\n]}}\n')
+    print(f"wrote {golden} ({len(new['files'])} files)")
     return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    from golden.tree_diff import DEPENDENT_CONFIG
+    from test_acceptance import SWEEP_CONFIG
+
+    goldens = {"sweep": (SWEEP_CONFIG, GOLDEN), "dependent": (DEPENDENT_CONFIG, GOLDEN_DEPENDENT)}
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("names", nargs="*", help=f"manifests to write (default: {', '.join(goldens)})")
+    names = parser.parse_args(argv).names or list(goldens)
+    unknown = sorted(set(names) - goldens.keys())
+    if unknown:
+        parser.error(f"unknown manifest {unknown}; valid: {sorted(goldens)}")
+    return max(regenerate(*goldens[name]) for name in names)
 
 
 if __name__ == "__main__":

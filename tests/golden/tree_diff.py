@@ -11,7 +11,8 @@ configs, each serially and at ``--threads 2``:
 * ``pipeline``: the benchmark's pipeline config (bench/workloads.py) at seed 7;
 * ``dependent``: three alphas, two horizons and two seeds on dependent pairs,
   1000 rollouts at each of the 24 safe points of a 5x5 grid, so each seed's
-  Monte Carlo fills two blocks, the last one partial.
+  Monte Carlo fills two blocks, the last one partial; tier-1 also checks its
+  sweep against tests/golden/sweep_dependent.json (tests/test_golden.py).
 
 The config texts are the work tree's, on both sides.  Every run pins one BLAS
 thread (OPENBLAS_NUM_THREADS=1): the last bits of a product depend on how

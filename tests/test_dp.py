@@ -37,14 +37,37 @@ def random_fitted_model(seed: int, n: int = 20) -> DpModel:
     return fit_dp(KernelSpec.isotropic(0.8, 2, 1e-4), pairs, region)
 
 
+def dependent_pairs(seed: int, n_traj: int = 12, steps: int = 10) -> OneStepPairs:
+    """Pairs sliced out of random walks the way ``data.mode = dependent``
+    slices trajectories: x_i^+ is bitwise the next pair's x except at each
+    walk's last step.  One more pair starts again from x_3, which x_2^+ also
+    is, so the inputs hold a duplicate and that next state has two sources."""
+    rng = np.random.default_rng(seed)
+    start = rng.uniform(-2, 2, size=(n_traj, 1, 2))
+    walks = np.concatenate([start, 0.3 * rng.standard_normal((n_traj, steps, 2))], axis=1)
+    walks = np.cumsum(walks, axis=1)
+    x, x_next = walks[:, :-1].reshape(-1, 2), walks[:, 1:].reshape(-1, 2)
+    x = np.vstack([x, x[3]])
+    x_next = np.vstack([x_next, x[3] + 0.3 * rng.standard_normal(2)])
+    return OneStepPairs(x=x, x_next=x_next)
+
+
+def explicit_transfer(spec: KernelSpec, pairs: OneStepPairs) -> np.ndarray:
+    """K(x+, x) (K + M lam I)^{-1}, built whole."""
+    m = pairs.x.shape[0]
+    a = gram_matrix(spec, pairs.x) + m * spec.lam * np.eye(m)
+    return np.linalg.solve(a, gram_matrix(spec, pairs.x_next, pairs.x).T).T
+
+
 def explicit_backward(spec: KernelSpec, pairs: OneStepPairs, region: SafeRegion,
-                      ambiguity: float, T: int) -> list[np.ndarray]:
-    """The backward recursion through an explicitly built transfer matrix
-    K(x+, x) (K + M lam I)^{-1}, with the representer norm from alpha^T K alpha."""
+                      ambiguity: float, T: int) -> tuple[list[np.ndarray], tuple[float, np.ndarray]]:
+    """The backward recursion through an explicitly built transfer matrix,
+    with the representer norm from alpha^T K alpha: the levels, and the
+    penalty and dual coefficients of V_1, which the queries take (T >= 1)."""
     m = pairs.x.shape[0]
     K = gram_matrix(spec, pairs.x)
     a = K + m * spec.lam * np.eye(m)
-    transfer = np.linalg.solve(a, gram_matrix(spec, pairs.x_next, pairs.x).T).T
+    transfer = explicit_transfer(spec, pairs)
     safe = is_safe(region, pairs.x_next).astype(float)
     v = safe.copy()
     levels = [v]
@@ -53,7 +76,7 @@ def explicit_backward(spec: KernelSpec, pairs: OneStepPairs, region: SafeRegion,
         pen = ambiguity * KAPPA * np.sqrt(max(float(alpha @ K @ alpha), 0.0))
         v = safe * np.clip(transfer @ v - pen, 0.0, 1.0)
         levels.append(v)
-    return levels[::-1]
+    return levels[::-1], (pen, alpha)
 
 
 def held_bytes(obj, seen: set | None = None) -> int:
@@ -204,20 +227,63 @@ class TestFittedModels:
         with pytest.raises(ValueError):
             evaluate_dp(model, stack, np.zeros((1, 2)))
 
-    @pytest.mark.parametrize("ambiguity", [0.0, 0.002])
-    def test_matrix_free_stack_matches_explicit_transfer(self, ambiguity):
+    @pytest.mark.parametrize("ambiguity, dependent", [
+        (0.0, False), (0.002, False), (0.0, True), (0.002, True),
+    ], ids=["0.0", "0.002", "dependent-0.0", "dependent-0.002"])
+    def test_matrix_free_stack_matches_explicit_transfer(self, ambiguity, dependent):
+        """The stack, the query values, the transfer diagnostic and the
+        spectral radius against an explicit transfer matrix; on dependent
+        pairs most rows of K(x+, x) come off the ridge system instead."""
         rng = np.random.default_rng(5)
-        x = rng.uniform(-2, 2, size=(120, 2))
-        x_next = x + 0.3 * rng.standard_normal((120, 2))
+        if dependent:
+            pairs = dependent_pairs(5)
+        else:
+            x = rng.uniform(-2, 2, size=(120, 2))
+            pairs = OneStepPairs(x=x, x_next=x + 0.3 * rng.standard_normal((120, 2)))
         region = SafeRegion(low=(-4.0, -4.0), high=(4.0, 4.0), obstacles=(((1.0, 1.0), (2.0, 2.0)),))
-        pairs = OneStepPairs(x=x, x_next=x_next)
         spec = KernelSpec.isotropic(0.8, 2, 1e-4)
         T = 8
-        got = backward_value(fit_dp(spec, pairs, region, ambiguity=ambiguity), T)
-        want = explicit_backward(spec, pairs, region, ambiguity, T)
+        model = fit_dp(spec, pairs, region, ambiguity=ambiguity)
+        matched = np.count_nonzero(model.source >= 0)
+        assert (matched > 100) if dependent else (matched == 0)
+        got = backward_value(model, T)
+        want, (pen, alpha) = explicit_backward(spec, pairs, region, ambiguity, T)
         assert np.any((got[0].v > 0.0) & (got[0].v < 1.0))
         for vv in got:
             assert np.max(np.abs(vv.v - want[vv.level])) <= 1e-10
+        grid = np.random.default_rng(8).uniform(-3, 3, size=(40, 2))
+        want_q = is_safe(region, grid) * np.clip(gram_matrix(spec, grid, pairs.x) @ alpha - pen, 0, 1)
+        assert np.max(np.abs(evaluate_dp(model, got, grid) - want_q)) <= 1e-10
+        transfer = explicit_transfer(spec, pairs)
+        # the diagnostic rebuilds K(x+, x) whole, matched rows included
+        assert np.max(np.abs(model.transfer - transfer)) <= 1e-10 * np.max(np.abs(transfer))
+        dense = model.safe_mask_next[:, None] * transfer
+        assert abs(spectral_decay(model, T).rho - np.max(np.abs(np.linalg.eigvals(dense)))) <= 1e-10
+
+    def test_iid_apply_is_the_full_product(self, one_blas_thread):
+        """With no next state among the inputs every row is a stored kernel
+        row, and apply keeps the bytes of K(x+, x) @ (K + M lam I)^{-1} v."""
+        rng = np.random.default_rng(10)
+        x = rng.uniform(-2, 2, size=(300, 2))
+        pairs = OneStepPairs(x=x, x_next=x + 0.3 * rng.standard_normal((300, 2)))
+        region = SafeRegion(low=(-4.0, -4.0), high=(4.0, 4.0), obstacles=())
+        spec = KernelSpec.isotropic(0.8, 2, 1e-4)
+        model = fit_dp(spec, pairs, region)
+        assert not np.any(model.source >= 0)
+        v = rng.uniform(0, 1, size=300)
+        want = gram_matrix(spec, pairs.x_next, pairs.x) @ model.gram.solve(v)
+        assert model.apply(v).tobytes() == want.tobytes()
+
+    def test_matched_next_states_are_found_by_their_bytes(self):
+        """The first bitwise-equal input is the source; a next state within
+        rounding of an input, or -0.0 against +0.0, is not matched."""
+        x = np.array([[0.5, 1.0], [0.0, 2.0], [0.5, 1.0], [0.1, 0.2]])
+        x_next = np.array([[0.5, 1.0], [np.nextafter(0.1, 1.0), 0.2], [-0.0, 2.0],
+                           [0.1, 0.2]])
+        region = SafeRegion(low=(-4.0, -4.0), high=(4.0, 4.0), obstacles=())
+        model = fit_dp(KernelSpec.isotropic(0.8, 2, 1e-2), OneStepPairs(x=x, x_next=x_next), region)
+        assert model.source.tolist() == [0, -1, -1, 3]
+        assert model.k_next.shape == (2, 4)
 
     def test_penalized_pass_solves_once_per_level(self, monkeypatch):
         model = random_fitted_model(3, n=60)
@@ -266,6 +332,31 @@ class TestFittedModels:
         pairs = OneStepPairs(x=x, x_next=x_next)
         model = fit_dp(KernelSpec.isotropic(0.8, 2, 1e-4), pairs, region)
         assert held_bytes(model) <= 2 * 8 * m * m + 64 * m
+
+    def test_dependent_model_holds_k_next_at_unmatched_rows_only(self):
+        """The Cholesky factor and the rows of K(x+, x) whose next state is
+        not a training input: 8 M^2 + 8 M n_unmatched bytes, not 16 M^2."""
+        pairs = dependent_pairs(6, n_traj=30, steps=10)
+        m = pairs.x.shape[0]
+        region = SafeRegion(low=(-4.0, -4.0), high=(4.0, 4.0), obstacles=())
+        model = fit_dp(KernelSpec.isotropic(0.8, 2, 1e-4), pairs, region)
+        unmatched = int(np.count_nonzero(model.source < 0))
+        assert unmatched == 31
+        assert held_bytes(model) <= 8 * m * m + 8 * m * unmatched + 64 * m
+
+    @pytest.mark.parametrize("x_next, named", [
+        (np.array([[0.0, 0.0], [np.nan, 0.0], [0.0, np.inf]]), "row 1 "),
+        (np.zeros((2, 2)), r"shape \(2, 2\), but pairs.x has \(3, 2\)"),
+        (np.zeros((3, 1)), r"shape \(3, 1\), but pairs.x has \(3, 2\)"),
+    ], ids=["nan", "row-count", "dimension"])
+    def test_bad_next_states_are_refused_before_the_fit(self, x_next, named, monkeypatch):
+        """A NaN next state used to fit and then fail in the first backward
+        solve as "right-hand side must not contain infs or NaNs"."""
+        pairs = OneStepPairs(x=np.zeros((3, 2)), x_next=x_next)
+        region = SafeRegion(low=(-1.0, -1.0), high=(1.0, 1.0), obstacles=())
+        monkeypatch.setattr("safecert.dp.fit_weights", lambda *a: pytest.fail("fitted"))
+        with pytest.raises(ValueError, match=named):
+            fit_dp(KernelSpec.isotropic(1.0, 2, 1e-2), pairs, region)
 
     def test_negative_ambiguity_rejected(self):
         pairs = OneStepPairs(x=np.zeros((3, 2)), x_next=np.zeros((3, 2)))
