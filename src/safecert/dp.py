@@ -18,9 +18,10 @@ an M x M solve with M right-hand sides.
 Where a next state x_i^+ is bitwise a training input x_j, as it is for most
 pairs sliced out of trajectories, row j of the ridge system gives its row of
 the product for free: K(x_j, x) @ alpha = v_j - M lam alpha_j.  So a fit
-stores K(x^+, x) only at the unmatched next states and holds the M x M
-factor plus an (M - matched) x M block: two M x M arrays for iid pairs,
-little more than one for dependent pairs.
+stores K(x^+, x) only at the unmatched next states and holds the packed
+Cholesky factor (n(n+1)/2 doubles, n = M rounded up to 16: about half an
+M x M array) plus an (M - matched) x M block: one and a half M x M arrays
+for iid pairs, little more than half of one for dependent pairs.
 
 With eps = 0 the norm penalty vanishes; otherwise ||V|| is approximated by
 the representer norm of the ridge interpolant of the value vector, a finite
@@ -159,17 +160,21 @@ def _penalised_step(model: DpModel, v: np.ndarray) -> tuple[np.ndarray, float]:
 def _source_rows(inputs: np.ndarray, x_next: np.ndarray) -> np.ndarray:
     """source[i] = the first j whose inputs[j] is bitwise x_next[i], or -1.
 
-    Rows are compared by their bytes through one dict, in O(M), never within
-    a tolerance; -0.0 and +0.0 differ there, which only costs a stored row.
+    Rows are compared by their bytes, never within a tolerance: each row is
+    one opaque void item, ``np.unique`` sorts the inputs' items and keeps
+    the first j of each, and ``searchsorted`` finds each next state among
+    them, in O(M log M) and a few (M,) arrays.  -0.0 and +0.0 differ there,
+    which only costs a stored row.
     """
-    def rows(a: np.ndarray) -> list[bytes]:
+    def rows(a: np.ndarray) -> np.ndarray:
         a = np.ascontiguousarray(a)
-        return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel().tolist()
+        return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
 
-    first: dict[bytes, int] = {}
-    for j, row in enumerate(rows(inputs)):
-        first.setdefault(row, j)
-    return np.array([first.get(row, -1) for row in rows(x_next)], dtype=np.intp)
+    keys, first = np.unique(rows(inputs), return_index=True)
+    query = rows(x_next)
+    at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+    hit = keys[at] == query
+    return np.where(hit, first[at], -1).astype(np.intp)
 
 
 def fit_dp(

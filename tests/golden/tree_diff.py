@@ -21,7 +21,11 @@ OpenBLAS splits it between threads.  For each config, the work tree's
 command checks both halves of a byte claim: against the revision, and pooled
 against serial.  One line is printed per file whose sha256 differs, with the
 largest difference of its numbers when the two files differ in nothing else;
-nothing is printed when every tree matches.
+nothing is printed when every tree matches.  When a file differs, a summary
+follows the per-file lines: for each config and kind of file (``data/``,
+``mc/``, ``pred/``, ``cal/`` and the top-level metrics tables) the largest
+shift between the revision and the work tree at either thread count, beside
+the tolerance tests/golden/regen.py allows that kind.
 The exit status is 0 when nothing differs, 1 when a file differs and 2 when
 a sweep fails.
 """
@@ -55,6 +59,9 @@ abstraction.nx = 4
 abstraction.ny = 4
 calibration.bins = 4
 """
+
+# the kinds of file a sweep writes, in summary order
+KINDS = ("data/", "mc/", "pred/", "cal/", "metrics")
 
 # a decimal number as the tables and JSON reports write them
 _NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?inf|nan")
@@ -103,21 +110,54 @@ def max_delta(a: str, b: str) -> float | None:
     return max((abs(float(x) - float(y)) for x, y in pairs if x != y), default=0.0)
 
 
+def shifts(old: Path, new: Path) -> dict[str, float | None]:
+    """path -> the largest shift of its numbers, for each file under ``old``
+    or ``new`` whose sha256 differs; None for a file only one tree holds or
+    one that differs beyond its numbers."""
+    a, b = digest(old), digest(new)
+    return {path: max_delta((old / path).read_text(), (new / path).read_text())
+            if path in a and path in b else None
+            for path in sorted(a.keys() | b.keys()) if a.get(path) != b.get(path)}
+
+
 def differences(old: Path, new: Path,
                 sides: tuple[str, str] = ("at the revision", "in the work tree")) -> list[str]:
     """One line per file under ``old`` or ``new`` whose sha256 differs; a
     file only one tree holds is "only" ``sides[0]`` or ``sides[1]``."""
-    a, b = digest(old), digest(new)
     lines = []
-    for path in sorted(a.keys() | b.keys()):
-        if path not in b:
+    for path, delta in shifts(old, new).items():
+        if not (new / path).is_file():
             lines.append(f"{path}: only {sides[0]}")
-        elif path not in a:
+        elif not (old / path).is_file():
             lines.append(f"{path}: only {sides[1]}")
-        elif a[path] != b[path]:
-            delta = max_delta((old / path).read_text(), (new / path).read_text())
+        else:
             lines.append(f"{path}: " + ("differs beyond its numbers" if delta is None
                                         else f"max |delta| {delta:.3g}"))
+    return lines
+
+
+def kind(path: str) -> str:
+    """The kind of a sweep file: its directory, or "metrics" at the top."""
+    return path.split("/", 1)[0] + "/" if "/" in path else "metrics"
+
+
+def summary(name: str, moved: dict[str, float | None]) -> list[str]:
+    """One line per kind of file: the largest shift among the files of
+    ``moved`` (path -> shift, as ``shifts`` gives) and that kind's golden
+    tolerance.  A file that differs beyond its numbers is named instead."""
+    for path in (REPO / "src", REPO / "tests" / "golden"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    from regen import tolerance
+
+    lines = []
+    for k in KINDS:
+        mine = {path: delta for path, delta in moved.items() if kind(path) == k}
+        beyond = [path for path, delta in mine.items() if delta is None]
+        largest = (f"{beyond[0]} differs beyond its numbers" if beyond
+                   else f"largest shift {max(mine.values(), default=0.0):.3g}")
+        lines.append(f"{name} {k}: {largest} (tolerance {tolerance(k):g}, "
+                     f"files moved: {len(mine)})")
     return lines
 
 
@@ -133,12 +173,14 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown config {unknown}; valid: {sorted(texts)}")
     found = 0
+    moved: dict[str, dict[str, float | None]] = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         trees = {"rev": export(args.rev, tmp / "rev"), "work": REPO}
         for name in names:
             config = tmp / f"{name}.cfg"
             config.write_text(texts[name])
+            moved[name] = {}
             for threads in (1, 2):
                 outs = {side: tmp / side / "out" / f"{name}-t{threads}" for side in trees}
                 for side, tree in trees.items():
@@ -150,10 +192,18 @@ def main(argv: list[str] | None = None) -> int:
                 for line in differences(outs["rev"], outs["work"]):
                     print(f"{name} --threads {threads}: {line}")
                     found += 1
+                for path, delta in shifts(outs["rev"], outs["work"]).items():
+                    before = moved[name].get(path, 0.0)
+                    moved[name][path] = (None if delta is None or before is None
+                                         else max(delta, before))
             pooled, serial = (tmp / "work" / "out" / f"{name}-t{t}" for t in (2, 1))
             for line in differences(serial, pooled, ("at --threads 1", "at --threads 2")):
                 print(f"{name} --threads 2 against --threads 1 in the work tree: {line}")
                 found += 1
+    if found:
+        for name in names:
+            for line in summary(name, moved[name]):
+                print(f"summary: {line}")
     return 1 if found else 0
 
 

@@ -15,6 +15,7 @@ from safecert import (
     spectral_decay,
     ssr_backward,
 )
+from safecert.dp import _source_rows
 from safecert.kernels import KAPPA, GramSystem, gram_matrix
 
 
@@ -285,6 +286,25 @@ class TestFittedModels:
         assert model.source.tolist() == [0, -1, -1, 3]
         assert model.k_next.shape == (2, 4)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_source_rows_match_a_dict_of_row_bytes(self, seed):
+        """The sorted lookup gives what a dict from each input row's bytes
+        to its first index gives, on rows with duplicates and signed zeros."""
+        rng = np.random.default_rng(seed)
+        m = 200
+        x = rng.integers(-3, 4, size=(m, 2)) * 0.5
+        x[rng.random((m, 2)) < 0.1] = -0.0
+        x_next = np.vstack([x[rng.integers(0, m, size=m // 2)],
+                            rng.integers(-3, 4, size=(m - m // 2, 2)) * 0.25])
+        x_next[rng.random((m, 2)) < 0.1] *= -1.0
+        first: dict[bytes, int] = {}
+        for j, row in enumerate(x):
+            first.setdefault(row.tobytes(), j)
+        want = [first.get(row.tobytes(), -1) for row in x_next]
+        got = _source_rows(x, x_next)
+        assert got.dtype == np.intp and got.tolist() == want
+        assert 0 < np.count_nonzero(got >= 0) < m
+
     def test_penalized_pass_solves_once_per_level(self, monkeypatch):
         model = random_fitted_model(3, n=60)
         model.ambiguity = 0.002
@@ -322,27 +342,32 @@ class TestFittedModels:
         assert np.any((got > 0.0) & (got < 1.0))
         assert np.max(np.abs(got - want)) <= 1e-10
 
-    def test_fitted_model_holds_two_m_by_m_arrays(self):
-        """The Cholesky factor and K(x+, x); no Gram matrix, no transfer."""
+    def test_fitted_model_holds_a_packed_factor_and_k_next(self):
+        """The packed Cholesky factor (n(n+1)/2 doubles, n = M rounded up to
+        16) and K(x+, x): 4 n(n+1) + 8 M^2, which is 1.5 * 8 M^2 + O(M)
+        bytes; no Gram matrix, no transfer."""
         rng = np.random.default_rng(6)
         m = 300
+        n = -(-m // 16) * 16
         x = rng.uniform(-2, 2, size=(m, 2))
         x_next = x + 0.3 * rng.standard_normal((m, 2))
         region = SafeRegion(low=(-4.0, -4.0), high=(4.0, 4.0), obstacles=())
         pairs = OneStepPairs(x=x, x_next=x_next)
         model = fit_dp(KernelSpec.isotropic(0.8, 2, 1e-4), pairs, region)
-        assert held_bytes(model) <= 2 * 8 * m * m + 64 * m
+        assert held_bytes(model) <= 4 * n * (n + 1) + 8 * m * m + 64 * m
 
     def test_dependent_model_holds_k_next_at_unmatched_rows_only(self):
-        """The Cholesky factor and the rows of K(x+, x) whose next state is
-        not a training input: 8 M^2 + 8 M n_unmatched bytes, not 16 M^2."""
+        """The packed Cholesky factor and the rows of K(x+, x) whose next
+        state is not a training input: 4 n(n+1) + 8 M n_unmatched bytes for
+        n = M rounded up to 16, not 16 M^2."""
         pairs = dependent_pairs(6, n_traj=30, steps=10)
         m = pairs.x.shape[0]
+        n = -(-m // 16) * 16
         region = SafeRegion(low=(-4.0, -4.0), high=(4.0, 4.0), obstacles=())
         model = fit_dp(KernelSpec.isotropic(0.8, 2, 1e-4), pairs, region)
         unmatched = int(np.count_nonzero(model.source < 0))
         assert unmatched == 31
-        assert held_bytes(model) <= 8 * m * m + 8 * m * unmatched + 64 * m
+        assert held_bytes(model) <= 4 * n * (n + 1) + 8 * m * unmatched + 64 * m
 
     @pytest.mark.parametrize("x_next, named", [
         (np.array([[0.0, 0.0], [np.nan, 0.0], [0.0, np.inf]]), "row 1 "),

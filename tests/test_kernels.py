@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -11,7 +12,7 @@ from safecert import (
     fit_weights,
     gram_matrix,
 )
-from safecert.kernels import _BLOCK_ENTRIES, QUERY_BLOCK_BYTES, query_blocks
+from safecert.kernels import _BLOCK_ENTRIES, QUERY_BLOCK_BYTES, _padded, query_blocks
 
 
 def manual_kernel(x, y, ls):
@@ -91,6 +92,27 @@ class TestGramMatrix:
         K = gram_matrix(spec, x, y)
         assert K.shape == (n_x, n_y)
         assert np.max(np.abs(K - longdouble_kernel(spec, x, y)), initial=0.0) <= 1e-15
+
+    def test_out_receives_the_bytes_of_a_new_result(self):
+        """A result written into a strided view, in pieces or whole, has the
+        bytes of one built as a new array; the rest of the buffer is left."""
+        rng = np.random.default_rng(22)
+        spec = KernelSpec(lengthscales=(0.6, 1.3), lam=1e-4)
+        x = rng.uniform(-2, 2, size=(300, 2))
+        y = rng.uniform(-2, 2, size=(200, 2))
+        want = gram_matrix(spec, x, y)
+        buf = np.full((300, 250), 7.0)
+        assert gram_matrix(spec, x, y, out=buf[:, 50:]) is not None
+        gram_matrix(spec, x[:120], y, out=buf[:120, 50:])
+        assert buf[:, 50:].tobytes() == want.tobytes()
+        assert np.all(buf[:, :50] == 7.0)
+
+    @pytest.mark.parametrize("out", [np.empty((3, 5)), np.empty((4, 4)),
+                                     np.empty((4, 5), dtype=np.float32)])
+    def test_out_of_another_shape_or_dtype_is_refused(self, out):
+        x = np.zeros((4, 2))
+        with pytest.raises(ValueError, match=r"shape \(4, 5\)"):
+            gram_matrix(KernelSpec.isotropic(1.0, 2, 1e-3), x, np.zeros((5, 2)), out=out)
 
     def test_multi_block_gram_exactly_symmetric_with_unit_diagonal(self):
         rng = np.random.default_rng(16)
@@ -214,13 +236,106 @@ class TestWeights:
         assert np.max(np.abs(vec - col[:, 0])) <= 1e-12 * np.max(np.abs(col))
         assert np.array_equal(b, kept)
 
-    def test_factor_is_fortran_ordered(self):
-        """The triangular solves read the factor in place only when it is
-        F-contiguous; any other layout would be copied on every solve."""
+    def test_solves_read_the_packed_factor_in_place(self, monkeypatch):
+        """The factor is one RFP array of n(n+1)/2 doubles, and every BLAS
+        and LAPACK call of a solve reads it in place: each matrix argument is
+        an F-contiguous view of it, which f2py passes without a copy, and
+        every right-hand side is solved in the buffer it was passed in."""
+        import scipy.linalg.blas
+        import scipy.linalg.lapack
+
         x = np.random.default_rng(18).uniform(-2, 2, size=(50, 2))
-        factor, lower = fit_weights(KernelSpec.isotropic(0.8, 2, 1e-3), x)._factor
-        assert factor.flags.f_contiguous
-        assert lower
+        sys = fit_weights(KernelSpec.isotropic(0.8, 2, 1e-3), x)
+        n = _padded(50)
+        assert n == 64
+        factor = sys._factor
+        assert factor.shape == (n * (n + 1) // 2,) and factor.flags.c_contiguous
+        calls = []
+
+        def reads_in_place(name, fn, a_at, b_at, b_key):
+            def wrapper(*args, **kwargs):
+                a, b = args[a_at], kwargs[b_key] if b_key in kwargs else args[b_at]
+                assert np.shares_memory(a, factor), name
+                assert a.flags.f_contiguous and a.dtype == np.float64, name
+                out = fn(*args, **kwargs)
+                assert np.shares_memory(out[0] if isinstance(out, tuple) else out, b), name
+                calls.append(name)
+                return out
+            return wrapper
+
+        monkeypatch.setattr(scipy.linalg.blas, "dtrsv",
+                            reads_in_place("dtrsv", scipy.linalg.blas.dtrsv, 0, 1, "x"))
+        monkeypatch.setattr(scipy.linalg.blas, "dgemv",
+                            reads_in_place("dgemv", scipy.linalg.blas.dgemv, 1, None, "y"))
+        monkeypatch.setattr(scipy.linalg.lapack, "dpftrs",
+                            reads_in_place("dpftrs", scipy.linalg.lapack.dpftrs, 1, 2, "b"))
+        rng = np.random.default_rng(23)
+        sys.solve(rng.uniform(0, 1, size=50))
+        assert calls == ["dtrsv", "dgemv", "dtrsv", "dtrsv", "dgemv", "dtrsv"]
+        calls.clear()
+        sys.solve(rng.uniform(0, 1, size=(50, 3)))
+        sys.weights_at(rng.uniform(-2, 2, size=(7, 2)))
+        assert calls == ["dpftrs", "dpftrs"]
+
+    @pytest.mark.parametrize("m", [1, 2, 15, 17, 301, 2001])
+    def test_solves_match_a_dense_solve(self, m):
+        """Across the padding (M = 1 gives n = 16, 17 gives 32, 2001 gives
+        2016) the vector and column solves match a dense solve of K + M lam I,
+        and the vector path its one-column solve."""
+        rng = np.random.default_rng(24)
+        x = rng.uniform(-2, 2, size=(m, 2))
+        spec = KernelSpec(lengthscales=(0.7, 0.9), lam=1e-3)
+        sys = fit_weights(spec, x)
+        a = gram_matrix(spec, x) + m * spec.lam * np.eye(m)
+        b = rng.uniform(0, 1, size=(m, 3))
+        col = sys.solve(b)
+        vec = sys.solve(b[:, 0])
+        assert col.shape == (m, 3) and vec.shape == (m,)
+        assert np.max(np.abs(col - np.linalg.solve(a, b))) <= 1e-10
+        assert np.max(np.abs(vec - np.linalg.solve(a, b[:, 0]))) <= 1e-10
+        assert np.max(np.abs(vec - sys.solve(b[:, :1])[:, 0])) <= 1e-12
+
+    @pytest.mark.parametrize("m", [5, 40, 301])
+    def test_factor_is_lapacks_factor_of_the_padded_system(self, m):
+        """The packed build holds each entry gram_matrix gives, so the factor
+        has the bytes of LAPACK's factor of the padded system [[K + M lam I,
+        0], [0, I]] packed by ``dtrttf``, and the padded unknowns of a solve
+        are exact zeros.  M = 5 has no input in the trailing half (n = 16);
+        M = 301 builds each triangle in three row blocks, the last partial."""
+        from scipy.linalg.lapack import dpftrf, dtrttf
+
+        x = np.random.default_rng(25).uniform(-2, 2, size=(m, 2))
+        spec = KernelSpec(lengthscales=(0.7, 0.9), lam=1e-3)
+        n = _padded(m)
+        a = np.eye(n)
+        a[:m, :m] = gram_matrix(spec, x)
+        a[np.arange(m), np.arange(m)] += m * spec.lam
+        packed, info = dtrttf(np.asfortranarray(a), transr="T", uplo="L")
+        want, info = dpftrf(n, packed, transr="T", uplo="L")
+        assert info == 0
+        sys = fit_weights(spec, x)
+        assert sys._factor.tobytes() == want.tobytes()
+        padded = np.zeros(n)
+        padded[:m] = np.random.default_rng(26).uniform(0, 1, size=m)
+        sys._solve_vector(padded)
+        assert np.all(padded[m:] == 0.0)
+
+    @pytest.mark.parametrize("values", [np.ones(6), np.ones(4), np.array(1.0), np.ones((6, 2)),
+                                        np.ones((5, 2, 1)), np.ones(0)],
+                             ids=["long", "short", "0-d", "long-columns", "3-d", "empty"])
+    def test_values_of_another_length_are_refused(self, values, monkeypatch):
+        """A vector of 6 values at M = 5 used to come back with its last
+        value untouched, 4 values raised an f2py error and a 0-d array an
+        IndexError; each is refused naming M and the shape, before BLAS."""
+        import scipy.linalg.blas
+        import scipy.linalg.lapack
+
+        sys = fit_weights(KernelSpec.isotropic(0.8, 2, 1e-3),
+                          np.random.default_rng(27).uniform(-2, 2, size=(5, 2)))
+        for module, name in ((scipy.linalg.blas, "dtrsv"), (scipy.linalg.lapack, "dpftrs")):
+            monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("solved"))
+        with pytest.raises(ValueError, match=rf"M = 5.*got shape {re.escape(str(values.shape))}"):
+            sys.solve(values)
 
     def test_factor_failure_reports_the_failing_minor_and_ridge(self):
         """Exact duplicates make the system singular to rounding: the error
@@ -238,11 +353,13 @@ class TestWeights:
 
     def test_factor_failure_holds_one_system_array(self):
         """A failed factorization raises without rebuilding the system or
-        taking its spectrum: the call's peak stays within one M x M array
-        (and the Gram build's small scratch)."""
+        taking its spectrum: the call's peak stays within one packed system
+        array, n(n+1)/2 doubles (half an M x M array), and the Gram build's
+        scratch: a strip of _TRIANGLE_ROWS rows and a gram_matrix block."""
         import scipy.linalg.lapack  # noqa: F401  (its import would count towards the peak)
 
         m = 1000
+        n = _padded(m)
         x = np.zeros((m, 2))
         tracemalloc.start()
         try:
@@ -251,7 +368,8 @@ class TestWeights:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * 8 * m * m
+        assert peak < 4 * n * (n + 1) + 8 * _BLOCK_ENTRIES + 8 * 64 * n
+        assert peak < 0.6 * 8 * m * m
 
     def test_non_finite_inputs_rejected(self):
         x = np.random.default_rng(19).uniform(-1, 1, size=(10, 2))
@@ -307,6 +425,21 @@ class TestQueryBlocks:
         got = sys.expand(q, alpha)
         want = gram_matrix(spec, q, x) @ alpha
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [2000, 2001])
+    def test_weights_in_blocks_give_the_bytes_of_one_call(self, m, one_blas_thread):
+        """At one BLAS thread ``dpftrs`` solves a column to the same bytes
+        whatever columns it is solved beside, for systems padded to a
+        multiple of 16 (n = 2000 and 2016 here), so ``weights_at`` over the
+        blocks of ``query_blocks`` gives the bytes of one call."""
+        rng = np.random.default_rng(28)
+        x = rng.uniform(-2, 2, size=(m, 2))
+        sys = fit_weights(KernelSpec(lengthscales=(0.9, 0.6), lam=1e-4), x)
+        q = rng.uniform(-2, 2, size=(1100, 2))
+        blocks = query_blocks(q.shape[0], m)
+        assert len(blocks) == 3
+        got = np.vstack([sys.weights_at(q[rows]) for rows in blocks])
+        assert got.tobytes() == sys.weights_at(q).tobytes()
 
     def test_expand_holds_no_query_by_input_array(self):
         """20000 queries against M = 500 inputs would be an 80 MB kernel

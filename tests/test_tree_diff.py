@@ -45,6 +45,19 @@ def test_differences_name_each_file_and_its_largest_shift(tmp_path):
     ]
 
 
+def test_summary_gives_each_kind_its_largest_shift_and_tolerance():
+    moved = {"data/trajs_a0_T2_s1.csv": 0.0, "pred/dp_a0_T2_s1.csv": 3e-12,
+             "pred/direct_a0_T2_s1.csv": 1.6e-9, "cal/report.json": None,
+             "metrics.csv": 2e-13}
+    assert _tree_diff().summary("tiny", moved) == [
+        "tiny data/: largest shift 0 (tolerance 1e-12, files moved: 1)",
+        "tiny mc/: largest shift 0 (tolerance 1e-12, files moved: 0)",
+        "tiny pred/: largest shift 1.6e-09 (tolerance 1e-08, files moved: 2)",
+        "tiny cal/: cal/report.json differs beyond its numbers (tolerance 1e-08, files moved: 1)",
+        "tiny metrics: largest shift 2e-13 (tolerance 1e-08, files moved: 1)",
+    ]
+
+
 def test_head_prints_nothing():
     """``tree_diff.py HEAD`` on the tiny config, serial and pooled, finds
     every file of the work tree's sweeps as HEAD writes it, and the pooled
