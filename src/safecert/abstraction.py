@@ -26,7 +26,7 @@ import numpy as np
 
 from .benchmark import SafeRegion, is_safe
 from .dp import DpModel
-from .kernels import query_blocks
+from .kernels import query_blocks, row_blocks
 
 __all__ = [
     "Partition",
@@ -151,92 +151,135 @@ def empirical_cell_probs(part: Partition, dp_model: DpModel) -> np.ndarray:
     return probs
 
 
-@dataclass
-class IntervalModel:
-    """Rectangular ambiguity set: the row-stochastic matrices between lower and upper."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        n = self.lower.shape[0]
-        if self.lower.shape != (n, n) or self.upper.shape != (n, n):
-            raise ValueError("lower and upper must be equal square matrices")
-        _check_feasible_rows(self.lower, self.upper)
-
-    @classmethod
-    def from_radii(cls, phat: np.ndarray, radius) -> "IntervalModel":
-        """Symmetric intervals phat +- radius, clipped to [0, 1] entrywise."""
-        phat = np.asarray(phat, dtype=float)
-        r = np.broadcast_to(np.asarray(radius, dtype=float), phat.shape)
-        if not np.all(r >= 0):  # NaN fails too: its bounds would pass every feasibility test
-            raise ValueError("radius must be nonnegative and not NaN")
-        lower, upper = phat - r, phat + r
-        np.clip(lower, 0.0, 1.0, out=lower)
-        np.clip(upper, 0.0, 1.0, out=upper)
-        return cls(lower=lower, upper=upper)
-
-
 _FEAS_TOL = 1e-9
-_ROW_BLOCK = 256    # rows per block of a feasibility check
+_ROW_BLOCK = 256    # rows per block of a feasibility check and of lower @ v
 _FIRST_CHUNK = 32   # columns in the first chunk of order-maximisation
 
 
-def _check_feasible_rows(
-    lower: np.ndarray, upper: np.ndarray, rows: np.ndarray | None = None
-) -> np.ndarray:
-    """Check that the interval set of each row (all by default) is nonempty.
+@dataclass(frozen=True, eq=False)
+class IntervalModel:
+    """Rectangular ambiguity set around an empirical cell matrix: the
+    row-stochastic matrices between lower = clip(phat - radius, 0, 1) and
+    upper = clip(phat + radius, 0, 1), entrywise.
 
-    Bounds must be finite: a NaN passes every comparison below.  Rows are
-    checked in blocks of _ROW_BLOCK, so no temporary grows past a block.
-    Returns each row's budget 1 - sum(lower), floored at 0: the mass
-    order-maximisation hands out above the lower bounds.
+    Build it with ``from_radii``.  The model holds ``phat`` by reference: it
+    never writes it, and the caller must not change it afterwards, since the
+    row budgets were computed from it.  A radius array is held as a read-only
+    broadcast view, so beside the matrix the model holds the (n,) budgets
+    alone; every bound is computed where it is read, one block of rows or one
+    chunk of order-maximisation at a time, never as an n x n array.
     """
-    if rows is None:
-        rows = np.arange(lower.shape[0])
-    budget = np.empty(rows.size)
-    for start in range(0, rows.size, _ROW_BLOCK):
-        block = rows[start:start + _ROW_BLOCK]
-        lo, up = lower[block], upper[block]
-        for name, bound in (("lower", lo), ("upper", up)):
-            finite = np.isfinite(bound)
+
+    phat: np.ndarray    # (n, n) empirical cell matrix, finite
+    radius: np.ndarray  # 0-d, or a read-only broadcast of the radius to (n, n)
+    budget: np.ndarray  # (n,) 1 - sum(lower) per row, floored at 0
+
+    @classmethod
+    def from_radii(cls, phat: np.ndarray, radius) -> "IntervalModel":
+        """Symmetric intervals phat +- radius, clipped to [0, 1] entrywise.
+
+        ``phat`` must be a square matrix of finite entries and ``radius``
+        nonnegative, a scalar or an array that broadcasts to phat's shape.
+        Every row's interval set is checked nonempty here, once, in blocks
+        of _ROW_BLOCK rows; the first bad entry or row is named.
+        """
+        phat = np.asarray(phat, dtype=float)
+        n = phat.shape[0] if phat.ndim else 0
+        if phat.shape != (n, n):
+            raise ValueError(f"the empirical matrix must be square, not of shape {phat.shape}")
+        r = np.asarray(radius, dtype=float)
+        if not np.all(r >= 0):  # NaN fails too: its bounds would pass every feasibility test
+            raise ValueError("radius must be nonnegative and not NaN")
+        if r.ndim:
+            r = np.broadcast_to(r, phat.shape)
+        model = cls(phat=phat, radius=r, budget=np.empty(n))
+        for rows in row_blocks(n, _ROW_BLOCK):
+            # the clip would turn an infinite entry into a finite bound
+            finite = np.isfinite(phat[rows])
             if not np.all(finite):
                 k, j = np.argwhere(~finite)[0]
-                raise ValueError(f"{name}[{block[k]},{j}] = {bound[k, j]} is not finite")
-        bad = lo > up + _FEAS_TOL
-        if np.any(bad):
-            k, j = np.argwhere(bad)[0]
-            raise ValueError(
-                f"infeasible interval: lower[{block[k]},{j}] > upper[{block[k]},{j}]"
-            )
-        lo_sum = lo.sum(axis=1)
-        up_sum = up.sum(axis=1)
-        if np.any(lo_sum > 1.0 + _FEAS_TOL):
-            k = int(np.argmax(lo_sum))
-            raise ValueError(
-                f"infeasible row {block[k]}: sum of lower bounds {lo_sum[k]:.6g} > 1"
-            )
-        if np.any(up_sum < 1.0 - _FEAS_TOL):
-            k = int(np.argmin(up_sum))
-            raise ValueError(
-                f"infeasible row {block[k]}: sum of upper bounds {up_sum[k]:.6g} < 1"
-            )
-        budget[start:start + block.size] = 1.0 - lo_sum
-    return np.maximum(budget, 0.0)
+                raise ValueError(
+                    f"phat[{rows.start + k},{j}] = {phat[rows.start + k, j]} is not finite")
+            model.budget[rows] = _check_feasible_rows(*model.bounds(rows), rows.start)
+        return model
+
+    def bounds(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) at ``idx``, an index into the (n, n) matrix such as
+        a row slice, a row array or an ``np.ix_`` block; new arrays."""
+        ph, r = self.phat[idx], self._radius_at(idx)
+        lower, upper = ph - r, ph + r
+        np.clip(lower, 0.0, 1.0, out=lower)
+        np.clip(upper, 0.0, 1.0, out=upper)
+        return lower, upper
+
+    def _radius_at(self, idx) -> np.ndarray:
+        # a scalar radius is not gathered
+        return self.radius[idx] if self.radius.ndim else self.radius
+
+    def lower_dot(self, v: np.ndarray) -> np.ndarray:
+        """lower @ v over every row, one contiguous block of _ROW_BLOCK rows
+        of lower bounds at a time.
+
+        The blocks are ``row_blocks``, so at one BLAS thread each row's sum
+        has the bytes of one product over the whole lower matrix; a product
+        over a gathered subset of rows would not.
+        """
+        out = np.empty(self.phat.shape[0])
+        for rows in row_blocks(out.size, _ROW_BLOCK):
+            lower = self.phat[rows] - self._radius_at(rows)
+            np.clip(lower, 0.0, 1.0, out=lower)
+            np.matmul(lower, v, out=out[rows])
+        return out
+
+
+def _check_feasible_rows(lower: np.ndarray, upper: np.ndarray, first: int) -> np.ndarray:
+    """Check that the interval set of each row of a block of bounds is
+    nonempty; ``first`` is the index of the block's first row, for messages.
+
+    Bounds must be finite: a NaN passes every comparison below.  Returns each
+    row's budget 1 - sum(lower), floored at 0: the mass order-maximisation
+    hands out above the lower bounds.
+    """
+    for name, bound in (("lower", lower), ("upper", upper)):
+        finite = np.isfinite(bound)
+        if not np.all(finite):
+            k, j = np.argwhere(~finite)[0]
+            raise ValueError(f"{name}[{first + k},{j}] = {bound[k, j]} is not finite")
+    bad = lower > upper + _FEAS_TOL
+    if np.any(bad):
+        k, j = np.argwhere(bad)[0]
+        raise ValueError(
+            f"infeasible interval: lower[{first + k},{j}] > upper[{first + k},{j}]"
+        )
+    lo_sum = lower.sum(axis=1)
+    up_sum = upper.sum(axis=1)
+    if np.any(lo_sum > 1.0 + _FEAS_TOL):
+        k = int(np.argmax(lo_sum))
+        raise ValueError(
+            f"infeasible row {first + k}: sum of lower bounds {lo_sum[k]:.6g} > 1"
+        )
+    if np.any(up_sum < 1.0 - _FEAS_TOL):
+        k = int(np.argmin(up_sum))
+        raise ValueError(
+            f"infeasible row {first + k}: sum of upper bounds {up_sum[k]:.6g} < 1"
+        )
+    return np.maximum(1.0 - lo_sum, 0.0)
 
 
 def _order_max(
-    lower: np.ndarray,
-    upper: np.ndarray,
+    bounds,
     rows: np.ndarray,
     v: np.ndarray,
     order: np.ndarray,
     budget: np.ndarray,
+    value: np.ndarray,
     p: np.ndarray | None = None,
 ) -> np.ndarray:
     """min p @ v over {lower[r] <= p <= upper[r], sum(p) = 1} for each r in rows.
+
+    ``bounds(idx)`` gives (lower, upper) at an ``np.ix_`` block of the bound
+    matrices, as new arrays; ``value`` holds lower[rows] @ v and is returned
+    raised to the minimum.
 
     Order-maximisation: every row starts from its lower bounds and hands its
     budget (from _check_feasible_rows) to the columns in ``order``, ascending
@@ -248,14 +291,14 @@ def _order_max(
     the same order as a column-by-column loop.  When ``p`` (len(rows), n)
     holds lower[rows], the minimising distributions are written into it.
     """
-    value = (lower @ v)[rows]
     active = np.flatnonzero(budget > 0.0)   # positions in rows
     left = budget[active]
     start, width = 0, _FIRST_CHUNK
     while active.size and start < order.size:
         cols = order[start:start + width]
-        idx = np.ix_(rows[active], cols)
-        gap = upper[idx] - lower[idx]
+        lower, upper = bounds(np.ix_(rows[active], cols))
+        gap = upper - lower
+        del lower, upper
         steps = np.empty((active.size, cols.size + 1))
         steps[:, 0] = left
         np.negative(gap, out=steps[:, 1:])
@@ -279,35 +322,51 @@ def imp_inner_min(
 
     Order-maximization: start from the lower bounds and hand the remaining
     mass to coordinates in ascending order of v (ties broken by index).
-    Returns the minimizing distribution and its value.
+    ``lower``, ``upper`` and ``v`` are vectors of one length.  Returns the
+    minimizing distribution and its value.
     """
-    lower = np.asarray(lower, dtype=float)[None, :]
-    upper = np.asarray(upper, dtype=float)[None, :]
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
     v = np.asarray(v, dtype=float)
-    budget = _check_feasible_rows(lower, upper)
+    if not (lower.ndim == upper.ndim == v.ndim == 1 and lower.size == upper.size == v.size):
+        raise ValueError(
+            "lower, upper and v must be vectors of one length, not of shapes "
+            f"{lower.shape}, {upper.shape} and {v.shape}"
+        )
+    lower, upper = lower[None, :], upper[None, :]
+    budget = _check_feasible_rows(lower, upper, 0)
     order = np.argsort(v, kind="stable")
     p = lower.copy()
-    value = _order_max(lower, upper, np.zeros(1, dtype=int), v, order, budget, p)
+    value = _order_max(lambda idx: (lower[idx], upper[idx]), np.zeros(1, dtype=int),
+                       v, order, budget, lower @ v, p)
     return p[0], float(value[0])
 
 
 def imp_value_iteration(model: IntervalModel, part: Partition, T: int) -> np.ndarray:
     """Robust backward iteration; unsafe cells are pinned at 0 at every level.
 
-    One level sorts v once and runs order-maximisation on all safe rows at
-    once; its cost is an n x n matrix-vector product plus, per row, the
-    columns its budget reaches.
+    The row budgets come from the model, checked when it was built.  One
+    level sorts v once, takes lower @ v over contiguous row blocks and runs
+    order-maximisation on all safe rows at once; its cost is an n x n
+    matrix-vector product plus, per row, the columns its budget reaches.
+    Beside the model's matrix it holds one block of lower bounds or one
+    chunk of order-maximisation at a time.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
+    n = part.n_cells
+    if model.phat.shape != (n, n):
+        raise ValueError(
+            f"the interval model has {model.phat.shape[0]} cells, the partition {n}")
     safe = part.safe_flags
     rows = np.flatnonzero(safe)
-    budget = _check_feasible_rows(model.lower, model.upper, rows)
+    budget = model.budget[rows]
     v = safe.astype(float)
     for _ in range(T):
         order = np.argsort(v, kind="stable")
         new_v = np.zeros_like(v)
-        new_v[rows] = _order_max(model.lower, model.upper, rows, v, order, budget)
+        new_v[rows] = _order_max(model.bounds, rows, v, order, budget,
+                                 model.lower_dot(v)[rows])
         v = new_v
     return v
 
@@ -335,7 +394,10 @@ def ssr_backward(probs: np.ndarray, part: Partition, ssr: SsrParams, T: int) -> 
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
-    delta = ssr.delta_vector(part.n_cells)
+    n = part.n_cells
+    if np.shape(probs) != (n, n):
+        raise ValueError(f"probs of shape {np.shape(probs)}, not ({n}, {n}), for this partition")
+    delta = ssr.delta_vector(n)
     safe = part.safe_flags.astype(float)
     v = part.center_safe.astype(float)
     for _ in range(T):

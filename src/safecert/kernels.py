@@ -43,6 +43,7 @@ __all__ = [
     "NumericError",
     "gram_matrix",
     "query_blocks",
+    "row_blocks",
     "kernel_expansion",
     "fit_weights",
 ]
@@ -190,7 +191,14 @@ def gram_matrix(spec: KernelSpec, x: np.ndarray, y: np.ndarray | None = None, *,
 def query_blocks(n: int, m: int) -> list[slice]:
     """Row slices covering a batch of ``n`` queries against ``m`` points, in
     blocks of about QUERY_BLOCK_BYTES of kernel values each, or _MIN_ROWS
-    rows where that is more (m above 1024).
+    rows where that is more (m above 1024), cut by ``row_blocks``.
+    """
+    return row_blocks(n, max(_MIN_ROWS, QUERY_BLOCK_BYTES // (8 * max(m, 1))))
+
+
+def row_blocks(n: int, rows: int) -> list[slice]:
+    """Row slices covering ``n`` rows in blocks of ``rows`` rounded down to a
+    multiple of _ROW_GRANULE (at least one granule).
 
     Every block but the last is a multiple of _ROW_GRANULE rows, so a product
     over each block gives the bytes of one product over the whole batch at
@@ -198,7 +206,7 @@ def query_blocks(n: int, m: int) -> list[slice]:
     sends a (1, m) @ (m,) product through its dot path, whose sums differ in
     the last bits from the matrix-vector kernel's.
     """
-    rows = max(_MIN_ROWS, QUERY_BLOCK_BYTES // (8 * max(m, 1)) // _ROW_GRANULE * _ROW_GRANULE)
+    rows = max(_ROW_GRANULE, rows // _ROW_GRANULE * _ROW_GRANULE)
     starts = list(range(0, n, rows))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -17,6 +18,7 @@ from safecert import (
     fit_dp,
     imp_inner_min,
     imp_value_iteration,
+    ssr_backward,
     ssr_value_iteration,
 )
 from safecert.abstraction import _order_max
@@ -75,12 +77,35 @@ def loop_inner_min(lower, upper, v, order):
 def loop_value_iteration(model, part, T):
     """Robust backward iteration calling the scalar reference per safe cell."""
     safe = part.safe_flags
+    lower, upper = model.bounds(slice(None))
     v = safe.astype(float)
     for _ in range(T):
         order = np.argsort(v, kind="stable")
         new_v = np.zeros_like(v)
         for i in np.flatnonzero(safe):
-            new_v[i] = loop_inner_min(model.lower[i], model.upper[i], v, order)[1]
+            new_v[i] = loop_inner_min(lower[i], upper[i], v, order)[1]
+        v = new_v
+    return v
+
+
+def explicit(lower, upper):
+    """The bounds callable of ``_order_max`` over two explicit bound matrices."""
+    return lambda idx: (lower[idx], upper[idx])
+
+
+def dense_value_iteration(phat, radius, part, T):
+    """Robust backward iteration over explicit n x n bound matrices
+    clip(phat -+ radius, 0, 1): lower @ v in one product over every row,
+    then the library's order-maximisation on the safe rows."""
+    lower = np.clip(phat - radius, 0.0, 1.0)
+    upper = np.clip(phat + radius, 0.0, 1.0)
+    rows = np.flatnonzero(part.safe_flags)
+    budget = np.maximum(1.0 - lower[rows].sum(axis=1), 0.0)
+    v = part.safe_flags.astype(float)
+    for _ in range(T):
+        order = np.argsort(v, kind="stable")
+        new_v = np.zeros_like(v)
+        new_v[rows] = _order_max(explicit(lower, upper), rows, v, order, budget, (lower @ v)[rows])
         v = new_v
     return v
 
@@ -315,6 +340,15 @@ class TestIntervalInnerMin:
         p, _ = imp_inner_min(lower, upper, v)
         assert np.array_equal(p, [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("lengths", [(3, 1, 3), (3, 3, 2), (2, 3, 3)])
+    def test_unequal_lengths_rejected(self, lengths):
+        """Unequal lengths would end in an IndexError, or broadcast into a
+        misleading infeasibility message."""
+        lower, upper, v = (np.full(k, 0.5) for k in lengths)
+        a, b, c = lengths
+        with pytest.raises(ValueError, match=re.escape(f"shapes ({a},), ({b},) and ({c},)")):
+            imp_inner_min(lower, upper, v)
+
     def test_infeasible_inputs_rejected(self):
         with pytest.raises(ValueError):
             imp_inner_min(np.array([0.6, 0.6]), np.array([1.0, 1.0]), np.zeros(2))
@@ -362,7 +396,7 @@ class TestOrderMaxKernel:
             order = np.argsort(v, kind="stable")
             budget = np.maximum(1.0 - lower.sum(axis=1), 0.0)
             p = lower.copy()
-            got = _order_max(lower, upper, rows, v, order, budget, p)
+            got = _order_max(explicit(lower, upper), rows, v, order, budget, lower @ v, p)
             for i in rows:
                 want_p, want = loop_inner_min(lower[i], upper[i], v, order)
                 assert abs(got[i] - want) <= 1e-12
@@ -385,7 +419,7 @@ class TestOrderMaxKernel:
         v = self.values(rng, 60)
         order = np.argsort(v, kind="stable")
         budget = np.maximum(1.0 - lower[rows].sum(axis=1), 0.0)
-        got = _order_max(lower, upper, rows, v, order, budget)
+        got = _order_max(explicit(lower, upper), rows, v, order, budget, (lower @ v)[rows])
         want = [loop_inner_min(lower[i], upper[i], v, order)[1] for i in rows]
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -399,35 +433,92 @@ class TestOrderMaxKernel:
 
     def test_infeasible_row_past_the_first_block_is_named(self):
         n = 300
-        lower = np.full((n, n), 1.0 / n)
-        upper = np.full((n, n), 2.0 / n)
-        lower[280, :2] = upper[280, :2] = 0.6
-        with pytest.raises(ValueError, match="row 280"):
-            IntervalModel(lower=lower, upper=upper)
+        phat = np.full((n, n), 1.0 / n)
+        phat[280, :2] = 0.6
+        with pytest.raises(ValueError, match="row 280: sum of lower bounds"):
+            IntervalModel.from_radii(phat, 0.5 / n)
+
+    @pytest.mark.parametrize("counts", [(20, 20), (23, 29)])
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_value_iteration_matches_dense_bounds(self, counts, per_row, one_blas_thread):
+        """Over more than one row block with a partial last one (400 cells:
+        256 + 144; 667: 256 + 256 + 155), bounds read off the matrix give
+        the bytes of explicit bound matrices, for a scalar radius and one
+        radius per row.  lower @ v taken over the gathered safe rows alone
+        moves the last bits of some values at 400 cells."""
+        part = build_partition(UNIT_SQUARE, counts)
+        probs = empirical_cell_probs(part, fitted_dp())
+        scale = np.linspace(0.5, 2.0, part.n_cells)[:, None] if per_row else 1.0
+        radius = scale / part.n_cells
+        got = imp_value_iteration(IntervalModel.from_radii(probs, radius), part, 6)
+        assert np.max(got) > 0.1
+        assert got.tobytes() == dense_value_iteration(probs, radius, part, 6).tobytes()
 
 
 class TestIntervalModel:
     def test_from_radii_clips_to_unit_interval(self):
         phat = np.array([[0.95, 0.05], [0.5, 0.5]])
         model = IntervalModel.from_radii(phat, 0.1)
-        assert np.all(model.upper <= 1.0) and np.all(model.lower >= 0.0)
-        assert model.upper[0, 0] == 1.0
-        assert model.lower[0, 1] == 0.0
+        lower, upper = model.bounds(slice(None))
+        assert np.all(upper <= 1.0) and np.all(lower >= 0.0)
+        assert upper[0, 0] == 1.0
+        assert lower[0, 1] == 0.0
+        assert np.array_equal(model.bounds(np.array([1]))[1], [[0.6, 0.6]])
 
     def test_infeasible_rows_rejected(self):
-        with pytest.raises(ValueError):
-            IntervalModel(lower=np.array([[0.8, 0.5]]), upper=np.array([[0.9, 0.6]]))
+        with pytest.raises(ValueError, match="row 0: sum of lower bounds 1.2 > 1"):
+            IntervalModel.from_radii(np.array([[0.8, 0.5], [0.5, 0.5]]), 0.05)
+        with pytest.raises(ValueError, match="row 1: sum of upper bounds 0.5 < 1"):
+            IntervalModel.from_radii(np.array([[0.5, 0.5], [0.2, 0.2]]), 0.05)
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_bounds_rejected(self, side, bad):
-        """A NaN bound passes every feasibility comparison; the entry is named."""
-        bounds = {"lower": np.full((3, 3), 0.2), "upper": np.full((3, 3), 0.5)}
-        bounds[side][2, 1] = bad
-        with pytest.raises(ValueError, match=rf"{side}\[2,1\] = {bad} is not finite"):
-            IntervalModel(**bounds)
-        with pytest.raises(ValueError, match="not finite"):
-            imp_inner_min(bounds["lower"][2], bounds["upper"][2], np.zeros(3))
+        """A NaN bound passes every feasibility comparison, and the clip of
+        phat -+ radius would turn an infinite entry into a finite bound; the
+        entry is named, of the empirical matrix or of the explicit bounds."""
+        phat = np.full((3, 3), 1.0 / 3.0)
+        phat[2, 1] = bad
+        with pytest.raises(ValueError, match=rf"phat\[2,1\] = {bad} is not finite"):
+            IntervalModel.from_radii(phat, 0.1)
+        bounds = {"lower": np.full(3, 0.2), "upper": np.full(3, 0.5)}
+        bounds[side][1] = bad
+        with pytest.raises(ValueError, match=rf"{side}\[0,1\] = {bad} is not finite"):
+            imp_inner_min(bounds["lower"], bounds["upper"], np.zeros(3))
+
+    @pytest.mark.parametrize("phat", [np.full((2, 3), 1.0 / 3.0), np.full(3, 1.0 / 3.0),
+                                      np.float64(1.0)])
+    def test_non_square_matrix_rejected(self, phat):
+        with pytest.raises(ValueError, match=rf"must be square, not of shape {re.escape(str(phat.shape))}"):
+            IntervalModel.from_radii(phat, 0.1)
+
+    def test_matrix_held_by_reference_and_never_written(self):
+        """A read-only matrix is accepted, held without a copy and left as it was."""
+        part = build_partition(UNIT_SQUARE, (17, 17))
+        probs = empirical_cell_probs(part, fitted_dp())
+        before = probs.tobytes()
+        probs.setflags(write=False)
+        model = IntervalModel.from_radii(probs, 0.01)
+        assert model.phat is probs
+        imp_value_iteration(model, part, 4)
+        assert probs.tobytes() == before
+
+    def test_holds_less_than_one_extra_cell_matrix(self, wide_model):
+        """At 1600 cells one n x n array is 20.5 MB; building the model and
+        iterating hold the budgets, one block of bounds and one chunk of
+        order-maximisation beside the caller's matrix, where two explicit
+        bound matrices would be 41 MB."""
+        part, dp_model = wide_model
+        probs = empirical_cell_probs(part, dp_model)
+        small = build_partition(UNIT_SQUARE, (2, 2))
+        imp_value_iteration(IntervalModel.from_radii(np.eye(4), 0.01), small, 2)  # imports done
+        tracemalloc.start()
+        try:
+            imp_value_iteration(IntervalModel.from_radii(probs, 0.002), part, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < probs.nbytes
 
     @pytest.mark.parametrize("radius", [np.nan, [[0.1, np.nan], [0.1, 0.1]], -0.1])
     def test_negative_or_nan_radius_rejected(self, radius):
@@ -438,6 +529,17 @@ class TestIntervalModel:
 
 
 class TestValueIterations:
+    def test_imp_partition_must_match_the_model(self):
+        model = IntervalModel.from_radii(np.full((9, 9), 1.0 / 9.0), 0.01)
+        with pytest.raises(ValueError, match="9 cells, the partition 16"):
+            imp_value_iteration(model, build_partition(UNIT_SQUARE, (4, 4)), 2)
+
+    @pytest.mark.parametrize("shape", [(9, 9), (16, 9), (16,)])
+    def test_ssr_probs_must_match_the_partition(self, shape):
+        probs = np.full(shape, 1.0 / shape[-1])
+        with pytest.raises(ValueError, match=rf"probs of shape {re.escape(str(shape))}, not \(16, 16\)"):
+            ssr_backward(probs, build_partition(UNIT_SQUARE, (4, 4)), SsrParams(), 2)
+
     def test_imp_unsafe_cells_pinned_to_zero(self):
         part = build_partition(UNIT_SQUARE, (4, 4))
         probs = empirical_cell_probs(part, fitted_dp())
