@@ -8,9 +8,10 @@ or summarised so that the manifest stays small.
   iid pairs and all five methods at one horizon; acceptance criterion 12
   compares the first of its two sweeps with it.
 * ``tests/golden/sweep_dependent.json``: ``DEPENDENT_CONFIG``
-  (tests/golden/tree_diff.py), dependent pairs, three alphas, two horizons
-  and two seeds, with each seed's Monte Carlo filling two blocks, the last
-  one partial; tests/test_golden.py compares its sweep with it.
+  (tests/golden/tree_diff.py), dependent pairs, all five methods, three
+  alphas, two horizons and two seeds, with each seed's Monte Carlo filling
+  two blocks, the last one partial, and imp and ssr on a 17x17 partition;
+  tests/test_golden.py compares its sweep with it.
 
 A sweep is compared with its manifest within a tolerance per kind of file:
 

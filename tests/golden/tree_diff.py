@@ -9,10 +9,12 @@ configs, each serially and at ``--threads 2``:
 * ``sweep``: ``SWEEP_CONFIG`` of tests/test_acceptance.py (criterion c12);
 * ``tiny``: ``TINY_CONFIG`` of tests/test_cli.py;
 * ``pipeline``: the benchmark's pipeline config (bench/workloads.py) at seed 7;
-* ``dependent``: three alphas, two horizons and two seeds on dependent pairs,
-  1000 rollouts at each of the 24 safe points of a 5x5 grid, so each seed's
-  Monte Carlo fills two blocks, the last one partial; tier-1 also checks its
-  sweep against tests/golden/sweep_dependent.json (tests/test_golden.py).
+* ``dependent``: all five methods at three alphas, two horizons and two
+  seeds on dependent pairs, 1000 rollouts at each of the 24 safe points of a
+  5x5 grid, so each seed's Monte Carlo fills two blocks, the last one
+  partial, and imp and ssr over a 17x17 partition (289 cells: a 256-row
+  block and a partial one); tier-1 also checks its sweep against
+  tests/golden/sweep_dependent.json (tests/test_golden.py).
 
 The config texts are the work tree's, on both sides.  Every run pins one BLAS
 thread (OPENBLAS_NUM_THREADS=1): the last bits of a product depend on how
@@ -55,8 +57,9 @@ data.mode = dependent
 grid.nx = 5
 grid.ny = 5
 mc.rollouts = 1000
-abstraction.nx = 4
-abstraction.ny = 4
+methods = direct, dp, imp, ssr, barrier
+abstraction.nx = 17
+abstraction.ny = 17
 calibration.bins = 4
 """
 

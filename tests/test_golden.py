@@ -2,9 +2,10 @@
 
 ``DEPENDENT_CONFIG`` (tests/golden/tree_diff.py) reaches paths the c12 sweep
 does not: dependent pairs, whose next states are mostly training inputs, one
-dp fit per cell, per-seed draws shared across three alphas, two horizons,
-and a Monte Carlo oracle that fills two blocks per seed, the last one
-partial.  Its manifest, ``tests/golden/sweep_dependent.json``, is written by
+dp fit per cell shared by dp, imp, ssr and barrier, per-seed draws shared
+across three alphas, two horizons, a Monte Carlo oracle that fills two
+blocks per seed, the last one partial, and a 17x17 partition, whose 289
+rows fill a 256-row block of the interval iteration and a partial one.  Its manifest, ``tests/golden/sweep_dependent.json``, is written by
 ``tests/golden/regen.py`` and compared at the same tolerances as c12's.
 """
 
