@@ -152,7 +152,7 @@ def empirical_cell_probs(part: Partition, dp_model: DpModel) -> np.ndarray:
 
 
 _FEAS_TOL = 1e-9
-_ROW_BLOCK = 256    # rows per block of a feasibility check and of lower @ v
+_ROW_BLOCK = 256    # rows per block of a feasibility check, of lower @ v and of an order-max chunk
 _FIRST_CHUNK = 32   # columns in the first chunk of order-maximisation
 
 
@@ -286,9 +286,12 @@ def _order_max(
     v, each up to its upper bound, until the budget is spent.  All rows share
     the order, so the fill runs on all rows at once, over column chunks of
     doubling width; a row leaves once its budget is spent, so a row costs
-    the columns its budget reaches, not n.  The budget left before each
-    column is a running sum of the negated gaps, the same subtractions in
-    the same order as a column-by-column loop.  When ``p`` (len(rows), n)
+    the columns its budget reaches, not n.  Each chunk runs over
+    ``row_blocks`` of the rows still active, so it holds a few (_ROW_BLOCK,
+    width) temporaries, and at one BLAS thread ``add @ v[cols]`` gives each
+    row the bytes of one product over every active row.  The budget left
+    before each column is a running sum of the negated gaps, the same
+    subtractions in the same order as a column-by-column loop.  When ``p`` (len(rows), n)
     holds lower[rows], the minimising distributions are written into it.
     """
     active = np.flatnonzero(budget > 0.0)   # positions in rows
@@ -296,20 +299,25 @@ def _order_max(
     start, width = 0, _FIRST_CHUNK
     while active.size and start < order.size:
         cols = order[start:start + width]
-        lower, upper = bounds(np.ix_(rows[active], cols))
-        gap = upper - lower
-        del lower, upper
-        steps = np.empty((active.size, cols.size + 1))
-        steps[:, 0] = left
-        np.negative(gap, out=steps[:, 1:])
-        np.cumsum(steps, axis=1, out=steps)  # steps[:, k]: budget left before column k
-        before = steps[:, :-1]
-        add = np.where(before > 0.0, np.minimum(gap, before), 0.0)
-        value[active] += add @ v[cols]
-        if p is not None:
-            p[np.ix_(active, cols)] += add
-        spent = steps[:, -1] <= 0.0
-        active, left = active[~spent], steps[~spent, -1]
+        # one row block of the chunk at a time, so its temporaries stay
+        # (_ROW_BLOCK, width) however many rows keep budget
+        for block in row_blocks(active.size, _ROW_BLOCK):
+            at = active[block]
+            lower, upper = bounds(np.ix_(rows[at], cols))
+            gap = upper - lower
+            del lower, upper
+            steps = np.empty((at.size, cols.size + 1))
+            steps[:, 0] = left[block]
+            np.negative(gap, out=steps[:, 1:])
+            np.cumsum(steps, axis=1, out=steps)  # steps[:, k]: budget left before column k
+            before = steps[:, :-1]
+            add = np.where(before > 0.0, np.minimum(gap, before), 0.0)
+            value[at] += add @ v[cols]
+            if p is not None:
+                p[np.ix_(at, cols)] += add
+            left[block] = steps[:, -1]
+        spent = left <= 0.0
+        active, left = active[~spent], left[~spent]
         start += cols.size
         width *= 2
     return value

@@ -17,11 +17,20 @@ an M x M solve with M right-hand sides.
 
 Where a next state x_i^+ is bitwise a training input x_j, as it is for most
 pairs sliced out of trajectories, row j of the ridge system gives its row of
-the product for free: K(x_j, x) @ alpha = v_j - M lam alpha_j.  So a fit
-stores K(x^+, x) only at the unmatched next states and holds the packed
-Cholesky factor (n(n+1)/2 doubles, n = M rounded up to 16: about half an
-M x M array) plus an (M - matched) x M block: one and a half M x M arrays
-for iid pairs, little more than half of one for dependent pairs.
+the product for free: K(x_j, x) @ alpha = v_j - M lam alpha_j.  The other
+next states are the ridge system's extra points (``kernels.fit_system``),
+and what a fit holds depends on the system's rank:
+
+* low rank (rank m at most M / 8, the acceptance desk cell and the default
+  iid cells): the pivoted Cholesky rows over [x; unmatched x^+] and the
+  m x m Woodbury core, 8 m (M + n_unmatched) + 8 m^2 bytes, and the
+  unmatched rows of the product are L+^T (Lx alpha).  The matched-row
+  identity holds exactly for the approximated kernel L^T L, so both kinds
+  of row come from one approximated operator;
+* dense: the packed Cholesky factor (n(n+1)/2 doubles, n = M rounded up
+  to 16: about half an M x M array) plus the rows of K(x^+, x) at the
+  unmatched next states, an (M - matched) x M block: one and a half M x M
+  arrays for iid pairs, little more than half of one for dependent pairs.
 
 With eps = 0 the norm penalty vanishes; otherwise ||V|| is approximated by
 the representer norm of the ridge interpolant of the value vector, a finite
@@ -36,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmark import OneStepPairs, SafeRegion, is_safe
-from .kernels import KAPPA, GramSystem, KernelSpec, fit_weights, gram_matrix
+from .kernels import KAPPA, GramSystem, KernelSpec, fit_system, gram_matrix
 
 __all__ = [
     "DpModel",
@@ -71,21 +80,20 @@ class DpModel:
     """One-step conditional model over transition samples.
 
     A kernel-backed model (``fit_dp``) holds the factored ridge system over
-    the source states, ``source`` (the training input each next state
-    bitwise equals, or -1) and k_next, the rows of K(x^+, x) at the
-    unmatched next states.  ``next_expansion`` assembles K(x^+, x) @ alpha
-    from the two, and every application of the transfer operator goes
-    through it.  A chain model (``from_transfer``) holds an explicit transfer
-    matrix instead.
+    the source states, with the unmatched next states as its extra points,
+    and ``source`` (the training input each next state bitwise equals, or
+    -1).  ``next_expansion`` assembles K(x^+, x) @ alpha from the two, and
+    every application of the transfer operator goes through it.  A chain
+    model (``from_transfer``) holds an explicit transfer matrix instead.
     """
 
     safe_mask_next: np.ndarray    # (M,) floats, 1_S at the sampled next states
     region: SafeRegion | None
     ambiguity: float = 0.0
-    gram: GramSystem | None = None     # over source states; None for exact chains
+    # over source states, extra points x_i^+ where source[i] < 0; None for exact chains
+    gram: GramSystem | None = None
     x_next: np.ndarray | None = None
     source: np.ndarray | None = None   # (M,) j with x_i^+ bitwise x_j, or -1
-    k_next: np.ndarray | None = None   # (n_unmatched, M) K(x_i^+, x) where source[i] < 0
     explicit: np.ndarray | None = None  # (M, M) transfer matrix; chains only
 
     def __post_init__(self) -> None:
@@ -119,13 +127,14 @@ class DpModel:
         """K(x^+, x) @ alpha at the sampled next states, for alpha = (K + M lam I)^{-1} v.
 
         A next state that is the training input x_j takes row j of the ridge
-        system, v_j - M lam alpha_j; the others take one product with the
-        stored rows of K(x^+, x).  With no matched rows (iid pairs) this is
-        exactly K(x^+, x) @ alpha.
+        system, v_j - M lam alpha_j; the others are the system's extra
+        points (``GramSystem.extra_expansion``).  On the dense path, with no
+        matched rows (iid pairs), this is exactly K(x^+, x) @ alpha; on the
+        low-rank path both parts are those of the approximated kernel.
         """
         hit = self.source >= 0
         out = np.empty(self.n)
-        out[~hit] = self.k_next @ alpha
+        out[~hit] = self.gram.extra_expansion(alpha)
         j = self.source[hit]
         out[hit] = self.gram.fitted(v[j], alpha[j])
         return out
@@ -136,8 +145,10 @@ class DpModel:
 
         A kernel-backed model rebuilds K(x^+, x) at every next state and
         materialises the transfer with an M x M solve with M right-hand
-        sides: O(M^3) work and two more M x M arrays.  It is meant for
-        diagnostics and tests; nothing in the fit or the recursion reads it.
+        sides: O(M^3) work and two more M x M arrays.  Its rows take the
+        exact kernel at every next state, where a low-rank model's ``apply``
+        takes L+^T Lx at the unmatched ones.  It is meant for diagnostics and
+        tests; nothing in the fit or the recursion reads it.
         """
         if self.explicit is not None:
             return self.explicit
@@ -180,8 +191,8 @@ def _source_rows(inputs: np.ndarray, x_next: np.ndarray) -> np.ndarray:
 def fit_dp(
     spec: KernelSpec, pairs: OneStepPairs, region: SafeRegion, ambiguity: float = 0.0
 ) -> DpModel:
-    """Factor the ridge system over source states and build K(x^+, x) at the
-    next states that are not training inputs.
+    """Factor the ridge system over source states, with the next states
+    that are not training inputs as its extra points (``fit_system``).
 
     ``pairs.x_next`` must hold one finite row per row of ``pairs.x``, of the
     same dimension; otherwise ValueError, before anything is fitted.
@@ -194,16 +205,14 @@ def fit_dp(
     bad = np.flatnonzero(~np.all(np.isfinite(x_next), axis=1))
     if bad.size:
         raise ValueError(f"pairs.x_next row {bad[0]} is not finite: {x_next[bad[0]].tolist()}")
-    gram = fit_weights(spec, x)
-    source = _source_rows(gram.inputs, x_next)
+    source = _source_rows(x, x_next)
     return DpModel(
         safe_mask_next=is_safe(region, x_next).astype(float),
         region=region,
         ambiguity=ambiguity,
-        gram=gram,
+        gram=fit_system(spec, x, x_next[source < 0]),
         x_next=x_next,
         source=source,
-        k_next=gram_matrix(spec, x_next[source < 0], gram.inputs),
     )
 
 

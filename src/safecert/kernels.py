@@ -10,16 +10,33 @@ of query points.  The ridge term is scaled by the sample count M so that
 ``lam`` keeps a consistent meaning across sample sizes.  Weights may be
 negative; nothing here clips them.
 
-A fitted system holds its Cholesky factor in rectangular full packed
-storage (``GramSystem``): the lower triangle alone, n(n+1)/2 doubles for the
-system padded to n = M rounded up to a multiple of 16, built in place and
-factored and solved by level-3 LAPACK (``dpftrf``, ``dpftrs``).  No M x M
-array is held.
+A fitted system (``GramSystem``, built by ``fit_system``) takes one of two
+representations, and its rank alone decides which:
+
+* low rank: a greedy pivoted Cholesky factorisation of K over the training
+  inputs and any extra points the caller evaluates the kernel at (dp's
+  next states), K ~ L^T L with L of m rows, and the Cholesky factor of the
+  m x m Woodbury core M lam I + Lx Lx^T: 8 m (M + U) + 8 m^2 bytes for U
+  extra points.  The build stops once every residual diagonal is at most
+  _PIVOT_TOL * M lam (1e-11 * M lam), so each kernel entry among those
+  points is off by at most that, and solves are Woodbury's identity;
+* dense, where that takes more than M / _RANK_SHARE rows (M / 8): the
+  Cholesky factor in rectangular full packed storage, the lower triangle
+  alone, n(n+1)/2 doubles for the system padded to n = M rounded up to a
+  multiple of 16, built in place and factored and solved by level-3 LAPACK
+  (``dpftrf``, ``dpftrs``), beside the rows K(extra, inputs).
+
+The 2-D Gaussian systems of the acceptance desk cell (M = 4500 iid pairs,
+T = 15) have rank about 510 of M / 8 = 562 and take the first, as do the
+default iid dp cells; the benchmark's pipeline fits (M <= 1000), its
+dependent-pair fits at M = 2000 and the default direct fits stay dense.
+No M x M array is held either way.
 
 Both hot primitives are memory-bound and stream the array they fill or read
 once: ``gram_matrix`` finishes every cache-sized block of rows (differences,
-squares, scale, exp) before moving on, and a single-vector solve runs six
-level-2 calls (two triangular solves and a product per triangle of L).
+squares, scale, exp) before moving on, and a dense single-vector solve runs
+six level-2 calls (two triangular solves and a product per triangle of L),
+a low-rank one two products with Lx and an m x m solve.
 
 A batch of queries is never held as one (n, M) kernel or weight matrix:
 ``query_blocks`` cuts it into row blocks of about QUERY_BLOCK_BYTES of kernel
@@ -45,6 +62,7 @@ __all__ = [
     "query_blocks",
     "row_blocks",
     "kernel_expansion",
+    "fit_system",
     "fit_weights",
 ]
 
@@ -77,6 +95,28 @@ _PAD = 16
 # block is computed whole and half of it kept, about k * _TRIANGLE_ROWS / 2
 # wasted entries per triangle of order k
 _TRIANGLE_ROWS = 64
+
+# the pivoted build of fit_system stops once the largest residual diagonal
+# is at most _PIVOT_TOL * M lam, and hands over to the dense factor once its
+# rank passes M / _RANK_SHARE.  Measured (2-core Xeon, one BLAS thread): the
+# desk cell (M = 4500 iid pairs, tuned T = 15 kernel, over 9000 points)
+# needs rank 431-440 at 1e-9, 473-475 at 1e-10 and 511-516 at 1e-11, under
+# its cap of 562, and at 1e-11 gives V0 within 8.3e-10 of the dense core's;
+# 2001 inputs at lengthscales (0.7, 0.9), lam 1e-3 (rank 232 of 250) solve
+# within 1.4e-11 of a dense solve at 1e-11, 2.3e-10 at 1e-10 and 1.3e-9 at
+# 1e-9.  Without the early stop below, a system that falls back wasted the
+# whole capped build: 0.04-0.07 s for dependent pairs at M = 2000 (rank 586
+# and 1135, 250 rows over 2200 points), 20.6 s against a 60 s fit for the
+# default dependent T = 15 cell (residual still 1e13 tol after 1875 rows).
+_PIVOT_TOL = 1e-11
+_RANK_SHARE = 8
+
+# The build also stops at cap / 4 rows unless the largest residual has
+# covered this share of the decades from 1 down to tol by then.  Measured
+# at cap / 4: 0.26-0.30 on systems that reach tol under the cap (the desk
+# cells, the default dependent T = 5 cell), 0-0.07 on those that do not
+# (diag, pipeline and the default dependent T = 15 cells)
+_QUARTER_DECAY = 0.125
 
 # query rows per block are a multiple of this: a one-thread OpenBLAS dgemv
 # takes rows in groups of four, so a block boundary on a multiple of 16
@@ -237,31 +277,57 @@ def _padded(m: int) -> int:
 
 @dataclass
 class GramSystem:
-    """Cholesky-factored ridge system K + M lam I over fixed training inputs.
+    """Ridge system K + M lam I over fixed training inputs, in one of two
+    representations, and the kernel at a fixed set of extra points.
 
-    Only the lower Cholesky factor is held, in LAPACK's rectangular full
-    packed (RFP) layout with transr='T', uplo='L': one array of n(n+1)/2
-    doubles, the buffer the system was built in, for the system padded to
-    order n (M rounded up to _PAD) with identity rows.  K itself is not
-    kept.  With k = n/2 the array is, in Fortran order, a (k, n + 1) matrix
-    whose columns 1..k hold L11^T (upper), columns 0..k-1 L22 (lower; the
-    two triangles share no entry) and columns k+1..n L21^T, where L =
-    [[L11, 0], [L21, L22]].  ``solve`` gives the dual coefficients
-    (K + M lam I)^{-1} values, ``expand`` their expansion at query points,
-    and ``weights_at`` the ridge weights, for callers needing columns.
+    *Dense* (``rank`` is None): the lower Cholesky factor of the system, in
+    LAPACK's rectangular full packed (RFP) layout with transr='T', uplo='L':
+    one array of n(n+1)/2 doubles, the buffer the system was built in, for
+    the system padded to order n (M rounded up to _PAD) with identity rows.
+    K itself is not kept.  With k = n/2 the array is, in Fortran order, a
+    (k, n + 1) matrix whose columns 1..k hold L11^T (upper), columns 0..k-1
+    L22 (lower; the two triangles share no entry) and columns k+1..n L21^T,
+    where L = [[L11, 0], [L21, L22]].  Beside it the system holds the rows
+    K(extra, inputs), (U, M).
+
+    *Low rank* (``rank`` = m): the rows L = [Lx, L+], (m, M + U), of a
+    greedy pivoted Cholesky factorisation of K over [inputs; extra], so that
+    K ~ L^T L on those points, and C, the (m, m) lower Cholesky factor of
+    M lam I + Lx Lx^T.  A solve is Woodbury's identity,
+
+        (Lx^T Lx + M lam I)^{-1} v = (v - Lx^T (C C^T)^{-1} Lx v) / (M lam),
+
+    exact for the approximated system, and K(extra, inputs) @ alpha is
+    L+^T (Lx alpha).  Together 8 m (M + U) + 8 m^2 bytes.
+
+    ``fit_system`` picks the representation by rank alone (see there).
+    ``solve`` gives the dual coefficients (K + M lam I)^{-1} values,
+    ``expand`` their expansion at query points, always with the exact kernel
+    rows K(query, inputs), ``extra_expansion`` at the extra points, and
+    ``weights_at`` the ridge weights, for callers needing columns.
     """
 
     spec: KernelSpec
     inputs: np.ndarray          # (M, d)
-    _factor: np.ndarray = field(repr=False)   # (n(n+1)/2,) RFP factor
+    # dense: (n(n+1)/2,) RFP factor; low rank: (m, m) lower factor C
+    _factor: np.ndarray = field(repr=False)
+    # dense: (U, M) K(extra, inputs); low rank: (m, U) pivoted rows L+
+    _extra: np.ndarray = field(repr=False)
+    # low rank: (m, M) pivoted rows Lx; None when dense
+    _basis: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
         return self.inputs.shape[0]
 
+    @property
+    def rank(self) -> int | None:
+        """m, the rank of the low-rank representation; None when dense."""
+        return None if self._basis is None else self._basis.shape[0]
+
     def _factor_views(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(L11^T, L22, L21^T): the three F-contiguous (k, k) views of the
-        factor, which BLAS reads in place."""
+        dense factor, which BLAS reads in place."""
         k = _padded(self.size) // 2
         rfp = self._factor.reshape((k, 2 * k + 1), order="F")
         return rfp[:, 1:k + 1], rfp[:, :k], rfp[:, k + 1:]
@@ -269,9 +335,10 @@ class GramSystem:
     def solve(self, values: np.ndarray) -> np.ndarray:
         """(K + M lam I)^{-1} values for a vector (M,) or columns (M, c).
 
-        A vector is solved at level 2 (``_solve_vector``), columns at level 3
-        (``dpftrs``); ``values`` is left unchanged either way.  Any other
-        shape, or a non-finite value, is refused before the solve.
+        Dense, a vector is solved at level 2 (``_solve_vector``), columns at
+        level 3 (``dpftrs``); low rank, both by Woodbury (``_woodbury``).
+        ``values`` is left unchanged either way.  Any other shape, or a
+        non-finite value, is refused before the solve.
         """
         b = np.asarray(values, dtype=float)
         m = self.size
@@ -280,6 +347,8 @@ class GramSystem:
                              f"input, and at most two dimensions; got shape {b.shape}")
         if not np.all(np.isfinite(b)):
             raise ValueError("right-hand side must not contain infs or NaNs")
+        if self._basis is not None:
+            return self._woodbury(b)
         # the padded unknowns come out as exact zeros and are dropped
         x = np.zeros((_padded(m),) + b.shape[1:], order="F")
         x[:m] = b
@@ -319,21 +388,56 @@ class GramSystem:
 
         dpftrs(_padded(self.size), self._factor, x, transr="T", uplo="L", overwrite_b=True)
 
+    def _core_solve(self, t: np.ndarray) -> np.ndarray:
+        """(C C^T)^{-1} t for t (m,) or (m, c) (LAPACK ``dpotrs``)."""
+        from scipy.linalg.lapack import dpotrs
+
+        z, _ = dpotrs(self._factor, t, lower=1)
+        return z
+
+    def _woodbury(self, b: np.ndarray) -> np.ndarray:
+        """(Lx^T Lx + M lam I)^{-1} b for b (M,) or (M, c), as a new array:
+        two products with Lx and one (m, m) solve."""
+        lx = self._basis
+        x = b - lx.T @ self._core_solve(lx @ b)
+        x /= self.size * self.spec.lam
+        return x
+
     def expand(self, query: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """K(query, inputs) @ alpha at each query of a batch (n, d); with
         alpha = solve(values), the ridge estimate sum_i w_i(x) values_i.
-        The kernel rows are built one query block at a time."""
+        The kernel rows are exact in either representation and are built
+        one query block at a time."""
         return kernel_expansion(self.spec, query, self.inputs, alpha)
+
+    def extra_expansion(self, alpha: np.ndarray) -> np.ndarray:
+        """K(extra, inputs) @ alpha, (U,), at the extra points of
+        ``fit_system``: the stored rows times alpha when dense, L+^T (Lx
+        alpha) when low rank."""
+        if self._basis is None:
+            return self._extra @ alpha
+        return (self._basis @ alpha) @ self._extra
 
     def weights_at(self, query: np.ndarray) -> np.ndarray:
         """Ridge weights w(x), shape (n, M), for a batch of queries (n, d).
 
         The result is the whole (n, M) matrix; a caller with many queries
         passes them one ``query_blocks`` block at a time, which at one BLAS
-        thread gives the bytes of one call (see _PAD).
+        thread gives the bytes of one call on the dense path (see _PAD).
         """
         q = np.atleast_2d(np.asarray(query, dtype=float))
         m = self.size
+        if self._basis is not None:
+            from scipy.linalg.blas import dgemm
+
+            w = gram_matrix(self.spec, q, self.inputs)
+            lx = self._basis
+            # w^T -= Lx^T z in place: w.T and Lx.T are F-ordered, so BLAS
+            # reads and writes them without copies
+            z = self._core_solve((w @ lx.T).T)
+            dgemm(-1.0, lx.T, z, beta=1.0, c=w.T, overwrite_c=True)
+            w /= m * self.spec.lam
+            return w
         w = np.empty((q.shape[0], _padded(m)))
         w[:, m:] = 0.0
         gram_matrix(self.spec, q, self.inputs, out=w[:, :m])
@@ -360,8 +464,9 @@ class GramSystem:
         """K alpha, the ridge fit at the inputs, for alpha = solve(values).
 
         Row i of the ridge system gives it without K: (K alpha)_i = values_i
-        - M lam alpha_i.  This is elementwise, so a caller may pass both
-        arrays at any subset of the inputs.
+        - M lam alpha_i, with K the approximated kernel L^T L on the low-rank
+        path, for which the identity stays exact.  This is elementwise, so a
+        caller may pass both arrays at any subset of the inputs.
         """
         return values - (self.size * self.spec.lam) * alpha
 
@@ -394,28 +499,109 @@ def _gram_triangle(spec: KernelSpec, x: np.ndarray, out: np.ndarray, lower: bool
             out[r0:r1, r1:] = s[:, r1 - r0:]
 
 
-def fit_weights(spec: KernelSpec, train_inputs: np.ndarray) -> GramSystem:
-    """Build and factor the ridge system K + M lam I over ``train_inputs``.
+def _kernel_row(ut: np.ndarray, center: np.ndarray, out: np.ndarray) -> None:
+    """k(center, .) at the points whose scaled coordinates are the rows of
+    ``ut`` (d, N), written into ``out`` (N,)."""
+    np.subtract(ut[0], center[0], out=out)
+    out *= out
+    for coord, c in zip(ut[1:], center[1:]):
+        d = coord - c
+        d *= d
+        out += d
+    out *= -0.5
+    np.exp(out, out=out)
 
-    The system is padded to order n = M rounded up to _PAD with identity
-    rows, [[K + M lam I, 0], [0, I]], whose factor is [[L, 0], [0, I]], and
-    is built, regularized and factored in one RFP array of n(n+1)/2 doubles
-    (see GramSystem): ``gram_matrix`` computes each entry of the lower
-    triangle once, but for the upper halves of small diagonal blocks, and
-    LAPACK ``dpftrf`` factors the array in place.  A failed factorization raises NumericError
-    naming the order of the leading minor that failed and M lam; it holds
-    no second system array and does no work past the failed factorization.
+
+def _pivoted_rows(spec: KernelSpec, x: np.ndarray, extra: np.ndarray, tol: float,
+                  cap: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(Lx, L+), (m, M) and (m, U): the rows of a greedy pivoted Cholesky
+    factorisation of K over the stacked points [x; extra], K ~ L^T L for L =
+    [Lx, L+]; or None if the rank passes ``cap``.
+
+    Each step pivots on the largest residual diagonal (the first one on a
+    tie, so the build is deterministic), builds that point's kernel row,
+    subtracts L[:j]^T L[:j, p] (level-2 products) and scales by the square
+    root of the pivot.  The build stops once the largest residual diagonal
+    is at most ``tol``, after at least one pivot.  It gives up once ``cap``
+    rows do not reach it, or at cap / 4 rows if the largest residual has not
+    yet fallen from 1 to tol ** _QUARTER_DECAY, so a high-rank system wastes
+    a sixteenth of a capped build.  The (cap, .) buffers are shrunk in place
+    to the m rows kept; rows past m are never written.
     """
-    x = np.atleast_2d(np.asarray(train_inputs, dtype=float))
+    from scipy.linalg.blas import dgemv
+
     m = x.shape[0]
-    if m == 0:
-        raise ValueError("training set is empty")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("training inputs must not contain infs or NaNs")
-    # imported here: scipy.linalg adds ~0.3 s to every import of the
-    # package, and only the stages that fit a ridge system factor one
+    u = _scaled(spec, np.concatenate([x, extra]))
+    parts = [(np.ascontiguousarray(u[:m].T), np.empty((cap, m))),
+             (np.ascontiguousarray(u[m:].T), np.empty((cap, extra.shape[0])))]
+    resid = np.ones(u.shape[0])
+    for j in range(cap + 1):
+        p = int(np.argmax(resid))
+        if j and resid[p] <= tol:
+            break
+        if j == cap or (j == cap // 4 and resid[p] > tol ** _QUARTER_DECAY):
+            return None
+        pivot = np.sqrt(resid[p])
+        owner, at = parts[p >= m][1], p - m * (p >= m)
+        coef = owner[:j, at] / pivot
+        for ut, rows in parts:
+            row = rows[j]
+            _kernel_row(ut, u[p], row)
+            row /= pivot
+            if j and row.size:
+                # row -= L[:j]^T coef; L[:j].T is F-ordered, so BLAS reads it in place
+                dgemv(-1.0, rows[:j].T, coef, beta=1.0, y=row, overwrite_y=True)
+        resid[:m] -= parts[0][1][j] ** 2
+        resid[m:] -= parts[1][1][j] ** 2
+        resid[p] = 0.0
+    del row
+    for _, rows in parts:
+        rows.resize((j, rows.shape[1]), refcheck=False)
+    return parts[0][1], parts[1][1]
+
+
+def _low_rank_factor(spec: KernelSpec, lx: np.ndarray) -> np.ndarray:
+    """C, the lower Cholesky factor of M lam I + Lx Lx^T, (m, m), for the
+    pivoted rows Lx (m, M) (LAPACK ``dpotrf``)."""
+    from scipy.linalg.lapack import dpotrf
+
+    mu = lx.shape[1] * spec.lam
+    core = lx @ lx.T
+    # Woodbury divides by M lam: below rounding of the core's diagonal the
+    # solve is as singular as the dense factor would be
+    if mu <= np.finfo(float).eps * np.trace(core):
+        raise NumericError(
+            f"ridge system numerically singular: M*lam = {mu:.3e} is below rounding "
+            f"against the trace {np.trace(core):.3e} of its rank-{lx.shape[0]} kernel; "
+            "increase lam or deduplicate inputs"
+        )
+    core[np.diag_indices_from(core)] += mu
+    c, info = dpotrf(core, lower=1, clean=1, overwrite_a=1)
+    if info != 0:
+        raise NumericError(
+            f"low-rank ridge core not positive definite: its leading minor of order {info} "
+            f"(of {lx.shape[0]}) failed to factor with M*lam = {mu:.3e}; "
+            "increase lam or deduplicate inputs"
+        )
+    return c
+
+
+def _dense_factor(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
+    """The RFP array of the factored system padded to order n = M rounded
+    up to _PAD with identity rows, [[K + M lam I, 0], [0, I]], whose factor
+    is [[L, 0], [0, I]] (see GramSystem).
+
+    The system is built, regularized and factored in one array of
+    n(n+1)/2 doubles: ``gram_matrix`` computes each entry of the lower
+    triangle once, but for the upper halves of small diagonal blocks, and
+    LAPACK ``dpftrf`` factors the array in place.  A failed factorization
+    raises NumericError naming the order of the leading minor that failed
+    and M lam; it holds no second system array and does no work past the
+    failed factorization.
+    """
     from scipy.linalg.lapack import dpftrf
 
+    m = x.shape[0]
     n = _padded(m)
     k = n // 2
     rfp = np.zeros(n * (n + 1) // 2)
@@ -440,4 +626,59 @@ def fit_weights(spec: KernelSpec, train_inputs: np.ndarray) -> GramSystem:
             f"(of {m}) failed to factor with M*lam = {m * spec.lam:.3e} on the diagonal; "
             "increase lam or deduplicate inputs"
         )
-    return GramSystem(spec=spec, inputs=x, _factor=rfp)
+    return rfp
+
+
+def _finite_points(points, name: str) -> np.ndarray:
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must not contain infs or NaNs")
+    return x
+
+
+def fit_system(spec: KernelSpec, train_inputs: np.ndarray,
+               extra_points: np.ndarray | None = None) -> GramSystem:
+    """Build and factor the ridge system K + M lam I over ``train_inputs``,
+    with the kernel at ``extra_points`` (U, d) for ``extra_expansion``.
+
+    Rank alone picks the representation (see GramSystem).  A greedy
+    pivoted Cholesky factorisation of K over the N = M + U stacked points
+    [train_inputs; extra_points] runs until the largest residual diagonal
+    is at most _PIVOT_TOL * M lam.  If that takes at most M / _RANK_SHARE
+    rows, the system is low rank: it holds those rows and the factor of
+    their (m, m) Woodbury core, 8 m (M + U) + 8 m^2 bytes.  Otherwise the
+    pivoted rows are dropped and the dense system is built and factored in
+    RFP storage (``_dense_factor``), 4 n (n + 1) bytes for n = M rounded up
+    to _PAD, beside the (U, M) rows K(extra_points, train_inputs).  The
+    pivoted attempt costs about cap^2 N / 2 multiply-adds for cap =
+    M / _RANK_SHARE, and a sixteenth of that where the residual's decay at a
+    quarter of the cap shows the rank is high (see _pivoted_rows).
+
+    On the low-rank path the residual K - L^T L is positive semidefinite
+    with diagonal at most _PIVOT_TOL * M lam, so every kernel entry among
+    the N points is off by at most that, against the ridge M lam on the
+    diagonal; the dense path is exact.  A numerically singular system
+    raises NumericError naming M lam on either path.
+    """
+    x = _finite_points(train_inputs, "training inputs")
+    m = x.shape[0]
+    if m == 0:
+        raise ValueError("training set is empty")
+    extra = x[:0] if extra_points is None else _finite_points(extra_points, "extra points")
+    if extra.shape[1] != x.shape[1]:
+        raise ValueError(f"extra points of dimension {extra.shape[1]}, but training inputs "
+                         f"of dimension {x.shape[1]}")
+    cap = m // _RANK_SHARE
+    rows = _pivoted_rows(spec, x, extra, _PIVOT_TOL * m * spec.lam, cap) if cap else None
+    if rows is not None:
+        lx, lp = rows
+        return GramSystem(spec=spec, inputs=x, _factor=_low_rank_factor(spec, lx),
+                          _basis=lx, _extra=lp)
+    factor = _dense_factor(spec, x)
+    return GramSystem(spec=spec, inputs=x, _factor=factor, _extra=gram_matrix(spec, extra, x))
+
+
+def fit_weights(spec: KernelSpec, train_inputs: np.ndarray) -> GramSystem:
+    """``fit_system`` with no extra points: the ridge system of a caller
+    that queries it through ``solve``, ``expand`` and ``weights_at`` alone."""
+    return fit_system(spec, train_inputs)

@@ -8,6 +8,7 @@ from safecert import (
     KernelSpec,
     SafeRegion,
     SynthSystemParams,
+    default_kernel_spec,
     default_safe_region,
     extract_onestep_pairs,
     gen_dataset,
@@ -34,6 +35,19 @@ def small_pairs(markov_params, region):
     return extract_onestep_pairs(
         None, 400, "iid", 11, params=markov_params, region=region
     )
+
+
+@pytest.fixture(scope="session")
+def desk_pairs(markov_params, region):
+    """M = 4500 iid pairs on the box: the acceptance desk scale, where the
+    pivoted rank of the tuned T = 15 dp kernel over [x; x+] (about 510)
+    stays under M / 8 and the ridge system takes the low-rank path."""
+    return extract_onestep_pairs(None, 4500, "iid", 1, params=markov_params, region=region)
+
+
+@pytest.fixture(scope="session")
+def desk_spec() -> KernelSpec:
+    return default_kernel_spec("dp", 15)
 
 
 @pytest.fixture(scope="session")

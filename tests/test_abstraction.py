@@ -21,7 +21,7 @@ from safecert import (
     ssr_backward,
     ssr_value_iteration,
 )
-from safecert.abstraction import _order_max
+from safecert.abstraction import _ROW_BLOCK, _order_max
 from safecert.kernels import query_blocks
 
 UNIT_SQUARE = SafeRegion(
@@ -519,6 +519,26 @@ class TestIntervalModel:
         finally:
             tracemalloc.stop()
         assert peak < probs.nbytes
+
+    def test_thin_rows_hold_a_few_row_blocks(self):
+        """Uniform 1/n rows with radius 0.5/n keep budget to the last column,
+        so every row stays active through the widest chunk of
+        order-maximisation (n/2 columns); each chunk runs one block of
+        _ROW_BLOCK rows at a time, so the iteration holds a few (_ROW_BLOCK,
+        n) arrays beside the 20.5 MB matrix, where whole chunks took 28.7 MB."""
+        part = build_partition(UNIT_SQUARE, (40, 40))
+        n = part.n_cells
+        probs = np.full((n, n), 1.0 / n)
+        small = build_partition(UNIT_SQUARE, (2, 2))
+        imp_value_iteration(IntervalModel.from_radii(np.eye(4), 0.01), small, 2)  # imports done
+        tracemalloc.start()
+        try:
+            v = imp_value_iteration(IntervalModel.from_radii(probs, 0.5 / n), part, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all((v >= 0) & (v <= 1)) and np.any(v > 0)
+        assert peak < 4 * _ROW_BLOCK * n * 8 < probs.nbytes
 
     @pytest.mark.parametrize("radius", [np.nan, [[0.1, np.nan], [0.1, 0.1]], -0.1])
     def test_negative_or_nan_radius_rejected(self, radius):

@@ -504,15 +504,17 @@ class TestPipeline:
 
         for name in ("fit_direct", "fit_dp"):
             monkeypatch.setattr(safecert.cli, name, tracked(getattr(safecert.cli, name)))
-        fit_weights = safecert.kernels.fit_weights
+        def checked(fit):
+            def wrapper(*a, **kw):
+                fits.append([ref for ref in built if ref() is not None])
+                return fit(*a, **kw)
 
-        def checked_fit_weights(*a, **kw):
-            fits.append([ref for ref in built if ref() is not None])
-            return fit_weights(*a, **kw)
+            return wrapper
 
-        # the modules that fit a ridge system hold fit_weights under their own names
-        for module in (safecert.direct, safecert.dp, safecert.barrier):
-            monkeypatch.setattr(module, "fit_weights", checked_fit_weights)
+        # the modules that fit a ridge system hold its builder under their own names
+        for module, name in ((safecert.direct, "fit_weights"), (safecert.dp, "fit_system"),
+                             (safecert.barrier, "fit_weights")):
+            monkeypatch.setattr(module, name, checked(getattr(module, name)))
         gc.disable()
         try:
             assert run("certify", "--config", str(config), "--out", out) == 0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from safecert import (
     SsrParams,
     backward_value,
     build_partition,
+    eval_grid,
     is_safe,
     evaluate_dp,
     fit_dp,
@@ -284,7 +287,7 @@ class TestFittedModels:
         region = SafeRegion(low=(-4.0, -4.0), high=(4.0, 4.0), obstacles=())
         model = fit_dp(KernelSpec.isotropic(0.8, 2, 1e-2), OneStepPairs(x=x, x_next=x_next), region)
         assert model.source.tolist() == [0, -1, -1, 3]
-        assert model.k_next.shape == (2, 4)
+        assert model.gram.rank is None and model.gram._extra.shape == (2, 4)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_source_rows_match_a_dict_of_row_bytes(self, seed):
@@ -379,7 +382,7 @@ class TestFittedModels:
         solve as "right-hand side must not contain infs or NaNs"."""
         pairs = OneStepPairs(x=np.zeros((3, 2)), x_next=x_next)
         region = SafeRegion(low=(-1.0, -1.0), high=(1.0, 1.0), obstacles=())
-        monkeypatch.setattr("safecert.dp.fit_weights", lambda *a: pytest.fail("fitted"))
+        monkeypatch.setattr("safecert.dp.fit_system", lambda *a: pytest.fail("fitted"))
         with pytest.raises(ValueError, match=named):
             fit_dp(KernelSpec.isotropic(1.0, 2, 1e-2), pairs, region)
 
@@ -388,6 +391,63 @@ class TestFittedModels:
         region = SafeRegion(low=(-1.0, -1.0), high=(1.0, 1.0), obstacles=())
         with pytest.raises(ValueError):
             fit_dp(KernelSpec.isotropic(1.0, 2, 1e-2), pairs, region, ambiguity=-0.1)
+
+
+@pytest.fixture(scope="module")
+def desk_models(desk_pairs, desk_spec, region) -> tuple[DpModel, DpModel]:
+    """(low rank, dense) dp models of the desk pairs, the dense one fitted
+    with the rank cap at zero."""
+    low = fit_dp(desk_spec, desk_pairs, region)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("safecert.kernels._RANK_SHARE", desk_pairs.x.shape[0] + 1)
+        dense = fit_dp(desk_spec, desk_pairs, region)
+    return low, dense
+
+
+class TestLowRankModels:
+    @pytest.mark.parametrize("ambiguity", [0.0, 1e-5])
+    def test_backward_pass_and_queries_match_the_dense_core(self, desk_models, region, ambiguity):
+        """The low-rank transfer L+^T (Lx alpha) and Woodbury solves give the
+        value stack and V0 on a 20 x 20 grid of the dense core within 1e-8,
+        with and without the norm penalty."""
+        low, dense = (replace(model, ambiguity=ambiguity) for model in desk_models)
+        assert low.gram.rank is not None and dense.gram.rank is None
+        got, want = backward_value(low, 15), backward_value(dense, 15)
+        assert max(np.max(np.abs(g.v - w.v)) for g, w in zip(got, want)) <= 1e-8
+        grid = eval_grid(region, (20, 20))
+        v0 = evaluate_dp(low, got, grid)
+        assert np.any((v0 > 0.0) & (v0 < 1.0))
+        assert np.max(np.abs(v0 - evaluate_dp(dense, want, grid))) <= 1e-8
+
+    def test_low_rank_model_holds_its_rows_and_core(self, desk_models):
+        """Lx and L+ (m x M and m x n_unmatched) and the m x m core:
+        8 m (M + n_unmatched) + 8 m^2 + O(M) bytes, with no packed factor
+        and no rows of K(x+, x)."""
+        low, dense = desk_models
+        m, M = low.gram.rank, low.n
+        unmatched = int(np.count_nonzero(low.source < 0))
+        assert unmatched == M
+        assert held_bytes(low) <= 8 * m * (M + unmatched) + 8 * m * m + 64 * M
+        assert 5 * held_bytes(low) < held_bytes(dense)
+
+    def test_tiny_lengthscale_model_stays_dense(self):
+        """At a lengthscale far below the spacing of the pairs the pivoted
+        build reaches M / 8 rows and is dropped: the model holds the packed
+        factor and K(x+, x) as before, and applies the transfer with the
+        bytes of K(x+, x) @ (K + M lam I)^{-1} v."""
+        rng = np.random.default_rng(44)
+        m = 400
+        n = -(-m // 16) * 16
+        x = rng.uniform(-2, 2, size=(m, 2))
+        pairs = OneStepPairs(x=x, x_next=x + 0.3 * rng.standard_normal((m, 2)))
+        region = SafeRegion(low=(-4.0, -4.0), high=(4.0, 4.0), obstacles=())
+        spec = KernelSpec.isotropic(0.02, 2, 1e-4)
+        model = fit_dp(spec, pairs, region)
+        assert model.gram.rank is None
+        assert held_bytes(model) <= 4 * n * (n + 1) + 8 * m * m + 64 * m
+        v = rng.uniform(0, 1, size=m)
+        want = gram_matrix(spec, pairs.x_next, pairs.x) @ model.gram.solve(v)
+        assert model.apply(v).tobytes() == want.tobytes()
 
 
 def _ssr_with_slack(delta) -> np.ndarray:

@@ -12,7 +12,15 @@ from safecert import (
     fit_weights,
     gram_matrix,
 )
-from safecert.kernels import _BLOCK_ENTRIES, QUERY_BLOCK_BYTES, _padded, query_blocks
+from safecert import kernels
+from safecert.kernels import (
+    _BLOCK_ENTRIES,
+    QUERY_BLOCK_BYTES,
+    _dense_factor,
+    _padded,
+    fit_system,
+    query_blocks,
+)
 
 
 def manual_kernel(x, y, ls):
@@ -457,3 +465,73 @@ class TestQueryBlocks:
             tracemalloc.stop()
         assert out.shape == (20000,)
         assert peak < 2 * QUERY_BLOCK_BYTES
+
+
+@pytest.fixture(scope="module")
+def desk_systems(desk_pairs, desk_spec) -> tuple[GramSystem, GramSystem]:
+    """(low rank, dense): the ridge system over the desk inputs with their
+    next states as extra points, as fit_system builds it, and with the rank
+    cap at zero, which sends the same inputs down the dense path."""
+    x, extra = desk_pairs.x, desk_pairs.x_next
+    low = fit_system(desk_spec, x, extra)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_RANK_SHARE", x.shape[0] + 1)
+        dense = fit_system(desk_spec, x, extra)
+    return low, dense
+
+
+class TestLowRank:
+    def test_desk_system_takes_the_low_rank_path(self, desk_systems):
+        low, dense = desk_systems
+        m = low.size
+        assert dense.rank is None
+        assert 0 < low.rank <= m // kernels._RANK_SHARE
+        assert low._basis.shape == (low.rank, m) and low._extra.shape == (low.rank, m)
+        assert low._factor.shape == (low.rank, low.rank)
+
+    def test_solves_match_the_dense_core(self, desk_systems):
+        """Vector and column solves agree with the dense core within 1e-8 of
+        the coefficients' scale (|alpha| reaches about 600 here), and the
+        expansions at the extra points within 1e-8."""
+        low, dense = desk_systems
+        rng = np.random.default_rng(41)
+        b = rng.uniform(0, 1, size=(low.size, 3))
+        want = dense.solve(b)
+        scale = np.max(np.abs(want))
+        assert scale > 1.0
+        assert np.max(np.abs(low.solve(b) - want)) <= 1e-8 * scale
+        vec = low.solve(b[:, 0])
+        assert vec.shape == (low.size,)
+        assert np.max(np.abs(vec - want[:, 0])) <= 1e-8 * scale
+        assert np.max(np.abs(low.extra_expansion(vec) - dense.extra_expansion(want[:, 0]))) <= 1e-8
+        assert low.representer_norm(b[:, 0], vec) == pytest.approx(
+            dense.representer_norm(b[:, 0], want[:, 0]), abs=1e-8)
+
+    def test_weights_match_the_dense_core(self, desk_systems):
+        low, dense = desk_systems
+        q = np.random.default_rng(42).uniform((-0.5, -0.5), (5.0, 2.5), size=(300, 2))
+        got = low.weights_at(q)
+        assert got.shape == (300, low.size)
+        assert np.max(np.abs(got - dense.weights_at(q))) <= 1e-8
+
+    @pytest.mark.parametrize("extra, named", [
+        (np.zeros((3, 3)), "extra points of dimension 3, but training inputs of dimension 2"),
+        (np.array([[0.0, np.inf]]), "extra points must not contain infs or NaNs"),
+    ], ids=["dimension", "inf"])
+    def test_bad_extra_points_are_refused(self, extra, named):
+        x = np.random.default_rng(45).uniform(-2, 2, size=(100, 2))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            fit_system(KernelSpec.isotropic(0.8, 2, 1e-3), x, extra)
+
+    def test_high_rank_system_keeps_the_dense_bytes(self):
+        """At a lengthscale far below the spacing of the inputs the pivoted
+        build reaches M / 8 rows and is dropped: the system holds the RFP
+        factor and K(extra, inputs) of the dense build alone."""
+        rng = np.random.default_rng(43)
+        x = rng.uniform(-2, 2, size=(400, 2))
+        extra = rng.uniform(-2, 2, size=(50, 2))
+        spec = KernelSpec.isotropic(0.02, 2, 1e-4)
+        sys = fit_system(spec, x, extra)
+        assert sys.rank is None and sys._basis is None
+        assert sys._factor.tobytes() == _dense_factor(spec, x).tobytes()
+        assert sys._extra.tobytes() == gram_matrix(spec, extra, x).tobytes()
