@@ -432,9 +432,9 @@ class TestLowRankModels:
 
     def test_tiny_lengthscale_model_stays_dense(self):
         """At a lengthscale far below the spacing of the pairs the pivoted
-        build reaches M / 8 rows and is dropped: the model holds the packed
-        factor and K(x+, x) as before, and applies the transfer with the
-        bytes of K(x+, x) @ (K + M lam I)^{-1} v."""
+        build's residual hardly falls and its rows are dropped: the model
+        holds the packed factor and K(x+, x) as before, and applies the
+        transfer with the bytes of K(x+, x) @ (K + M lam I)^{-1} v."""
         rng = np.random.default_rng(44)
         m = 400
         n = -(-m // 16) * 16

@@ -525,8 +525,8 @@ class TestLowRank:
 
     def test_high_rank_system_keeps_the_dense_bytes(self):
         """At a lengthscale far below the spacing of the inputs the pivoted
-        build reaches M / 8 rows and is dropped: the system holds the RFP
-        factor and K(extra, inputs) of the dense build alone."""
+        build's residual hardly falls and its rows are dropped: the system
+        holds the RFP factor and K(extra, inputs) of the dense build alone."""
         rng = np.random.default_rng(43)
         x = rng.uniform(-2, 2, size=(400, 2))
         extra = rng.uniform(-2, 2, size=(50, 2))
@@ -535,3 +535,10 @@ class TestLowRank:
         assert sys.rank is None and sys._basis is None
         assert sys._factor.tobytes() == _dense_factor(spec, x).tobytes()
         assert sys._extra.tobytes() == gram_matrix(spec, extra, x).tobytes()
+
+    def test_singular_low_rank_core_is_refused(self):
+        """1000 copies of one point have rank 1, but at M lam = 1e-297 the
+        Woodbury division would overflow: NumericError, as the dense factor
+        would raise."""
+        with pytest.raises(NumericError, match=r"M\*lam = 1\.000e-297 is below rounding"):
+            fit_system(KernelSpec.isotropic(1.0, 2, 1e-300), np.zeros((1000, 2)))
