@@ -152,7 +152,7 @@ def empirical_cell_probs(part: Partition, dp_model: DpModel) -> np.ndarray:
 
 
 _FEAS_TOL = 1e-9
-_ROW_BLOCK = 256    # rows per block of a feasibility check, of lower @ v and of an order-max chunk
+_ROW_BLOCK = 256    # rows per block of a feasibility check, of lower @ v and of order-max
 _FIRST_CHUNK = 32   # columns in the first chunk of order-maximisation
 
 
@@ -291,8 +291,9 @@ def _order_max(
     width) temporaries, and at one BLAS thread ``add @ v[cols]`` gives each
     row the bytes of one product over every active row.  The budget left
     before each column is a running sum of the negated gaps, the same
-    subtractions in the same order as a column-by-column loop.  When ``p`` (len(rows), n)
-    holds lower[rows], the minimising distributions are written into it.
+    subtractions in the same order as a column-by-column loop.  When ``p``
+    (len(rows), n) holds lower[rows], the minimising distributions are
+    written into it.
     """
     active = np.flatnonzero(budget > 0.0)   # positions in rows
     left = budget[active]

@@ -532,9 +532,10 @@ def _pivoted_rows(spec: KernelSpec, x: np.ndarray, extra: np.ndarray, tol: float
 
     m = x.shape[0]
     u = _scaled(spec, np.concatenate([x, extra]))
-    parts = [(np.ascontiguousarray(u[:m].T), np.empty((cap, m))),
-             (np.ascontiguousarray(u[m:].T), np.empty((cap, extra.shape[0])))]
     resid = np.ones(u.shape[0])
+    # (scaled coordinates (d, .), rows, residual diagonal) of x and of extra
+    parts = [(np.ascontiguousarray(u[:m].T), np.empty((cap, m)), resid[:m]),
+             (np.ascontiguousarray(u[m:].T), np.empty((cap, extra.shape[0])), resid[m:])]
     for j in range(cap + 1):
         p = int(np.argmax(resid))
         if j and resid[p] <= tol:
@@ -544,18 +545,17 @@ def _pivoted_rows(spec: KernelSpec, x: np.ndarray, extra: np.ndarray, tol: float
         pivot = np.sqrt(resid[p])
         owner, at = parts[p >= m][1], p - m * (p >= m)
         coef = owner[:j, at] / pivot
-        for ut, rows in parts:
+        for ut, rows, r in parts:
             row = rows[j]
             _kernel_row(ut, u[p], row)
             row /= pivot
             if j and row.size:
                 # row -= L[:j]^T coef; L[:j].T is F-ordered, so BLAS reads it in place
                 dgemv(-1.0, rows[:j].T, coef, beta=1.0, y=row, overwrite_y=True)
-        resid[:m] -= parts[0][1][j] ** 2
-        resid[m:] -= parts[1][1][j] ** 2
+            r -= row * row
         resid[p] = 0.0
-    del row
-    for _, rows in parts:
+    del row  # no view of a buffer may outlive its resize
+    for _, rows, _ in parts:
         rows.resize((j, rows.shape[1]), refcheck=False)
     return parts[0][1], parts[1][1]
 
