@@ -123,6 +123,8 @@ def parse_config(text: str) -> dict:
 def _validate(v: dict) -> None:
     if v["data.mode"] not in _VALID_MODES:
         raise ConfigError(f"data.mode must be one of {_VALID_MODES}")
+    if not v["methods"]:
+        raise ConfigError(f"methods must be nonempty; valid: {METHODS}")
     for i, m in enumerate(v["methods"]):
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; valid: {METHODS}")

@@ -11,26 +11,12 @@ the sampled next states, so each backward step applies the transfer operator
     transfer[i, j] = w_j(x_i^+),   transfer = K(x^+, x) (K + M lam I)^{-1},
 
 to the value vector.  The operator is never formed: each application is one
-single-vector solve alpha = (K + M lam I)^{-1} v with the Cholesky factor,
-followed by K(x^+, x) @ alpha, and the whole pass costs T solves instead of
-an M x M solve with M right-hand sides.
-
-Where a next state x_i^+ is bitwise a training input x_j, as it is for most
-pairs sliced out of trajectories, row j of the ridge system gives its row of
-the product for free: K(x_j, x) @ alpha = v_j - M lam alpha_j.  The other
-next states are the ridge system's extra points (``kernels.fit_system``),
-and what a fit holds depends on the system's rank:
-
-* low rank (rank m at most M / 8, the acceptance desk cell and the default
-  iid cells): the pivoted Cholesky rows over [x; unmatched x^+] and the
-  m x m Woodbury core, 8 m (M + n_unmatched) + 8 m^2 bytes, and the
-  unmatched rows of the product are L+^T (Lx alpha).  The matched-row
-  identity holds exactly for the approximated kernel L^T L, so both kinds
-  of row come from one approximated operator;
-* dense: the packed Cholesky factor (n(n+1)/2 doubles, n = M rounded up
-  to 16: about half an M x M array) plus the rows of K(x^+, x) at the
-  unmatched next states, an (M - matched) x M block: one and a half M x M
-  arrays for iid pairs, little more than half of one for dependent pairs.
+single-vector solve alpha = (K + M lam I)^{-1} v, followed by K(x^+, x) @
+alpha at the next states, which are the extra points of the ridge system
+(``kernels.fit_system``, ``GramSystem.extra_expansion``); the whole pass
+costs T solves instead of an M x M solve with M right-hand sides.  A next
+state that is bitwise a training input takes its row from the ridge system
+there, so dependent pairs hold the kernel at few next states.
 
 With eps = 0 the norm penalty vanishes; otherwise ||V|| is approximated by
 the representer norm of the ridge interpolant of the value vector, a finite
@@ -45,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmark import OneStepPairs, SafeRegion, is_safe
-from .kernels import KAPPA, GramSystem, KernelSpec, fit_system, gram_matrix
+from .kernels import KAPPA, GramSystem, KernelSpec, fit_system
 
 __all__ = [
     "DpModel",
@@ -80,20 +66,18 @@ class DpModel:
     """One-step conditional model over transition samples.
 
     A kernel-backed model (``fit_dp``) holds the factored ridge system over
-    the source states, with the unmatched next states as its extra points,
-    and ``source`` (the training input each next state bitwise equals, or
-    -1).  ``next_expansion`` assembles K(x^+, x) @ alpha from the two, and
-    every application of the transfer operator goes through it.  A chain
-    model (``from_transfer``) holds an explicit transfer matrix instead.
+    the source states with every next state as an extra point, and every
+    application of the transfer operator is its ``extra_expansion``.  A
+    chain model (``from_transfer``) holds an explicit transfer matrix
+    instead.
     """
 
     safe_mask_next: np.ndarray    # (M,) floats, 1_S at the sampled next states
     region: SafeRegion | None
     ambiguity: float = 0.0
-    # over source states, extra points x_i^+ where source[i] < 0; None for exact chains
+    # over source states, with extra points x_next; None for exact chains
     gram: GramSystem | None = None
     x_next: np.ndarray | None = None
-    source: np.ndarray | None = None   # (M,) j with x_i^+ bitwise x_j, or -1
     explicit: np.ndarray | None = None  # (M, M) transfer matrix; chains only
 
     def __post_init__(self) -> None:
@@ -121,38 +105,22 @@ class DpModel:
         """transfer @ v for a value vector v at the sampled next states."""
         if self.explicit is not None:
             return self.explicit @ v
-        return self.next_expansion(v, self.gram.solve(v))
-
-    def next_expansion(self, v: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-        """K(x^+, x) @ alpha at the sampled next states, for alpha = (K + M lam I)^{-1} v.
-
-        A next state that is the training input x_j takes row j of the ridge
-        system, v_j - M lam alpha_j; the others are the system's extra
-        points (``GramSystem.extra_expansion``).  On the dense path, with no
-        matched rows (iid pairs), this is exactly K(x^+, x) @ alpha; on the
-        low-rank path both parts are those of the approximated kernel.
-        """
-        hit = self.source >= 0
-        out = np.empty(self.n)
-        out[~hit] = self.gram.extra_expansion(alpha)
-        j = self.source[hit]
-        out[hit] = self.gram.fitted(v[j], alpha[j])
-        return out
+        return self.gram.extra_expansion(v, self.gram.solve(v))
 
     @property
     def transfer(self) -> np.ndarray:
         """The transfer matrix, transfer[i, j] = w_j(x_i^+).
 
-        A kernel-backed model rebuilds K(x^+, x) at every next state and
-        materialises the transfer with an M x M solve with M right-hand
-        sides: O(M^3) work and two more M x M arrays.  Its rows take the
-        exact kernel at every next state, where a low-rank model's ``apply``
-        takes L+^T Lx at the unmatched ones.  It is meant for diagnostics and
-        tests; nothing in the fit or the recursion reads it.
+        A kernel-backed model materialises it as the extra expansion of
+        the identity, K(x^+, x) (K + M lam I)^{-1}: an M x M solve with M
+        right-hand sides, O(M^3) work and a few M x M arrays.  Its rows
+        are those ``apply`` uses.  It is meant for diagnostics and tests;
+        nothing in the fit or the recursion reads it.
         """
         if self.explicit is not None:
             return self.explicit
-        return self.gram.solve(gram_matrix(self.gram.spec, self.x_next, self.gram.inputs).T).T
+        eye = np.eye(self.n)
+        return self.gram.extra_expansion(eye, self.gram.solve(eye))
 
 
 def _penalised_step(model: DpModel, v: np.ndarray) -> tuple[np.ndarray, float]:
@@ -168,31 +136,11 @@ def _penalised_step(model: DpModel, v: np.ndarray) -> tuple[np.ndarray, float]:
     return alpha, model.ambiguity * KAPPA * model.gram.representer_norm(v, alpha)
 
 
-def _source_rows(inputs: np.ndarray, x_next: np.ndarray) -> np.ndarray:
-    """source[i] = the first j whose inputs[j] is bitwise x_next[i], or -1.
-
-    Rows are compared by their bytes, never within a tolerance: each row is
-    one opaque void item, ``np.unique`` sorts the inputs' items and keeps
-    the first j of each, and ``searchsorted`` finds each next state among
-    them, in O(M log M) and a few (M,) arrays.  -0.0 and +0.0 differ there,
-    which only costs a stored row.
-    """
-    def rows(a: np.ndarray) -> np.ndarray:
-        a = np.ascontiguousarray(a)
-        return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
-
-    keys, first = np.unique(rows(inputs), return_index=True)
-    query = rows(x_next)
-    at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
-    hit = keys[at] == query
-    return np.where(hit, first[at], -1).astype(np.intp)
-
-
 def fit_dp(
     spec: KernelSpec, pairs: OneStepPairs, region: SafeRegion, ambiguity: float = 0.0
 ) -> DpModel:
-    """Factor the ridge system over source states, with the next states
-    that are not training inputs as its extra points (``fit_system``).
+    """Factor the ridge system over source states, with the next states as
+    its extra points (``fit_system``).
 
     ``pairs.x_next`` must hold one finite row per row of ``pairs.x``, of the
     same dimension; otherwise ValueError, before anything is fitted.
@@ -205,14 +153,12 @@ def fit_dp(
     bad = np.flatnonzero(~np.all(np.isfinite(x_next), axis=1))
     if bad.size:
         raise ValueError(f"pairs.x_next row {bad[0]} is not finite: {x_next[bad[0]].tolist()}")
-    source = _source_rows(x, x_next)
     return DpModel(
         safe_mask_next=is_safe(region, x_next).astype(float),
         region=region,
         ambiguity=ambiguity,
-        gram=fit_system(spec, x, x_next[source < 0]),
+        gram=fit_system(spec, x, x_next),
         x_next=x_next,
-        source=source,
     )
 
 
@@ -229,7 +175,7 @@ def backward_value(model: DpModel, T: int) -> list[ValueVector]:
     for level in range(T - 1, -1, -1):
         if model.ambiguity > 0:
             alpha, penalty = _penalised_step(model, v)
-            tv = model.next_expansion(v, alpha)
+            tv = model.gram.extra_expansion(v, alpha)
         else:
             tv, penalty = model.apply(v), 0.0
         v = model.safe_mask_next * np.clip(tv - penalty, 0.0, 1.0)

@@ -14,17 +14,21 @@ A fitted system (``GramSystem``, built by ``fit_system``) takes one of two
 representations, and its rank alone decides which:
 
 * low rank: a greedy pivoted Cholesky factorisation of K over the training
-  inputs and any extra points the caller evaluates the kernel at (dp's
-  next states), K ~ L^T L with L of m rows, and the Cholesky factor of the
-  m x m Woodbury core M lam I + Lx Lx^T: 8 m (M + U) + 8 m^2 bytes for U
-  extra points.  The build stops once every residual diagonal is at most
-  _PIVOT_TOL * M lam (1e-11 * M lam), so each kernel entry among those
-  points is off by at most that, and solves are Woodbury's identity;
+  inputs and the U extra points the caller evaluates the kernel at (dp's
+  next states) that are not bitwise training inputs, K ~ L^T L with L of
+  m rows, and the Cholesky factor of the m x m Woodbury core
+  M lam I + Lx Lx^T: 8 m (M + U) + 8 m^2 bytes.  The build stops once
+  every residual diagonal is at most _PIVOT_TOL * M lam (1e-11 * M lam),
+  so each kernel entry among those points is off by at most that, and
+  solves are Woodbury's identity;
 * dense, where that takes more than M / _RANK_SHARE rows (M / 8): the
   Cholesky factor in rectangular full packed storage, the lower triangle
   alone, n(n+1)/2 doubles for the system padded to n = M rounded up to a
   multiple of 16, built in place and factored and solved by level-3 LAPACK
-  (``dpftrf``, ``dpftrs``), beside the rows K(extra, inputs).
+  (``dpftrf``, ``dpftrs``), beside the rows K(unmatched, inputs), (U, M).
+
+An extra point that is bitwise a training input takes its kernel row from
+the ridge system instead (see ``fit_system``).
 
 The 2-D Gaussian systems of the acceptance desk cell (M = 4500 iid pairs,
 T = 15) have rank about 510 of M / 8 = 562 and take the first, as do the
@@ -83,12 +87,12 @@ QUERY_BLOCK_BYTES = 4 << 20
 # take 4.0 s in one call, 7.1 s in 32-row blocks)
 _MIN_ROWS = 512
 
-# a ridge system is stored padded to a multiple of this order, so k = n/2 is
-# a multiple of 8: then, at one BLAS thread, dpftrs over the blocks of
-# query_blocks gives the bytes of one call over all the columns (seen for
-# n from 1984 to 2048 on a 2-core Xeon; unpadded orders such as 1990 and
-# 2011 differed in the last bits).  Blocks of one or three columns may
-# still differ from one call.
+# a dense ridge system is stored padded to a multiple of this order, so
+# k = n/2 is a multiple of 8: then, at one BLAS thread, dpftrs over the
+# blocks of query_blocks gives the bytes of one call over all the columns
+# (seen for n from 1984 to 2048 on a 2-core Xeon; unpadded orders such as
+# 1990 and 2011 differed in the last bits).  Blocks of one or three columns
+# may still differ from one call.
 _PAD = 16
 
 # rows per block of a triangle of the Gram build: the diagonal square of a
@@ -203,16 +207,24 @@ def gram_matrix(spec: KernelSpec, x: np.ndarray, y: np.ndarray | None = None, *,
     vt = np.ascontiguousarray((u if y is None else _scaled(spec, y)).T)
     n, m = u.shape[0], vt.shape[1]
     if out is None:
-        k = np.empty((n, m))
+        out = np.empty((n, m))
     elif out.shape != (n, m) or out.dtype != np.float64:
         raise ValueError(f"out must be a float64 array of shape {(n, m)}, "
                          f"not {out.dtype} of shape {out.shape}")
-    else:
-        k = out
+    _gaussian(u, vt, out)
+    return out
+
+
+def _gaussian(u: np.ndarray, vt: np.ndarray, out: np.ndarray) -> None:
+    """exp(-0.5 sum_l (vt[l, j] - u[i, l])^2) into ``out`` (n, m), for the
+    scaled coordinates u (n, d) of the rows and vt (d, m) of the columns,
+    one contiguous row of vt per dimension: the block loop of
+    ``gram_matrix``."""
+    n, m = out.shape
     rows = max(1, _BLOCK_ENTRIES // max(m, 1))
     scratch = np.empty((min(rows, n), m))
     for r0 in range(0, n, rows):
-        block = k[r0:r0 + rows]
+        block = out[r0:r0 + rows]
         ub = u[r0:r0 + rows]
         block[...] = vt[0]
         block -= ub[:, :1]
@@ -225,7 +237,6 @@ def gram_matrix(spec: KernelSpec, x: np.ndarray, y: np.ndarray | None = None, *,
             block += sq
         block *= -0.5
         np.exp(block, out=block)
-    return k
 
 
 def query_blocks(n: int, m: int) -> list[slice]:
@@ -270,8 +281,8 @@ def kernel_expansion(spec: KernelSpec, query: np.ndarray, points: np.ndarray,
 
 
 def _padded(m: int) -> int:
-    """The order of the stored system for M = m training inputs: m rounded
-    up to a multiple of _PAD (see fit_weights)."""
+    """The order of the stored dense system for M = m training inputs: m
+    rounded up to a multiple of _PAD (see there)."""
     return -(-m // _PAD) * _PAD
 
 
@@ -279,6 +290,13 @@ def _padded(m: int) -> int:
 class GramSystem:
     """Ridge system K + M lam I over fixed training inputs, in one of two
     representations, and the kernel at a fixed set of extra points.
+
+    An extra point that is bitwise a training input x_j, as most of dp's
+    next states are for pairs sliced out of trajectories, needs no row of
+    its own: row j of the ridge system gives K(x_j, inputs) @ alpha =
+    values_j - M lam alpha_j for alpha = solve(values).  ``_source`` holds
+    that j for each extra point, or -1, and the kernel is held at the U
+    unmatched extra points alone.
 
     *Dense* (``rank`` is None): the lower Cholesky factor of the system, in
     LAPACK's rectangular full packed (RFP) layout with transr='T', uplo='L':
@@ -288,31 +306,37 @@ class GramSystem:
     (k, n + 1) matrix whose columns 1..k hold L11^T (upper), columns 0..k-1
     L22 (lower; the two triangles share no entry) and columns k+1..n L21^T,
     where L = [[L11, 0], [L21, L22]].  Beside it the system holds the rows
-    K(extra, inputs), (U, M).
+    K(unmatched, inputs), (U, M).
 
     *Low rank* (``rank`` = m): the rows L = [Lx, L+], (m, M + U), of a
-    greedy pivoted Cholesky factorisation of K over [inputs; extra], so that
-    K ~ L^T L on those points, and C, the (m, m) lower Cholesky factor of
-    M lam I + Lx Lx^T.  A solve is Woodbury's identity,
+    greedy pivoted Cholesky factorisation of K over [inputs; unmatched], so
+    that K ~ L^T L on those points, and C, the (m, m) lower Cholesky factor
+    of M lam I + Lx Lx^T.  A solve is Woodbury's identity,
 
         (Lx^T Lx + M lam I)^{-1} v = (v - Lx^T (C C^T)^{-1} Lx v) / (M lam),
 
-    exact for the approximated system, and K(extra, inputs) @ alpha is
-    L+^T (Lx alpha).  Together 8 m (M + U) + 8 m^2 bytes.
+    exact for the approximated system, and K(unmatched, inputs) @ alpha is
+    L+^T (Lx alpha).  The matched-row identity holds exactly for the
+    approximated kernel L^T L too, so both kinds of row come from one
+    approximated operator.  Together 8 m (M + U) + 8 m^2 bytes.
 
     ``fit_system`` picks the representation by rank alone (see there).
     ``solve`` gives the dual coefficients (K + M lam I)^{-1} values,
     ``expand`` their expansion at query points, always with the exact kernel
     rows K(query, inputs), ``extra_expansion`` at the extra points, and
-    ``weights_at`` the ridge weights, for callers needing columns.
+    ``weights_at`` the ridge weights, for callers needing columns.  Every
+    solve runs in ``_solve_in_place``, the one method that tells the two
+    representations apart.
     """
 
     spec: KernelSpec
     inputs: np.ndarray          # (M, d)
     # dense: (n(n+1)/2,) RFP factor; low rank: (m, m) lower factor C
     _factor: np.ndarray = field(repr=False)
-    # dense: (U, M) K(extra, inputs); low rank: (m, U) pivoted rows L+
+    # dense: (U, M) K(unmatched, inputs); low rank: (m, U) pivoted rows L+
     _extra: np.ndarray = field(repr=False)
+    # (n_extra,) the first input each extra point bitwise equals, or -1
+    _source: np.ndarray = field(repr=False)
     # low rank: (m, M) pivoted rows Lx; None when dense
     _basis: np.ndarray | None = field(default=None, repr=False)
 
@@ -325,6 +349,12 @@ class GramSystem:
         """m, the rank of the low-rank representation; None when dense."""
         return None if self._basis is None else self._basis.shape[0]
 
+    @property
+    def _order(self) -> int:
+        """Rows of a solve buffer: M padded to _PAD when dense, M when low
+        rank."""
+        return self.size if self._basis is not None else _padded(self.size)
+
     def _factor_views(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(L11^T, L22, L21^T): the three F-contiguous (k, k) views of the
         dense factor, which BLAS reads in place."""
@@ -335,10 +365,9 @@ class GramSystem:
     def solve(self, values: np.ndarray) -> np.ndarray:
         """(K + M lam I)^{-1} values for a vector (M,) or columns (M, c).
 
-        Dense, a vector is solved at level 2 (``_solve_vector``), columns at
-        level 3 (``dpftrs``); low rank, both by Woodbury (``_woodbury``).
-        ``values`` is left unchanged either way.  Any other shape, or a
-        non-finite value, is refused before the solve.
+        ``values`` is copied into a solve buffer (``_solve_in_place``) and
+        left unchanged.  Any other shape, or a non-finite value, is refused
+        before the solve.
         """
         b = np.asarray(values, dtype=float)
         m = self.size
@@ -347,26 +376,42 @@ class GramSystem:
                              f"input, and at most two dimensions; got shape {b.shape}")
         if not np.all(np.isfinite(b)):
             raise ValueError("right-hand side must not contain infs or NaNs")
-        if self._basis is not None:
-            return self._woodbury(b)
-        # the padded unknowns come out as exact zeros and are dropped
-        x = np.zeros((_padded(m),) + b.shape[1:], order="F")
+        # the padded unknowns of a dense solve come out as exact zeros and are dropped
+        x = np.zeros((self._order,) + b.shape[1:], order="F")
         x[:m] = b
-        if b.ndim == 1:
-            self._solve_vector(x)
-        else:
-            self._solve_columns(x)
+        self._solve_in_place(x)
         return x[:m]
 
-    def _solve_vector(self, x: np.ndarray) -> None:
-        """Solve in place for one padded vector (n,): six BLAS level-2 calls
-        on the views of ``_factor_views``.  LAPACK ``dpftrs`` would run
-        one-column level-3 calls, about 1.6 times slower at M = 4500 (one
-        BLAS thread of a 2-core Xeon: 21.6 against 13.6 ms)."""
+    def _solve_in_place(self, x: np.ndarray) -> None:
+        """Overwrite x, an F-ordered buffer of ``_order`` rows, a vector
+        (n,) or columns (n, c), with (K + M lam I)^{-1} x.
+
+        Dense, a vector is solved by six BLAS level-2 calls on the views of
+        ``_factor_views``; LAPACK ``dpftrs``, which solves columns at level
+        3, would run one-column level-3 calls, about 1.6 times slower at
+        M = 4500 (one BLAS thread of a 2-core Xeon: 21.6 against 13.6 ms).
+        Low rank, either is solved by Woodbury's identity: Lx x, formed as
+        (x^T Lx^T)^T, one (m, m) solve (LAPACK ``dpotrs``), and x -= Lx^T z.
+        """
         # imported here: scipy.linalg adds ~0.3 s to every import of the
         # package, and only a process that fits a ridge system solves one
-        from scipy.linalg.blas import dgemv, dtrsv
+        from scipy.linalg.blas import dgemm, dgemv, dtrsv
+        from scipy.linalg.lapack import dpftrs, dpotrs
 
+        if self._basis is not None:
+            lx = self._basis
+            z, _ = dpotrs(self._factor, (x.T @ lx.T).T, lower=1)
+            if x.ndim == 1:
+                x -= lx.T @ z
+            else:
+                # x and Lx.T are F-ordered, so BLAS reads and writes them
+                # without copies
+                dgemm(-1.0, lx.T, z, beta=1.0, c=x, overwrite_c=True)
+            x /= self.size * self.spec.lam
+            return
+        if x.ndim == 2:
+            dpftrs(self._order, self._factor, x, transr="T", uplo="L", overwrite_b=True)
+            return
         u11, l22, s = self._factor_views()
         k = u11.shape[0]
         x1, x2 = x[:k], x[k:]
@@ -381,28 +426,6 @@ class GramSystem:
         dgemv(-1.0, s, x2, beta=1.0, y=x1, overwrite_y=True)
         dtrsv(u11, x1, overwrite_x=True)
 
-    def _solve_columns(self, x: np.ndarray) -> None:
-        """Solve in place for padded columns (n, c), F-ordered (LAPACK
-        ``dpftrs``, level 3)."""
-        from scipy.linalg.lapack import dpftrs
-
-        dpftrs(_padded(self.size), self._factor, x, transr="T", uplo="L", overwrite_b=True)
-
-    def _core_solve(self, t: np.ndarray) -> np.ndarray:
-        """(C C^T)^{-1} t for t (m,) or (m, c) (LAPACK ``dpotrs``)."""
-        from scipy.linalg.lapack import dpotrs
-
-        z, _ = dpotrs(self._factor, t, lower=1)
-        return z
-
-    def _woodbury(self, b: np.ndarray) -> np.ndarray:
-        """(Lx^T Lx + M lam I)^{-1} b for b (M,) or (M, c), as a new array:
-        two products with Lx and one (m, m) solve."""
-        lx = self._basis
-        x = b - lx.T @ self._core_solve(lx @ b)
-        x /= self.size * self.spec.lam
-        return x
-
     def expand(self, query: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """K(query, inputs) @ alpha at each query of a batch (n, d); with
         alpha = solve(values), the ridge estimate sum_i w_i(x) values_i.
@@ -410,39 +433,46 @@ class GramSystem:
         one query block at a time."""
         return kernel_expansion(self.spec, query, self.inputs, alpha)
 
-    def extra_expansion(self, alpha: np.ndarray) -> np.ndarray:
-        """K(extra, inputs) @ alpha, (U,), at the extra points of
-        ``fit_system``: the stored rows times alpha when dense, L+^T (Lx
-        alpha) when low rank."""
+    def extra_expansion(self, values: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """K(extra, inputs) @ alpha at every extra point of ``fit_system``,
+        (n_extra,) for a vector or (n_extra, c) for columns, with alpha =
+        solve(values).
+
+        An extra point that is the training input x_j takes row j of the
+        ridge system, values_j - M lam alpha_j (``_fitted``); the others
+        take the stored rows times alpha when dense, L+^T (Lx alpha) when
+        low rank.  On the dense path with no matched point this is exactly
+        K(extra, inputs) @ alpha.
+        """
         if self._basis is None:
-            return self._extra @ alpha
-        return (self._basis @ alpha) @ self._extra
+            rows = self._extra @ alpha
+        else:
+            rows = self._extra.T @ (self._basis @ alpha)
+        hit = self._source >= 0
+        out = np.empty(self._source.shape + alpha.shape[1:])
+        out[~hit] = rows
+        j = self._source[hit]
+        out[hit] = self._fitted(values[j], alpha[j])
+        return out
 
     def weights_at(self, query: np.ndarray) -> np.ndarray:
-        """Ridge weights w(x), shape (n, M), for a batch of queries (n, d).
+        """Ridge weights w(x), shape (n, M), for a batch of queries (n, d):
+        the kernel rows K(query, inputs), solved in place as the columns of
+        one buffer (``_solve_in_place``).
 
         The result is the whole (n, M) matrix; a caller with many queries
-        passes them one ``query_blocks`` block at a time, which at one BLAS
-        thread gives the bytes of one call on the dense path (see _PAD).
+        passes them one ``query_blocks`` block at a time.  At one BLAS
+        thread that gives the bytes of one call on the dense path (see
+        _PAD), but not on the low-rank path, whose products with Lx differ
+        in their last bits with the block.
         """
         q = np.atleast_2d(np.asarray(query, dtype=float))
         m = self.size
-        if self._basis is not None:
-            from scipy.linalg.blas import dgemm
-
-            w = gram_matrix(self.spec, q, self.inputs)
-            lx = self._basis
-            # w^T -= Lx^T z in place: w.T and Lx.T are F-ordered, so BLAS
-            # reads and writes them without copies
-            z = self._core_solve((w @ lx.T).T)
-            dgemm(-1.0, lx.T, z, beta=1.0, c=w.T, overwrite_c=True)
-            w /= m * self.spec.lam
-            return w
-        w = np.empty((q.shape[0], _padded(m)))
+        w = np.empty((q.shape[0], self._order))
         w[:, m:] = 0.0
         gram_matrix(self.spec, q, self.inputs, out=w[:, :m])
-        # w.T is Fortran-ordered, so the solve runs in place
-        self._solve_columns(w.T)
+        # w.T is F-ordered, so the solve runs in place
+        self._solve_in_place(w.T)
         return w[:, :m]
 
     def representer_norm(self, values: np.ndarray, alpha: np.ndarray | None = None) -> float:
@@ -451,16 +481,16 @@ class GramSystem:
         norm = sqrt(alpha^T K alpha) with alpha = (K + M lam I)^{-1} values;
         a caller that has already solved for alpha passes it to skip the solve.
         This is a finite surrogate for the norm of the underlying function.
-        K alpha is read off the ridge system (``fitted``), so the Gram matrix
+        K alpha is read off the ridge system (``_fitted``), so the Gram matrix
         is not needed.
         """
         v = np.asarray(values, dtype=float)
         if alpha is None:
             alpha = self.solve(v)
-        sq = float(alpha @ self.fitted(v, alpha))
+        sq = float(alpha @ self._fitted(v, alpha))
         return float(np.sqrt(max(sq, 0.0)))
 
-    def fitted(self, values: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    def _fitted(self, values: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """K alpha, the ridge fit at the inputs, for alpha = solve(values).
 
         Row i of the ridge system gives it without K: (K alpha)_i = values_i
@@ -499,19 +529,6 @@ def _gram_triangle(spec: KernelSpec, x: np.ndarray, out: np.ndarray, lower: bool
             out[r0:r1, r1:] = s[:, r1 - r0:]
 
 
-def _kernel_row(ut: np.ndarray, center: np.ndarray, out: np.ndarray) -> None:
-    """k(center, .) at the points whose scaled coordinates are the rows of
-    ``ut`` (d, N), written into ``out`` (N,)."""
-    np.subtract(ut[0], center[0], out=out)
-    out *= out
-    for coord, c in zip(ut[1:], center[1:]):
-        d = coord - c
-        d *= d
-        out += d
-    out *= -0.5
-    np.exp(out, out=out)
-
-
 def _pivoted_rows(spec: KernelSpec, x: np.ndarray, extra: np.ndarray, tol: float,
                   cap: int) -> tuple[np.ndarray, np.ndarray] | None:
     """(Lx, L+), (m, M) and (m, U): the rows of a greedy pivoted Cholesky
@@ -547,7 +564,7 @@ def _pivoted_rows(spec: KernelSpec, x: np.ndarray, extra: np.ndarray, tol: float
         coef = owner[:j, at] / pivot
         for ut, rows, r in parts:
             row = rows[j]
-            _kernel_row(ut, u[p], row)
+            _gaussian(u[p:p + 1], ut, row[None])
             row /= pivot
             if j and row.size:
                 # row -= L[:j]^T coef; L[:j].T is F-ordered, so BLAS reads it in place
@@ -636,20 +653,46 @@ def _finite_points(points, name: str) -> np.ndarray:
     return x
 
 
+def _source_rows(inputs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """source[i] = the first j whose inputs[j] is bitwise points[i], or -1.
+
+    Rows are compared by their bytes, never within a tolerance: each row is
+    one opaque void item, ``np.unique`` sorts the inputs' items and keeps
+    the first j of each, and ``searchsorted`` finds each point among them,
+    in O(M log M) and a few (M,) arrays.  -0.0 and +0.0 differ there, which
+    only costs a stored row.
+    """
+    def rows(a: np.ndarray) -> np.ndarray:
+        a = np.ascontiguousarray(a)
+        return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
+
+    keys, first = np.unique(rows(inputs), return_index=True)
+    query = rows(points)
+    at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+    hit = keys[at] == query
+    return np.where(hit, first[at], -1).astype(np.intp)
+
+
 def fit_system(spec: KernelSpec, train_inputs: np.ndarray,
                extra_points: np.ndarray | None = None) -> GramSystem:
     """Build and factor the ridge system K + M lam I over ``train_inputs``,
-    with the kernel at ``extra_points`` (U, d) for ``extra_expansion``.
+    with the kernel at ``extra_points`` (n_extra, d) for ``extra_expansion``.
+
+    Each extra point is first looked up among the inputs by its bytes
+    (``_source_rows``, skipped when there are none).  One that is bitwise
+    an input x_j takes its row from the ridge system, K(x_j, inputs) @ alpha
+    = values_j - M lam alpha_j, exact for whichever kernel the system holds,
+    so the kernel is built at the U unmatched ones alone.
 
     Rank alone picks the representation (see GramSystem).  A greedy
     pivoted Cholesky factorisation of K over the N = M + U stacked points
-    [train_inputs; extra_points] runs until the largest residual diagonal
+    [train_inputs; unmatched] runs until the largest residual diagonal
     is at most _PIVOT_TOL * M lam.  If that takes at most M / _RANK_SHARE
     rows, the system is low rank: it holds those rows and the factor of
     their (m, m) Woodbury core, 8 m (M + U) + 8 m^2 bytes.  Otherwise the
     pivoted rows are dropped and the dense system is built and factored in
     RFP storage (``_dense_factor``), 4 n (n + 1) bytes for n = M rounded up
-    to _PAD, beside the (U, M) rows K(extra_points, train_inputs).  The
+    to _PAD, beside the (U, M) rows K(unmatched, train_inputs).  The
     pivoted attempt costs about cap^2 N / 2 multiply-adds for cap =
     M / _RANK_SHARE, and a sixteenth of that where the residual's decay at a
     quarter of the cap shows the rank is high (see _pivoted_rows).
@@ -668,14 +711,17 @@ def fit_system(spec: KernelSpec, train_inputs: np.ndarray,
     if extra.shape[1] != x.shape[1]:
         raise ValueError(f"extra points of dimension {extra.shape[1]}, but training inputs "
                          f"of dimension {x.shape[1]}")
+    source = _source_rows(x, extra) if extra.shape[0] else np.empty(0, dtype=np.intp)
+    unmatched = extra[source < 0]
     cap = m // _RANK_SHARE
-    rows = _pivoted_rows(spec, x, extra, _PIVOT_TOL * m * spec.lam, cap) if cap else None
+    rows = _pivoted_rows(spec, x, unmatched, _PIVOT_TOL * m * spec.lam, cap) if cap else None
     if rows is not None:
         lx, lp = rows
         return GramSystem(spec=spec, inputs=x, _factor=_low_rank_factor(spec, lx),
-                          _basis=lx, _extra=lp)
+                          _extra=lp, _source=source, _basis=lx)
     factor = _dense_factor(spec, x)
-    return GramSystem(spec=spec, inputs=x, _factor=factor, _extra=gram_matrix(spec, extra, x))
+    return GramSystem(spec=spec, inputs=x, _factor=factor,
+                      _extra=gram_matrix(spec, unmatched, x), _source=source)
 
 
 def fit_weights(spec: KernelSpec, train_inputs: np.ndarray) -> GramSystem:

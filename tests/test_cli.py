@@ -226,6 +226,8 @@ class TestExitCodes:
         ("dp.ambiguity = inf", "dp.ambiguity"),
         # each of its metrics rows would be written and counted twice
         ("methods = direct, direct", "methods"),
+        # nothing would be fitted: a header-only metrics.csv, exit 0
+        ("methods =", "methods must be nonempty"),
     ])
     def test_refused_config_exits_2_before_any_write(self, tmp_path, capsys, lines, named):
         bad = tmp_path / "bad.cfg"

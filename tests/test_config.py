@@ -97,6 +97,7 @@ class TestValidation:
             ("dp.ambiguity = nan", "dp.ambiguity"),
             ("dp.ambiguity = inf", "dp.ambiguity"),
             ("methods = direct, dp, direct", "methods"),
+            ("methods =", "methods"),
         ],
     )
     def test_out_of_range_values_name_their_key(self, text, key):

@@ -18,7 +18,6 @@ from safecert import (
     spectral_decay,
     ssr_backward,
 )
-from safecert.dp import _source_rows
 from safecert.kernels import KAPPA, GramSystem, gram_matrix
 
 
@@ -248,7 +247,7 @@ class TestFittedModels:
         spec = KernelSpec.isotropic(0.8, 2, 1e-4)
         T = 8
         model = fit_dp(spec, pairs, region, ambiguity=ambiguity)
-        matched = np.count_nonzero(model.source >= 0)
+        matched = np.count_nonzero(model.gram._source >= 0)
         assert (matched > 100) if dependent else (matched == 0)
         got = backward_value(model, T)
         want, (pen, alpha) = explicit_backward(spec, pairs, region, ambiguity, T)
@@ -273,7 +272,7 @@ class TestFittedModels:
         region = SafeRegion(low=(-4.0, -4.0), high=(4.0, 4.0), obstacles=())
         spec = KernelSpec.isotropic(0.8, 2, 1e-4)
         model = fit_dp(spec, pairs, region)
-        assert not np.any(model.source >= 0)
+        assert not np.any(model.gram._source >= 0)
         v = rng.uniform(0, 1, size=300)
         want = gram_matrix(spec, pairs.x_next, pairs.x) @ model.gram.solve(v)
         assert model.apply(v).tobytes() == want.tobytes()
@@ -286,27 +285,8 @@ class TestFittedModels:
                            [0.1, 0.2]])
         region = SafeRegion(low=(-4.0, -4.0), high=(4.0, 4.0), obstacles=())
         model = fit_dp(KernelSpec.isotropic(0.8, 2, 1e-2), OneStepPairs(x=x, x_next=x_next), region)
-        assert model.source.tolist() == [0, -1, -1, 3]
+        assert model.gram._source.tolist() == [0, -1, -1, 3]
         assert model.gram.rank is None and model.gram._extra.shape == (2, 4)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_source_rows_match_a_dict_of_row_bytes(self, seed):
-        """The sorted lookup gives what a dict from each input row's bytes
-        to its first index gives, on rows with duplicates and signed zeros."""
-        rng = np.random.default_rng(seed)
-        m = 200
-        x = rng.integers(-3, 4, size=(m, 2)) * 0.5
-        x[rng.random((m, 2)) < 0.1] = -0.0
-        x_next = np.vstack([x[rng.integers(0, m, size=m // 2)],
-                            rng.integers(-3, 4, size=(m - m // 2, 2)) * 0.25])
-        x_next[rng.random((m, 2)) < 0.1] *= -1.0
-        first: dict[bytes, int] = {}
-        for j, row in enumerate(x):
-            first.setdefault(row.tobytes(), j)
-        want = [first.get(row.tobytes(), -1) for row in x_next]
-        got = _source_rows(x, x_next)
-        assert got.dtype == np.intp and got.tolist() == want
-        assert 0 < np.count_nonzero(got >= 0) < m
 
     def test_penalized_pass_solves_once_per_level(self, monkeypatch):
         model = random_fitted_model(3, n=60)
@@ -368,7 +348,7 @@ class TestFittedModels:
         n = -(-m // 16) * 16
         region = SafeRegion(low=(-4.0, -4.0), high=(4.0, 4.0), obstacles=())
         model = fit_dp(KernelSpec.isotropic(0.8, 2, 1e-4), pairs, region)
-        unmatched = int(np.count_nonzero(model.source < 0))
+        unmatched = int(np.count_nonzero(model.gram._source < 0))
         assert unmatched == 31
         assert held_bytes(model) <= 4 * n * (n + 1) + 8 * m * unmatched + 64 * m
 
@@ -425,7 +405,7 @@ class TestLowRankModels:
         and no rows of K(x+, x)."""
         low, dense = desk_models
         m, M = low.gram.rank, low.n
-        unmatched = int(np.count_nonzero(low.source < 0))
+        unmatched = int(np.count_nonzero(low.gram._source < 0))
         assert unmatched == M
         assert held_bytes(low) <= 8 * m * (M + unmatched) + 8 * m * m + 64 * M
         assert 5 * held_bytes(low) < held_bytes(dense)

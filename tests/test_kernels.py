@@ -18,6 +18,7 @@ from safecert.kernels import (
     QUERY_BLOCK_BYTES,
     _dense_factor,
     _padded,
+    _source_rows,
     fit_system,
     query_blocks,
 )
@@ -325,7 +326,7 @@ class TestWeights:
         assert sys._factor.tobytes() == want.tobytes()
         padded = np.zeros(n)
         padded[:m] = np.random.default_rng(26).uniform(0, 1, size=m)
-        sys._solve_vector(padded)
+        sys._solve_in_place(padded)
         assert np.all(padded[m:] == 0.0)
 
     @pytest.mark.parametrize("values", [np.ones(6), np.ones(4), np.array(1.0), np.ones((6, 2)),
@@ -503,7 +504,8 @@ class TestLowRank:
         vec = low.solve(b[:, 0])
         assert vec.shape == (low.size,)
         assert np.max(np.abs(vec - want[:, 0])) <= 1e-8 * scale
-        assert np.max(np.abs(low.extra_expansion(vec) - dense.extra_expansion(want[:, 0]))) <= 1e-8
+        assert np.max(np.abs(low.extra_expansion(b[:, 0], vec)
+                              - dense.extra_expansion(b[:, 0], want[:, 0]))) <= 1e-8
         assert low.representer_norm(b[:, 0], vec) == pytest.approx(
             dense.representer_norm(b[:, 0], want[:, 0]), abs=1e-8)
 
@@ -542,3 +544,77 @@ class TestLowRank:
         would raise."""
         with pytest.raises(NumericError, match=r"M\*lam = 1\.000e-297 is below rounding"):
             fit_system(KernelSpec.isotropic(1.0, 2, 1e-300), np.zeros((1000, 2)))
+
+
+@pytest.fixture(scope="module")
+def matched_systems() -> tuple[np.ndarray, np.ndarray, dict[str, GramSystem]]:
+    """(inputs, extra points, {representation: system}): 2001 inputs, and
+    500 extra points of which the first 300 are bitwise inputs (duplicates
+    among them); low rank as fit_system builds it (rank about 230 of 250),
+    dense with the rank cap at zero."""
+    rng = np.random.default_rng(46)
+    m = 2001
+    x = rng.uniform(-2, 2, size=(m, 2))
+    extra = np.vstack([x[rng.integers(0, m, size=300)], rng.uniform(-2, 2, size=(200, 2))])
+    spec = KernelSpec(lengthscales=(0.7, 0.9), lam=1e-3)
+    low = fit_system(spec, x, extra)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_RANK_SHARE", m + 1)
+        dense = fit_system(spec, x, extra)
+    return x, extra, {"low rank": low, "dense": dense}
+
+
+class TestExtraPoints:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_source_rows_match_a_dict_of_row_bytes(self, seed):
+        """The sorted lookup gives what a dict from each input row's bytes
+        to its first index gives, on rows with duplicates and signed zeros."""
+        rng = np.random.default_rng(seed)
+        m = 200
+        x = rng.integers(-3, 4, size=(m, 2)) * 0.5
+        x[rng.random((m, 2)) < 0.1] = -0.0
+        x_next = np.vstack([x[rng.integers(0, m, size=m // 2)],
+                            rng.integers(-3, 4, size=(m - m // 2, 2)) * 0.25])
+        x_next[rng.random((m, 2)) < 0.1] *= -1.0
+        first: dict[bytes, int] = {}
+        for j, row in enumerate(x):
+            first.setdefault(row.tobytes(), j)
+        want = [first.get(row.tobytes(), -1) for row in x_next]
+        got = _source_rows(x, x_next)
+        assert got.dtype == np.intp and got.tolist() == want
+        assert 0 < np.count_nonzero(got >= 0) < m
+
+    @pytest.mark.parametrize("form", ["low rank", "dense"])
+    def test_rows_are_stored_for_unmatched_points_only(self, matched_systems, form):
+        x, extra, systems = matched_systems
+        sys = systems[form]
+        assert (sys.rank is None) == (form == "dense")
+        assert sys._source.tolist() == _source_rows(x, extra).tolist()
+        unmatched = extra[sys._source < 0]
+        assert unmatched.shape[0] == 200
+        if sys.rank is None:
+            assert sys._extra.tobytes() == gram_matrix(sys.spec, unmatched, x).tobytes()
+        else:
+            assert sys._extra.shape == (sys.rank, 200)
+
+    @pytest.mark.parametrize("form, tol", [("low rank", 1e-8), ("dense", 1e-10)])
+    def test_extra_expansion_matches_the_kernel_product(self, matched_systems, form, tol):
+        """Matched points read values_j - M lam alpha_j off the ridge system,
+        the others the stored rows: both match K(extra, inputs) @ alpha,
+        for a vector and for columns."""
+        x, extra, systems = matched_systems
+        sys = systems[form]
+        values = np.random.default_rng(47).uniform(0, 1, size=(x.shape[0], 3))
+        alpha = sys.solve(values)
+        k = gram_matrix(sys.spec, extra, x)
+        cols = sys.extra_expansion(values, alpha)
+        vec = sys.extra_expansion(values[:, 0], alpha[:, 0])
+        assert cols.shape == (500, 3) and vec.shape == (500,)
+        assert np.max(np.abs(cols - k @ alpha)) <= tol
+        assert np.max(np.abs(vec - k @ alpha[:, 0])) <= tol
+
+    def test_no_extra_points_skip_the_lookup(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_source_rows", lambda *a: pytest.fail("looked up"))
+        x = np.random.default_rng(48).uniform(-2, 2, size=(40, 2))
+        sys = fit_weights(KernelSpec.isotropic(0.8, 2, 1e-3), x)
+        assert sys._source.shape == (0,) and sys._extra.shape == (0, 40)
