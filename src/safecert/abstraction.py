@@ -9,8 +9,8 @@ value iterations run on top of it:
 * interval iteration: per-row rectangular ambiguity sets [lower, upper]
   around the empirical rows; each backward step takes the worst-case
   (minimizing) distribution in the set, found by order-maximization.
-* sampling-based relaxation: the empirical rows are used directly and a
-  per-cell slack delta is subtracted each step before clamping.
+* sampling-based relaxation: the empirical rows are used directly and one
+  slack delta is subtracted each step before clamping.
 
 Cells are flagged safe only when the whole closed cell avoids every obstacle
 box, which is exact for axis-aligned geometry and conservative for cells
@@ -167,35 +167,35 @@ class IntervalModel:
 
     Build it with ``from_radii``.  The model holds ``phat`` by reference: it
     never writes it, and the caller must not change it afterwards, since the
-    row budgets were computed from it.  A radius array is held as a read-only
-    broadcast view, so beside the matrix the model holds the (n,) budgets
-    alone; every bound is computed where it is read, one block of rows or one
-    chunk of order-maximisation at a time, never as an n x n array.
+    row budgets were computed from it.  Beside the matrix the model holds the
+    (n,) budgets alone; every bound is computed where it is read, one block
+    of rows or one chunk of order-maximisation at a time, never as an n x n
+    array.
     """
 
     phat: np.ndarray    # (n, n) empirical cell matrix, finite
-    radius: np.ndarray  # 0-d, or a read-only broadcast of the radius to (n, n)
+    radius: float       # half-width of every interval, >= 0
     budget: np.ndarray  # (n,) 1 - sum(lower) per row, floored at 0
 
     @classmethod
-    def from_radii(cls, phat: np.ndarray, radius) -> "IntervalModel":
+    def from_radii(cls, phat: np.ndarray, radius: float) -> "IntervalModel":
         """Symmetric intervals phat +- radius, clipped to [0, 1] entrywise.
 
-        ``phat`` must be a square matrix of finite entries and ``radius``
-        nonnegative, a scalar or an array that broadcasts to phat's shape.
-        Every row's interval set is checked nonempty here, once, in blocks
-        of _ROW_BLOCK rows; the first bad entry or row is named.
+        ``phat`` must be a square matrix of finite entries and ``radius`` one
+        nonnegative number.  Every row's interval set is checked nonempty
+        here, once, in blocks of _ROW_BLOCK rows; the first bad entry or row
+        is named.
         """
         phat = np.asarray(phat, dtype=float)
         n = phat.shape[0] if phat.ndim else 0
         if phat.shape != (n, n):
             raise ValueError(f"the empirical matrix must be square, not of shape {phat.shape}")
-        r = np.asarray(radius, dtype=float)
-        if not np.all(r >= 0):  # NaN fails too: its bounds would pass every feasibility test
+        if np.ndim(radius):
+            raise ValueError(f"radius must be one number, not an array of shape {np.shape(radius)}")
+        radius = float(radius)
+        if not radius >= 0:  # NaN fails too: its bounds would pass every feasibility test
             raise ValueError("radius must be nonnegative and not NaN")
-        if r.ndim:
-            r = np.broadcast_to(r, phat.shape)
-        model = cls(phat=phat, radius=r, budget=np.empty(n))
+        model = cls(phat=phat, radius=radius, budget=np.empty(n))
         for rows in row_blocks(n, _ROW_BLOCK):
             # the clip would turn an infinite entry into a finite bound
             finite = np.isfinite(phat[rows])
@@ -209,15 +209,11 @@ class IntervalModel:
     def bounds(self, idx) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) at ``idx``, an index into the (n, n) matrix such as
         a row slice, a row array or an ``np.ix_`` block; new arrays."""
-        ph, r = self.phat[idx], self._radius_at(idx)
-        lower, upper = ph - r, ph + r
+        ph = self.phat[idx]
+        lower, upper = ph - self.radius, ph + self.radius
         np.clip(lower, 0.0, 1.0, out=lower)
         np.clip(upper, 0.0, 1.0, out=upper)
         return lower, upper
-
-    def _radius_at(self, idx) -> np.ndarray:
-        # a scalar radius is not gathered
-        return self.radius[idx] if self.radius.ndim else self.radius
 
     def lower_dot(self, v: np.ndarray) -> np.ndarray:
         """lower @ v over every row, one contiguous block of _ROW_BLOCK rows
@@ -229,7 +225,7 @@ class IntervalModel:
         """
         out = np.empty(self.phat.shape[0])
         for rows in row_blocks(out.size, _ROW_BLOCK):
-            lower = self.phat[rows] - self._radius_at(rows)
+            lower = self.phat[rows] - self.radius
             np.clip(lower, 0.0, 1.0, out=lower)
             np.matmul(lower, v, out=out[rows])
         return out
@@ -385,19 +381,19 @@ def imp_value_iteration(model: IntervalModel, part: Partition, T: int) -> np.nda
 
 @dataclass(frozen=True)
 class SsrParams:
-    """Per-step slack delta of the sampling-based relaxation: a scalar or a per-cell vector."""
+    """Per-step slack delta of the sampling-based relaxation, one number in [0, 1]."""
 
-    delta: float | np.ndarray = 0.0
+    delta: float = 0.0
 
-    def delta_vector(self, n: int) -> np.ndarray:
-        d = np.broadcast_to(np.asarray(self.delta, dtype=float), (n,))
-        if not np.all((d >= 0) & (d <= 1)):  # NaN fails both comparisons
-            raise ValueError("delta must lie in [0, 1]")
-        return d
+    def __post_init__(self) -> None:
+        if np.ndim(self.delta):
+            raise ValueError(f"delta must be one number, not an array of shape {np.shape(self.delta)}")
+        if not 0.0 <= self.delta <= 1.0:  # NaN fails both comparisons
+            raise ValueError(f"delta must lie in [0, 1], not {self.delta}")
 
 
 def ssr_backward(probs: np.ndarray, part: Partition, ssr: SsrParams, T: int) -> np.ndarray:
-    """Backward iteration on a given empirical cell matrix minus per-cell slack.
+    """Backward iteration on a given empirical cell matrix minus the slack.
 
     ``probs`` is ``empirical_cell_probs`` of ``part``, so a caller that also
     runs the interval iteration computes the matrix once.  The terminal level
@@ -409,11 +405,10 @@ def ssr_backward(probs: np.ndarray, part: Partition, ssr: SsrParams, T: int) -> 
     n = part.n_cells
     if np.shape(probs) != (n, n):
         raise ValueError(f"probs of shape {np.shape(probs)}, not ({n}, {n}), for this partition")
-    delta = ssr.delta_vector(n)
     safe = part.safe_flags.astype(float)
     v = part.center_safe.astype(float)
     for _ in range(T):
-        v = safe * np.clip(probs @ v - delta, 0.0, 1.0)
+        v = safe * np.clip(probs @ v - ssr.delta, 0.0, 1.0)
     return v
 
 

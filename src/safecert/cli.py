@@ -537,6 +537,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, not {args.threads}")
         cfg = load_config(args.config)
         cells = _cells(cfg, Path(args.out or cfg["out_dir"]), args.seed_offset)
         # every usage error is raised here, before the first stage writes

@@ -106,6 +106,7 @@ def _parse_value(key: str, raw: str):
 def parse_config(text: str) -> dict:
     """Parse config text into a fully-defaulted, schema-checked dict."""
     values = {k: v for k, (_, v) in _SCHEMA.items()}
+    assigned: dict[str, int] = {}  # key -> the line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -115,6 +116,10 @@ def parse_config(text: str) -> dict:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in assigned:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set on line "
+                              f"{assigned[key]}; set each key once")
+        assigned[key] = lineno
         values[key] = _parse_value(key, raw)
     _validate(values)
     return values
@@ -222,6 +227,8 @@ def load_config(path: str | Path | None = None, text: str | None = None) -> Expe
             p = Path(path)
             if not p.exists():
                 raise ConfigError(f"config file not found: {p}")
+            if not p.is_file():  # a directory or a device would fail only when read
+                raise ConfigError(f"config path is not a regular file: {p}")
             text = p.read_text()
     values = parse_config(text)
     digest = hashlib.sha256(_canonical(values).encode("utf-8")).hexdigest()[:12]
@@ -240,8 +247,6 @@ def default_kernel_spec(
     Horizons without a tuned entry fall back to the nearest tuned one, so
     desk-scale runs at odd horizons stay sensible.
     """
-    if variances is not None and lam is not None:
-        return KernelSpec.from_variances(variances, lam)
     key_method = "direct" if method == "direct" else "dp"
     tuned_ts = sorted({t for (m, t, meth) in DEFAULT_HYPERPARAMS if m == mode and meth == key_method})
     if not tuned_ts:

@@ -89,17 +89,15 @@ class DpModel:
         return self.safe_mask_next.shape[0]
 
     @classmethod
-    def from_transfer(
-        cls, transfer: np.ndarray, safe_mask: np.ndarray, ambiguity: float = 0.0
-    ) -> "DpModel":
-        """Wrap an explicitly known transition/transfer matrix (exact chains, tests)."""
+    def from_transfer(cls, transfer: np.ndarray, safe_mask: np.ndarray) -> "DpModel":
+        """Wrap an explicitly known transition/transfer matrix (exact chains, tests).
+
+        A chain takes no norm penalty, which needs a kernel-backed model."""
         transfer = np.asarray(transfer, dtype=float)
         safe_mask = np.asarray(safe_mask, dtype=float)
         if transfer.shape[0] != transfer.shape[1] or transfer.shape[0] != safe_mask.shape[0]:
             raise ValueError("transfer must be square and match the safety mask")
-        return cls(
-            safe_mask_next=safe_mask, region=None, ambiguity=ambiguity, explicit=transfer
-        )
+        return cls(safe_mask_next=safe_mask, region=None, explicit=transfer)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """transfer @ v for a value vector v at the sampled next states."""

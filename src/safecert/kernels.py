@@ -475,19 +475,15 @@ class GramSystem:
         self._solve_in_place(w.T)
         return w[:, :m]
 
-    def representer_norm(self, values: np.ndarray, alpha: np.ndarray | None = None) -> float:
+    def representer_norm(self, values: np.ndarray, alpha: np.ndarray) -> float:
         """RKHS norm of the ridge interpolant of ``values`` on the inputs.
 
-        norm = sqrt(alpha^T K alpha) with alpha = (K + M lam I)^{-1} values;
-        a caller that has already solved for alpha passes it to skip the solve.
-        This is a finite surrogate for the norm of the underlying function.
-        K alpha is read off the ridge system (``_fitted``), so the Gram matrix
-        is not needed.
+        norm = sqrt(alpha^T K alpha), where ``alpha`` = ``solve(values)`` is
+        the solve the caller has already made.  This is a finite surrogate
+        for the norm of the underlying function.  K alpha is read off the
+        ridge system (``_fitted``), so the Gram matrix is not needed.
         """
-        v = np.asarray(values, dtype=float)
-        if alpha is None:
-            alpha = self.solve(v)
-        sq = float(alpha @ self._fitted(v, alpha))
+        sq = float(alpha @ self._fitted(np.asarray(values, dtype=float), alpha))
         return float(np.sqrt(max(sq, 0.0)))
 
     def _fitted(self, values: np.ndarray, alpha: np.ndarray) -> np.ndarray:

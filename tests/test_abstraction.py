@@ -451,17 +451,15 @@ class TestOrderMaxKernel:
             IntervalModel.from_radii(phat, 0.5 / n)
 
     @pytest.mark.parametrize("counts", [(20, 20), (23, 29)])
-    @pytest.mark.parametrize("per_row", [False, True])
-    def test_value_iteration_matches_dense_bounds(self, counts, per_row, one_blas_thread):
+    def test_value_iteration_matches_dense_bounds(self, counts, one_blas_thread):
         """Over more than one row block with a partial last one (400 cells:
         256 + 144; 667: 256 + 256 + 155), bounds read off the matrix give
-        the bytes of explicit bound matrices, for a scalar radius and one
-        radius per row.  lower @ v taken over the gathered safe rows alone
-        moves the last bits of some values at 400 cells."""
+        the bytes of explicit bound matrices.  lower @ v taken over the
+        gathered safe rows alone moves the last bits of some values at 400
+        cells."""
         part = build_partition(UNIT_SQUARE, counts)
         probs = empirical_cell_probs(part, fitted_dp())
-        scale = np.linspace(0.5, 2.0, part.n_cells)[:, None] if per_row else 1.0
-        radius = scale / part.n_cells
+        radius = 1.0 / part.n_cells
         got = imp_value_iteration(IntervalModel.from_radii(probs, radius), part, 6)
         assert np.max(got) > 0.1
         assert got.tobytes() == dense_value_iteration(probs, radius, part, 6).tobytes()
@@ -552,11 +550,15 @@ class TestIntervalModel:
         assert np.all((v >= 0) & (v <= 1)) and np.any(v > 0)
         assert peak < 4 * _ROW_BLOCK * n * 8 < probs.nbytes
 
-    @pytest.mark.parametrize("radius", [np.nan, [[0.1, np.nan], [0.1, 0.1]], -0.1])
+    @pytest.mark.parametrize("radius", [np.nan, [[0.1, np.nan], [0.1, 0.1]], -0.1,
+                                        np.full((2, 2), 0.1), np.full((2, 1), 0.1)])
     def test_negative_or_nan_radius_rejected(self, radius):
         """NaN bounds pass every feasibility comparison, so a NaN radius is
-        refused where the bounds are made."""
-        with pytest.raises(ValueError, match="radius"):
+        refused where the bounds are made.  A radius per entry or per row is
+        refused as an array, naming its shape."""
+        shape = np.shape(radius)
+        named = rf"not an array of shape {re.escape(str(shape))}" if shape else "radius must be nonnegative"
+        with pytest.raises(ValueError, match=named):
             IntervalModel.from_radii(np.array([[0.5, 0.5], [0.5, 0.5]]), radius)
 
 
@@ -624,17 +626,13 @@ class TestValueIterations:
         assert np.all(v1 <= v0 + 1e-12)
         assert np.all(v2 <= v1 + 1e-12)
 
-    def test_ssr_accepts_per_cell_slack(self):
-        part = build_partition(UNIT_SQUARE, (3, 3))
-        dp_model = fitted_dp()
-        delta = np.linspace(0, 0.1, part.n_cells)
-        v = ssr_value_iteration(part, dp_model, SsrParams(delta=delta), 3)
-        assert v.shape == (9,)
-
     def test_invalid_slack_rejected(self):
         part = build_partition(UNIT_SQUARE, (3, 3))
         with pytest.raises(ValueError):
             ssr_value_iteration(part, fitted_dp(), SsrParams(delta=-0.1), 2)
+        # one slack per cell is refused when the parameters are built
+        with pytest.raises(ValueError, match=r"delta must be one number, not an array of shape \(9,\)"):
+            SsrParams(delta=np.linspace(0, 0.1, part.n_cells))
 
 
 class TestEvaluation:

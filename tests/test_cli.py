@@ -45,13 +45,21 @@ calibration.bins = 4
 """
 
 
+def config_with(base: str, lines: str) -> str:
+    """``base`` with ``lines`` appended and the lines of ``base`` that set
+    the same keys dropped: a config sets each key once."""
+    keys = {line.split("=", 1)[0].strip() for line in lines.splitlines()}
+    kept = [line for line in base.splitlines() if line.split("=", 1)[0].strip() not in keys]
+    return "\n".join(kept) + "\n" + lines
+
+
 # two alphas and two horizons of one seed: gen-data and mc-oracle draw the
 # seed's streams once, at T = 4, and roll them out at each alpha
-TWO_HORIZON_CONFIG = TINY_CONFIG + "system.alphas = 0, 0.95\nhorizons = 2, 4\n"
+TWO_HORIZON_CONFIG = config_with(TINY_CONFIG, "system.alphas = 0, 0.95\nhorizons = 2, 4\n")
 
 # three alphas, two horizons and two seeds: two seed units for gen-data and
 # mc-oracle, each of whose draws is rolled out at three alphas
-SEEDS_CONFIG = TWO_HORIZON_CONFIG + "system.alphas = 0, 0.5, 0.95\nseeds = 1, 2\n"
+SEEDS_CONFIG = config_with(TWO_HORIZON_CONFIG, "system.alphas = 0, 0.5, 0.95\nseeds = 1, 2\n")
 
 
 @pytest.fixture()
@@ -196,6 +204,19 @@ class TestExitCodes:
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run("gen-data", "--config", str(tmp_path / "nope.cfg")) == 2
 
+    def test_config_directory_exits_2(self, tmp_path, capsys):
+        # it used to exit 1 with "[Errno 21] Is a directory"
+        assert run("gen-data", "--config", str(tmp_path), "--out", str(tmp_path / "o")) == 2
+        assert "not a regular file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exits_2_before_any_write(self, cfg_path, tmp_path, capsys, threads):
+        """Such counts used to run serially and exit 0."""
+        out = tmp_path / "o"
+        assert run("sweep", "--config", str(cfg_path), "--out", str(out), "--threads", threads) == 2
+        assert "--threads must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_method_exits_2(self, cfg_path, tmp_path):
         assert run("certify", "--config", str(cfg_path), "--method", "oracle",
                    "--out", str(tmp_path / "o")) == 2
@@ -203,7 +224,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("line", ["kernel.dp.lam = -1e-6", "kernel.direct.variances = 1, 1, 1"])
     def test_bad_kernel_override_exits_2_before_any_write(self, tmp_path, line):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(TINY_CONFIG + line + "\n")
+        bad.write_text(config_with(TINY_CONFIG, line + "\n"))
         out = tmp_path / "o"
         assert run("sweep", "--config", str(bad), "--out", str(out)) == 2
         assert not out.exists() or not any(out.iterdir())
@@ -231,7 +252,7 @@ class TestExitCodes:
     ])
     def test_refused_config_exits_2_before_any_write(self, tmp_path, capsys, lines, named):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(TINY_CONFIG + lines + "\n")
+        bad.write_text(config_with(TINY_CONFIG, lines + "\n"))
         out = tmp_path / "o"
         assert run("sweep", "--config", str(bad), "--out", str(out)) == 2
         assert named in capsys.readouterr().err
@@ -350,7 +371,7 @@ class TestExitCodes:
         """A refused table of one cell leaves no file of any cell of its
         (T, seed) row, although the other cells' tables are sound."""
         config = tmp_path / "row.cfg"
-        config.write_text(TINY_CONFIG + "system.alphas = 0, 0.95\n")
+        config.write_text(config_with(TINY_CONFIG, "system.alphas = 0, 0.95\n"))
         out = tmp_path / "o"
         assert run("gen-data", "--config", str(config), "--out", str(out)) == 0
         pairs = out / "data" / "pairs_a0.95_T2_s1.csv"
@@ -472,8 +493,8 @@ class TestPipeline:
         (T, seed) row fits dp once and direct once; dependent pairs differ by
         alpha, so dp fits once per cell."""
         config = tmp_path / "grid.cfg"
-        config.write_text(TINY_CONFIG + "system.alphas = 0, 0.5, 0.95\nhorizons = 2, 3\n"
-                          f"seeds = 1, 2\ndata.mode = {mode}\n")
+        config.write_text(config_with(TINY_CONFIG, "system.alphas = 0, 0.5, 0.95\nhorizons = 2, 3\n"
+                                      f"seeds = 1, 2\ndata.mode = {mode}\n"))
         out = str(tmp_path / "o")
         assert run("gen-data", "--config", str(config), "--out", out) == 0
         calls = []
@@ -491,7 +512,7 @@ class TestPipeline:
         # one (T, seed) row of two alphas whose dependent pairs differ, so
         # certify fits direct once and dp once per alpha
         config = tmp_path / "row.cfg"
-        config.write_text(TINY_CONFIG + "system.alphas = 0, 0.95\ndata.mode = dependent\n")
+        config.write_text(config_with(TINY_CONFIG, "system.alphas = 0, 0.95\ndata.mode = dependent\n"))
         out = str(tmp_path / "o")
         assert run("gen-data", "--config", str(config), "--out", out) == 0
         built, fits = [], []
@@ -528,7 +549,7 @@ class TestPipeline:
 
     def test_certify_builds_one_cell_matrix_for_imp_and_ssr(self, tmp_path, monkeypatch):
         cfg_path = tmp_path / "two-cells.cfg"
-        cfg_path.write_text(TINY_CONFIG + "seeds = 1, 2\n")
+        cfg_path.write_text(config_with(TINY_CONFIG, "seeds = 1, 2\n"))
         out = str(tmp_path / "o")
         assert run("gen-data", "--config", str(cfg_path), "--out", out) == 0
         calls = []
@@ -598,8 +619,8 @@ class TestPipeline:
         run is the file a run of its horizon alone writes."""
         out = {}
         for name, text in [("both", TWO_HORIZON_CONFIG),
-                           ("T2", TWO_HORIZON_CONFIG + "horizons = 2\n"),
-                           ("T4", TWO_HORIZON_CONFIG + "horizons = 4\n")]:
+                           ("T2", config_with(TWO_HORIZON_CONFIG, "horizons = 2\n")),
+                           ("T4", config_with(TWO_HORIZON_CONFIG, "horizons = 4\n"))]:
             config = tmp_path / f"{name}.cfg"
             config.write_text(text)
             out[name] = tmp_path / name

@@ -45,6 +45,17 @@ class TestParsing:
         with pytest.raises(ConfigError, match="not found"):
             load_config(path="/nonexistent/path.cfg")
 
+    def test_directory_rejected(self, tmp_path):
+        """A directory used to pass the existence check and fail only when
+        read, with an OSError."""
+        with pytest.raises(ConfigError, match="not a regular file"):
+            load_config(path=tmp_path)
+
+    def test_key_set_twice_names_both_lines(self):
+        """The last assignment used to win: seeds = 1 then seeds = 2 ran seed 2."""
+        with pytest.raises(ConfigError, match="line 4: key 'seeds' is already set on line 2"):
+            parse_config("# two runs\nseeds = 1\nhorizons = 5\nseeds = 2\n")
+
 
 class TestValidation:
     @pytest.mark.parametrize(

@@ -191,7 +191,8 @@ class TestWeights:
     def test_representer_norm_single_point(self):
         sys = fit_weights(KernelSpec.isotropic(1.0, 1, 0.5), np.array([[0.0]]))
         # alpha = 2 / (1 + lam), K = [[1]], so the norm is |alpha|
-        assert sys.representer_norm(np.array([2.0])) == pytest.approx(2.0 / 1.5, abs=1e-14)
+        v = np.array([2.0])
+        assert sys.representer_norm(v, sys.solve(v)) == pytest.approx(2.0 / 1.5, abs=1e-14)
 
     def test_representer_norm_matches_quadratic_form(self):
         rng = np.random.default_rng(10)
@@ -201,7 +202,7 @@ class TestWeights:
         v = rng.uniform(0, 1, size=7)
         K = gram_matrix(spec, x)
         alpha = np.linalg.solve(K + 7 * spec.lam * np.eye(7), v)
-        assert sys.representer_norm(v) == pytest.approx(float(np.sqrt(alpha @ K @ alpha)), rel=1e-10)
+        assert sys.representer_norm(v, sys.solve(v)) == pytest.approx(float(np.sqrt(alpha @ K @ alpha)), rel=1e-10)
 
     def test_representer_norm_at_the_tuned_ridge_floor(self):
         """K alpha is read off the ridge system as v - M lam alpha; at the
@@ -217,7 +218,7 @@ class TestWeights:
             v = rng.uniform(0, 1, size=m)
             alpha = np.linalg.solve(K + m * spec.lam * np.eye(m), v)
             want = float(np.sqrt(alpha @ K @ alpha))
-            assert sys.representer_norm(v) == pytest.approx(want, rel=1e-8)
+            assert sys.representer_norm(v, sys.solve(v)) == pytest.approx(want, rel=1e-8)
 
     def test_solve_matches_dense_ridge_solve(self):
         rng = np.random.default_rng(12)
