@@ -82,6 +82,6 @@ from .kernels import (
     fit_weights,
     gram_matrix,
 )
-from .metrics import BrierReport, brier_decomposition, brier_decomposition_mc, excess_rmse, rmse
+from .metrics import BrierReport, brier_decomposition_mc, excess_rmse, rmse
 
 __version__ = "0.1.0"

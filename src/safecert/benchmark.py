@@ -278,14 +278,6 @@ class TrajectorySet:
     states: np.ndarray  # (N, T+1, d)
 
     @property
-    def n(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.states.shape[1] - 1
-
-    @property
     def initial_states(self) -> np.ndarray:
         return self.states[:, 0, :]
 

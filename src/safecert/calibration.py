@@ -108,10 +108,12 @@ def calibrate(
 ) -> BinnedCalibrator:
     """Fit the binned calibrator on held-out (score, binary outcome) pairs.
 
-    Scores with a span at or below 1e-12 collapse to a single bin.  Tied
-    quantiles are deduplicated and any remaining empty bin is merged into its
-    nearest nonempty neighbor; widths use the final bin count.  Scores must be
-    finite and outcomes 0 or 1; a ValueError names the first entry that is not.
+    The bin edges are the scores' n_bins + 1 quantiles, the first and last
+    the scores' exact min and max; scores with a span at or below 1e-12
+    collapse to a single bin.  Tied quantiles are deduplicated and any
+    remaining empty bin is merged into its nearest nonempty neighbor; widths
+    use the final bin count.  Scores must be finite and outcomes 0 or 1; a
+    ValueError names the first entry that is not.
     """
     s = np.asarray(scores, dtype=float).ravel()
     y = np.asarray(outcomes).astype(float).ravel()
@@ -134,7 +136,7 @@ def calibrate(
 
     span = float(np.max(s) - np.min(s))
     degenerate = span <= _DEGENERATE_SPAN
-    if degenerate or n_bins == 1:
+    if degenerate:
         edges = [float(np.min(s)), float(np.max(s))]
     else:
         qs = np.quantile(s, np.linspace(0.0, 1.0, n_bins + 1))
@@ -151,9 +153,8 @@ def calibrate(
         counts = np.bincount(bins, minlength=len(edges) - 1)
 
     b_eff = len(counts)
-    rates = np.zeros(b_eff)
-    for b in range(b_eff):
-        rates[b] = float(np.mean(y[bins == b]))
+    # the sum of 0/1 outcomes is exact, so this is each bin's np.mean to the bit
+    rates = np.bincount(bins, weights=y) / counts
     widths = np.sqrt(np.log(b_eff / delta_conf) / (2.0 * counts))
     certified = np.maximum(0.0, rates - widths)
     return BinnedCalibrator(

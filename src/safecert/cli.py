@@ -118,9 +118,9 @@ class _Cell:
         atomic_write(self.path(name, ".json"), f"// {self.header(**extra)}\n{body}\n")
 
 
-def _cells(cfg: ExperimentConfig, out: Path, seed_offset: int) -> list[_Cell]:
+def _cells(cfg: ExperimentConfig, out: Path) -> list[_Cell]:
     """The config grid's cells; a ConfigError if two of them share a file tag."""
-    cells = [_Cell(cfg, out, alpha, T, seed + seed_offset) for alpha in cfg["system.alphas"]
+    cells = [_Cell(cfg, out, alpha, T, seed) for alpha in cfg["system.alphas"]
              for T in cfg["horizons"] for seed in cfg["seeds"]]
     seen: dict[str, _Cell] = {}
     for cell in cells:
@@ -298,7 +298,7 @@ def _certify_direct(cells: list[_Cell], trajs: list[bm.TrajectorySet],
     for cell, ts, xc in zip(cells, trajs, x_cal):
         if ts is not trajs[0]:
             model = replace(model, labels=bm.trajectory_safe(region, ts.states).astype(float),
-                            trajectories=ts.states, horizon=ts.horizon)
+                            trajectories=ts.states)
         writes += _estimate_writes([cell], "direct", lambda pts: predict(model, pts), [xc])
     return writes
 
@@ -414,8 +414,8 @@ def _evaluate(cells: list[_Cell], methods: tuple[str, ...]) -> None:
                          mx.excess_rmse(est, p_mc), rep.brier, rep.brier_binned,
                          rep.rel, rep.res, rep.unc, rep.res_norm])
     cfg, out = cells[0].cfg, cells[0].out
-    # the header's seed is the run's seed offset, by which every cell's seed is shifted
-    head = header_comment(cfg.config_hash, cells[0].seed - cfg["seeds"][0], kind="metrics")
+    # the tables span every seed of the grid, so the header's seed names none
+    head = header_comment(cfg.config_hash, 0, kind="metrics")
     columns = ["method", "alpha", "T", "seed"] + _METRIC_COLS
     atomic_write(out / "metrics.csv", format_table(columns, rows, head))
 
@@ -468,7 +468,8 @@ def _units(cells: list[_Cell], unit: str) -> list:
 
 
 def _methods(cfg: ExperimentConfig, method: str | None, takes: str) -> tuple[str, ...]:
-    """The config's methods, or the one ``--method`` names, that a stage takes."""
+    """The config's methods, or the one ``--method`` names, that a stage takes;
+    a ConfigError if a scored stage is left with none."""
     scored = takes == "scored"
     if method:
         if method not in METHODS:
@@ -477,7 +478,11 @@ def _methods(cfg: ExperimentConfig, method: str | None, takes: str) -> tuple[str
             raise ConfigError("barrier writes a report, not estimates; only certify takes "
                               "--method barrier")
         return (method,)
-    return tuple(m for m in cfg["methods"] if not (scored and m == "barrier"))
+    methods = tuple(m for m in cfg["methods"] if not (scored and m == "barrier"))
+    if not methods:
+        raise ConfigError(f"methods = {', '.join(cfg['methods'])} names no method that writes "
+                          "estimates; calibrate and evaluate take direct, dp, imp or ssr")
+    return methods
 
 
 # the OpenBLAS builds that the numpy and scipy wheels bundle, next to the
@@ -528,7 +533,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", default=None, help="path to the experiment config file")
         p.add_argument("--method", default=None, help="restrict to one method")
-        p.add_argument("--seed-offset", type=int, default=0, dest="seed_offset")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--threads", type=int, default=1)
     return parser
@@ -540,7 +544,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.threads < 1:
             raise ConfigError(f"--threads must be at least 1, not {args.threads}")
         cfg = load_config(args.config)
-        cells = _cells(cfg, Path(args.out or cfg["out_dir"]), args.seed_offset)
+        cells = _cells(cfg, Path(args.out or cfg["out_dir"]))
         # every usage error is raised here, before the first stage writes
         stages = []
         for name in list(_STAGES) if args.command == "sweep" else [args.command]:

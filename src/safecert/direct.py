@@ -148,7 +148,6 @@ class DirectModel:
 
     gram: GramSystem
     labels: np.ndarray          # (N,) 0/1 floats
-    horizon: int
     region: SafeRegion
     trajectories: np.ndarray    # (N, T+1, d), kept for the error terms
 
@@ -156,18 +155,16 @@ class DirectModel:
     def n(self) -> int:
         return self.gram.size
 
+    @property
+    def horizon(self) -> int:
+        return self.trajectories.shape[1] - 1
+
 
 def fit_direct(spec: KernelSpec, ts: TrajectorySet, region: SafeRegion) -> DirectModel:
     """Label each trajectory by whole-horizon safety and fit the ridge system."""
     labels = trajectory_safe(region, ts.states).astype(float)
     gram = fit_weights(spec, ts.initial_states)
-    return DirectModel(
-        gram=gram,
-        labels=labels,
-        horizon=ts.horizon,
-        region=region,
-        trajectories=ts.states,
-    )
+    return DirectModel(gram=gram, labels=labels, region=region, trajectories=ts.states)
 
 
 def predict(model: DirectModel, x0: np.ndarray) -> np.ndarray:
@@ -232,21 +229,14 @@ def eps3(
 
 
 def lower_bound(
-    model: DirectModel,
-    x0: np.ndarray,
-    budget: ErrorBudget | None = None,
-    eps3_value: float = 0.0,
+    model: DirectModel, x0: np.ndarray, budget: ErrorBudget, eps3_value: float = 0.0
 ) -> np.ndarray:
-    """Certified lower bound: predict minus the assembled error budget.
+    """Certified lower bound: ``predict`` minus the error budget's terms.
 
-    With no budget this is exactly ``predict``; callers wanting the full
-    guarantee pass a budget (and a precomputed eps3 value, since that term
-    needs a trajectory sampler).
+    eps1 and eps2 come from ``budget``; eps3 needs a trajectory sampler, so
+    the caller passes its precomputed value.  The raw estimate alone is
+    ``predict``.
     """
-    est = predict(model, x0)
-    if budget is None:
-        return est
-    d = model.region.dim
     e1 = eps1(model, budget, x0)
-    e2 = eps2(budget, budget.norm_bound, d, model.horizon, n=model.n)
-    return est - e1 - e2 - eps3_value
+    e2 = eps2(budget, budget.norm_bound, model.region.dim, model.horizon, n=model.n)
+    return predict(model, x0) - e1 - e2 - eps3_value

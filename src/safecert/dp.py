@@ -200,9 +200,12 @@ class SpectralDecay:
     iterations: int
 
 
-def spectral_decay(
-    model: DpModel, T: int, tol: float = 1e-10, max_iter: int = 10_000
-) -> SpectralDecay:
+# ARPACK's relative accuracy of the dominant eigenvalue, and its limit on restarts
+_ARPACK_TOL = 1e-10
+_ARPACK_MAX_RESTARTS = 10_000
+
+
+def spectral_decay(model: DpModel, T: int) -> SpectralDecay:
     """Spectral radius of diag(safe_mask) @ transfer.
 
     rho below 1 means the observed value decay is intrinsic to the fitted
@@ -211,11 +214,12 @@ def spectral_decay(
     A kernel-backed operator is never formed: ARPACK's implicitly restarted
     Arnoldi method (``scipy.sparse.linalg.eigs``) finds the eigenvalue of
     largest magnitude from operator applications alone, complex and
-    opposite-sign dominant pairs included.  ``tol`` is its relative accuracy
-    of the eigenvalue and ``max_iter`` its limit on restarts.  Explicit
-    matrices, and operators with fewer than 3 states, where ARPACK cannot
-    run, go to a dense eigensolver.  ``iterations`` is the number of operator
-    applications, 0 on the dense path.
+    opposite-sign dominant pairs included, to a relative accuracy of 1e-10
+    within 10 000 restarts; past them, SpectralConvergenceError carries its
+    last estimate.  Explicit matrices, and operators with fewer than 3
+    states, where ARPACK cannot run, go to a dense eigensolver.
+    ``iterations`` is the number of operator applications, 0 on the dense
+    path.
     """
     # imported here: scipy.sparse.linalg adds ~0.3 s to every import of the
     # package, and only this diagnostic needs it
@@ -240,12 +244,12 @@ def spectral_decay(
         return SpectralDecay(rho=0.0, rho_pow_T=0.0, iterations=applications)
     op = LinearOperator((n, n), matvec=matvec, dtype=float)
     try:
-        vals = eigs(op, k=1, which="LM", v0=v0, tol=tol, maxiter=max_iter,
+        vals = eigs(op, k=1, which="LM", v0=v0, tol=_ARPACK_TOL, maxiter=_ARPACK_MAX_RESTARTS,
                     return_eigenvectors=False)
     except ArpackNoConvergence as exc:
         last = float(np.max(np.abs(exc.eigenvalues))) if len(exc.eigenvalues) else np.nan
         raise SpectralConvergenceError(
-            f"ARPACK did not converge within {max_iter} restarts "
+            f"ARPACK did not converge within {_ARPACK_MAX_RESTARTS} restarts "
             f"(last estimate {last:.12g})",
             last_estimate=last,
         ) from exc

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BrierReport", "rmse", "excess_rmse", "brier_decomposition", "brier_decomposition_mc"]
+__all__ = ["BrierReport", "rmse", "excess_rmse", "brier_decomposition_mc"]
 
 
 def rmse(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -55,12 +55,31 @@ class BrierReport:
     n_bins: int
 
 
-def _decompose(
-    scores: np.ndarray, ybar_point: np.ndarray, raw_brier: float, binned_extra: np.ndarray, n_bins: int
-) -> BrierReport:
+def brier_decomposition_mc(pred: np.ndarray, p_mc: np.ndarray, n_bins: int = 10) -> BrierReport:
+    """Decomposition against Monte Carlo frequencies.
+
+    Each grid point stands for its rollouts: a point with frequency p
+    contributes outcome mean p and within-point variance p(1-p), which makes
+    the result identical to expanding every rollout into a binary outcome.
+    Binary outcomes are frequencies of one rollout each, with no within-point
+    variance.  Predictions are clamped into [0, 1] for binning; a non-finite
+    one has no bin and is refused with a ValueError naming it.
+    """
+    raw = np.asarray(pred, dtype=float).ravel()
+    finite = np.isfinite(raw)
+    if not np.all(finite):
+        i = int(np.argmin(finite))
+        raise ValueError(f"prediction {i} is not finite ({raw[i]})")
+    scores = np.clip(raw, 0.0, 1.0)
+    p = np.asarray(p_mc, dtype=float).ravel()
+    if scores.size != p.size or scores.size == 0:
+        raise ValueError("pred and p_mc must be nonempty and equally sized")
+    if n_bins < 1:
+        raise ValueError("n_bins must be positive")
+    within = p * (1.0 - p)
     bins = np.minimum((scores * n_bins).astype(int), n_bins - 1)
     n = scores.size
-    ybar = float(np.mean(ybar_point))
+    ybar = float(np.mean(p))
     rel = res = 0.0
     mean_pred = np.zeros(n_bins)
     for b in range(n_bins):
@@ -69,58 +88,17 @@ def _decompose(
         if nb == 0:
             continue
         pbar_b = float(np.mean(scores[mask]))
-        ybar_b = float(np.mean(ybar_point[mask]))
+        ybar_b = float(np.mean(p[mask]))
         mean_pred[b] = pbar_b
         rel += (nb / n) * (pbar_b - ybar_b) ** 2
         res += (nb / n) * (ybar_b - ybar) ** 2
     unc = ybar * (1.0 - ybar)
-    binned = float(np.mean((mean_pred[bins] - ybar_point) ** 2 + binned_extra))
     return BrierReport(
-        brier=raw_brier,
-        brier_binned=binned,
+        brier=float(np.mean((scores - p) ** 2 + within)),
+        brier_binned=float(np.mean((mean_pred[bins] - p) ** 2 + within)),
         rel=rel,
         res=res,
         unc=unc,
         res_norm=res / unc if unc > 0 else 0.0,
         n_bins=n_bins,
     )
-
-
-def _clamped_scores(pred: np.ndarray) -> np.ndarray:
-    """Predictions clamped into [0, 1]; a non-finite one has no bin."""
-    p = np.asarray(pred, dtype=float).ravel()
-    finite = np.isfinite(p)
-    if not np.all(finite):
-        i = int(np.argmin(finite))
-        raise ValueError(f"prediction {i} is not finite ({p[i]})")
-    return np.clip(p, 0.0, 1.0)
-
-
-def brier_decomposition(pred: np.ndarray, outcomes: np.ndarray, n_bins: int = 10) -> BrierReport:
-    """Decomposition against binary outcomes; scores are clamped into [0, 1]."""
-    scores = _clamped_scores(pred)
-    y = np.asarray(outcomes).astype(float).ravel()
-    if scores.size != y.size or scores.size == 0:
-        raise ValueError("pred and outcomes must be nonempty and equally sized")
-    if n_bins < 1:
-        raise ValueError("n_bins must be positive")
-    raw = float(np.mean((scores - y) ** 2))
-    return _decompose(scores, y, raw, np.zeros_like(y), n_bins)
-
-
-def brier_decomposition_mc(pred: np.ndarray, p_mc: np.ndarray, n_bins: int = 10) -> BrierReport:
-    """Decomposition against Monte Carlo frequencies.
-
-    Each grid point stands for its rollouts: a point with frequency p
-    contributes outcome mean p and within-point variance p(1-p), which makes
-    the result identical to expanding every rollout into a binary outcome.
-    """
-    scores = _clamped_scores(pred)
-    p = np.asarray(p_mc, dtype=float).ravel()
-    if scores.size != p.size or scores.size == 0:
-        raise ValueError("pred and p_mc must be nonempty and equally sized")
-    if n_bins < 1:
-        raise ValueError("n_bins must be positive")
-    within = p * (1.0 - p)
-    raw = float(np.mean((scores - p) ** 2 + within))
-    return _decompose(scores, p, raw, within, n_bins)

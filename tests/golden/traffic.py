@@ -4,8 +4,9 @@
 
 runs, in this one process:
 
-* the four sweep configs of tests/golden/tree_diff.py (``sweep``, ``tiny``,
-  ``pipeline``, ``dependent``), each as one serial ``safecert sweep``;
+* the five sweep configs of tests/golden/tree_diff.py (``sweep``, ``tiny``,
+  ``pipeline``, ``dependent``, ``penalised``), each as one serial
+  ``safecert sweep``;
 * the three benchmark workloads of bench/workloads.py at full scale and seed
   1: set-up, one pass and its checks;
 * the five demos under demos/.
@@ -28,7 +29,7 @@ report: no sound run raises them.
 
 The exit status is 0 when every run succeeded, whatever the report lists,
 and 1 when one failed; a failed run is named on standard error.  It takes
-about 16 s at one BLAS thread on a 2-core Xeon.
+about 12 s at one BLAS thread on a 2-core Xeon.
 """
 
 from __future__ import annotations

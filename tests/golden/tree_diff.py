@@ -3,7 +3,7 @@
     python tests/golden/tree_diff.py REV [--configs NAME,...]
 
 exports REV with ``git archive`` into a temporary directory, then runs
-``safecert sweep`` from REV's ``src`` and from the work tree's ``src`` on four
+``safecert sweep`` from REV's ``src`` and from the work tree's ``src`` on five
 configs, each serially and at ``--threads 2``:
 
 * ``sweep``: ``SWEEP_CONFIG`` of tests/test_acceptance.py (criterion c12);
@@ -14,7 +14,11 @@ configs, each serially and at ``--threads 2``:
   5x5 grid, so each seed's Monte Carlo fills two blocks, the last one
   partial, and imp and ssr over a 17x17 partition (289 cells: a 256-row
   block and a partial one); tier-1 also checks its sweep against
-  tests/golden/sweep_dependent.json (tests/test_golden.py).
+  tests/golden/sweep_dependent.json (tests/test_golden.py);
+* ``penalised``: all five methods on dependent pairs at two horizons, with
+  45 pairs per cell, fewer than the trajectories hold, so the pairs are a
+  subsample drawn on the ``pairs-sub`` stream, and a dp ambiguity above 0,
+  so every backward step subtracts the norm penalty.
 
 The config texts are the work tree's, on both sides.  Every run pins one BLAS
 thread (OPENBLAS_NUM_THREADS=1): the last bits of a product depend on how
@@ -63,6 +67,24 @@ abstraction.ny = 17
 calibration.bins = 4
 """
 
+PENALISED_CONFIG = """
+system.alphas = 0, 0.95
+horizons = 2, 4
+seeds = 1
+data.n_trajectories = 30
+data.n_pairs = 45
+data.n_calibration = 40
+data.mode = dependent
+dp.ambiguity = 0.002
+grid.nx = 5
+grid.ny = 5
+mc.rollouts = 200
+methods = direct, dp, imp, ssr, barrier
+abstraction.nx = 6
+abstraction.ny = 6
+calibration.bins = 4
+"""
+
 # the kinds of file a sweep writes, in summary order
 KINDS = ("data/", "mc/", "pred/", "cal/", "metrics")
 
@@ -79,7 +101,8 @@ def configs() -> dict[str, str]:
     from test_cli import TINY_CONFIG
 
     return {"sweep": SWEEP_CONFIG, "tiny": TINY_CONFIG,
-            "pipeline": config_text("pipeline", 7, "full"), "dependent": DEPENDENT_CONFIG}
+            "pipeline": config_text("pipeline", 7, "full"), "dependent": DEPENDENT_CONFIG,
+            "penalised": PENALISED_CONFIG}
 
 
 def export(rev: str, dest: Path) -> Path:
@@ -167,11 +190,11 @@ def summary(name: str, moved: dict[str, float | None]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("rev", help="the git revision to compare the work tree with")
-    parser.add_argument("--configs", default="sweep,tiny,pipeline,dependent",
-                        help="comma-separated config names (default: all four)")
+    parser.add_argument("--configs", default=None,
+                        help="comma-separated config names (default: all of them)")
     args = parser.parse_args(argv)
     texts = configs()
-    names = args.configs.split(",")
+    names = args.configs.split(",") if args.configs else list(texts)
     unknown = sorted(set(names) - texts.keys())
     if unknown:
         parser.error(f"unknown config {unknown}; valid: {sorted(texts)}")

@@ -30,7 +30,6 @@ from safecert import (
     SafeRegion,
     SynthSystemParams,
     backward_value,
-    brier_decomposition,
     brier_decomposition_mc,
     calibrate,
     certified_lower_bound,
@@ -329,7 +328,7 @@ class TestCalibrationCriteria:
             n = int(rng.integers(20, 300))
             scores = rng.uniform(0, 1, n)
             outcomes = (rng.uniform(0, 1, n) < rng.uniform(0, 1, n)).astype(float)
-            rep = brier_decomposition(scores, outcomes, n_bins=int(rng.integers(2, 15)))
+            rep = brier_decomposition_mc(scores, outcomes, n_bins=int(rng.integers(2, 15)))
             worst = max(worst, abs(rep.brier_binned - (rep.rel - rep.res + rep.unc)))
         _verdict(
             8,

@@ -272,7 +272,7 @@ class TestSimulation:
         params = SynthSystemParams(alpha=0.95)
         ts = gen_dataset(params, region, n=200, T=T, seed=8, purpose=purpose)
         lo, hi = region.box_array()
-        for i in range(ts.n):
+        for i in range(len(ts.states)):
             rng = stream(8, purpose, i)
             x0 = rng.uniform(lo, hi)
             assert np.array_equal(ts.states[i], stepwise_rollout(params, x0, T, rng)[0])
@@ -291,7 +291,7 @@ class TestSimulation:
         ``uniform(lo, hi)`` on the trajectory's own stream."""
         ts = gen_dataset(markov_params, region, n=2000, T=0, seed=13, purpose="cal-traj")
         lo, hi = region.box_array()
-        want = np.array([stream(13, "cal-traj", i).uniform(lo, hi) for i in range(ts.n)])
+        want = np.array([stream(13, "cal-traj", i).uniform(lo, hi) for i in range(len(ts.states))])
         assert np.array_equal(ts.initial_states, want)
 
     @pytest.mark.parametrize("purpose", ["traj", "cal-traj"])

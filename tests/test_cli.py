@@ -264,6 +264,24 @@ class TestExitCodes:
                    "--out", str(out)) == 2
         assert not out.exists()
 
+    def test_config_of_barrier_alone_leaves_nothing_to_score(self, tmp_path, capsys):
+        """``methods = barrier`` writes reports, no estimates: sweep exits 2
+        before its first write, certify writes the reports, and calibrate and
+        evaluate exit 2 and write nothing."""
+        config = tmp_path / "barrier.cfg"
+        config.write_text(config_with(TINY_CONFIG, "methods = barrier\n"))
+        out = tmp_path / "o"
+        assert run("sweep", "--config", str(config), "--out", str(out)) == 2
+        assert "names no method that writes estimates" in capsys.readouterr().err
+        assert not out.exists()
+        for stage in ("gen-data", "mc-oracle", "certify"):
+            assert run(stage, "--config", str(config), "--out", str(out)) == 0
+        assert (out / "pred" / "barrier_a0_T2_s1.json").exists()
+        before = sorted(p.relative_to(out) for p in out.rglob("*"))
+        for stage in ("calibrate", "evaluate"):
+            assert run(stage, "--config", str(config), "--out", str(out)) == 2
+        assert sorted(p.relative_to(out) for p in out.rglob("*")) == before
+
     def test_certify_before_gen_data_exits_1(self, cfg_path, tmp_path):
         assert run("certify", "--config", str(cfg_path), "--method", "dp",
                    "--out", str(tmp_path / "o")) == 1
@@ -467,12 +485,6 @@ class TestPipeline:
         assert comment.startswith("// config=")
         data = json.loads(body)
         assert set(data) >= {"eta", "gamma_lvl", "beta", "bound", "feasible", "horizon"}
-
-    def test_seed_offset_shifts_output_names(self, cfg_path, tmp_path):
-        out = tmp_path / "results"
-        assert run("gen-data", "--config", str(cfg_path), "--out", str(out),
-                   "--seed-offset", "100") == 0
-        assert (out / "data" / "trajs_a0_T2_s101.csv").exists()
 
     def test_certify_fits_dp_once_per_cell(self, cfg_path, tmp_path, monkeypatch):
         out = str(tmp_path / "o")

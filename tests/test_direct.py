@@ -190,9 +190,3 @@ class TestErrorTerms:
         e2 = eps2(budget, budget.norm_bound, d=2, T=4)
         got = lower_bound(model, q, budget, eps3_value=0.05)
         assert got == pytest.approx(predict(model, q) - e1 - e2 - 0.05, abs=1e-10)
-
-    def test_lower_bound_without_budget_is_predict(self, region, markov_params):
-        ts = gen_dataset(markov_params, region, n=20, T=2, seed=18)
-        model = fit_direct(KernelSpec.isotropic(0.8, 2, 1e-4), ts, region)
-        q = np.array([[-2.0, 0.0]])
-        assert np.array_equal(lower_bound(model, q), predict(model, q))

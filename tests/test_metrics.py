@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from safecert import brier_decomposition, brier_decomposition_mc, excess_rmse, rmse
+from safecert import brier_decomposition_mc, excess_rmse, rmse
 
 
 class TestPointMetrics:
@@ -53,11 +53,13 @@ def loop_decomposition(pred, outcomes, n_bins):
 
 
 class TestBrierDecomposition:
+    """Against binary outcomes: Monte Carlo frequencies of one rollout each."""
+
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(1)
         pred = rng.uniform(0, 1, 500)
         outcomes = (rng.uniform(0, 1, 500) < pred).astype(float)
-        rep = brier_decomposition(pred, outcomes, n_bins=10)
+        rep = brier_decomposition_mc(pred, outcomes, n_bins=10)
         rel, res, unc = loop_decomposition(pred, outcomes, 10)
         assert rep.rel == pytest.approx(rel, abs=1e-12)
         assert rep.res == pytest.approx(res, abs=1e-12)
@@ -69,12 +71,12 @@ class TestBrierDecomposition:
             n = int(rng.integers(20, 300))
             pred = rng.uniform(0, 1, n)
             outcomes = (rng.uniform(0, 1, n) < 0.5).astype(float)
-            rep = brier_decomposition(pred, outcomes, n_bins=10)
+            rep = brier_decomposition_mc(pred, outcomes, n_bins=10)
             assert rep.brier_binned == pytest.approx(rep.rel - rep.res + rep.unc, abs=1e-12)
 
     def test_perfect_binary_predictor(self):
         outcomes = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
-        rep = brier_decomposition(outcomes.copy(), outcomes, n_bins=10)
+        rep = brier_decomposition_mc(outcomes.copy(), outcomes, n_bins=10)
         assert rep.brier == 0.0
         assert rep.rel == pytest.approx(0.0, abs=1e-15)
         assert rep.res == pytest.approx(rep.unc, abs=1e-15)
@@ -83,10 +85,10 @@ class TestBrierDecomposition:
     def test_out_of_range_predictions_are_clamped_for_binning(self):
         pred = np.array([-0.2, 1.3, 0.5])
         outcomes = np.array([0.0, 1.0, 1.0])
-        rep = brier_decomposition(pred, outcomes, n_bins=10)
+        rep = brier_decomposition_mc(pred, outcomes, n_bins=10)
         assert np.isfinite(rep.brier)
 
-    @pytest.mark.parametrize("decompose", [brier_decomposition, brier_decomposition_mc])
+    @pytest.mark.parametrize("decompose", [brier_decomposition_mc])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_prediction_rejected(self, decompose, bad):
         """A NaN prediction has no bin: it used to warn and then index out
@@ -102,8 +104,8 @@ class TestBrierDecomposition:
         pred = rng.uniform(0, 1, 120)
         outcomes = (rng.uniform(0, 1, 120) < pred).astype(float)
         perm = rng.permutation(120)
-        a = brier_decomposition(pred, outcomes, n_bins=10)
-        b = brier_decomposition(pred[perm], outcomes[perm], n_bins=10)
+        a = brier_decomposition_mc(pred, outcomes, n_bins=10)
+        b = brier_decomposition_mc(pred[perm], outcomes[perm], n_bins=10)
         assert a.brier == pytest.approx(b.brier, abs=1e-15)
         assert a.rel == pytest.approx(b.rel, abs=1e-14)
         assert a.res == pytest.approx(b.res, abs=1e-14)
@@ -129,7 +131,7 @@ class TestBrierAgainstMcTruth:
         y_exp = np.concatenate([
             np.concatenate([np.ones(ki), np.zeros(m - ki)]) for ki in k
         ])
-        want = brier_decomposition(pred_exp, y_exp, n_bins=10)
+        want = brier_decomposition_mc(pred_exp, y_exp, n_bins=10)
         got = brier_decomposition_mc(pred, p_mc, n_bins=10)
         assert got.brier == pytest.approx(want.brier, abs=1e-12)
         assert got.brier_binned == pytest.approx(want.brier_binned, abs=1e-12)

@@ -58,6 +58,21 @@ def test_summary_gives_each_kind_its_largest_shift_and_tolerance():
     ]
 
 
+def test_every_config_loads_and_penalised_reaches_its_paths():
+    """Each config text is one the library accepts.  ``penalised`` is the one
+    sweep whose pairs are a subsample (fewer than the trajectories hold at
+    every horizon) and whose dp backward steps subtract a norm penalty."""
+    from safecert import load_config
+
+    texts = _tree_diff().configs()
+    cfgs = {name: load_config(text=text) for name, text in texts.items()}
+    assert "penalised" in cfgs
+    cfg = cfgs["penalised"]
+    assert cfg["data.mode"] == "dependent" and cfg["dp.ambiguity"] > 0
+    for T in cfg["horizons"]:
+        assert cfg.n_pairs(T) < cfg["data.n_trajectories"] * T
+
+
 def test_head_prints_nothing():
     """``tree_diff.py HEAD`` on the tiny config, serial and pooled, finds
     every file of the work tree's sweeps as HEAD writes it, and the pooled
