@@ -73,8 +73,8 @@ for k in range(len(x0)):
 mild = ErrorBudget(ambiguity=0.005, gamma=0.3, gamma_n=0.25, norm_bound=2.0)
 harsh = ErrorBudget(ambiguity=0.005, gamma=1.0, norm_bound=2.0)
 print(
-    f"  eps2 at radius 0.005: {eps2(mild, mild.norm_bound, region.dim, T, n=model.n):.4f} "
-    f"with gamma_n=0.25, {eps2(harsh, harsh.norm_bound, region.dim, T, n=model.n):.3g} "
+    f"  eps2 at radius 0.005: {eps2(mild, region.dim, T, n=model.n):.4f} "
+    f"with gamma_n=0.25, {eps2(harsh, region.dim, T, n=model.n):.3g} "
     f"on the default n^-1/2 schedule"
 )
 

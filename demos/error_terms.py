@@ -52,7 +52,7 @@ print(f"{'gamma_n':>8} {'eps1':>10} {'eps2':>10} {'eps3':>10}")
 for gamma_n in (0.3, 0.1, 0.05):
     budget = ErrorBudget(ambiguity=0.01, gamma=1.0, gamma_n=gamma_n, norm_bound=2.0)
     e1 = eps1(model, budget, x0)[0]
-    e2 = eps2(budget, budget.norm_bound, region.dim, T, n=model.n)
+    e2 = eps2(budget, region.dim, T, n=model.n)
     e3 = eps3(model, budget, n_mc=1500, seed=SEED, sampler=sampler)
     print(f"{gamma_n:>8g} {e1:>10.5f} {e2:>10.4g} {e3.value:>10.5f}")
 
@@ -60,7 +60,7 @@ print()
 print("with ambiguity 0 the eps2 term vanishes and only smoothing matters:")
 budget0 = ErrorBudget(ambiguity=0.0, gamma=1.0, norm_bound=2.0)
 print(f"  resolved gamma_n = {budget0.resolve_gamma_n(model.n):.4f} (n^-1/2 schedule)")
-print(f"  eps2 = {eps2(budget0, budget0.norm_bound, region.dim, T, n=model.n):.4f}")
+print(f"  eps2 = {eps2(budget0, region.dim, T, n=model.n):.4f}")
 
 # the smoothed functional itself: trajectories deep inside or outside the
 # safe set keep labels near {0, 1}, boundary grazers move off them.  A

@@ -81,25 +81,6 @@ class BinnedCalibrator:
         return json.dumps(payload, sort_keys=True)
 
 
-def _merge_empty_bins(edges: list[float], counts: np.ndarray) -> list[float]:
-    """Merge each empty bin toward its nearest nonempty neighbor, one edge at a time."""
-    edges = list(edges)
-    while True:
-        nonempty = np.flatnonzero(counts)
-        empty = np.flatnonzero(counts == 0)
-        if empty.size == 0 or nonempty.size == 0:
-            return edges
-        b = int(empty[0])
-        dist = np.abs(nonempty - b)
-        target = int(nonempty[np.argmin(dist)])
-        if target < b:
-            del edges[b]
-            counts = np.concatenate([counts[: b - 1], [counts[b - 1] + counts[b]], counts[b + 1 :]])
-        else:
-            del edges[b + 1]
-            counts = np.concatenate([counts[:b], [counts[b] + counts[b + 1]], counts[b + 2 :]])
-
-
 def calibrate(
     scores: np.ndarray,
     outcomes: np.ndarray,
@@ -110,8 +91,10 @@ def calibrate(
 
     The bin edges are the scores' n_bins + 1 quantiles, the first and last
     the scores' exact min and max; scores with a span at or below 1e-12
-    collapse to a single bin.  Tied quantiles are deduplicated and any
-    remaining empty bin is merged into its nearest nonempty neighbor; widths
+    collapse to a single bin.  A quantile is kept only when it lies above
+    every quantile before it, so tied quantiles drop out.  An empty bin then
+    joins the filled bin on its left: the lowest bin holds the minimum score
+    and the highest the maximum, so only an inner bin can be empty.  Widths
     use the final bin count.  Scores must be finite and outcomes 0 or 1; a
     ValueError names the first entry that is not.
     """
@@ -137,20 +120,19 @@ def calibrate(
     span = float(np.max(s) - np.min(s))
     degenerate = span <= _DEGENERATE_SPAN
     if degenerate:
-        edges = [float(np.min(s)), float(np.max(s))]
+        edges = np.array([np.min(s), np.max(s)])
     else:
         qs = np.quantile(s, np.linspace(0.0, 1.0, n_bins + 1))
-        edges = [float(qs[0])]
-        for e in qs[1:]:
-            if e > edges[-1]:
-                edges.append(float(e))
+        edges = qs[np.concatenate([[True], qs[1:] > np.maximum.accumulate(qs)[:-1]])]
 
-    bins = _bin_index(np.asarray(edges), s)
-    counts = np.bincount(bins, minlength=len(edges) - 1)
-    if np.any(counts == 0):
-        edges = _merge_empty_bins(edges, counts)
-        bins = _bin_index(np.asarray(edges), s)
-        counts = np.bincount(bins, minlength=len(edges) - 1)
+    bins = _bin_index(edges, s)
+    # an inner edge stays only as the lower edge of a filled bin, so each
+    # empty bin joins the filled bin on its left (the first bin holds the
+    # minimum score, so one exists)
+    opens = np.bincount(bins, minlength=len(edges) - 1)[1:] > 0
+    edges = np.concatenate([edges[:1], edges[1:-1][opens], edges[-1:]])
+    bins = np.concatenate([[0], np.cumsum(opens)])[bins]
+    counts = np.bincount(bins)
 
     b_eff = len(counts)
     # the sum of 0/1 outcomes is exact, so this is each bin's np.mean to the bit
@@ -158,7 +140,7 @@ def calibrate(
     widths = np.sqrt(np.log(b_eff / delta_conf) / (2.0 * counts))
     certified = np.maximum(0.0, rates - widths)
     return BinnedCalibrator(
-        edges=np.asarray(edges),
+        edges=edges,
         counts=counts,
         rates=rates,
         widths=widths,

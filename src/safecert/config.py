@@ -143,6 +143,8 @@ def _validate(v: dict) -> None:
             raise ConfigError(f"{key} must be positive")
     if not v["seeds"] or not v["horizons"] or not v["system.alphas"]:
         raise ConfigError("seeds, horizons, and system.alphas must be nonempty")
+    if any(seed < 0 for seed in v["seeds"]):
+        raise ConfigError("seeds entries must be nonnegative")
     for a in v["system.alphas"]:
         if not (0.0 <= a < 1.0):
             raise ConfigError("system.alphas entries must lie in [0, 1)")

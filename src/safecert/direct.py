@@ -50,6 +50,9 @@ __all__ = [
     "eps3",
 ]
 
+# the working bandwidth a budget without gamma_n derives: n**(-_BETA_EXP) * gamma
+_BETA_EXP = 0.5
+
 
 @dataclass(frozen=True)
 class ErrorBudget:
@@ -57,16 +60,15 @@ class ErrorBudget:
 
     ambiguity is the MMD radius eps of the distribution ball (0 disables the
     eps2/eps3 machinery entirely); gamma is the reference mollifier bandwidth
-    and gamma_n the working one, defaulting to n**(-beta_exp) * gamma;
+    and gamma_n the working one, defaulting to n**(-1/2) * gamma;
     smoothing_order is r = floor(s) + 1 for the declared smoothness s of the
-    target; norm_bound is the caller-supplied RKHS norm of the smoothed
-    functional entering eps2.
+    target; norm_bound is the caller-supplied RKHS norm ||rho~|| of the
+    smoothed functional, which eps2 reads.
     """
 
     ambiguity: float = 0.0
     gamma: float = 1.0
     gamma_n: float | None = None
-    beta_exp: float = 0.5
     smoothing_order: int = 1
     norm_bound: float = 0.0
 
@@ -81,7 +83,7 @@ class ErrorBudget:
     def resolve_gamma_n(self, n: int | None) -> float:
         if self.gamma_n is not None:
             return self.gamma_n
-        return float(n) ** (-self.beta_exp) * self.gamma
+        return float(n) ** (-_BETA_EXP) * self.gamma
 
 
 def _mollifier_components(gamma_n: float, order: int) -> list[tuple[float, float]]:
@@ -181,14 +183,13 @@ def eps1(model: DirectModel, budget: ErrorBudget, x0: np.ndarray) -> np.ndarray:
     return np.abs(model.gram.expand(x0, model.gram.solve(model.labels - rho_tilde)))
 
 
-def eps2(
-    budget: ErrorBudget, norm_smoothed: float, d: int, T: int, n: int | None = None
-) -> float:
-    """Ambiguity term eps * kappa * ||rho~|| * (gamma / gamma_n)^(d(T+1)/2)."""
+def eps2(budget: ErrorBudget, d: int, T: int, n: int | None = None) -> float:
+    """Ambiguity term eps * kappa * ||rho~|| * (gamma / gamma_n)^(d(T+1)/2),
+    with eps, ||rho~|| (``norm_bound``) and the bandwidths from ``budget``."""
     if budget.gamma_n is None and n is None:
         raise ValueError("n is required when gamma_n is derived from the sample size")
     ratio = budget.gamma / budget.resolve_gamma_n(n)
-    return budget.ambiguity * KAPPA * norm_smoothed * ratio ** (d * (T + 1) / 2.0)
+    return budget.ambiguity * KAPPA * budget.norm_bound * ratio ** (d * (T + 1) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -238,5 +239,5 @@ def lower_bound(
     ``predict``.
     """
     e1 = eps1(model, budget, x0)
-    e2 = eps2(budget, budget.norm_bound, model.region.dim, model.horizon, n=model.n)
+    e2 = eps2(budget, model.region.dim, model.horizon, n=model.n)
     return predict(model, x0) - e1 - e2 - eps3_value

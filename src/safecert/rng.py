@@ -26,7 +26,9 @@ def stream(seed: int, *path: int | str) -> np.random.Generator:
     """Return a generator for the named sub-stream of ``seed``.
 
     ``stream(7, "traj", 3)`` and ``stream(7, "traj", 4)`` are statistically
-    independent; the same arguments always reproduce the same stream.
+    independent; the same arguments always reproduce the same stream.  Each
+    nonnegative seed, however large, names its own stream; a negative seed
+    raises numpy's ValueError.
     """
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_stream_key(p) for p in path]
+    entropy = [int(seed)] + [_stream_key(p) for p in path]
     return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -191,6 +191,15 @@ class TestSimulation:
         b = gen_dataset(markov_params, region, n=7, T=4, seed=42)
         assert np.array_equal(a.states, b.states)
 
+    def test_seed_past_64_bits_names_its_own_stream(self):
+        """Masking the seed to 64 bits gave seed 2**64 + 3 the draws of seed 3."""
+        assert not np.array_equal(stream(2**64 + 3, "x").random(4), stream(3, "x").random(4))
+
+    def test_negative_seed_raises(self):
+        """Masked, seed -1 used to run the streams of seed 2**64 - 1."""
+        with pytest.raises(ValueError):
+            stream(-1, "x")
+
     def test_trajectory_streams_independent_of_batch_size(self, markov_params, region):
         big = gen_dataset(markov_params, region, n=9, T=4, seed=42)
         small = gen_dataset(markov_params, region, n=3, T=4, seed=42)

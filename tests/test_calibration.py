@@ -5,7 +5,7 @@ from safecert import (
     calibrate,
     certified_lower_bound,
 )
-from safecert.calibration import _merge_empty_bins
+from safecert.calibration import BinnedCalibrator
 
 
 def balanced_set(n: int = 400, seed: int = 0):
@@ -103,25 +103,106 @@ class TestCalibrate:
             calibrate(np.linspace(0.0, 1.0, 6), outcomes, n_bins=2)
 
 
-class TestMergeEmptyBins:
-    def test_interior_empty_merges_toward_nearest(self):
-        edges = [0.0, 0.2, 0.4, 0.6, 1.0]
-        counts = np.array([5, 0, 0, 7])
-        out = _merge_empty_bins(edges, counts)
-        assert len(out) >= 2
-        assert out[0] == 0.0 and out[-1] == 1.0
+def _merge_empty_bins(edges: list[float], counts: np.ndarray) -> list[float]:
+    """Merge each empty bin toward its nearest nonempty neighbor, one edge at a time."""
+    edges = list(edges)
+    while True:
+        nonempty = np.flatnonzero(counts)
+        empty = np.flatnonzero(counts == 0)
+        if empty.size == 0 or nonempty.size == 0:
+            return edges
+        b = int(empty[0])
+        dist = np.abs(nonempty - b)
+        target = int(nonempty[np.argmin(dist)])
+        if target < b:
+            del edges[b]
+            counts = np.concatenate([counts[: b - 1], [counts[b - 1] + counts[b]], counts[b + 1 :]])
+        else:
+            del edges[b + 1]
+            counts = np.concatenate([counts[:b], [counts[b] + counts[b + 1]], counts[b + 2 :]])
 
-    def test_leading_empty_bin_absorbed_by_right_neighbor(self):
-        edges = [0.0, 0.3, 1.0]
-        counts = np.array([0, 9])
-        out = _merge_empty_bins(edges, counts)
-        assert out == [0.0, 1.0]
 
-    def test_trailing_empty_bin_absorbed_by_left_neighbor(self):
-        edges = [0.0, 0.7, 1.0]
-        counts = np.array([9, 0])
-        out = _merge_empty_bins(edges, counts)
-        assert out == [0.0, 1.0]
+def reference_calibrate(s, y, n_bins, delta_conf):
+    """calibrate's binning as an edge-by-edge loop: the quantile dedupe loop
+    and _merge_empty_bins above are copied verbatim from the code that
+    ``calibrate``'s single pass replaced, which re-binned after a merge.
+    Returns the calibrator and whether any bin came out empty."""
+    span = float(np.max(s) - np.min(s))
+    degenerate = span <= 1e-12
+    if degenerate:
+        edges = [float(np.min(s)), float(np.max(s))]
+    else:
+        qs = np.quantile(s, np.linspace(0.0, 1.0, n_bins + 1))
+        edges = [float(qs[0])]
+        for e in qs[1:]:
+            if e > edges[-1]:
+                edges.append(float(e))
+
+    bins = np.searchsorted(np.asarray(edges)[1:-1], s, side="right")
+    counts = np.bincount(bins, minlength=len(edges) - 1)
+    merged = bool(np.any(counts == 0))
+    if merged:
+        edges = _merge_empty_bins(edges, counts)
+        bins = np.searchsorted(np.asarray(edges)[1:-1], s, side="right")
+        counts = np.bincount(bins, minlength=len(edges) - 1)
+
+    rates = np.bincount(bins, weights=y) / counts
+    widths = np.sqrt(np.log(len(counts) / delta_conf) / (2.0 * counts))
+    cal = BinnedCalibrator(
+        edges=np.asarray(edges), counts=counts, rates=rates, widths=widths,
+        certified=np.maximum(0.0, rates - widths), delta_conf=delta_conf,
+        n_cal=s.size, requested_bins=n_bins, degenerate=degenerate,
+    )
+    return cal, merged
+
+
+class TestEmptyBins:
+    def test_lowest_bin_holds_the_minimum(self):
+        """With every quantile but the first on the top value the lowest bin
+        still holds the minimum, so no empty run can lead."""
+        cal = calibrate(np.array([0.0] + [1.0] * 7), np.ones(8), n_bins=8)
+        assert cal.edges.tolist() == [0.0, 0.875, 1.0]
+        assert cal.counts.tolist() == [1, 7]
+
+    def test_highest_bin_holds_the_maximum(self):
+        """The top bin runs from its lower edge up, so it holds the maximum
+        and no empty run can trail."""
+        cal = calibrate(np.array([0.0] * 7 + [1.0]), np.ones(8), n_bins=8)
+        assert cal.edges.tolist() == [0.0, 0.125, 1.0]
+        assert cal.counts.tolist() == [7, 1]
+
+    def test_interior_empty_bin_joins_the_left(self):
+        """The quartile between 0 and the tied 1s opens the empty bin [0.75, 1)."""
+        cal = calibrate(np.array([0.0, 1.0, 1.0, 2.0]), np.zeros(4), n_bins=4)
+        assert cal.edges.tolist() == [0.0, 1.0, 1.25, 2.0]
+        assert cal.counts.tolist() == [1, 2, 1]
+
+    def test_empty_run_beside_a_filled_bin_on_its_right_joins_the_left(self):
+        """Rounding puts two quantiles between the -0.6 and 0.0 ties, leaving
+        the bins [-0.6 + 2e-15, -2e-15) and [-2e-15, 0) empty.  The second
+        borders the filled bin [0, 0.2) on its right, yet both join the left."""
+        scores = np.repeat([-0.9, -0.6, 0.0, 0.2, 0.4], [12, 17, 9, 6, 7])
+        cal = calibrate(scores, np.zeros(51), n_bins=50)
+        assert cal.edges.tolist() == [-0.9, -0.6, 0.0, 0.2, 0.4]
+        assert cal.counts.tolist() == [12, 17, 9, 13]
+
+    def test_matches_the_edge_by_edge_merge(self):
+        """Tie-heavy random sets, n_bins == n in a third of them: the single
+        pass gives the loop's calibrator, to the JSON bytes."""
+        rng = np.random.default_rng(30)
+        merged = 0
+        for _ in range(2000):
+            n = int(rng.integers(2, 60))
+            levels = np.round(rng.uniform(-1, 1, int(rng.integers(1, 8))), int(rng.integers(0, 4)))
+            s = rng.choice(levels, size=n)
+            if rng.uniform() < 0.2:
+                s = s * 1e-11 + rng.uniform(-1, 1)
+            n_bins = n if rng.uniform() < 1 / 3 else int(rng.integers(1, n + 1))
+            y = (rng.uniform(0, 1, n) < 0.5).astype(float)
+            want, did_merge = reference_calibrate(s, y, n_bins, 0.1)
+            merged += did_merge
+            assert calibrate(s, y, n_bins=n_bins, delta_conf=0.1).to_json() == want.to_json()
+        assert merged >= 400
 
 
 class TestBinLookup:

@@ -235,6 +235,8 @@ class TestExitCodes:
         ("system.alphas = 0.5, 0.5", "a0.5_T2_s1"),
         ("seeds = 1, 1", "a0_T2_s1"),
         ("horizons = 2, 2", "a0_T2_s1"),
+        # numpy's SeedSequence takes no negative entropy
+        ("seeds = 1, -1", "seeds entries must be nonnegative"),
         # 30 trajectories of 2 steps hold 60 dependent pairs
         ("data.mode = dependent\ndata.n_pairs = 100", "data.n_pairs"),
         # non-finite values that the range tests let through would fail

@@ -85,6 +85,8 @@ class TestValidation:
             ("data.n_pairs = -5", "data.n_pairs"),
             ("horizons = 0", "horizons"),
             ("horizons = 5, -1", "horizons"),
+            ("seeds = -1", "seeds"),
+            ("seeds = 1, -2", "seeds"),
             ("data.mode = dependent\ndata.n_trajectories = 30\nhorizons = 5, 2\n"
              "data.n_pairs = 61", "data.n_pairs"),
             ("system.sigma = 0", "system.sigma"),

@@ -133,18 +133,18 @@ class TestErrorTerms:
         assert eps1(model, budget, q) == pytest.approx(want, abs=1e-14)
 
     def test_eps2_closed_form(self):
-        budget = ErrorBudget(ambiguity=0.1, gamma=0.4, gamma_n=0.2, norm_bound=0.0)
+        budget = ErrorBudget(ambiguity=0.1, gamma=0.4, gamma_n=0.2, norm_bound=2.0)
         # ratio 2, exponent d (T + 1) / 2 = 1 for d = 1, T = 1
-        assert eps2(budget, norm_smoothed=2.0, d=1, T=1) == pytest.approx(0.1 * 2.0 * 2.0)
-        assert eps2(budget, norm_smoothed=2.0, d=2, T=4) == pytest.approx(0.1 * 2.0 * 2.0**5)
+        assert eps2(budget, d=1, T=1) == pytest.approx(0.1 * 2.0 * 2.0)
+        assert eps2(budget, d=2, T=4) == pytest.approx(0.1 * 2.0 * 2.0**5)
 
     def test_eps2_derives_bandwidth_from_sample_size(self):
-        budget = ErrorBudget(ambiguity=0.05, gamma=1.0, beta_exp=0.5)
+        budget = ErrorBudget(ambiguity=0.05, gamma=1.0, norm_bound=1.0)
         # gamma_n = 100^-0.5 = 0.1, ratio = 10, d=1, T=0 -> sqrt(10)
         want = 0.05 * 1.0 * 10 ** 0.5
-        assert eps2(budget, norm_smoothed=1.0, d=1, T=0, n=100) == pytest.approx(want)
+        assert eps2(budget, d=1, T=0, n=100) == pytest.approx(want)
         with pytest.raises(ValueError):
-            eps2(budget, norm_smoothed=1.0, d=1, T=0)
+            eps2(budget, d=1, T=0)
 
     def test_eps3_matches_quadrature_on_deterministic_grid(self):
         """Feeding a dense deterministic grid as the sampler makes the MC
@@ -187,6 +187,6 @@ class TestErrorTerms:
         q = np.array([[-2.0, 0.0]])
         budget = ErrorBudget(ambiguity=0.01, gamma=1.0, gamma_n=0.5, norm_bound=2.0)
         e1 = eps1(model, budget, q)
-        e2 = eps2(budget, budget.norm_bound, d=2, T=4)
+        e2 = eps2(budget, d=2, T=4)
         got = lower_bound(model, q, budget, eps3_value=0.05)
         assert got == pytest.approx(predict(model, q) - e1 - e2 - 0.05, abs=1e-10)
