@@ -1,4 +1,4 @@
-"""Golden manifests of two small sweeps: the outputs a refactor must leave unchanged.
+"""Golden manifests of three small sweeps: the outputs a refactor must leave unchanged.
 
 Each manifest describes every file that ``safecert sweep`` writes for one
 config: its path, header fields and column names, and its numbers, rounded
@@ -11,6 +11,10 @@ or summarised so that the manifest stays small.
   (tests/golden/tree_diff.py), dependent pairs, all five methods, three
   alphas, two horizons and two seeds, with each seed's Monte Carlo filling
   two blocks, the last one partial, and imp and ssr on a 17x17 partition;
+  tests/test_golden.py compares its sweep with it.
+* ``tests/golden/sweep_low_rank.json``: ``LOW_RANK_CONFIG``
+  (tests/golden/tree_diff.py), iid pairs whose dp fits all take the
+  low-rank path, all five methods at one horizon and two seeds;
   tests/test_golden.py compares its sweep with it.
 
 A sweep is compared with its manifest within a tolerance per kind of file:
@@ -35,9 +39,9 @@ a fit moves them by far more.  The weighted sum also catches reordered rows.
 Regenerating accepts whatever the code now writes, so it is a deliberate
 act.  Run
 
-    PYTHONPATH=src python tests/golden/regen.py [sweep] [dependent]
+    PYTHONPATH=src python tests/golden/regen.py [sweep] [dependent] [low-rank]
 
-(both manifests when no name is given) and record in CHANGES.md why, with
+(every manifest when no name is given) and record in CHANGES.md why, with
 the largest shift per kind that it prints.
 """
 
@@ -54,6 +58,7 @@ from safecert.io import parse_table
 
 GOLDEN = Path(__file__).with_name("sweep.json")
 GOLDEN_DEPENDENT = Path(__file__).with_name("sweep_dependent.json")
+GOLDEN_LOW_RANK = Path(__file__).with_name("sweep_low_rank.json")
 
 _DECIMALS = 10
 _STORED = ("pred/", "metrics")  # files whose numeric columns are stored value by value
@@ -217,10 +222,11 @@ def regenerate(config: str, golden: Path) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-    from golden.tree_diff import DEPENDENT_CONFIG
+    from golden.tree_diff import DEPENDENT_CONFIG, LOW_RANK_CONFIG
     from test_acceptance import SWEEP_CONFIG
 
-    goldens = {"sweep": (SWEEP_CONFIG, GOLDEN), "dependent": (DEPENDENT_CONFIG, GOLDEN_DEPENDENT)}
+    goldens = {"sweep": (SWEEP_CONFIG, GOLDEN), "dependent": (DEPENDENT_CONFIG, GOLDEN_DEPENDENT),
+               "low-rank": (LOW_RANK_CONFIG, GOLDEN_LOW_RANK)}
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("names", nargs="*", help=f"manifests to write (default: {', '.join(goldens)})")
     names = parser.parse_args(argv).names or list(goldens)

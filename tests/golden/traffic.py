@@ -4,8 +4,8 @@
 
 runs, in this one process:
 
-* the five sweep configs of tests/golden/tree_diff.py (``sweep``, ``tiny``,
-  ``pipeline``, ``dependent``, ``penalised``), each as one serial
+* the six sweep configs of tests/golden/tree_diff.py (``sweep``, ``tiny``,
+  ``pipeline``, ``dependent``, ``penalised``, ``low-rank``), each as one serial
   ``safecert sweep``;
 * the three benchmark workloads of bench/workloads.py at full scale and seed
   1: set-up, one pass and its checks;

@@ -3,7 +3,7 @@
     python tests/golden/tree_diff.py REV [--configs NAME,...]
 
 exports REV with ``git archive`` into a temporary directory, then runs
-``safecert sweep`` from REV's ``src`` and from the work tree's ``src`` on five
+``safecert sweep`` from REV's ``src`` and from the work tree's ``src`` on six
 configs, each serially and at ``--threads 2``:
 
 * ``sweep``: ``SWEEP_CONFIG`` of tests/test_acceptance.py (criterion c12);
@@ -18,7 +18,13 @@ configs, each serially and at ``--threads 2``:
 * ``penalised``: all five methods on dependent pairs at two horizons, with
   45 pairs per cell, fewer than the trajectories hold, so the pairs are a
   subsample drawn on the ``pairs-sub`` stream, and a dp ambiguity above 0,
-  so every backward step subtracts the norm penalty.
+  so every backward step subtracts the norm penalty;
+* ``low-rank``: all five methods on 800 iid pairs per cell at two seeds,
+  with a dp lengthscale of 2.5 and lam 1e-6, so every dp fit takes the
+  low-rank path of ``kernels.fit_system`` (rank 91-92 under its cap of 100)
+  and imp and ssr read the low-rank column solve, over a 17x17 partition;
+  tier-1 also checks its sweep against tests/golden/sweep_low_rank.json
+  (tests/test_golden.py).
 
 The config texts are the work tree's, on both sides.  Every run pins one BLAS
 thread (OPENBLAS_NUM_THREADS=1): the last bits of a product depend on how
@@ -85,6 +91,24 @@ abstraction.ny = 6
 calibration.bins = 4
 """
 
+LOW_RANK_CONFIG = """
+system.alphas = 0, 0.95
+horizons = 4
+seeds = 1, 2
+data.n_trajectories = 200
+data.n_pairs = 800
+data.n_calibration = 40
+kernel.dp.variances = 6.25, 6.25
+kernel.dp.lam = 1e-6
+grid.nx = 5
+grid.ny = 5
+mc.rollouts = 200
+methods = direct, dp, imp, ssr, barrier
+abstraction.nx = 17
+abstraction.ny = 17
+calibration.bins = 4
+"""
+
 # the kinds of file a sweep writes, in summary order
 KINDS = ("data/", "mc/", "pred/", "cal/", "metrics")
 
@@ -102,7 +126,7 @@ def configs() -> dict[str, str]:
 
     return {"sweep": SWEEP_CONFIG, "tiny": TINY_CONFIG,
             "pipeline": config_text("pipeline", 7, "full"), "dependent": DEPENDENT_CONFIG,
-            "penalised": PENALISED_CONFIG}
+            "penalised": PENALISED_CONFIG, "low-rank": LOW_RANK_CONFIG}
 
 
 def export(rev: str, dest: Path) -> Path:
