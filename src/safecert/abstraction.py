@@ -120,11 +120,11 @@ def empirical_cell_probs(part: Partition, dp_model: DpModel) -> np.ndarray:
 
     The weights are solved for one ``query_blocks`` block of centers at a
     time and binned row by row, so beside the (n_cells, n_cells) result one
-    block of weights is held, never the (n_cells, M) matrix.  On a dense
-    model each weight column is its own triangular solve, so at one BLAS
-    thread the blocks give the bytes of one call over every center; on a
-    low-rank model the products with the pivoted rows move with the block
-    in their last bits, so they give one call's matrix to rounding.
+    block of weights is held, never the (n_cells, M) matrix.  At one BLAS
+    thread the blocks give the bytes of one call over every center: on a
+    dense model each weight column is its own triangular solve, and on a
+    low-rank model the products with the pivoted rows run in fixed
+    granules of columns (``GramSystem.weights_at``).
     """
     if dp_model.gram is None or dp_model.x_next is None:
         raise ValueError("cell probabilities need a kernel-backed model")

@@ -13,14 +13,13 @@ negative; nothing here clips them.
 A fitted system (``GramSystem``, built by ``fit_system``) takes one of two
 representations, and its rank alone decides which:
 
-* low rank: a greedy pivoted Cholesky factorisation of K over the training
+* low rank: a block pivoted Cholesky factorisation of K over the training
   inputs and the U extra points the caller evaluates the kernel at (dp's
   next states) that are not bitwise training inputs, K ~ L^T L with L of
   m rows, and the Cholesky factor of the m x m Woodbury core
   M lam I + Lx Lx^T: 8 m (M + U) + 8 m^2 bytes.  The build stops once
-  every residual diagonal is at most _PIVOT_TOL * M lam (1e-11 * M lam),
-  so each kernel entry among those points is off by at most that, and
-  solves are Woodbury's identity;
+  every residual diagonal it computes is at most _PIVOT_TOL * M lam
+  (1e-11 * M lam), and solves are Woodbury's identity;
 * dense, where that takes more than M / _RANK_SHARE rows (M / 8): the
   Cholesky factor in rectangular full packed storage, the lower triangle
   alone, n(n+1)/2 doubles for the system padded to n = M rounded up to a
@@ -31,7 +30,7 @@ An extra point that is bitwise a training input takes its kernel row from
 the ridge system instead (see ``fit_system``).
 
 The 2-D Gaussian systems of the acceptance desk cell (M = 4500 iid pairs,
-T = 15) have rank about 510 of M / 8 = 562 and take the first, as do the
+T = 15) have rank about 516 of M / 8 = 562 and take the first, as do the
 default iid dp cells; the benchmark's pipeline fits (M <= 1000), its
 dependent-pair fits at M = 2000 and the default direct fits stay dense.
 No M x M array is held either way.
@@ -102,30 +101,49 @@ _TRIANGLE_ROWS = 64
 
 # the pivoted build of fit_system stops once the largest residual diagonal
 # is at most _PIVOT_TOL * M lam, and hands over to the dense factor once its
-# rank passes M / _RANK_SHARE.  Measured (2-core Xeon, one BLAS thread): the
-# desk cell (M = 4500 iid pairs, tuned T = 15 kernel, over 9000 points)
-# needs rank 431-440 at 1e-9, 473-475 at 1e-10 and 511-516 at 1e-11, under
-# its cap of 562, and at 1e-11 gives V0 within 8.3e-10 of the dense core's;
-# 2001 inputs at lengthscales (0.7, 0.9), lam 1e-3 (rank 232 of 250) solve
-# within 1.4e-11 of a dense solve at 1e-11, 2.3e-10 at 1e-10 and 1.3e-9 at
-# 1e-9.  Without the early stop below, a system that falls back wasted the
-# whole capped build: 0.04-0.07 s for dependent pairs at M = 2000 (rank 586
-# and 1135, 250 rows over 2200 points), 20.6 s against a 60 s fit for the
-# default dependent T = 15 cell (residual still 1e13 tol after 1875 rows).
+# rank passes M / _RANK_SHARE.  Measured with the block build (2-core Xeon,
+# one BLAS thread): the desk cells (M = 4500 iid pairs at seeds 1 and 2,
+# tuned T = 15 kernel, over 9000 points) need rank 439 at 1e-9, 470-477 at
+# 1e-10 and 516-517 at 1e-11, under their cap of 562, and at 1e-11 give V0
+# within 1.6e-9 of the dense core's; 2001 inputs at lengthscales (0.7, 0.9),
+# lam 1e-3 (rank 230 of 250) solve within 1.2e-11 of a dense solve at
+# 1e-11, 1.3e-10 at 1e-10 and 1.6e-9 at 1e-9.  Without the early stop below,
+# a system that falls back wastes the whole capped build: 3.1-3.7 s for the
+# default dependent T = 15 cell at alpha = 0.95 (residual still 1e13 tol
+# after 1875 rows; 20.6 s under the greedy build), against 0.4 s with it.
 _PIVOT_TOL = 1e-11
 _RANK_SHARE = 8
 
-# The build also stops at cap / 4 rows unless the largest residual has
-# covered this share of the decades from 1 down to tol by then.  Measured
-# at cap / 4: 0.26-0.30 on systems that reach tol under the cap (the desk
-# cells, the default dependent T = 5 cell), 0-0.07 on those that do not
-# (diag, pipeline and the default dependent T = 15 cells)
+# The build also stops at the first block boundary past cap / 4 rows unless
+# the largest residual has covered this share of the decades from 1 down to
+# tol by then.  Measured there: 0.20-0.90 on systems that reach tol under
+# the cap (the desk cells 0.24-0.25, the default iid cells, the default
+# dependent T = 5 cells at alpha = 0 and 0.5 and T = 10 at alpha = 0),
+# 0-0.16 on those that do not (diag, pipeline and the other default
+# dependent cells).  The default dependent T = 15 cell at alpha = 0 reads
+# 0.11: it would reach tol at rank 1302 of 1875, but takes the dense path,
+# as it did under the greedy build.
 _QUARTER_DECAY = 0.125
+
+# candidates per block of the pivoted build, and the share of the largest
+# residual diagonal that a pivot's Schur residual in its block must reach.
+# The build time is flat in the block size from 48 to 192 (0.20-0.25 s per
+# desk cell) and slower at 16 and 32 (0.28-0.36 s); a share of 0.1 bounds
+# the growth of the rows as greedy pivoting does
+_PIVOT_BLOCK = 64
+_ACCEPT_SHARE = 0.1
 
 # query rows per block are a multiple of this: a one-thread OpenBLAS dgemv
 # takes rows in groups of four, so a block boundary on a multiple of 16
 # groups every row as a product over the whole batch would
 _ROW_GRANULE = 16
+
+# a low-rank column solve runs its products with Lx over granules of this
+# many columns, the last one zero-padded, so each product has one shape;
+# query blocks are a multiple of it.  One BLAS thread of a 2-core Xeon,
+# 512 queries at the desk cell (M = 4500, rank 516): 0.14 s in granules of
+# 128 or in one product, 0.18 s in granules of 64, 0.28 s in granules of 16
+_SOLVE_GRANULE = 128
 
 
 class NumericError(RuntimeError):
@@ -242,9 +260,11 @@ def _gaussian(u: np.ndarray, vt: np.ndarray, out: np.ndarray) -> None:
 def query_blocks(n: int, m: int) -> list[slice]:
     """Row slices covering a batch of ``n`` queries against ``m`` points, in
     blocks of about QUERY_BLOCK_BYTES of kernel values each, or _MIN_ROWS
-    rows where that is more (m above 1024), cut by ``row_blocks``.
+    rows where that is more (m above 1024), rounded down to a multiple of
+    _SOLVE_GRANULE and cut by ``row_blocks``.
     """
-    return row_blocks(n, max(_MIN_ROWS, QUERY_BLOCK_BYTES // (8 * max(m, 1))))
+    rows = max(_MIN_ROWS, QUERY_BLOCK_BYTES // (8 * max(m, 1)))
+    return row_blocks(n, rows // _SOLVE_GRANULE * _SOLVE_GRANULE)
 
 
 def row_blocks(n: int, rows: int) -> list[slice]:
@@ -309,7 +329,7 @@ class GramSystem:
     K(unmatched, inputs), (U, M).
 
     *Low rank* (``rank`` = m): the rows L = [Lx, L+], (m, M + U), of a
-    greedy pivoted Cholesky factorisation of K over [inputs; unmatched], so
+    block pivoted Cholesky factorisation of K over [inputs; unmatched], so
     that K ~ L^T L on those points, and C, the (m, m) lower Cholesky factor
     of M lam I + Lx Lx^T.  A solve is Woodbury's identity,
 
@@ -391,7 +411,9 @@ class GramSystem:
         3, would run one-column level-3 calls, about 1.6 times slower at
         M = 4500 (one BLAS thread of a 2-core Xeon: 21.6 against 13.6 ms).
         Low rank, either is solved by Woodbury's identity: Lx x, formed as
-        (x^T Lx^T)^T, one (m, m) solve (LAPACK ``dpotrs``), and x -= Lx^T z.
+        (x^T Lx^T)^T, one (m, m) solve (LAPACK ``dpotrs``), and x -= Lx^T z,
+        columns in granules of _SOLVE_GRANULE, so that at one BLAS thread a
+        column's bytes do not depend on the columns solved beside it.
         """
         # imported here: scipy.linalg adds ~0.3 s to every import of the
         # package, and only a process that fits a ridge system solves one
@@ -400,13 +422,25 @@ class GramSystem:
 
         if self._basis is not None:
             lx = self._basis
-            z, _ = dpotrs(self._factor, (x.T @ lx.T).T, lower=1)
             if x.ndim == 1:
+                z, _ = dpotrs(self._factor, x @ lx.T, lower=1)
                 x -= lx.T @ z
             else:
-                # x and Lx.T are F-ordered, so BLAS reads and writes them
-                # without copies
-                dgemm(-1.0, lx.T, z, beta=1.0, c=x, overwrite_c=True)
+                # granules of _SOLVE_GRANULE columns, the last one
+                # zero-padded: each product has one shape, so a column's
+                # bytes do not depend on how many columns are solved beside it
+                pad = np.zeros((x.shape[0], _SOLVE_GRANULE), order="F")
+                for c0 in range(0, x.shape[1], _SOLVE_GRANULE):
+                    cols = x[:, c0:c0 + _SOLVE_GRANULE]
+                    g = pad if cols.shape[1] < _SOLVE_GRANULE else cols
+                    if g is pad:
+                        pad[:, :cols.shape[1]] = cols
+                    z, _ = dpotrs(self._factor, (g.T @ lx.T).T, lower=1)
+                    # g and Lx.T are F-ordered, so BLAS reads and writes
+                    # them without copies
+                    dgemm(-1.0, lx.T, z, beta=1.0, c=g, overwrite_c=True)
+                    if g is pad:
+                        cols[...] = pad[:, :cols.shape[1]]
             x /= self.size * self.spec.lam
             return
         if x.ndim == 2:
@@ -462,9 +496,9 @@ class GramSystem:
 
         The result is the whole (n, M) matrix; a caller with many queries
         passes them one ``query_blocks`` block at a time.  At one BLAS
-        thread that gives the bytes of one call on the dense path (see
-        _PAD), but not on the low-rank path, whose products with Lx differ
-        in their last bits with the block.
+        thread that gives the bytes of one call on either path: dense, see
+        _PAD; low rank, the products with Lx run in fixed granules of
+        columns whose boundaries the blocks keep (see ``_solve_in_place``).
         """
         q = np.atleast_2d(np.asarray(query, dtype=float))
         m = self.size
@@ -526,22 +560,35 @@ def _gram_triangle(spec: KernelSpec, x: np.ndarray, out: np.ndarray, lower: bool
 
 
 def _pivoted_rows(spec: KernelSpec, x: np.ndarray, extra: np.ndarray, tol: float,
-                  cap: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """(Lx, L+), (m, M) and (m, U): the rows of a greedy pivoted Cholesky
+                  cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(Lx, L+, d): the rows, (m, M) and (m, U), of a block pivoted Cholesky
     factorisation of K over the stacked points [x; extra], K ~ L^T L for L =
-    [Lx, L+]; or None if the rank passes ``cap``.
+    [Lx, L+], and the residual diagonal d (M + U,) it stopped on; or None
+    if the rank passes ``cap``.
 
-    Each step pivots on the largest residual diagonal (the first one on a
-    tie, so the build is deterministic), builds that point's kernel row,
-    subtracts L[:j]^T L[:j, p] (level-2 products) and scales by the square
-    root of the pivot.  The build stops once the largest residual diagonal
-    is at most ``tol``, after at least one pivot.  It gives up once ``cap``
-    rows do not reach it, or at cap / 4 rows if the largest residual has not
-    yet fallen from 1 to tol ** _QUARTER_DECAY, so a high-rank system wastes
-    a sixteenth of a capped build.  The (cap, .) buffers are shrunk in place
-    to the m rows kept; rows past m are never written.
+    Each block takes as candidates the point of largest d and b - 1 points
+    at evenly spaced quantiles of cumsum(d^2), and forms their residual
+    block K - L^T L alone (b x b at most: a quantile may repeat a point).
+    Pivots are accepted inside the block greedily, while the block's Schur
+    residual is at least max(_ACCEPT_SHARE * max d, tol), the first one at
+    _ACCEPT_SHARE * max d alone (a residual within rounding of tol may fall
+    on either side of it in the block).  Their rows are built over every
+    point at level 3: one kernel block, one ``dgemm`` against the earlier
+    rows and one ``dtrsm`` by the Cholesky factor of the accepted block.
+    d is updated one row at a time, 1 - L[0]^2 - L[1]^2 - ..., the bytes a
+    fresh computation from the rows gives, but at the pivots, which are set
+    to 0 when taken.  So d is never stale, and a block accepts a pivot
+    unless rounding dominates d; then the build gives up.  There is no
+    randomness: at one BLAS thread the bytes depend only on the inputs.
+
+    The build stops once the largest d is at most ``tol``, checked after
+    each block.  It gives up when ``cap`` rows do not reach it, or at the
+    first block boundary past cap / 4 rows if the largest d has not yet
+    fallen from 1 to tol ** _QUARTER_DECAY; blocks take at most cap / 4
+    candidates.  The (cap, .) buffers are shrunk in place to the m rows
+    kept; rows past m are never written.
     """
-    from scipy.linalg.blas import dgemv
+    from scipy.linalg.blas import dgemm, dtrsm
 
     m = x.shape[0]
     u = _scaled(spec, np.concatenate([x, extra]))
@@ -549,28 +596,67 @@ def _pivoted_rows(spec: KernelSpec, x: np.ndarray, extra: np.ndarray, tol: float
     # (scaled coordinates (d, .), rows, residual diagonal) of x and of extra
     parts = [(np.ascontiguousarray(u[:m].T), np.empty((cap, m)), resid[:m]),
              (np.ascontiguousarray(u[m:].T), np.empty((cap, extra.shape[0])), resid[m:])]
-    for j in range(cap + 1):
+    j = 0
+    while True:
         p = int(np.argmax(resid))
-        if j and resid[p] <= tol:
+        top = resid[p]
+        if j and top <= tol:
             break
-        if j == cap or (j == cap // 4 and resid[p] > tol ** _QUARTER_DECAY):
+        if j == cap or (j >= cap // 4 and top > tol ** _QUARTER_DECAY):
             return None
-        pivot = np.sqrt(resid[p])
-        owner, at = parts[p >= m][1], p - m * (p >= m)
-        coef = owner[:j, at] / pivot
+        b = min(_PIVOT_BLOCK, max(cap // 4, 1), cap - j)
+        mass = np.cumsum(resid * resid)
+        at = (np.arange(b - 1) + 0.5) * (mass[-1] / max(b - 1, 1))
+        cand = np.unique(np.append(np.searchsorted(mass, at), p))
+        split = int(np.searchsorted(cand, m))
+        # L[:j] at the candidates, (j, c)
+        coef = np.hstack([parts[0][1][:j, cand[:split]], parts[1][1][:j, cand[split:] - m]])
+        block = np.empty((cand.size, cand.size))
+        _gaussian(u[cand], np.ascontiguousarray(u[cand].T), block)
+        block -= coef.T @ coef
+        order, factor = _block_pivots(block, _ACCEPT_SHARE * top, tol)
+        if not order:
+            return None
+        piv = cand[order]
         for ut, rows, r in parts:
-            row = rows[j]
-            _gaussian(u[p:p + 1], ut, row[None])
-            row /= pivot
-            if j and row.size:
-                # row -= L[:j]^T coef; L[:j].T is F-ordered, so BLAS reads it in place
-                dgemv(-1.0, rows[:j].T, coef, beta=1.0, y=row, overwrite_y=True)
-            r -= row * row
-        resid[p] = 0.0
-    del row  # no view of a buffer may outlive its resize
+            new = rows[j:j + len(order)]
+            if new.size:
+                _gaussian(u[piv], ut, new)
+                # new.T and L[:j].T are F-ordered, so BLAS reads and writes them in place
+                if j:
+                    dgemm(-1.0, rows[:j].T, coef[:, order], beta=1.0, c=new.T, overwrite_c=True)
+                dtrsm(1.0, factor, new.T, side=1, lower=1, trans_a=1, overwrite_b=True)
+                for row in new:
+                    r -= row * row
+        resid[piv] = 0.0
+        j += len(order)
+    del new, row  # no view of a buffer may outlive its resize
     for _, rows, _ in parts:
         rows.resize((j, rows.shape[1]), refcheck=False)
-    return parts[0][1], parts[1][1]
+    return parts[0][1], parts[1][1], resid
+
+
+def _block_pivots(block: np.ndarray, share: float, tol: float) -> tuple[list[int], np.ndarray]:
+    """(order, C): greedy pivots of a residual block (c, c), the first taken
+    if its residual is at least ``share`` and each later one while its Schur
+    residual is at least max(share, tol), and C (k, k), the lower Cholesky
+    factor of the block at those pivots, in that order."""
+    schur = block.copy()
+    diag = block.diagonal().copy()
+    order: list[int] = []
+    cols = []
+    for _ in range(block.shape[0]):
+        i = int(np.argmax(diag))
+        if diag[i] < (max(share, tol) if order else share):
+            break
+        col = schur[:, i] / np.sqrt(diag[i])
+        schur -= np.outer(col, col)
+        diag -= col * col
+        diag[i] = -np.inf
+        order.append(i)
+        cols.append(col)
+    factor = np.tril(np.array(cols).reshape(len(order), block.shape[0])[:, order].T)
+    return order, factor
 
 
 def _low_rank_factor(spec: KernelSpec, lx: np.ndarray) -> np.ndarray:
@@ -680,24 +766,29 @@ def fit_system(spec: KernelSpec, train_inputs: np.ndarray,
     = values_j - M lam alpha_j, exact for whichever kernel the system holds,
     so the kernel is built at the U unmatched ones alone.
 
-    Rank alone picks the representation (see GramSystem).  A greedy
+    Rank alone picks the representation (see GramSystem).  A block
     pivoted Cholesky factorisation of K over the N = M + U stacked points
-    [train_inputs; unmatched] runs until the largest residual diagonal
-    is at most _PIVOT_TOL * M lam.  If that takes at most M / _RANK_SHARE
-    rows, the system is low rank: it holds those rows and the factor of
-    their (m, m) Woodbury core, 8 m (M + U) + 8 m^2 bytes.  Otherwise the
-    pivoted rows are dropped and the dense system is built and factored in
-    RFP storage (``_dense_factor``), 4 n (n + 1) bytes for n = M rounded up
-    to _PAD, beside the (U, M) rows K(unmatched, train_inputs).  The
-    pivoted attempt costs about cap^2 N / 2 multiply-adds for cap =
-    M / _RANK_SHARE, and a sixteenth of that where the residual's decay at a
-    quarter of the cap shows the rank is high (see _pivoted_rows).
+    [train_inputs; unmatched] (``_pivoted_rows``) runs until the largest
+    residual diagonal it computes is at most _PIVOT_TOL * M lam.  If that
+    takes at most M / _RANK_SHARE rows, the system is low rank: it holds
+    those rows and the factor of their (m, m) Woodbury core, 8 m (M + U)
+    + 8 m^2 bytes.  Otherwise the pivoted rows are dropped and the dense
+    system is built and factored in RFP storage (``_dense_factor``),
+    4 n (n + 1) bytes for n = M rounded up to _PAD, beside the (U, M) rows
+    K(unmatched, train_inputs).  The pivoted attempt costs about
+    cap^2 N / 2 multiply-adds for cap = M / _RANK_SHARE, most of them in
+    level-3 products, and about a sixteenth of that where the residual's
+    decay at a quarter of the cap shows the rank is high (see
+    _pivoted_rows).
 
-    On the low-rank path the residual K - L^T L is positive semidefinite
-    with diagonal at most _PIVOT_TOL * M lam, so every kernel entry among
-    the N points is off by at most that, against the ridge M lam on the
-    diagonal; the dense path is exact.  A numerically singular system
-    raises NumericError naming M lam on either path.
+    On the low-rank path the residual K - L^T L is, in exact arithmetic,
+    positive semidefinite with diagonal at most _PIVOT_TOL * M lam, so
+    every kernel entry among the N points is off by at most that, against
+    the ridge M lam on the diagonal.  What is guaranteed is the diagonal
+    the build computes; the residual recomputed from the rows differs from
+    it by rounding (see README, Memory).  The dense path is exact.  A
+    numerically singular system raises NumericError naming M lam on either
+    path.
     """
     x = _finite_points(train_inputs, "training inputs")
     m = x.shape[0]
@@ -712,7 +803,7 @@ def fit_system(spec: KernelSpec, train_inputs: np.ndarray,
     cap = m // _RANK_SHARE
     rows = _pivoted_rows(spec, x, unmatched, _PIVOT_TOL * m * spec.lam, cap) if cap else None
     if rows is not None:
-        lx, lp = rows
+        lx, lp, _ = rows
         return GramSystem(spec=spec, inputs=x, _factor=_low_rank_factor(spec, lx),
                           _extra=lp, _source=source, _basis=lx)
     factor = _dense_factor(spec, x)

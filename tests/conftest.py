@@ -40,8 +40,9 @@ def small_pairs(markov_params, region):
 @pytest.fixture(scope="session")
 def desk_pairs(markov_params, region):
     """M = 4500 iid pairs on the box: the acceptance desk scale, where the
-    pivoted rank of the tuned T = 15 dp kernel over [x; x+] (about 510)
-    stays under M / 8 and the ridge system takes the low-rank path."""
+    block pivoted build of the tuned T = 15 dp kernel over [x; x+] stops at
+    rank 516, under M / 8 = 562, and the ridge system takes the low-rank
+    path."""
     return extract_onestep_pairs(None, 4500, "iid", 1, params=markov_params, region=region)
 
 

@@ -207,17 +207,19 @@ class TestEmpiricalCellProbs:
         got = empirical_cell_probs(part, dp_model)
         assert np.max(np.abs(got - one_call_probs(part, dp_model))) <= 1e-12
 
-    def test_low_rank_blocks_match_one_weights_call(self, desk_pairs, desk_spec, region):
-        """A low-rank model's weights take products with its pivoted rows,
-        whose last bits move with the block, so the streamed matrix over
-        576 cells (a block of 512 centers and one of 64) matches one call to
-        rounding rather than byte for byte."""
+    def test_low_rank_blocks_match_one_weights_call(self, desk_pairs, desk_spec, region,
+                                                    one_blas_thread):
+        """A low-rank model's weights take products with its pivoted rows in
+        granules of a fixed number of columns, so at one BLAS thread the
+        streamed matrix over 584 cells (a block of 512 centers and one of
+        72, whose last granule is partial) has the bytes of one call."""
         dp_model = fit_dp(desk_spec, desk_pairs, region)
-        part = build_partition(region, (24, 24))
+        part = build_partition(region, (73, 8))
         assert dp_model.gram.rank is not None
-        assert len(query_blocks(part.n_cells, dp_model.gram.size)) == 2
+        blocks = query_blocks(part.n_cells, dp_model.gram.size)
+        assert [b.stop - b.start for b in blocks] == [512, 72]
         got = empirical_cell_probs(part, dp_model)
-        assert np.max(np.abs(got - one_call_probs(part, dp_model))) <= 1e-12
+        assert got.tobytes() == one_call_probs(part, dp_model).tobytes()
 
     def test_holds_no_cells_by_samples_array(self, wide_model):
         """The (1600, 2000) weight matrix would be 25.6 MB; streamed, the

@@ -408,7 +408,7 @@ class TestQueryBlocks:
         else:
             assert (blocks[0].start, blocks[-1].stop) == (0, n)
         rows = query_blocks(2**20, m)[0].stop
-        assert rows % 16 == 0
+        assert rows % kernels._SOLVE_GRANULE == 0 and rows % 16 == 0
         # a block holds about QUERY_BLOCK_BYTES of kernel values, or 512 rows
         assert rows >= 512
         assert rows * m * 8 <= QUERY_BLOCK_BYTES or rows == 512
@@ -538,6 +538,77 @@ class TestLowRank:
         assert sys.rank is None and sys._basis is None
         assert sys._factor.tobytes() == _dense_factor(spec, x).tobytes()
         assert sys._extra.tobytes() == gram_matrix(spec, extra, x).tobytes()
+
+    def test_build_stops_on_its_residual_diagonal(self, desk_pairs, desk_spec):
+        """The residual diagonal d the pivoted build stops on is at most tol
+        = _PIVOT_TOL * M lam everywhere.  It is updated one row at a time, so
+        it holds the bytes of 1 - L[0]^2 - L[1]^2 - ... recomputed from the
+        rows, but at the pivots, where it is set to 0: at most rank entries
+        differ."""
+        x, extra = desk_pairs.x, desk_pairs.x_next
+        m = x.shape[0]
+        tol = kernels._PIVOT_TOL * m * desk_spec.lam
+        lx, lp, d = kernels._pivoted_rows(desk_spec, x, extra[_source_rows(x, extra) < 0], tol,
+                                          m // kernels._RANK_SHARE)
+        assert d.max() <= tol
+        fresh = np.ones(d.size)
+        for row in np.hstack([lx, lp]):
+            fresh -= row * row
+        assert np.count_nonzero(d != fresh) <= lx.shape[0]
+
+    def test_residual_diagonal_stays_above_minus_four_tol(self, desk_systems, desk_pairs):
+        """The diagonal of K - L^T L at 1500 of the stacked points [x;
+        unmatched x+] stays above -4 tol: the block build measured -1.8 tol
+        at worst and the greedy one -0.15 tol.  Pivots accepted against the
+        residual as it stood before their block, not against the block's
+        Schur complement, overshot K by 1e6 tol."""
+        low, _ = desk_systems
+        points = np.vstack([low.inputs, desk_pairs.x_next[low._source < 0]])
+        rows = np.hstack([low._basis, low._extra])
+        at = np.random.default_rng(44).choice(points.shape[0], 1500, replace=False)
+        resid = gram_matrix(low.spec, points[at]) - rows[:, at].T @ rows[:, at]
+        tol = kernels._PIVOT_TOL * low.size * low.spec.lam
+        assert resid.diagonal().min() >= -4 * tol
+
+    def test_two_fits_give_the_same_bytes(self, desk_pairs, desk_spec, one_blas_thread):
+        """The pivots are chosen without randomness, so at one BLAS thread a
+        second fit of the same inputs holds the bytes of the first."""
+        first, again = (fit_system(desk_spec, desk_pairs.x, desk_pairs.x_next) for _ in range(2))
+        assert first.rank is not None
+        for name in ("_basis", "_extra", "_factor", "_source"):
+            assert getattr(again, name).tobytes() == getattr(first, name).tobytes()
+
+    def test_high_rank_build_gives_up_within_a_block_past_a_quarter_of_the_cap(
+            self, monkeypatch):
+        """On the system of test_high_rank_system_keeps_the_dense_bytes the
+        largest residual has not decayed at cap / 4 rows, so the build gives
+        up at the first block boundary past it, and a high-rank system costs
+        at most a block more rows than a quarter of the capped build."""
+        rng = np.random.default_rng(43)
+        x = rng.uniform(-2, 2, size=(400, 2))
+        extra = rng.uniform(-2, 2, size=(50, 2))
+        spec = KernelSpec.isotropic(0.02, 2, 1e-4)
+        built = []
+        gaussian = kernels._gaussian
+
+        def counted(u, vt, out):
+            if out.shape[1] == x.shape[0]:  # the training-input part of new rows
+                built.append(out.shape[0])
+            gaussian(u, vt, out)
+
+        monkeypatch.setattr(kernels, "_gaussian", counted)
+        cap = x.shape[0] // kernels._RANK_SHARE
+        tol = kernels._PIVOT_TOL * x.shape[0] * spec.lam
+        assert kernels._pivoted_rows(spec, x, extra, tol, cap) is None
+        assert cap // 4 <= sum(built) < cap // 4 + min(kernels._PIVOT_BLOCK, cap // 4)
+
+    def test_block_that_accepts_no_pivot_ends_the_build(self, monkeypatch):
+        """A block whose largest residual falls below the acceptance share
+        of the largest d (rounding dominates d) would leave every buffer as
+        it was and loop: the build gives up instead."""
+        monkeypatch.setattr(kernels, "_ACCEPT_SHARE", 2.0)  # no residual reaches 2 max d
+        x = np.random.default_rng(49).uniform(-2, 2, size=(400, 2))
+        assert kernels._pivoted_rows(KernelSpec.isotropic(0.8, 2, 1e-3), x, x[:0], 1e-8, 50) is None
 
     def test_singular_low_rank_core_is_refused(self):
         """1000 copies of one point have rank 1, but at M lam = 1e-297 the
