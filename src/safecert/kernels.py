@@ -429,18 +429,16 @@ class GramSystem:
                 # granules of _SOLVE_GRANULE columns, the last one
                 # zero-padded: each product has one shape, so a column's
                 # bytes do not depend on how many columns are solved beside it
-                pad = np.zeros((x.shape[0], _SOLVE_GRANULE), order="F")
+                g = np.empty((x.shape[0], _SOLVE_GRANULE), order="F")
                 for c0 in range(0, x.shape[1], _SOLVE_GRANULE):
                     cols = x[:, c0:c0 + _SOLVE_GRANULE]
-                    g = pad if cols.shape[1] < _SOLVE_GRANULE else cols
-                    if g is pad:
-                        pad[:, :cols.shape[1]] = cols
+                    g[:, :cols.shape[1]] = cols
+                    g[:, cols.shape[1]:] = 0.0
                     z, _ = dpotrs(self._factor, (g.T @ lx.T).T, lower=1)
                     # g and Lx.T are F-ordered, so BLAS reads and writes
                     # them without copies
                     dgemm(-1.0, lx.T, z, beta=1.0, c=g, overwrite_c=True)
-                    if g is pad:
-                        cols[...] = pad[:, :cols.shape[1]]
+                    cols[...] = g[:, :cols.shape[1]]
             x /= self.size * self.spec.lam
             return
         if x.ndim == 2:

@@ -21,7 +21,7 @@ configs, each serially and at ``--threads 2``:
   so every backward step subtracts the norm penalty;
 * ``low-rank``: all five methods on 800 iid pairs per cell at two seeds,
   with a dp lengthscale of 2.5 and lam 1e-6, so every dp fit takes the
-  low-rank path of ``kernels.fit_system`` (rank 91-92 under its cap of 100)
+  low-rank path of ``kernels.fit_system`` (rank 90-92 under its cap of 100)
   and imp and ssr read the low-rank column solve, over a 17x17 partition;
   tier-1 also checks its sweep against tests/golden/sweep_low_rank.json
   (tests/test_golden.py).
