@@ -31,7 +31,9 @@ the ridge system instead (see ``fit_system``).
 
 The 2-D Gaussian systems of the acceptance desk cell (M = 4500 iid pairs,
 T = 15) have rank about 516 of M / 8 = 562 and take the first, as do the
-default iid dp cells; the benchmark's pipeline fits (M <= 1000), its
+default iid dp cells and, at seed 1, the default dependent ones at alpha
+= 0 (rank 472, 925 and 1302 at T = 5, 10 and 15) and (0.5, 5); the other
+dependent cells, the benchmark's pipeline fits (M <= 1000), its
 dependent-pair fits at M = 2000 and the default direct fits stay dense.
 No M x M array is held either way.
 
@@ -107,23 +109,13 @@ _TRIANGLE_ROWS = 64
 # 1e-10 and 516-517 at 1e-11, under their cap of 562, and at 1e-11 give V0
 # within 1.6e-9 of the dense core's; 2001 inputs at lengthscales (0.7, 0.9),
 # lam 1e-3 (rank 230 of 250) solve within 1.2e-11 of a dense solve at
-# 1e-11, 1.3e-10 at 1e-10 and 1.6e-9 at 1e-9.  Without the early stop below,
-# a system that falls back wastes the whole capped build: 3.1-3.7 s for the
-# default dependent T = 15 cell at alpha = 0.95 (residual still 1e13 tol
-# after 1875 rows; 20.6 s under the greedy build), against 0.4 s with it.
+# 1e-11, 1.3e-10 at 1e-10 and 1.6e-9 at 1e-9.  A system that falls back has
+# paid its capped build, cap^2 N / 2 multiply-adds over N points: M^3 / 64
+# (iid dp, N = 2M) or about M^3 / 128 (N ~ M) against the dense factor's
+# M^3 / 6; 3.8-5.4 s beside the 41-67 s dense fits of the default dependent
+# T = 15 cells at alpha = 0.5 and 0.95 (seed 1, N = 16000).
 _PIVOT_TOL = 1e-11
 _RANK_SHARE = 8
-
-# The build also stops at the first block boundary past cap / 4 rows unless
-# the largest residual has covered this share of the decades from 1 down to
-# tol by then.  Measured there: 0.20-0.90 on systems that reach tol under
-# the cap (the desk cells 0.24-0.25, the default iid cells, the default
-# dependent T = 5 cells at alpha = 0 and 0.5 and T = 10 at alpha = 0),
-# 0-0.16 on those that do not (diag, pipeline and the other default
-# dependent cells).  The default dependent T = 15 cell at alpha = 0 reads
-# 0.11: it would reach tol at rank 1302 of 1875, but takes the dense path,
-# as it did under the greedy build.
-_QUARTER_DECAY = 0.125
 
 # candidates per block of the pivoted build, and the share of the largest
 # residual diagonal that a pivot's Schur residual in its block must reach.
@@ -580,11 +572,11 @@ def _pivoted_rows(spec: KernelSpec, x: np.ndarray, extra: np.ndarray, tol: float
     randomness: at one BLAS thread the bytes depend only on the inputs.
 
     The build stops once the largest d is at most ``tol``, checked after
-    each block.  It gives up when ``cap`` rows do not reach it, or at the
-    first block boundary past cap / 4 rows if the largest d has not yet
-    fallen from 1 to tol ** _QUARTER_DECAY; blocks take at most cap / 4
-    candidates.  The (cap, .) buffers are shrunk in place to the m rows
-    kept; rows past m are never written.
+    each block, and gives up when ``cap`` rows do not reach it.  How far d
+    has decayed on the way says nothing about the rank: a set of isolated
+    clusters keeps its largest d at 1 until the last cluster has its pivot.
+    The (cap, .) buffers are shrunk in place to the m rows kept; rows past
+    m are never written.
     """
     from scipy.linalg.blas import dgemm, dtrsm
 
@@ -600,8 +592,10 @@ def _pivoted_rows(spec: KernelSpec, x: np.ndarray, extra: np.ndarray, tol: float
         top = resid[p]
         if j and top <= tol:
             break
-        if j == cap or (j >= cap // 4 and top > tol ** _QUARTER_DECAY):
+        if j == cap:
             return None
+        # candidates come from d as it stood before the block, so a small cap
+        # redraws them at least four times (low-rank golden config: 25 of 100)
         b = min(_PIVOT_BLOCK, max(cap // 4, 1), cap - j)
         mass = np.cumsum(resid * resid)
         at = (np.arange(b - 1) + 0.5) * (mass[-1] / max(b - 1, 1))
@@ -773,11 +767,10 @@ def fit_system(spec: KernelSpec, train_inputs: np.ndarray,
     + 8 m^2 bytes.  Otherwise the pivoted rows are dropped and the dense
     system is built and factored in RFP storage (``_dense_factor``),
     4 n (n + 1) bytes for n = M rounded up to _PAD, beside the (U, M) rows
-    K(unmatched, train_inputs).  The pivoted attempt costs about
-    cap^2 N / 2 multiply-adds for cap = M / _RANK_SHARE, most of them in
-    level-3 products, and about a sixteenth of that where the residual's
-    decay at a quarter of the cap shows the rank is high (see
-    _pivoted_rows).
+    K(unmatched, train_inputs).  A pivoted attempt that falls back has
+    cost cap^2 N / 2 multiply-adds for cap = M / _RANK_SHARE, most of them
+    in level-3 products: M^3 / 64 for N = 2M, under a tenth of the dense
+    factor's M^3 / 6 (see _PIVOT_TOL).
 
     On the low-rank path the residual K - L^T L is, in exact arithmetic,
     positive semidefinite with diagonal at most _PIVOT_TOL * M lam, so

@@ -25,10 +25,14 @@ def _stream_key(part: int | str) -> int:
 def stream(seed: int, *path: int | str) -> np.random.Generator:
     """Return a generator for the named sub-stream of ``seed``.
 
-    ``stream(7, "traj", 3)`` and ``stream(7, "traj", 4)`` are statistically
-    independent; the same arguments always reproduce the same stream.  Each
-    nonnegative seed, however large, names its own stream; a negative seed
-    raises numpy's ValueError.
+    The same arguments always reproduce the same stream.  Two paths of the
+    same length, with int parts below 2**32 and str parts of distinct CRC-32,
+    name independent streams (``stream(7, "traj", 3)``, ``stream(7, "traj",
+    4)``); every library caller keeps that.  Other paths may alias:
+    ``stream(7, "traj")`` draws what ``stream(7, "traj", 0)`` does (see the
+    ``rng.stream`` FOUND line in CHANGES.md).  Each nonnegative seed,
+    however large, names its own stream; a negative seed raises numpy's
+    ValueError.
     """
     entropy = [int(seed)] + [_stream_key(p) for p in path]
     return np.random.default_rng(np.random.SeedSequence(entropy))

@@ -578,12 +578,10 @@ class TestLowRank:
         for name in ("_basis", "_extra", "_factor", "_source"):
             assert getattr(again, name).tobytes() == getattr(first, name).tobytes()
 
-    def test_high_rank_build_gives_up_within_a_block_past_a_quarter_of_the_cap(
-            self, monkeypatch):
+    def test_high_rank_build_gives_up_at_the_cap(self, monkeypatch):
         """On the system of test_high_rank_system_keeps_the_dense_bytes the
-        largest residual has not decayed at cap / 4 rows, so the build gives
-        up at the first block boundary past it, and a high-rank system costs
-        at most a block more rows than a quarter of the capped build."""
+        largest residual never reaches tol: the build gives up only once it
+        has built exactly ``cap`` rows."""
         rng = np.random.default_rng(43)
         x = rng.uniform(-2, 2, size=(400, 2))
         extra = rng.uniform(-2, 2, size=(50, 2))
@@ -600,7 +598,21 @@ class TestLowRank:
         cap = x.shape[0] // kernels._RANK_SHARE
         tol = kernels._PIVOT_TOL * x.shape[0] * spec.lam
         assert kernels._pivoted_rows(spec, x, extra, tol, cap) is None
-        assert cap // 4 <= sum(built) < cap // 4 + min(kernels._PIVOT_BLOCK, cap // 4)
+        assert sum(built) == cap
+
+    def test_isolated_clusters_take_the_low_rank_path(self):
+        """200 clusters of 20 points, 20 lengthscales apart, need one pivot
+        each: the largest residual stays at 1 until the last cluster has its
+        pivot, far past a quarter of the cap (500), and the build still
+        reaches tol at rank 200.  Divergent trajectories give dp fits this
+        structure."""
+        rng = np.random.default_rng(50)
+        centres = np.stack(np.meshgrid(np.arange(20) * 20.0, np.arange(10) * 20.0,
+                                       indexing="ij"), axis=-1).reshape(-1, 1, 2)
+        x = (centres + rng.uniform(-1e-6, 1e-6, size=(200, 20, 2))).reshape(-1, 2)
+        sys = fit_system(KernelSpec.isotropic(1.0, 2, 1e-3), x)
+        assert sys.size == 4000 and sys.size // kernels._RANK_SHARE == 500
+        assert sys.rank == 200
 
     def test_block_that_accepts_no_pivot_ends_the_build(self, monkeypatch):
         """A block whose largest residual falls below the acceptance share
