@@ -12,6 +12,9 @@ Subcommands mirror the experiment stages; only certify fits models:
   evaluate    metrics of predictions against the MC grids
   sweep       all of the above for the full config grid
 
+Every stage runs the config's ``methods``; calibrate and evaluate take all
+of them but barrier, which writes a report, not estimates.
+
 The config grid has one cell per (alpha, T, seed).  calibrate runs once per
 cell, evaluate once over all of them, and gen-data and mc-oracle once per
 seed: every random stream they read is keyed by seed, purpose and index,
@@ -56,7 +59,7 @@ from . import barrier as bar
 from . import benchmark as bm
 from . import calibration as cal
 from . import metrics as mx
-from .config import METHODS, ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config
 from .direct import fit_direct, predict
 from .dp import backward_value, evaluate_dp, fit_dp
 from .io import atomic_write, format_table, header_comment, read_table
@@ -350,8 +353,9 @@ def _certify_dp(cells: list[_Cell], pairs: bm.OneStepPairs, x_cal: list[np.ndarr
     return writes
 
 
-def _certify_row(cells: tuple[_Cell, ...], methods: tuple[str, ...]) -> None:
+def _certify_row(cells: tuple[_Cell, ...]) -> None:
     cfg, T = cells[0].cfg, cells[0].T
+    methods = cfg["methods"]
     # every table of every cell comes first, so a refused one writes no file
     # of the row
     x_cal = [_read_cal(cell)[:, :2] for cell in cells]
@@ -375,14 +379,19 @@ def _certify_row(cells: tuple[_Cell, ...], methods: tuple[str, ...]) -> None:
 
 # ---------------------------------------------------------------- calibrate
 
-def _calibrate_cell(cell: _Cell, methods: tuple[str, ...]) -> None:
+def _scored(cfg: ExperimentConfig) -> tuple[str, ...]:
+    """The config's methods that write estimates: all but barrier."""
+    return tuple(m for m in cfg["methods"] if m != "barrier")
+
+
+def _calibrate_cell(cell: _Cell) -> None:
     # post-processing only: the scores and grid estimates are certify's
     outcomes = _read_cal(cell)[:, 2]
     grid = _grid(cell.cfg, bm.default_safe_region())
     # every method's calibrator and bounds come first, so a refused table or
     # score writes none of the cell's files
     results = []
-    for method in methods:
+    for method in _scored(cell.cfg):
         scores = cell.read(f"cal/scores_{method}", _SCORE_COLUMNS)[:, 0]
         if len(scores) != len(outcomes):
             raise ValueError(f"{cell.path(f'cal/scores_{method}')}: {len(scores)} scores, but "
@@ -402,7 +411,8 @@ def _calibrate_cell(cell: _Cell, methods: tuple[str, ...]) -> None:
 _METRIC_COLS = ["rmse", "excess_rmse", "brier", "brier_binned", "rel", "res", "unc", "res_norm"]
 
 
-def _evaluate(cells: list[_Cell], methods: tuple[str, ...]) -> None:
+def _evaluate(cells: list[_Cell]) -> None:
+    methods = _scored(cells[0].cfg)
     rows = []  # method, alpha, T, seed, then the _METRIC_COLS values
     for cell in cells:
         # rows are joined by position: both tables hold the config grid in order
@@ -436,21 +446,19 @@ def _evaluate(cells: list[_Cell], methods: tuple[str, ...]) -> None:
 
 # ---------------------------------------------------------------- plumbing
 
-# the pipeline in sweep order: stage -> (help, function, the methods it takes,
-# the unit it runs over).  Methods are None for stages without any, "all" for
-# certify's, or "scored" for those that write estimates: all but barrier, which
-# writes a report.  A stage's function is called once per unit: a "cell", a
-# "seed" of cells in (alpha, T) order, a (T, seed) "row" of cells in alpha
-# order, or the whole "grid".  gen-data and mc-oracle run per seed so that
-# each stream is drawn once and rolled out at every alpha; certify runs per
-# row so that it fits once per distinct training set of the row.
+# the pipeline in sweep order: stage -> (help, function, the unit it runs
+# over).  A stage's function is called once per unit: a "cell", a "seed" of
+# cells in (alpha, T) order, a (T, seed) "row" of cells in alpha order, or the
+# whole "grid".  gen-data and mc-oracle run per seed so that each stream is
+# drawn once and rolled out at every alpha; certify runs per row so that it
+# fits once per distinct training set of the row.
 _STAGES = {
-    "gen-data": ("generate trajectory and one-step pair datasets", _gen_seed, None, "seed"),
-    "mc-oracle": ("Monte Carlo ground-truth safety grids", _mc_seed, None, "seed"),
-    "certify": ("fit a method and write grid estimates", _certify_row, "all", "row"),
-    "calibrate": ("histogram-binning calibration of a method's scores", _calibrate_cell,
-                  "scored", "cell"),
-    "evaluate": ("metrics of stored predictions against MC grids", _evaluate, "scored", "grid"),
+    "gen-data": ("generate trajectory and one-step pair datasets", _gen_seed, "seed"),
+    "mc-oracle": ("Monte Carlo ground-truth safety grids", _mc_seed, "seed"),
+    "certify": ("fit each method and write grid estimates", _certify_row, "row"),
+    "calibrate": ("histogram-binning calibration of each method's scores", _calibrate_cell,
+                  "cell"),
+    "evaluate": ("metrics of stored predictions against MC grids", _evaluate, "grid"),
 }
 
 
@@ -465,24 +473,6 @@ def _units(cells: list[_Cell], unit: str) -> list:
         key = cell.seed if unit == "seed" else (cell.T, cell.seed)
         units.setdefault(key, []).append(cell)
     return [tuple(members) for members in units.values()]
-
-
-def _methods(cfg: ExperimentConfig, method: str | None, takes: str) -> tuple[str, ...]:
-    """The config's methods, or the one ``--method`` names, that a stage takes;
-    a ConfigError if a scored stage is left with none."""
-    scored = takes == "scored"
-    if method:
-        if method not in METHODS:
-            raise ConfigError(f"unknown method {method!r}; valid: {METHODS}")
-        if scored and method == "barrier":
-            raise ConfigError("barrier writes a report, not estimates; only certify takes "
-                              "--method barrier")
-        return (method,)
-    methods = tuple(m for m in cfg["methods"] if not (scored and m == "barrier"))
-    if not methods:
-        raise ConfigError(f"methods = {', '.join(cfg['methods'])} names no method that writes "
-                          "estimates; calibrate and evaluate take direct, dp, imp or ssr")
-    return methods
 
 
 # the OpenBLAS builds that the numpy and scipy wheels bundle, next to the
@@ -510,15 +500,15 @@ def _one_blas_thread() -> None:
                 setter(1)
 
 
-def _run_cells(fn, units: list, threads: int, **kwargs) -> list:
-    """``fn(unit, **kwargs)`` for each unit, in order: in a pool of up to
-    ``threads`` processes of one BLAS thread each when there is more than one
-    of each, else in this process."""
+def _run_cells(fn, units: list, threads: int) -> list:
+    """``fn(unit)`` for each unit, in order: in a pool of up to ``threads``
+    processes of one BLAS thread each when there is more than one of each,
+    else in this process."""
     if threads <= 1 or len(units) <= 1:
-        return [fn(unit, **kwargs) for unit in units]
+        return [fn(unit) for unit in units]
     with ProcessPoolExecutor(max_workers=min(threads, len(units)),
                              initializer=_one_blas_thread) as pool:
-        futures = [pool.submit(fn, unit, **kwargs) for unit in units]
+        futures = [pool.submit(fn, unit) for unit in units]
         return [fut.result() for fut in futures]
 
 
@@ -532,9 +522,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, helptext in commands + [("sweep", "run the full pipeline over the config grid")]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", default=None, help="path to the experiment config file")
-        p.add_argument("--method", default=None, help="restrict to one method")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="size of the process pool that runs the stage's independent units")
     return parser
 
 
@@ -545,18 +535,18 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--threads must be at least 1, not {args.threads}")
         cfg = load_config(args.config)
         cells = _cells(cfg, Path(args.out or cfg["out_dir"]))
+        names = list(_STAGES) if args.command == "sweep" else [args.command]
         # every usage error is raised here, before the first stage writes
-        stages = []
-        for name in list(_STAGES) if args.command == "sweep" else [args.command]:
-            _, fn, takes, unit = _STAGES[name]
-            kwargs = {} if takes is None else {"methods": _methods(cfg, args.method, takes)}
-            stages.append((fn, _units(cells, unit), kwargs))
-        for fn, units, kwargs in stages:
-            _run_cells(fn, units, args.threads, **kwargs)
+        if not _scored(cfg) and {"calibrate", "evaluate"} & set(names):
+            raise ConfigError("methods = barrier names no method that writes estimates; "
+                              "calibrate and evaluate take direct, dp, imp or ssr")
+        for name in names:
+            _, fn, unit = _STAGES[name]
+            _run_cells(fn, _units(cells, unit), args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, NumericError, ValueError, OSError) as exc:
+    except (NumericError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -69,6 +69,13 @@ def cfg_path(tmp_path: Path) -> Path:
     return p
 
 
+def methods_config(tmp_path: Path, methods: str) -> Path:
+    """A copy of ``TINY_CONFIG`` whose ``methods`` are ``methods``."""
+    p = tmp_path / "methods.cfg"
+    p.write_text(config_with(TINY_CONFIG, f"methods = {methods}\n"))
+    return p
+
+
 def run(*argv: str) -> int:
     return main(list(argv))
 
@@ -217,9 +224,31 @@ class TestExitCodes:
         assert "--threads must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unknown_method_exits_2(self, cfg_path, tmp_path):
-        assert run("certify", "--config", str(cfg_path), "--method", "oracle",
-                   "--out", str(tmp_path / "o")) == 2
+    def test_method_option_is_refused_before_any_write(self, cfg_path, tmp_path, capsys):
+        """The config's ``methods`` alone picks what a stage runs: the
+        ``--method`` option wrote files under a config hash whose methods
+        did not name them."""
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run("certify", "--config", str(cfg_path), "--method", "imp", "--out", str(out))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --method imp" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage", ["gen-data", "mc-oracle", "certify", "calibrate",
+                                       "evaluate", "sweep"])
+    def test_help_describes_every_option(self, capsys, stage):
+        with pytest.raises(SystemExit) as exc:
+            run(stage, "-h")
+        assert exc.value.code == 0
+        options = capsys.readouterr().out.split("options:\n", 1)[1]
+        # an entry is its flags, their metavar and the description, which may
+        # start on the next line
+        entries = [re.fullmatch(r"  (-[^\s,]+(?:, -[^\s,]+)*)(?: [A-Z]+)?\s*(.*)", entry, re.S)
+                   for entry in re.split(r"\n(?=  -)", options.strip("\n"))]
+        described = {m[1]: " ".join(m[2].split()) for m in entries}
+        assert all(described.values()), described
+        assert set(described) == {"-h, --help", "--config", "--out", "--threads"}
 
     @pytest.mark.parametrize("line", ["kernel.dp.lam = -1e-6", "kernel.direct.variances = 1, 1, 1"])
     def test_bad_kernel_override_exits_2_before_any_write(self, tmp_path, line):
@@ -260,12 +289,6 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
-    def test_sweep_method_barrier_exits_2_before_any_write(self, cfg_path, tmp_path):
-        out = tmp_path / "o"
-        assert run("sweep", "--config", str(cfg_path), "--method", "barrier",
-                   "--out", str(out)) == 2
-        assert not out.exists()
-
     def test_config_of_barrier_alone_leaves_nothing_to_score(self, tmp_path, capsys):
         """``methods = barrier`` writes reports, no estimates: sweep exits 2
         before its first write, certify writes the reports, and calibrate and
@@ -284,33 +307,22 @@ class TestExitCodes:
             assert run(stage, "--config", str(config), "--out", str(out)) == 2
         assert sorted(p.relative_to(out) for p in out.rglob("*")) == before
 
-    def test_certify_before_gen_data_exits_1(self, cfg_path, tmp_path):
-        assert run("certify", "--config", str(cfg_path), "--method", "dp",
+    def test_certify_before_gen_data_exits_1(self, tmp_path):
+        assert run("certify", "--config", str(methods_config(tmp_path, "dp")),
                    "--out", str(tmp_path / "o")) == 1
 
     def test_evaluate_without_mc_exits_1(self, cfg_path, tmp_path):
         assert run("evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "o")) == 1
 
-    def test_evaluate_barrier_exits_2(self, cfg_path, tmp_path, capsys):
-        out = tmp_path / "o"
-        for stage in ("gen-data", "mc-oracle"):
-            assert run(stage, "--config", str(cfg_path), "--out", str(out)) == 0
-        capsys.readouterr()
-        assert run("evaluate", "--config", str(cfg_path), "--method", "barrier",
-                   "--out", str(out)) == 2
-        assert "barrier writes a report" in capsys.readouterr().err
-        assert not (out / "metrics.csv").exists()
-
     @pytest.mark.parametrize("edit", ["swap", "drop"])
-    def test_evaluate_refuses_pred_and_mc_on_other_grid_points(self, cfg_path, tmp_path, capsys,
-                                                               edit):
+    def test_evaluate_refuses_pred_and_mc_on_other_grid_points(self, tmp_path, capsys, edit):
         """Rows are joined by position: two swapped mc rows used to give wrong
         metrics and exit 0, a dropped one a broadcast error naming no file.
         The mc table is refused on its own, as not the config grid in order."""
+        cfg_path = methods_config(tmp_path, "direct")
         out = tmp_path / "o"
         for stage in ("gen-data", "mc-oracle", "certify"):
-            assert run(stage, "--config", str(cfg_path), "--method", "direct",
-                       "--out", str(out)) == 0
+            assert run(stage, "--config", str(cfg_path), "--out", str(out)) == 0
         mc = out / "mc" / "mc_a0_T2_s1.csv"
         lines = mc.read_text().splitlines(keepends=True)
         # the comment line, the column names, then the grid points
@@ -320,8 +332,7 @@ class TestExitCodes:
             del lines[-1]
         mc.write_text("".join(lines))
         capsys.readouterr()
-        assert run("evaluate", "--config", str(cfg_path), "--method", "direct",
-                   "--out", str(out)) == 1
+        assert run("evaluate", "--config", str(cfg_path), "--out", str(out)) == 1
         rows = 25 if edit == "swap" else 24
         assert capsys.readouterr().err == (
             f"error: {mc}: its {rows} (gx, gy) rows are not the 25 points of the config grid "
@@ -404,16 +415,17 @@ class TestExitCodes:
         assert not list(out.glob("pred/*_a0_T2_s1.*"))
         assert not list(out.glob("cal/*"))
 
-    def test_evaluate_refuses_mc_grid_of_another_config(self, cfg_path, tmp_path, capsys):
+    def test_evaluate_refuses_mc_grid_of_another_config(self, tmp_path, capsys):
+        cfg_path = methods_config(tmp_path, "dp")
         other = tmp_path / "other.cfg"
-        other.write_text(TINY_CONFIG.replace("mc.rollouts = 40", "mc.rollouts = 41"))
+        other.write_text(cfg_path.read_text().replace("mc.rollouts = 40", "mc.rollouts = 41"))
         out = str(tmp_path / "o")
         for stage in ("gen-data", "mc-oracle", "certify"):
-            assert run(stage, "--config", str(cfg_path), "--method", "dp", "--out", out) == 0
+            assert run(stage, "--config", str(cfg_path), "--out", out) == 0
         # same cell, same file name, another config: overwrites the MC grid
         assert run("mc-oracle", "--config", str(other), "--out", out) == 0
         capsys.readouterr()
-        assert run("evaluate", "--config", str(cfg_path), "--method", "dp", "--out", out) == 1
+        assert run("evaluate", "--config", str(cfg_path), "--out", out) == 1
         err = capsys.readouterr().err
         assert load_config(path=cfg_path).config_hash in err
         assert load_config(path=other).config_hash in err
@@ -477,11 +489,11 @@ class TestPipeline:
         rmse = rows[:, header.index("rmse")].astype(float)
         assert np.all((rmse >= 0.0) & (rmse <= 1.0))
 
-    def test_barrier_report_is_json_with_header(self, cfg_path, tmp_path):
+    def test_barrier_report_is_json_with_header(self, tmp_path):
+        cfg_path = methods_config(tmp_path, "barrier")
         out = tmp_path / "results"
-        assert run("gen-data", "--config", str(cfg_path), "--out", str(out)) == 0
-        assert run("certify", "--config", str(cfg_path), "--method", "barrier",
-                   "--out", str(out)) == 0
+        for stage in ("gen-data", "certify"):
+            assert run(stage, "--config", str(cfg_path), "--out", str(out)) == 0
         text = (out / "pred" / "barrier_a0_T2_s1.json").read_text()
         comment, body = text.split("\n", 1)
         assert comment.startswith("// config=")
@@ -770,17 +782,13 @@ class TestCalibrateFromCertifyScores:
         assert run("calibrate", "--config", str(cfg_path), "--out", out) == 1
         assert "cal/scores_direct_a0_T2_s1.csv" in capsys.readouterr().err
 
-    def test_calibrate_imp_writes_bounds_in_unit_interval(self, cfg_path, tmp_path):
+    def test_calibrate_imp_writes_bounds_in_unit_interval(self, tmp_path):
+        cfg_path = methods_config(tmp_path, "imp")
         out = tmp_path / "o"
         for stage in ("gen-data", "certify", "calibrate"):
-            assert run(stage, "--config", str(cfg_path), "--method", "imp",
-                       "--out", str(out)) == 0
+            assert run(stage, "--config", str(cfg_path), "--out", str(out)) == 0
         _, _, rows = parse_table((out / "cal" / "bounds_imp_a0_T2_s1.csv").read_text())
         bounds = rows[:, 2]
         assert bounds.size == 25
         assert np.all((bounds >= 0.0) & (bounds <= 1.0))
         assert not (out / "cal" / "bounds_direct_a0_T2_s1.csv").exists()
-
-    def test_calibrate_barrier_exits_2(self, cfg_path, tmp_path):
-        assert run("calibrate", "--config", str(cfg_path), "--method", "barrier",
-                   "--out", str(tmp_path / "o")) == 2

@@ -3,11 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import safecert.dp
 from safecert import (
     DpModel,
     KernelSpec,
     OneStepPairs,
     SafeRegion,
+    SpectralConvergenceError,
     SsrParams,
     backward_value,
     build_partition,
@@ -496,6 +498,15 @@ class TestSpectralDecay:
         dec = spectral_decay(model, T=10)
         assert abs(dec.rho - want) <= 1e-8
         assert dec.iterations > 0
+
+    def test_restart_limit_raises_with_the_last_estimate(self, monkeypatch):
+        """A 200-pair operator takes 41 applications at the default limit;
+        one restart is too few, and no eigenvalue has converged by then."""
+        model = random_fitted_model(0, n=200)
+        monkeypatch.setattr(safecert.dp, "_ARPACK_MAX_RESTARTS", 1)
+        with pytest.raises(SpectralConvergenceError, match="within 1 restarts") as exc:
+            spectral_decay(model, T=5)
+        assert np.isnan(exc.value.last_estimate)
 
     def test_zero_kernel_operator(self):
         """Every sampled next state unsafe: the masked operator is zero."""
