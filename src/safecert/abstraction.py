@@ -50,8 +50,6 @@ class Partition:
     counts: tuple[int, ...]
     edges: list[np.ndarray]
     centers: np.ndarray      # (n, d)
-    lows: np.ndarray         # (n, d)
-    highs: np.ndarray        # (n, d)
     safe_flags: np.ndarray   # (n,) bool: whole cell inside the safe set
     center_safe: np.ndarray  # (n,) bool: representative inside the safe set
 
@@ -97,17 +95,8 @@ def build_partition(region: SafeRegion, counts: tuple[int, ...]) -> Partition:
         # closed boxes: touching an obstacle already breaks cell-in-S
         hit = np.all((lows <= oh) & (highs >= ol), axis=1)
         safe &= ~hit
-    center_safe = is_safe(region, centers)
-    return Partition(
-        region=region,
-        counts=counts,
-        edges=edges,
-        centers=centers,
-        lows=lows,
-        highs=highs,
-        safe_flags=safe,
-        center_safe=center_safe,
-    )
+    return Partition(region=region, counts=counts, edges=edges, centers=centers,
+                     safe_flags=safe, center_safe=is_safe(region, centers))
 
 
 def empirical_cell_probs(part: Partition, dp_model: DpModel) -> np.ndarray:

@@ -294,14 +294,13 @@ def _estimate_writes(cells: list[_Cell], method: str, score_at, x_cal: list[np.n
 def _certify_direct(cells: list[_Cell], trajs: list[bm.TrajectorySet],
                     x_cal: list[np.ndarray]) -> list:
     # one factor over the group's start states; every other cell swaps in its
-    # own trajectories and labels
+    # own trajectories, whose labels the model derives
     region = bm.default_safe_region()
     model = fit_direct(cells[0].cfg.kernel_spec("direct", cells[0].T), trajs[0], region)
     writes = []
     for cell, ts, xc in zip(cells, trajs, x_cal):
         if ts is not trajs[0]:
-            model = replace(model, labels=bm.trajectory_safe(region, ts.states).astype(float),
-                            trajectories=ts.states)
+            model = replace(model, trajectories=ts.states)
         writes += _estimate_writes([cell], "direct", lambda pts: predict(model, pts), [xc])
     return writes
 

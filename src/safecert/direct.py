@@ -149,9 +149,13 @@ class DirectModel:
     """Ridge system over initial states with whole-trajectory safety labels."""
 
     gram: GramSystem
-    labels: np.ndarray          # (N,) 0/1 floats
     region: SafeRegion
-    trajectories: np.ndarray    # (N, T+1, d), kept for the error terms
+    trajectories: np.ndarray    # (N, T+1, d)
+
+    @property
+    def labels(self) -> np.ndarray:
+        """(N,) 0/1 floats: the whole-horizon safety of each trajectory."""
+        return trajectory_safe(self.region, self.trajectories).astype(float)
 
     @property
     def n(self) -> int:
@@ -164,9 +168,8 @@ class DirectModel:
 
 def fit_direct(spec: KernelSpec, ts: TrajectorySet, region: SafeRegion) -> DirectModel:
     """Label each trajectory by whole-horizon safety and fit the ridge system."""
-    labels = trajectory_safe(region, ts.states).astype(float)
-    gram = fit_weights(spec, ts.initial_states)
-    return DirectModel(gram=gram, labels=labels, region=region, trajectories=ts.states)
+    return DirectModel(gram=fit_weights(spec, ts.initial_states), region=region,
+                       trajectories=ts.states)
 
 
 def predict(model: DirectModel, x0: np.ndarray) -> np.ndarray:
@@ -196,7 +199,6 @@ def eps2(budget: ErrorBudget, d: int, T: int, n: int | None = None) -> float:
 class Eps3Estimate:
     value: float
     stderr: float
-    n: int
 
 
 def eps3(
@@ -226,7 +228,7 @@ def eps3(
     se_mean = float(np.std(sq, ddof=1) / np.sqrt(n_mc)) if n_mc > 1 else 0.0
     value = float(np.sqrt(mean_sq))
     stderr = se_mean / (2.0 * value) if value > 0 else 0.0
-    return Eps3Estimate(value=value, stderr=stderr, n=n_mc)
+    return Eps3Estimate(value=value, stderr=stderr)
 
 
 def lower_bound(

@@ -55,9 +55,9 @@ class SpectralConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ValueVector:
-    """Value function V_level at the sampled next states."""
+    """A value function at the sampled next states; its level is its index
+    in the stack ``backward_value`` returns."""
 
-    level: int
     v: np.ndarray
 
 
@@ -100,9 +100,8 @@ class DpModel:
         return cls(safe_mask_next=safe_mask, region=None, explicit=transfer)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """transfer @ v for a value vector v at the sampled next states."""
-        if self.explicit is not None:
-            return self.explicit @ v
+        """transfer @ v for a value vector v at the sampled next states, on a
+        kernel-backed model; the backward step applies a chain's matrix itself."""
         return self.gram.extra_expansion(v, self.gram.solve(v))
 
     @property
@@ -119,19 +118,6 @@ class DpModel:
             return self.explicit
         eye = np.eye(self.n)
         return self.gram.extra_expansion(eye, self.gram.solve(eye))
-
-
-def _penalised_step(model: DpModel, v: np.ndarray) -> tuple[np.ndarray, float]:
-    """(alpha, penalty) of a value vector v at the sampled next states.
-
-    alpha = (K + M lam I)^{-1} v are the dual coefficients of the step's
-    conditional expectation, and penalty = eps * kappa * ||V|| the ambiguity
-    term, with ||V|| the representer norm of the same solve.
-    """
-    if model.gram is None:
-        raise ValueError("norm penalty needs a kernel-backed model")
-    alpha = model.gram.solve(v)
-    return alpha, model.ambiguity * KAPPA * model.gram.representer_norm(v, alpha)
 
 
 def fit_dp(
@@ -160,6 +146,27 @@ def fit_dp(
     )
 
 
+def _step(model: DpModel, v: np.ndarray, query: np.ndarray | None = None) -> np.ndarray:
+    """clip(E[V(X+) | x] - eps * kappa * ||V||, 0, 1) for a value vector v at
+    the sampled next states, with x the next states or the queries (n, d).
+
+    One solve alpha = (K + M lam I)^{-1} v serves the expectation and the
+    norm, which is computed only when eps > 0.  A chain model takes no
+    queries and no penalty: it applies its matrix.
+    """
+    if model.explicit is not None and model.ambiguity > 0:
+        raise ValueError("norm penalty needs a kernel-backed model")
+    if model.explicit is not None:
+        return np.clip(model.explicit @ v, 0.0, 1.0)
+    alpha = model.gram.solve(v)
+    penalty = 0.0
+    if model.ambiguity > 0:
+        penalty = model.ambiguity * KAPPA * model.gram.representer_norm(v, alpha)
+    at = (model.gram.extra_expansion(v, alpha) if query is None
+          else model.gram.expand(query, alpha))
+    return np.clip(at - penalty, 0.0, 1.0)
+
+
 def backward_value(model: DpModel, T: int) -> list[ValueVector]:
     """Run the clamped backward recursion; returns the stack indexed by level.
 
@@ -168,16 +175,11 @@ def backward_value(model: DpModel, T: int) -> list[ValueVector]:
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
-    v = model.safe_mask_next.astype(float).copy()
-    levels = [ValueVector(level=T, v=v)]
-    for level in range(T - 1, -1, -1):
-        if model.ambiguity > 0:
-            alpha, penalty = _penalised_step(model, v)
-            tv = model.gram.extra_expansion(v, alpha)
-        else:
-            tv, penalty = model.apply(v), 0.0
-        v = model.safe_mask_next * np.clip(tv - penalty, 0.0, 1.0)
-        levels.append(ValueVector(level=level, v=v))
+    v = model.safe_mask_next.astype(float)
+    levels = [ValueVector(v=v)]
+    for _ in range(T):
+        v = model.safe_mask_next * _step(model, v)
+        levels.append(ValueVector(v=v))
     levels.reverse()
     return levels
 
@@ -187,10 +189,9 @@ def evaluate_dp(model: DpModel, stack: list[ValueVector], x0: np.ndarray) -> np.
     if model.gram is None or model.region is None:
         raise ValueError("query evaluation needs a kernel-backed model")
     safe0 = is_safe(model.region, x0).astype(float)
-    if stack[-1].level == 0:
+    if len(stack) == 1:
         return safe0
-    alpha, penalty = _penalised_step(model, stack[1].v)
-    return safe0 * np.clip(model.gram.expand(x0, alpha) - penalty, 0.0, 1.0)
+    return safe0 * _step(model, stack[1].v, x0)
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,6 @@ class BrierReport:
     res: float
     unc: float
     res_norm: float      # RES / UNC, 0 when UNC is 0
-    n_bins: int
 
 
 def brier_decomposition_mc(pred: np.ndarray, p_mc: np.ndarray, n_bins: int = 10) -> BrierReport:
@@ -100,5 +99,4 @@ def brier_decomposition_mc(pred: np.ndarray, p_mc: np.ndarray, n_bins: int = 10)
         res=res,
         unc=unc,
         res_norm=res / unc if unc > 0 else 0.0,
-        n_bins=n_bins,
     )

@@ -65,9 +65,15 @@ _STORED = ("pred/", "metrics")  # files whose numeric columns are stored value b
 _COORDINATES = ("gx", "gy")
 
 
+def kind(path: str) -> str:
+    """The kind of a sweep file at ``path`` (relative to the sweep): its
+    directory, or "metrics" at the top."""
+    return path.split("/", 1)[0] + "/" if "/" in path else "metrics"
+
+
 def tolerance(path: str) -> float:
     """The largest shift a value of the file at ``path`` (relative to the sweep) may make."""
-    return 1e-12 if path.startswith(("data/", "mc/")) else 1e-8
+    return 1e-12 if kind(path) in ("data/", "mc/") else 1e-8
 
 
 def _weights(n: int) -> list[float]:
@@ -159,9 +165,9 @@ def _compare_values(want, got, tol: float, where: str, problems: list[str]) -> f
 def compare(want: dict, got: dict) -> tuple[list[str], dict[str, float]]:
     """(mismatches, the largest shift per kind of file) of manifest ``got`` against ``want``.
 
-    A kind is a file's directory (``data``, ``mc``, ``pred``, ``cal``) or
-    ``metrics``; a summarised column contributes the smallest largest
-    per-value shift its summary implies.
+    A kind is what ``kind`` gives a file's path (``data/``, ``mc/``,
+    ``pred/``, ``cal/`` or ``metrics``); a summarised column contributes the
+    smallest largest per-value shift its summary implies.
     """
     problems: list[str] = []
     shifts: dict[str, float] = {}
@@ -173,7 +179,6 @@ def compare(want: dict, got: dict) -> tuple[list[str], dict[str, float]]:
     for path in sorted(want_files.keys() & got_files.keys()):
         w, g = want_files[path], got_files[path]
         tol = tolerance(path)
-        kind = path.split("/")[0] if "/" in path else "metrics"
         shift = 0.0
         for key in ("header", "columns"):
             if w.get(key) != g.get(key):
@@ -191,7 +196,7 @@ def compare(want: dict, got: dict) -> tuple[list[str], dict[str, float]]:
                 s = _compare_values(col.get("values"), got_col.get("values"), tol,
                                     f"{path} column {name}", problems)
             shift = max(shift, s)
-        shifts[kind] = max(shifts.get(kind, 0.0), shift)
+        shifts[kind(path)] = max(shifts.get(kind(path), 0.0), shift)
     return problems, shifts
 
 
@@ -211,8 +216,8 @@ def regenerate(config: str, golden: Path) -> int:
         problems, shifts = compare(json.loads(golden.read_text()), new)
         print(f"{len(problems)} mismatches against the old {golden.name}; "
               "largest shift per kind:")
-        for kind, shift in sorted(shifts.items()):
-            print(f"  {kind}: {shift:.3g}")
+        for k, shift in sorted(shifts.items()):
+            print(f"  {k}: {shift:.3g}")
     # one line per file, so a regeneration diffs file by file
     lines = ",\n".join(json.dumps(entry, separators=(",", ":")) for entry in new["files"])
     golden.write_text(f'{{"files": [\n{lines}\n]}}\n')

@@ -147,6 +147,7 @@ def sweep(tree: Path, config: Path, out: Path, threads: int) -> subprocess.Compl
 
 
 def digest(root: Path) -> dict[str, str]:
+    """path -> sha256 of every file under ``root``, paths relative to it."""
     return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(root.rglob("*")) if p.is_file()}
 
@@ -186,11 +187,6 @@ def differences(old: Path, new: Path,
     return lines
 
 
-def kind(path: str) -> str:
-    """The kind of a sweep file: its directory, or "metrics" at the top."""
-    return path.split("/", 1)[0] + "/" if "/" in path else "metrics"
-
-
 def summary(name: str, moved: dict[str, float | None]) -> list[str]:
     """One line per kind of file: the largest shift among the files of
     ``moved`` (path -> shift, as ``shifts`` gives) and that kind's golden
@@ -198,7 +194,7 @@ def summary(name: str, moved: dict[str, float | None]) -> list[str]:
     for path in (REPO / "src", REPO / "tests" / "golden"):
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
-    from regen import tolerance
+    from regen import kind, tolerance
 
     lines = []
     for k in KINDS:

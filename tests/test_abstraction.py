@@ -110,12 +110,23 @@ def dense_value_iteration(phat, radius, part, T):
     return v
 
 
+def cell_box(part, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (low, high) corners of cell i, read off the partition's edges."""
+    multi = np.unravel_index(i, part.counts)
+    low = np.array([part.edges[k][j] for k, j in enumerate(multi)])
+    high = np.array([part.edges[k][j + 1] for k, j in enumerate(multi)])
+    return low, high
+
+
 class TestPartition:
     def test_cell_layout(self, region):
         part = build_partition(region, (8, 8))
         assert part.n_cells == 64
         assert part.centers.shape == (64, 2)
-        assert np.all(part.lows < part.highs)
+        for i in range(part.n_cells):
+            low, high = cell_box(part, i)
+            assert np.all(low < high)
+            assert np.array_equal(part.centers[i], 0.5 * (low + high))
 
     def test_locate_centers_roundtrip(self, region):
         part = build_partition(region, (6, 5))
@@ -143,7 +154,7 @@ class TestPartition:
         part = build_partition(region, (9, 7))
         for i in range(part.n_cells):
             hit = any(
-                boxes_overlap(part.lows[i], part.highs[i], np.asarray(ol), np.asarray(oh))
+                boxes_overlap(*cell_box(part, i), np.asarray(ol), np.asarray(oh))
                 for ol, oh in region.obstacles
             )
             assert part.safe_flags[i] == (not hit)

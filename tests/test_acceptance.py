@@ -54,6 +54,7 @@ from safecert import (
 from safecert.cli import main
 
 from golden.regen import GOLDEN, compare, manifest
+from golden.tree_diff import digest
 from test_barrier import (
     LINE_1D,
     SIGMA_W,
@@ -459,15 +460,6 @@ class TestPipelineCriteria:
     def test_c12_sweep_determinism(self, tmp_path: Path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(SWEEP_CONFIG)
-
-        def digest(root: Path) -> dict[str, str]:
-            import hashlib
-
-            return {
-                str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-                for p in sorted(root.rglob("*"))
-                if p.is_file()
-            }
 
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
         code1 = main(["sweep", "--config", str(cfg), "--out", str(out1)])

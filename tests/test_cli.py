@@ -1,5 +1,4 @@
 import gc
-import hashlib
 import json
 import os
 import re
@@ -27,6 +26,7 @@ from safecert.direct import fit_direct, predict
 from safecert.io import atomic_write, format_table, header_comment, parse_table
 
 from conftest import openblas
+from golden.tree_diff import digest
 
 TINY_CONFIG = """
 system.alphas = 0.0
@@ -100,14 +100,6 @@ def run_fresh(cfg_path: Path, out: Path, *stages: str) -> dict:
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
-
-
-def tree_digest(root: Path) -> dict[str, str]:
-    out = {}
-    for p in sorted(root.rglob("*")):
-        if p.is_file():
-            out[str(p.relative_to(root))] = hashlib.sha256(p.read_bytes()).hexdigest()
-    return out
 
 
 class TestIoHelpers:
@@ -618,8 +610,8 @@ class TestPipeline:
             for stage in ("gen-data", "mc-oracle"):
                 assert run(stage, "--config", str(config), "--out", str(a)) == 0
                 assert run(stage, "--config", str(config), "--out", str(b), "--threads", "2") == 0
-            assert tree_digest(a) == tree_digest(b)
-        assert len(tree_digest(tmp_path / "seeds" / "serial")) == 3 * 2 * 2 * 4
+            assert digest(a) == digest(b)
+        assert len(digest(tmp_path / "seeds" / "serial")) == 3 * 2 * 2 * 4
         # the one-cell config runs in this process; each stage of the other pools its two seeds
         assert pools == [2, 2]
 
@@ -700,9 +692,9 @@ class TestPipeline:
     def test_sweep_rerun_is_byte_identical(self, cfg_path, tmp_path):
         out = tmp_path / "results"
         assert run("sweep", "--config", str(cfg_path), "--out", str(out)) == 0
-        first = tree_digest(out)
+        first = digest(out)
         assert run("sweep", "--config", str(cfg_path), "--out", str(out)) == 0
-        assert tree_digest(out) == first
+        assert digest(out) == first
 
     def test_calibrated_bounds_are_conservative_scores(self, cfg_path, tmp_path):
         out = tmp_path / "results"

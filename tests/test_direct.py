@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -95,6 +97,24 @@ class TestDirectEstimator:
         ]
         model = fit_direct(KernelSpec.isotropic(0.7, 2, 0.01), make_trajset(states), region)
         assert model.labels.tolist() == [1.0, 0.0]
+
+    def test_labels_follow_the_trajectories(self, region, markov_params):
+        """A model whose trajectories are swapped for another set with the
+        same start states predicts as a fresh fit on that set, byte for byte:
+        the labels are derived from the trajectories, never held beside them."""
+        ts = gen_dataset(markov_params, region, n=40, T=4, seed=21)
+        spec = KernelSpec.from_variances((0.772, 1.572), 3.004e-8)
+        model = fit_direct(spec, ts, region)
+        safe = np.flatnonzero(model.labels)
+        states = ts.states.copy()
+        states[safe[0], -1] = [0.45, 0.35]  # inside the main obstacle
+        other = make_trajset(states)
+        swapped = replace(model, trajectories=other.states)
+        fresh = fit_direct(spec, other, region)
+        assert fresh.labels.sum() == model.labels.sum() - 1
+        q = np.array([[-2.0, 0.0], [1.0, 0.8], ts.initial_states[safe[0]]])
+        assert predict(swapped, q).tobytes() == predict(fresh, q).tobytes()
+        assert predict(swapped, q).tobytes() != predict(model, q).tobytes()
 
     def test_predictions_match_linear_solve(self, region, markov_params):
         ts = gen_dataset(markov_params, region, n=40, T=4, seed=21)

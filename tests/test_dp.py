@@ -130,11 +130,20 @@ class TestExactChains:
             assert np.max(np.abs(got - want)) < 1e-10
 
     def test_stack_levels_are_indexed_by_time(self):
-        P = np.eye(3)
-        model = DpModel.from_transfer(P, np.ones(3))
-        stack = backward_value(model, 4)
-        assert [vv.level for vv in stack] == [0, 1, 2, 3, 4]
-        assert np.array_equal(stack[4].v, np.ones(3))
+        """stack[l] is V_l, whose horizon has T - l steps left."""
+        P = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
+        safe = np.array([1.0, 1.0, 0.0])
+        stack = backward_value(DpModel.from_transfer(P, safe), 4)
+        assert len(stack) == 5
+        assert np.array_equal(stack[4].v, safe)
+        for level, vv in enumerate(stack):
+            assert np.max(np.abs(vv.v - chain_value_oracle(P, safe, 4 - level))) < 1e-12
+
+    def test_chain_model_refuses_a_norm_penalty(self):
+        model = replace(DpModel.from_transfer(np.eye(2), np.ones(2)), ambiguity=0.1)
+        assert len(backward_value(model, 0)) == 1
+        with pytest.raises(ValueError, match="kernel-backed"):
+            backward_value(model, 1)
 
     def test_horizon_zero_stack_is_the_safety_mask(self):
         model = DpModel.from_transfer(np.eye(2), np.array([1.0, 0.0]))
@@ -254,8 +263,8 @@ class TestFittedModels:
         got = backward_value(model, T)
         want, (pen, alpha) = explicit_backward(spec, pairs, region, ambiguity, T)
         assert np.any((got[0].v > 0.0) & (got[0].v < 1.0))
-        for vv in got:
-            assert np.max(np.abs(vv.v - want[vv.level])) <= 1e-10
+        for level, vv in enumerate(got):
+            assert np.max(np.abs(vv.v - want[level])) <= 1e-10
         grid = np.random.default_rng(8).uniform(-3, 3, size=(40, 2))
         want_q = is_safe(region, grid) * np.clip(gram_matrix(spec, grid, pairs.x) @ alpha - pen, 0, 1)
         assert np.max(np.abs(evaluate_dp(model, got, grid) - want_q)) <= 1e-10
@@ -278,6 +287,32 @@ class TestFittedModels:
         v = rng.uniform(0, 1, size=300)
         want = gram_matrix(spec, pairs.x_next, pairs.x) @ model.gram.solve(v)
         assert model.apply(v).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("ambiguity", [0.0, 0.002])
+    @pytest.mark.parametrize("dependent", [False, True], ids=["iid", "dependent"])
+    def test_queries_at_the_next_states_give_the_stack(self, one_blas_thread, ambiguity,
+                                                       dependent):
+        """The step evaluated at the sampled next states as queries gives
+        V_0 there: bitwise on iid pairs, whose rows of K(x+, x) are all
+        kernel rows, and within 1e-12 on dependent pairs, whose matched rows
+        come off the ridge system."""
+        if dependent:
+            pairs = dependent_pairs(6, n_traj=30)
+        else:
+            rng = np.random.default_rng(6)
+            x = rng.uniform(-2, 2, size=(240, 2))
+            pairs = OneStepPairs(x=x, x_next=x + 0.3 * rng.standard_normal((240, 2)))
+        region = SafeRegion(low=(-4.0, -4.0), high=(4.0, 4.0), obstacles=(((1.0, 1.0), (2.0, 2.0)),))
+        model = fit_dp(KernelSpec.isotropic(0.8, 2, 1e-4), pairs, region, ambiguity=ambiguity)
+        assert model.gram.rank is None
+        stack = backward_value(model, 6)
+        got = evaluate_dp(model, stack, pairs.x_next)
+        assert np.any((got > 0.0) & (got < 1.0))
+        if dependent:
+            assert np.count_nonzero(model.gram._source >= 0) > 250
+            assert np.max(np.abs(got - stack[0].v)) <= 1e-12
+        else:
+            assert got.tobytes() == stack[0].v.tobytes()
 
     def test_matched_next_states_are_found_by_their_bytes(self):
         """The first bitwise-equal input is the source; a next state within
@@ -306,8 +341,8 @@ class TestFittedModels:
         monkeypatch.setattr(GramSystem, "solve", lambda self, b: calls.append(1) or solve(self, b))
         stack = backward_value(model, T)
         assert len(calls) == T
-        for vv in stack:
-            assert np.array_equal(vv.v, want[vv.level])
+        for level, vv in enumerate(stack):
+            assert np.array_equal(vv.v, want[level])
 
     def test_penalized_query_reuses_the_norm_of_v1(self, monkeypatch):
         """One solve for v1 gives both the estimate and the norm in the
