@@ -115,8 +115,6 @@ def empirical_cell_probs(part: Partition, dp_model: DpModel) -> np.ndarray:
     low-rank model the products with the pivoted rows run in fixed
     granules of columns (``GramSystem.weights_at``).
     """
-    if dp_model.gram is None or dp_model.x_next is None:
-        raise ValueError("cell probabilities need a kernel-backed model")
     m_idx, inbox = part.locate(dp_model.x_next)
     target = m_idx[inbox]
     n = part.n_cells

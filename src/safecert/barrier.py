@@ -117,8 +117,6 @@ def check_barrier(
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
-    if dp_model.gram is None or dp_model.x_next is None:
-        raise ValueError("barrier check needs a kernel-backed one-step model")
     if not region.obstacles:
         raise ValueError("region has no obstacle boxes, so the unsafe grid is empty")
     counts = _grid_counts(grids, region.dim)

@@ -152,6 +152,18 @@ class DirectModel:
     region: SafeRegion
     trajectories: np.ndarray    # (N, T+1, d)
 
+    def __post_init__(self) -> None:
+        # the factor is over the start states: trajectories swapped in by
+        # ``replace`` must start where the fitted ones did
+        starts, inputs = self.trajectories[:, 0], self.gram.inputs
+        if starts.shape != inputs.shape:
+            raise ValueError(f"the trajectories' start states have shape {starts.shape}, "
+                             f"but the model was fitted at {inputs.shape}")
+        differ = np.flatnonzero(np.any(starts != inputs, axis=1))
+        if differ.size:
+            raise ValueError(f"trajectory {differ[0]} starts at {starts[differ[0]].tolist()}, "
+                             f"but the model was fitted at {inputs[differ[0]].tolist()}")
+
     @property
     def labels(self) -> np.ndarray:
         """(N,) 0/1 floats: the whole-horizon safety of each trajectory."""

@@ -18,6 +18,11 @@ costs T solves instead of an M x M solve with M right-hand sides.  A next
 state that is bitwise a training input takes its row from the ridge system
 there, so dependent pairs hold the kernel at few next states.
 
+A finite Markov chain is the special case of well-separated states, each the
+source of duplicated samples whose next states follow its row: with a small
+lam the weights recover the rows, and the recursion matrix-power dynamic
+programming at the sampled next states.
+
 With eps = 0 the norm penalty vanishes; otherwise ||V|| is approximated by
 the representer norm of the ridge interpolant of the value vector, a finite
 surrogate used in place of the intractable RKHS norm.
@@ -63,61 +68,35 @@ class ValueVector:
 
 @dataclass
 class DpModel:
-    """One-step conditional model over transition samples.
+    """One-step conditional model over transition samples (``fit_dp``).
 
-    A kernel-backed model (``fit_dp``) holds the factored ridge system over
-    the source states with every next state as an extra point, and every
-    application of the transfer operator is its ``extra_expansion``.  A
-    chain model (``from_transfer``) holds an explicit transfer matrix
-    instead.
+    It holds the factored ridge system over the source states with every
+    next state as an extra point, and every application of the transfer
+    operator is its ``extra_expansion``.
     """
 
-    safe_mask_next: np.ndarray    # (M,) floats, 1_S at the sampled next states
-    region: SafeRegion | None
+    gram: GramSystem        # over source states, with extra points x_next
+    x_next: np.ndarray      # (M, d) sampled next states
+    region: SafeRegion
     ambiguity: float = 0.0
-    # over source states, with extra points x_next; None for exact chains
-    gram: GramSystem | None = None
-    x_next: np.ndarray | None = None
-    explicit: np.ndarray | None = None  # (M, M) transfer matrix; chains only
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.ambiguity < math.inf:  # NaN fails too
             raise ValueError(f"ambiguity must be finite and nonnegative, not {self.ambiguity}")
 
     @property
-    def n(self) -> int:
-        return self.safe_mask_next.shape[0]
-
-    @classmethod
-    def from_transfer(cls, transfer: np.ndarray, safe_mask: np.ndarray) -> "DpModel":
-        """Wrap an explicitly known transition/transfer matrix (exact chains, tests).
-
-        A chain takes no norm penalty, which needs a kernel-backed model."""
-        transfer = np.asarray(transfer, dtype=float)
-        safe_mask = np.asarray(safe_mask, dtype=float)
-        if transfer.shape[0] != transfer.shape[1] or transfer.shape[0] != safe_mask.shape[0]:
-            raise ValueError("transfer must be square and match the safety mask")
-        return cls(safe_mask_next=safe_mask, region=None, explicit=transfer)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """transfer @ v for a value vector v at the sampled next states, on a
-        kernel-backed model; the backward step applies a chain's matrix itself."""
-        return self.gram.extra_expansion(v, self.gram.solve(v))
+    def safe_mask_next(self) -> np.ndarray:
+        """(M,) floats, 1_S at the sampled next states."""
+        return is_safe(self.region, self.x_next).astype(float)
 
     @property
-    def transfer(self) -> np.ndarray:
-        """The transfer matrix, transfer[i, j] = w_j(x_i^+).
+    def n(self) -> int:
+        return self.x_next.shape[0]
 
-        A kernel-backed model materialises it as the extra expansion of
-        the identity, K(x^+, x) (K + M lam I)^{-1}: an M x M solve with M
-        right-hand sides, O(M^3) work and a few M x M arrays.  Its rows
-        are those ``apply`` uses.  It is meant for diagnostics and tests;
-        nothing in the fit or the recursion reads it.
-        """
-        if self.explicit is not None:
-            return self.explicit
-        eye = np.eye(self.n)
-        return self.gram.extra_expansion(eye, self.gram.solve(eye))
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """transfer @ v for a value vector v at the sampled next states, or
+        for each column of a matrix of them."""
+        return self.gram.extra_expansion(v, self.gram.solve(v))
 
 
 def fit_dp(
@@ -137,13 +116,8 @@ def fit_dp(
     bad = np.flatnonzero(~np.all(np.isfinite(x_next), axis=1))
     if bad.size:
         raise ValueError(f"pairs.x_next row {bad[0]} is not finite: {x_next[bad[0]].tolist()}")
-    return DpModel(
-        safe_mask_next=is_safe(region, x_next).astype(float),
-        region=region,
-        ambiguity=ambiguity,
-        gram=fit_system(spec, x, x_next),
-        x_next=x_next,
-    )
+    return DpModel(gram=fit_system(spec, x, x_next), x_next=x_next, region=region,
+                   ambiguity=ambiguity)
 
 
 def _step(model: DpModel, v: np.ndarray, query: np.ndarray | None = None) -> np.ndarray:
@@ -151,13 +125,8 @@ def _step(model: DpModel, v: np.ndarray, query: np.ndarray | None = None) -> np.
     the sampled next states, with x the next states or the queries (n, d).
 
     One solve alpha = (K + M lam I)^{-1} v serves the expectation and the
-    norm, which is computed only when eps > 0.  A chain model takes no
-    queries and no penalty: it applies its matrix.
+    norm, which is computed only when eps > 0.
     """
-    if model.explicit is not None and model.ambiguity > 0:
-        raise ValueError("norm penalty needs a kernel-backed model")
-    if model.explicit is not None:
-        return np.clip(model.explicit @ v, 0.0, 1.0)
     alpha = model.gram.solve(v)
     penalty = 0.0
     if model.ambiguity > 0:
@@ -175,10 +144,10 @@ def backward_value(model: DpModel, T: int) -> list[ValueVector]:
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
-    v = model.safe_mask_next.astype(float)
+    v = mask = model.safe_mask_next
     levels = [ValueVector(v=v)]
     for _ in range(T):
-        v = model.safe_mask_next * _step(model, v)
+        v = mask * _step(model, v)
         levels.append(ValueVector(v=v))
     levels.reverse()
     return levels
@@ -186,8 +155,6 @@ def backward_value(model: DpModel, T: int) -> list[ValueVector]:
 
 def evaluate_dp(model: DpModel, stack: list[ValueVector], x0: np.ndarray) -> np.ndarray:
     """V_0 at each query of a batch (n, d); output always lies in [0, 1]."""
-    if model.gram is None or model.region is None:
-        raise ValueError("query evaluation needs a kernel-backed model")
     safe0 = is_safe(model.region, x0).astype(float)
     if len(stack) == 1:
         return safe0
@@ -207,20 +174,20 @@ _ARPACK_MAX_RESTARTS = 10_000
 
 
 def spectral_decay(model: DpModel, T: int) -> SpectralDecay:
-    """Spectral radius of diag(safe_mask) @ transfer.
+    """Spectral radius of diag(1_S(x^+)) @ transfer.
 
     rho below 1 means the observed value decay is intrinsic to the fitted
     operator rather than an artifact of the horizon; rho**T quantifies it.
 
-    A kernel-backed operator is never formed: ARPACK's implicitly restarted
-    Arnoldi method (``scipy.sparse.linalg.eigs``) finds the eigenvalue of
-    largest magnitude from operator applications alone, complex and
-    opposite-sign dominant pairs included, to a relative accuracy of 1e-10
-    within 10 000 restarts; past them, SpectralConvergenceError carries its
-    last estimate.  Explicit matrices, and operators with fewer than 3
-    states, where ARPACK cannot run, go to a dense eigensolver.
-    ``iterations`` is the number of operator applications, 0 on the dense
-    path.
+    The operator is never formed: ARPACK's implicitly restarted Arnoldi
+    method (``scipy.sparse.linalg.eigs``) finds the eigenvalue of largest
+    magnitude from operator applications alone, complex and opposite-sign
+    dominant pairs included, to a relative accuracy of 1e-10 within 10 000
+    restarts; past them, SpectralConvergenceError carries its last
+    estimate.  ARPACK cannot run on fewer than 3 states, so there the
+    operator is applied to the identity's columns and handed to a dense
+    eigensolver.  ``iterations`` is the number of operator applications, 0
+    on the dense path.
     """
     # imported here: scipy.sparse.linalg adds ~0.3 s to every import of the
     # package, and only this diagnostic needs it
@@ -228,8 +195,8 @@ def spectral_decay(model: DpModel, T: int) -> SpectralDecay:
 
     mask = model.safe_mask_next
     n = model.n
-    if model.explicit is not None or n < 3:
-        vals = np.linalg.eigvals(mask[:, None] * model.transfer)
+    if n < 3:
+        vals = np.linalg.eigvals(mask[:, None] * model.apply(np.eye(n)))
         rho = float(np.max(np.abs(vals)))
         return SpectralDecay(rho=rho, rho_pow_T=rho ** T, iterations=0)
 

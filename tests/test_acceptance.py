@@ -44,6 +44,7 @@ from safecert import (
     fit_dp,
     gen_dataset,
     imp_inner_min,
+    is_safe,
     mc_ground_truth,
     predict,
     rmse,
@@ -55,6 +56,7 @@ from safecert.cli import main
 
 from golden.regen import GOLDEN, compare, manifest
 from golden.tree_diff import digest
+from test_dp import CHAIN_REGION, CHAIN_STATES, chain_pairs, dense_rho
 from test_barrier import (
     LINE_1D,
     SIGMA_W,
@@ -202,17 +204,24 @@ def chain_value_oracle(P: np.ndarray, safe: np.ndarray, T: int) -> np.ndarray:
 
 class TestExactOracles:
     def test_c04_dp_matrix_power_equivalence(self):
-        model = DpModel.from_transfer(CHAIN_P, CHAIN_SAFE)
+        # the chain as 10 duplicated source samples per state, each row of
+        # CHAIN_P exact in tenths, at states far apart against the lengthscale;
+        # the values are compared at the sampled next states, where the
+        # recursion runs
+        assert is_safe(CHAIN_REGION, CHAIN_STATES).tolist() == CHAIN_SAFE.astype(bool).tolist()
+        pairs, nxt = chain_pairs(CHAIN_P, CHAIN_STATES, 10)
+        model = fit_dp(KernelSpec.isotropic(0.5, 2, 1e-12), pairs, CHAIN_REGION)
         worst = 0.0
         for T in (1, 5, 20):
             got = backward_value(model, T)[0].v
-            want = chain_value_oracle(CHAIN_P, CHAIN_SAFE, T)
+            want = chain_value_oracle(CHAIN_P, CHAIN_SAFE, T)[nxt]
             worst = max(worst, float(np.max(np.abs(got - want))))
         _verdict(
             4,
             "dp matrix-power equivalence",
             worst <= 1e-10,
-            f"max |backward - matrix power| = {worst:.3e} over T in {{1, 5, 20}}",
+            f"max |backward - matrix power| = {worst:.3e} over T in {{1, 5, 20}}, "
+            f"fit_dp on 10 samples per state (rank {model.gram.rank})",
         )
 
     @staticmethod
@@ -385,16 +394,7 @@ class TestNumericCriteria:
             for lam in (1e-4, 0.05):
                 model = self._random_model(seed, lam)
                 est = spectral_decay(model, T=10)
-                dense = float(
-                    np.max(
-                        np.abs(
-                            np.linalg.eigvals(
-                                model.safe_mask_next[:, None] * model.transfer
-                            )
-                        )
-                    )
-                )
-                worst = max(worst, abs(est.rho - dense))
+                worst = max(worst, abs(est.rho - dense_rho(model)))
                 if est.rho < 1.0:
                     contracting.append(model)
 

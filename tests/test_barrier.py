@@ -139,9 +139,6 @@ class TestCheckBarrier:
         no_obs = SafeRegion(low=(-2.0,), high=(2.0,), obstacles=())
         with pytest.raises(ValueError):
             check_barrier(quadratic_candidate(), dp_1d, no_obs, X0_BOX, T=5)
-        chain = DpModel.from_transfer(np.eye(2), np.ones(2))
-        with pytest.raises(ValueError):
-            check_barrier(quadratic_candidate(), chain, LINE_1D, X0_BOX, T=5)
 
     @pytest.mark.parametrize("grids", [1])
     def test_single_point_grid_rejected(self, dp_1d, grids):

@@ -116,6 +116,18 @@ class TestDirectEstimator:
         assert predict(swapped, q).tobytes() == predict(fresh, q).tobytes()
         assert predict(swapped, q).tobytes() != predict(model, q).tobytes()
 
+    def test_trajectories_from_other_start_states_are_refused(self, region, markov_params):
+        """The factor is over the fitted start states: swapping in seed 22's
+        set used to predict silently from seed 21's factor (0.967 at
+        (-2, 0), where a fresh fit gives 0.913)."""
+        model = fit_direct(KernelSpec.from_variances((0.772, 1.572), 3.004e-8),
+                           gen_dataset(markov_params, region, n=40, T=4, seed=21), region)
+        other = gen_dataset(markov_params, region, n=40, T=4, seed=22)
+        with pytest.raises(ValueError, match="trajectory 0 starts at"):
+            replace(model, trajectories=other.states)
+        with pytest.raises(ValueError, match=r"shape \(39, 2\), but the model was fitted at"):
+            replace(model, trajectories=other.states[1:])
+
     def test_predictions_match_linear_solve(self, region, markov_params):
         ts = gen_dataset(markov_params, region, n=40, T=4, seed=21)
         spec = KernelSpec.from_variances((0.772, 1.572), 3.004e-8)

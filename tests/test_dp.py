@@ -33,6 +33,46 @@ def chain_value_oracle(P: np.ndarray, safe: np.ndarray, T: int) -> np.ndarray:
     return v
 
 
+def chain_pairs(P: np.ndarray, states: np.ndarray, copies: int) -> tuple[OneStepPairs, np.ndarray]:
+    """A finite chain as transition samples: ``copies`` source samples at
+    each state, whose next states follow the state's row of P (each row a
+    multiple of 1 / copies); returns the pairs and the state index of each
+    next state."""
+    counts = np.rint(np.asarray(P) * copies).astype(int)
+    src = np.repeat(np.arange(len(P)), copies)
+    nxt = np.concatenate([np.repeat(np.arange(len(P)), row) for row in counts])
+    return OneStepPairs(x=states[src], x_next=states[nxt]), nxt
+
+
+# chain states far apart against a lengthscale of 0.5, so the Gram matrix is
+# block diagonal to rounding; the obstacle makes (8, 8) the unsafe state
+CHAIN_STATES = np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0], [8.0, 8.0]])
+CHAIN_REGION = SafeRegion(low=(-1.0, -1.0), high=(9.0, 9.0), obstacles=(((7.5, 7.5), (8.5, 8.5)),))
+
+
+def fit_chain(P: np.ndarray, copies: int,
+              states: np.ndarray = CHAIN_STATES) -> tuple[DpModel, np.ndarray]:
+    """``fit_dp`` on the chain P over ``states``, and the state index of
+    each next state.  Each backward step loses a share M lam / copies of
+    the value, so lam = 1e-14 keeps the values within rounding of the
+    chain's.  The Gram matrix has rank len(P), and with at least 8 copies
+    the pivoted build takes one row per state; a dense factor at this lam
+    would be ill-conditioned."""
+    pairs, nxt = chain_pairs(P, states, copies)
+    model = fit_dp(KernelSpec.isotropic(0.5, 2, 1e-14), pairs, CHAIN_REGION)
+    assert model.gram.rank == len(P)
+    return model, nxt
+
+
+def dense_rho(model: DpModel) -> float:
+    """Spectral radius of diag(1_S(x+)) @ transfer, the transfer built whole
+    from the model's pairs by ``explicit_transfer``."""
+    pairs = OneStepPairs(x=model.gram.inputs, x_next=model.x_next)
+    transfer = explicit_transfer(model.gram.spec, pairs)
+    masked = is_safe(model.region, model.x_next)[:, None] * transfer
+    return float(np.max(np.abs(np.linalg.eigvals(masked))))
+
+
 def random_fitted_model(seed: int, n: int = 20) -> DpModel:
     rng = np.random.default_rng(seed)
     x = rng.uniform(-2, 2, size=(n, 2))
@@ -103,15 +143,17 @@ def held_bytes(obj, seen: set | None = None) -> int:
 
 
 class TestExactChains:
+    """Chains encoded as duplicated samples (``fit_chain``): the stack at
+    each sampled next state is the chain's value at its state."""
+
     def test_two_state_chain_closed_form(self):
         p_leave = 0.23
         P = np.array([[1 - p_leave, p_leave], [0.0, 1.0]])
-        safe = np.array([1.0, 0.0])
-        model = DpModel.from_transfer(P, safe)
+        model, nxt = fit_chain(P, 100, CHAIN_STATES[[0, 3]])
         for T in (1, 3, 8):
-            stack = backward_value(model, T)
-            assert stack[0].v[0] == pytest.approx((1 - p_leave) ** T, abs=1e-12)
-            assert stack[0].v[1] == 0.0
+            v = backward_value(model, T)[0].v
+            assert np.max(np.abs(v[nxt == 0] - (1 - p_leave) ** T)) <= 1e-12
+            assert np.all(v[nxt == 1] == 0.0)
 
     def test_four_state_chain_matches_matrix_power(self):
         P = np.array(
@@ -123,33 +165,29 @@ class TestExactChains:
             ]
         )
         safe = np.array([1.0, 1.0, 1.0, 0.0])
-        model = DpModel.from_transfer(P, safe)
+        model, nxt = fit_chain(P, 10)
         for T in (1, 5, 20):
             got = backward_value(model, T)[0].v
-            want = chain_value_oracle(P, safe, T)
+            want = chain_value_oracle(P, safe, T)[nxt]
             assert np.max(np.abs(got - want)) < 1e-10
 
     def test_stack_levels_are_indexed_by_time(self):
         """stack[l] is V_l, whose horizon has T - l steps left."""
-        P = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]])
-        safe = np.array([1.0, 1.0, 0.0])
-        stack = backward_value(DpModel.from_transfer(P, safe), 4)
+        P = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.5, 0.5, 0.0], [0.0, 0.0, 0.5, 0.5],
+                      [0.0, 0.0, 0.0, 1.0]])
+        safe = np.array([1.0, 1.0, 1.0, 0.0])
+        model, nxt = fit_chain(P, 10)
+        stack = backward_value(model, 4)
         assert len(stack) == 5
-        assert np.array_equal(stack[4].v, safe)
+        assert np.array_equal(stack[4].v, safe[nxt])
         for level, vv in enumerate(stack):
-            assert np.max(np.abs(vv.v - chain_value_oracle(P, safe, 4 - level))) < 1e-12
-
-    def test_chain_model_refuses_a_norm_penalty(self):
-        model = replace(DpModel.from_transfer(np.eye(2), np.ones(2)), ambiguity=0.1)
-        assert len(backward_value(model, 0)) == 1
-        with pytest.raises(ValueError, match="kernel-backed"):
-            backward_value(model, 1)
+            assert np.max(np.abs(vv.v - chain_value_oracle(P, safe, 4 - level)[nxt])) < 1e-12
 
     def test_horizon_zero_stack_is_the_safety_mask(self):
-        model = DpModel.from_transfer(np.eye(2), np.array([1.0, 0.0]))
+        model, nxt = fit_chain(np.array([[0.5, 0.0, 0.0, 0.5]] * 4), 10)
         stack = backward_value(model, 0)
         assert len(stack) == 1
-        assert np.array_equal(stack[0].v, np.array([1.0, 0.0]))
+        assert np.array_equal(stack[0].v, (nxt == 0).astype(float))
 
 
 class TestKernelChainEncoding:
@@ -176,7 +214,7 @@ class TestKernelChainEncoding:
 
     def test_transfer_rows_are_nearly_stochastic(self):
         model = self.fit()
-        row_sums = model.transfer.sum(axis=1)
+        row_sums = model.apply(np.ones(model.n))
         assert np.max(np.abs(row_sums - 1.0)) < 1e-3
 
     def test_recovers_chain_probabilities(self):
@@ -235,18 +273,12 @@ class TestFittedModels:
         assert out.shape == (7,)
         assert np.all((out >= 0) & (out <= 1))
 
-    def test_chain_model_rejects_query_evaluation(self):
-        model = DpModel.from_transfer(np.eye(2), np.ones(2))
-        stack = backward_value(model, 1)
-        with pytest.raises(ValueError):
-            evaluate_dp(model, stack, np.zeros((1, 2)))
-
     @pytest.mark.parametrize("ambiguity, dependent", [
         (0.0, False), (0.002, False), (0.0, True), (0.002, True),
     ], ids=["0.0", "0.002", "dependent-0.0", "dependent-0.002"])
     def test_matrix_free_stack_matches_explicit_transfer(self, ambiguity, dependent):
-        """The stack, the query values, the transfer diagnostic and the
-        spectral radius against an explicit transfer matrix; on dependent
+        """The stack, the query values, the operator applied to the identity
+        and the spectral radius against an explicit transfer matrix; on dependent
         pairs most rows of K(x+, x) come off the ridge system instead."""
         rng = np.random.default_rng(5)
         if dependent:
@@ -269,8 +301,9 @@ class TestFittedModels:
         want_q = is_safe(region, grid) * np.clip(gram_matrix(spec, grid, pairs.x) @ alpha - pen, 0, 1)
         assert np.max(np.abs(evaluate_dp(model, got, grid) - want_q)) <= 1e-10
         transfer = explicit_transfer(spec, pairs)
-        # the diagnostic rebuilds K(x+, x) whole, matched rows included
-        assert np.max(np.abs(model.transfer - transfer)) <= 1e-10 * np.max(np.abs(transfer))
+        # applied to the identity, the operator rebuilds K(x+, x) whole, matched rows included
+        applied = model.apply(np.eye(model.n))
+        assert np.max(np.abs(applied - transfer)) <= 1e-10 * np.max(np.abs(transfer))
         dense = model.safe_mask_next[:, None] * transfer
         assert abs(spectral_decay(model, T).rho - np.max(np.abs(np.linalg.eigvals(dense)))) <= 1e-10
 
@@ -494,45 +527,56 @@ def test_non_finite_slack_or_ambiguity_is_refused(build, named):
 
 class TestSpectralDecay:
     def test_diagonal_matrix(self):
-        model = DpModel.from_transfer(np.diag([0.5, 0.25]), np.ones(2))
+        """Two safe states that stay put with probabilities 0.5 and 0.25
+        and otherwise fall into the unsafe one: diag(1_S) P is diagonal on
+        the safe states, and rho is its larger entry."""
+        P = np.array([[0.5, 0.0, 0.0, 0.5], [0.0, 0.25, 0.0, 0.75], [0.0, 0.0, 0.0, 1.0],
+                      [0.0, 0.0, 0.0, 1.0]])
+        model, _ = fit_chain(P, 20)
         dec = spectral_decay(model, T=4)
+        assert dec.iterations > 0
         assert dec.rho == pytest.approx(0.5, abs=1e-10)
         assert dec.rho_pow_T == pytest.approx(0.5**4, abs=1e-10)
 
-    def test_rotation_pair_handled(self):
-        """A pure rotation never settles under plain power iteration; the
-        two-dimensional Ritz step reads the magnitude off the invariant
-        plane."""
-        model = DpModel.from_transfer(np.array([[0.0, -0.8], [0.8, 0.0]]), np.ones(2))
-        dec = spectral_decay(model, T=2)
-        assert dec.rho == pytest.approx(0.8, abs=1e-10)
-
-    def test_zero_operator(self):
-        model = DpModel.from_transfer(np.zeros((3, 3)), np.ones(3))
-        assert spectral_decay(model, T=5).rho == 0.0
-
     def test_mask_enters_the_operator(self):
-        transfer = np.array([[0.9, 0.0], [0.0, 0.4]])
-        model = DpModel.from_transfer(transfer, np.array([0.0, 1.0]))
+        """The chain's P has rho 1; masking the unsafe state (8, 8) leaves
+        the safe state's stay probability 0.4."""
+        P = np.array([[0.0, 0.0, 0.0, 1.0]] * 4)
+        P[1] = [0.0, 0.4, 0.0, 0.6]
+        P[3] = [0.0, 0.1, 0.0, 0.9]
+        model, _ = fit_chain(P, 10)
         dec = spectral_decay(model, T=1)
         assert dec.rho == pytest.approx(0.4, abs=1e-10)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_dense_eigensolver_on_fitted_models(self, seed):
         model = random_fitted_model(seed)
-        a = model.safe_mask_next[:, None] * model.transfer
-        want = float(np.max(np.abs(np.linalg.eigvals(a))))
         dec = spectral_decay(model, T=10)
-        assert abs(dec.rho - want) < 1e-8
-
+        assert abs(dec.rho - dense_rho(model)) < 1e-8
 
     def test_matches_dense_eigensolver_on_a_large_fitted_model(self):
         """Past ARPACK's 20-vector Krylov space, so restarts are exercised."""
         model = random_fitted_model(3, n=250)
-        want = float(np.max(np.abs(np.linalg.eigvals(model.safe_mask_next[:, None] * model.transfer))))
         dec = spectral_decay(model, T=10)
-        assert abs(dec.rho - want) <= 1e-8
+        assert abs(dec.rho - dense_rho(model)) <= 1e-8
         assert dec.iterations > 0
+
+    @pytest.mark.parametrize("x_next", [
+        [[0.3, 0.1]],
+        [[0.3, 0.1], [-0.4, 0.5]],
+        [[0.3, 0.1], [1.5, 1.5]],  # inside the obstacle
+    ], ids=["one-pair", "two-pairs", "two-pairs-one-unsafe"])
+    def test_fewer_than_three_pairs_take_the_dense_path(self, x_next):
+        """ARPACK cannot run on fewer than 3 states: the operator applied to
+        the identity goes to a dense eigensolver."""
+        x_next = np.array(x_next)
+        x = np.array([[0.0, 0.0], [0.5, 0.2]])[:len(x_next)]
+        region = SafeRegion(low=(-4.0, -4.0), high=(4.0, 4.0), obstacles=(((1.0, 1.0), (2.0, 2.0)),))
+        model = fit_dp(KernelSpec.isotropic(0.8, 2, 1e-2), OneStepPairs(x=x, x_next=x_next), region)
+        dec = spectral_decay(model, T=3)
+        assert dec.iterations == 0 and dec.rho > 0.0
+        assert abs(dec.rho - dense_rho(model)) <= 1e-12
+        assert dec.rho_pow_T == dec.rho ** 3
 
     def test_restart_limit_raises_with_the_last_estimate(self, monkeypatch):
         """A 200-pair operator takes 41 applications at the default limit;
