@@ -5,8 +5,14 @@ The safety value functions satisfy V_T = 1_S and
     V_l(x) = 1_S(x) * clamp( E[V_{l+1}(X+) | X = x] - eps * kappa * ||V_{l+1}||, 0, 1 ),
 
 and the conditional expectation is replaced by ridge weights over the
-transition samples (x_i, x_i^+).  The recursion only ever needs the values at
-the sampled next states, so each backward step applies the transfer operator
+transition samples (x_i, x_i^+) whose start x_i lies in the region's closed
+box.  The estimator treats leaving the box as absorbing: V_l is read only on
+the safe set, inside the box, so a pair that starts outside it (the trail of
+a diverged trajectory, which dependent pairs keep) is not fitted.  Pairs
+drawn uniform on the box all start in it.
+
+The recursion only ever needs the values at the sampled next states, so
+each backward step applies the transfer operator
 
     transfer[i, j] = w_j(x_i^+),   transfer = K(x^+, x) (K + M lam I)^{-1},
 
@@ -102,20 +108,38 @@ class DpModel:
 def fit_dp(
     spec: KernelSpec, pairs: OneStepPairs, region: SafeRegion, ambiguity: float = 0.0
 ) -> DpModel:
-    """Factor the ridge system over source states, with the next states as
-    its extra points (``fit_system``).
+    """Factor the ridge system over the source states that lie in the
+    region's box, closed, with their next states as its extra points
+    (``fit_system``).
 
-    ``pairs.x_next`` must hold one finite row per row of ``pairs.x``, of the
-    same dimension; otherwise ValueError, before anything is fitted.
+    dp's estimator treats leaving the box as absorbing.  The recursion reads
+    E[V(X+) | x] only on the safe set, inside the box, so a pair whose start
+    has left it, the trail of a diverged trajectory, never enters a value
+    and is dropped before the fit.  When every pair starts in the box, as
+    pairs drawn uniform on it do, the model holds the caller's arrays.
+
+    ``pairs.x_next`` must hold one next state per row of ``pairs.x``, of the
+    region's dimension, every row of both finite, and at least one start in
+    the box; otherwise ValueError, before anything is fitted.
     """
     x = np.atleast_2d(np.asarray(pairs.x, dtype=float))
     x_next = np.asarray(pairs.x_next, dtype=float)
     if x_next.shape != x.shape:
         raise ValueError(f"pairs.x_next has shape {x_next.shape}, but pairs.x has "
                          f"{x.shape}: one next state per source state")
-    bad = np.flatnonzero(~np.all(np.isfinite(x_next), axis=1))
-    if bad.size:
-        raise ValueError(f"pairs.x_next row {bad[0]} is not finite: {x_next[bad[0]].tolist()}")
+    for name, points in (("pairs.x", x), ("pairs.x_next", x_next)):
+        bad = np.flatnonzero(~np.all(np.isfinite(points), axis=1))
+        if bad.size:
+            raise ValueError(f"{name} row {bad[0]} is not finite: {points[bad[0]].tolist()}")
+    lo, hi = region.box_array()
+    if x.shape[1] != lo.size:
+        raise ValueError(f"pairs of dimension {x.shape[1]}, but a region of dimension {lo.size}")
+    inside = np.all((x >= lo) & (x <= hi), axis=1)
+    if not inside.any():
+        raise ValueError(f"no pair of M = {x.shape[0]} starts inside the region's box "
+                         f"[{lo.tolist()}, {hi.tolist()}]")
+    if not inside.all():
+        x, x_next = x[inside], x_next[inside]
     return DpModel(gram=fit_system(spec, x, x_next), x_next=x_next, region=region,
                    ambiguity=ambiguity)
 

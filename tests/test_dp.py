@@ -20,7 +20,7 @@ from safecert import (
     spectral_decay,
     ssr_backward,
 )
-from safecert.kernels import KAPPA, GramSystem, gram_matrix
+from safecert.kernels import KAPPA, GramSystem, fit_system, gram_matrix
 
 
 def chain_value_oracle(P: np.ndarray, safe: np.ndarray, T: int) -> np.ndarray:
@@ -339,7 +339,7 @@ class TestFittedModels:
         model = fit_dp(KernelSpec.isotropic(0.8, 2, 1e-4), pairs, region, ambiguity=ambiguity)
         assert model.gram.rank is None
         stack = backward_value(model, 6)
-        got = evaluate_dp(model, stack, pairs.x_next)
+        got = evaluate_dp(model, stack, model.x_next)
         assert np.any((got > 0.0) & (got < 1.0))
         if dependent:
             assert np.count_nonzero(model.gram._source >= 0) > 250
@@ -441,6 +441,75 @@ class TestFittedModels:
         region = SafeRegion(low=(-1.0, -1.0), high=(1.0, 1.0), obstacles=())
         with pytest.raises(ValueError):
             fit_dp(KernelSpec.isotropic(1.0, 2, 1e-2), pairs, region, ambiguity=-0.1)
+
+
+class TestBoxFilter:
+    """fit_dp fits the pairs whose start lies in the region's closed box."""
+
+    spec = KernelSpec.isotropic(0.8, 2, 1e-4)
+    region = SafeRegion(low=(-2.0, -2.0), high=(2.0, 2.0), obstacles=(((1.0, 1.0), (1.5, 1.5)),))
+
+    def stack_bytes(self, model: DpModel) -> list[bytes]:
+        return [level.v.tobytes() for level in backward_value(model, 5)]
+
+    def test_pairs_starting_in_the_box_are_the_callers_arrays(self, one_blas_thread):
+        """Starts drawn uniform on the box: nothing is dropped, the model
+        holds the caller's arrays, and its values are those of the ridge
+        system over every pair."""
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-2, 2, size=(200, 2))
+        pairs = OneStepPairs(x=x, x_next=x + 0.3 * rng.standard_normal((200, 2)))
+        model = fit_dp(self.spec, pairs, self.region)
+        assert model.x_next is pairs.x_next and model.gram.inputs is pairs.x
+        whole = DpModel(gram=fit_system(self.spec, pairs.x, pairs.x_next), x_next=pairs.x_next,
+                        region=self.region)
+        assert self.stack_bytes(model) == self.stack_bytes(whole)
+
+    def test_pairs_starting_outside_the_box_are_dropped(self, one_blas_thread):
+        """Dependent pairs whose walks leave the box: the model is, byte for
+        byte, the fit of the pairs that start inside it."""
+        pairs = dependent_pairs(6, n_traj=30)
+        lo, hi = self.region.box_array()
+        keep = np.all((pairs.x >= lo) & (pairs.x <= hi), axis=1)
+        assert 0 < np.count_nonzero(keep) < keep.size
+        model = fit_dp(self.spec, pairs, self.region, ambiguity=0.002)
+        kept = fit_dp(self.spec, OneStepPairs(x=pairs.x[keep], x_next=pairs.x_next[keep]),
+                      self.region, ambiguity=0.002)
+        assert model.gram.inputs.tobytes() == kept.gram.inputs.tobytes()
+        assert model.x_next.tobytes() == kept.x_next.tobytes()
+        assert self.stack_bytes(model) == self.stack_bytes(kept)
+        grid = eval_grid(self.region, (7, 7))
+        assert (evaluate_dp(model, backward_value(model, 5), grid).tobytes()
+                == evaluate_dp(kept, backward_value(kept, 5), grid).tobytes())
+
+    def test_the_box_is_closed(self):
+        """A start on the box's upper corner is kept; one a rounding step
+        past it is dropped."""
+        hi = np.array([2.0, 2.0])
+        x = np.array([[0.0, 0.0], [-2.0, 0.5], hi, [np.nextafter(2.0, 3.0), 0.0]])
+        pairs = OneStepPairs(x=x, x_next=0.5 * x)
+        model = fit_dp(self.spec, pairs, self.region)
+        assert model.gram.inputs.tolist() == x[:3].tolist()
+        assert model.x_next.tolist() == (0.5 * x[:3]).tolist()
+
+    def test_no_pair_in_the_box_is_refused_before_the_fit(self, monkeypatch):
+        """Every start outside the box: the error names the box and M, where
+        the ridge system would only say that its training set is empty."""
+        pairs = OneStepPairs(x=np.full((30, 2), 3.0), x_next=np.zeros((30, 2)))
+        monkeypatch.setattr("safecert.dp.fit_system", lambda *a: pytest.fail("fitted"))
+        with pytest.raises(ValueError, match=r"no pair of M = 30 starts inside the region's box "
+                                             r"\[\[-2.0, -2.0\], \[2.0, 2.0\]\]"):
+            fit_dp(self.spec, pairs, self.region)
+
+    @pytest.mark.parametrize("x, named", [
+        (np.array([[0.0, 0.0], [np.nan, 0.0]]), "pairs.x row 1 is not finite"),
+        (np.zeros((2, 3)), "pairs of dimension 3, but a region of dimension 2"),
+    ], ids=["nan", "dimension"])
+    def test_starts_are_refused_not_dropped(self, x, named):
+        """A NaN start or one of another dimension is an error, not a start
+        outside the box."""
+        with pytest.raises(ValueError, match=named):
+            fit_dp(self.spec, OneStepPairs(x=x, x_next=np.zeros_like(x)), self.region)
 
 
 @pytest.fixture(scope="module")
@@ -588,11 +657,12 @@ class TestSpectralDecay:
         assert np.isnan(exc.value.last_estimate)
 
     def test_zero_kernel_operator(self):
-        """Every sampled next state unsafe: the masked operator is zero."""
+        """Every start in the box and every next state past it, so unsafe:
+        the masked operator is zero."""
         rng = np.random.default_rng(7)
         x = rng.uniform(-2, 2, size=(30, 2))
-        pairs = OneStepPairs(x=x, x_next=x + 0.1)
-        region = SafeRegion(low=(5.0, 5.0), high=(6.0, 6.0), obstacles=())
+        pairs = OneStepPairs(x=x, x_next=x + 5.0)
+        region = SafeRegion(low=(-2.0, -2.0), high=(2.0, 2.0), obstacles=())
         model = fit_dp(KernelSpec.isotropic(0.8, 2, 1e-4), pairs, region)
         dec = spectral_decay(model, T=3)
         assert dec.rho == 0.0 and dec.rho_pow_T == 0.0
