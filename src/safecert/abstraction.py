@@ -64,8 +64,7 @@ class Partition:
         honor the flag.
         """
         pts = np.atleast_2d(np.asarray(x, dtype=float))
-        lo, hi = self.region.box_array()
-        inbox = np.all((pts >= lo) & (pts <= hi), axis=1)
+        inbox = self.region.in_box(pts)
         multi = []
         for k in range(self.region.dim):
             idx = np.searchsorted(self.edges[k][1:-1], pts[:, k], side="right")

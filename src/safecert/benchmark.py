@@ -121,6 +121,11 @@ class SafeRegion:
     def box_array(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.low), np.asarray(self.high)
 
+    def in_box(self, x: np.ndarray) -> np.ndarray:
+        """Closed-box membership, obstacles aside, of each point of a batch (n, d)."""
+        pts = np.asarray(x, dtype=float)
+        return _in_box([pts[:, k] for k in range(pts.shape[1])], self.low, self.high)
+
 
 def default_safe_region() -> SafeRegion:
     """Standard benchmark geometry: box [-3, 2.5] x [-2, 1] minus three obstacles."""

@@ -131,13 +131,12 @@ def fit_dp(
         bad = np.flatnonzero(~np.all(np.isfinite(points), axis=1))
         if bad.size:
             raise ValueError(f"{name} row {bad[0]} is not finite: {points[bad[0]].tolist()}")
-    lo, hi = region.box_array()
-    if x.shape[1] != lo.size:
-        raise ValueError(f"pairs of dimension {x.shape[1]}, but a region of dimension {lo.size}")
-    inside = np.all((x >= lo) & (x <= hi), axis=1)
+    if x.shape[1] != region.dim:
+        raise ValueError(f"pairs of dimension {x.shape[1]}, but a region of dimension {region.dim}")
+    inside = region.in_box(x)
     if not inside.any():
         raise ValueError(f"no pair of M = {x.shape[0]} starts inside the region's box "
-                         f"[{lo.tolist()}, {hi.tolist()}]")
+                         f"[{list(region.low)}, {list(region.high)}]")
     if not inside.all():
         x, x_next = x[inside], x_next[inside]
     return DpModel(gram=fit_system(spec, x, x_next), x_next=x_next, region=region,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -32,19 +31,19 @@ _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
 def atomic_write(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temp file and a rename, with the
-    mode ``open`` would give a new file, 0o666 less the umask (``mkstemp``
-    makes the temp file 0o600)."""
+    """Write ``text`` to ``path`` through a temp file beside it and a rename.
+
+    The temp file is created as ``open`` creates a file, with mode 0o666
+    that the OS reduces by the umask, and exclusively, so its random name is
+    never another writer's file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)
-        # the umask can only be read by setting it; set it straight back
-        umask = os.umask(0o022)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -29,12 +29,10 @@ representations, and its rank alone decides which:
 An extra point that is bitwise a training input takes its kernel row from
 the ridge system instead (see ``fit_system``).
 
-The 2-D Gaussian systems of the acceptance desk cell (M = 4500 iid pairs,
-T = 15) have rank about 516 of M / 8 = 562 and take the first, as do the
-default iid dp cells and, at seed 1, the default dependent ones at alpha
-= 0 (rank 472, 925 and 1302 at T = 5, 10 and 15) and (0.5, 5); the other
-dependent cells, the benchmark's pipeline fits (M <= 1000), its
-dependent-pair fits at M = 2000 and the default direct fits stay dense.
+The dp systems of the acceptance desk cell (M = 4500 iid pairs, T = 15,
+rank about 516 of M / 8 = 562) and of the default cells, iid and
+dependent, take the first; the direct and barrier-candidate fits, the
+benchmark's pipeline and diag fits and acceptance c13's fits stay dense.
 No M x M array is held either way.
 
 Both hot primitives are memory-bound and stream the array they fill or read
@@ -112,8 +110,7 @@ _TRIANGLE_ROWS = 64
 # 1e-11, 1.3e-10 at 1e-10 and 1.6e-9 at 1e-9.  A system that falls back has
 # paid its capped build, cap^2 N / 2 multiply-adds over N points: M^3 / 64
 # (iid dp, N = 2M) or about M^3 / 128 (N ~ M) against the dense factor's
-# M^3 / 6; 3.8-5.4 s beside the 41-67 s dense fits of the default dependent
-# T = 15 cells at alpha = 0.5 and 0.95 (seed 1, N = 16000).
+# M^3 / 6.
 _PIVOT_TOL = 1e-11
 _RANK_SHARE = 8
 

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 
@@ -6,12 +7,16 @@ import pytest
 
 import safecert.benchmark as bm
 from safecert import (
+    KernelSpec,
+    OneStepPairs,
     SafeRegion,
     SynthSystemParams,
     TrajectorySet,
+    build_partition,
     default_safe_region,
     eval_grid,
     extract_onestep_pairs,
+    fit_dp,
     gen_dataset,
     is_safe,
     mc_ground_truth,
@@ -111,6 +116,31 @@ class TestRegion:
     def test_box_interior_and_boundary_are_safe(self, region):
         pts = np.array([[-2.0, 0.5], [-3.0, -2.0], [2.5, 1.0]])
         assert is_safe(region, pts).tolist() == [True, True, True]
+
+    def test_every_reader_applies_one_closed_box(self, region):
+        """The box's corners and face midpoints, away from the obstacles, are
+        in it and a rounding step past any face they lie on is out of it, for
+        ``in_box``, ``is_safe``, the pairs ``fit_dp`` keeps and the in-box
+        flag of ``Partition.locate`` alike."""
+        lo, hi = region.box_array()
+        levels = np.stack([lo, 0.5 * (lo + hi), hi], axis=1)
+        picks = [(i, j) for i in range(3) for j in range(3) if (i, j) != (1, 1)]
+        inside = np.array([[levels[0, i], levels[1, j]] for i, j in picks])
+        outside = []
+        for p, k in itertools.product(inside, range(2)):
+            for face, away in ((lo[k], -np.inf), (hi[k], np.inf)):
+                if p[k] == face:
+                    outside.append(p.copy())
+                    outside[-1][k] = np.nextafter(face, away)
+        pts = np.vstack([inside, outside])
+        verdict = [True] * len(inside) + [False] * len(outside)
+        assert len(inside) == 8 and len(outside) == 12
+        assert region.in_box(pts).tolist() == verdict
+        assert is_safe(region, pts).tolist() == verdict
+        model = fit_dp(KernelSpec.isotropic(0.8, 2, 1e-4), OneStepPairs(x=pts, x_next=0.5 * pts),
+                       region)
+        assert model.gram.inputs.tolist() == inside.tolist()
+        assert build_partition(region, (4, 4)).locate(pts)[1].tolist() == verdict
 
     def test_outside_box_unsafe(self, region):
         pts = np.array([[2.51, 0.0], [0.0, -2.01]])
