@@ -20,7 +20,8 @@ straddling a boundary.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,9 +43,15 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Uniform axis-aligned partition of the region bounding box."""
+    """Uniform axis-aligned partition of the region bounding box.
+
+    It holds the cell matrix ``empirical_cell_probs`` built from each fitted
+    model that is still alive, keyed weakly by the model: the matrix is
+    built once per live (partition, model), returned read-only, and dies
+    with either object.  Its dead-row warning fires at the build only.
+    """
 
     region: SafeRegion
     counts: tuple[int, ...]
@@ -52,6 +59,8 @@ class Partition:
     centers: np.ndarray      # (n, d)
     safe_flags: np.ndarray   # (n,) bool: whole cell inside the safe set
     center_safe: np.ndarray  # (n,) bool: representative inside the safe set
+    _cells: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
 
     @property
     def n_cells(self) -> int:
@@ -106,6 +115,11 @@ def empirical_cell_probs(part: Partition, dp_model: DpModel) -> np.ndarray:
     clips to [0, 1], and renormalizes to sum 1.  Rows with no mass fall back
     to uniform with a warning.
 
+    The matrix is built once per live (partition, model): the partition
+    holds it while both live, and a later call with the same two objects
+    returns that very array, with no solve and no second dead-row warning.
+    It is returned read-only, since every caller shares it.
+
     The weights are solved for one ``query_blocks`` block of centers at a
     time and binned row by row, so beside the (n_cells, n_cells) result one
     block of weights is held, never the (n_cells, M) matrix.  At one BLAS
@@ -114,6 +128,9 @@ def empirical_cell_probs(part: Partition, dp_model: DpModel) -> np.ndarray:
     low-rank model the products with the pivoted rows run in fixed
     granules of columns (``GramSystem.weights_at``).
     """
+    probs = part._cells.get(dp_model)
+    if probs is not None:
+        return probs
     m_idx, inbox = part.locate(dp_model.x_next)
     target = m_idx[inbox]
     n = part.n_cells
@@ -137,6 +154,8 @@ def empirical_cell_probs(part: Partition, dp_model: DpModel) -> np.ndarray:
         probs[dead] = 1.0 / n
         sums[dead] = 1.0
     probs /= sums[:, None]
+    probs.flags.writeable = False
+    part._cells[dp_model] = probs
     return probs
 
 
@@ -381,10 +400,12 @@ class SsrParams:
 def ssr_backward(probs: np.ndarray, part: Partition, ssr: SsrParams, T: int) -> np.ndarray:
     """Backward iteration on a given empirical cell matrix minus the slack.
 
-    ``probs`` is ``empirical_cell_probs`` of ``part``, so a caller that also
-    runs the interval iteration computes the matrix once.  The terminal level
-    uses safety of the cell representative; interior levels multiply by the
-    whole-cell safety flag, subtract delta, and clamp.
+    ``probs`` is ``empirical_cell_probs`` of ``part``, built once per live
+    (partition, model) and read-only; this iteration only reads it, so a
+    caller that also runs the interval iteration hands the same matrix to
+    both.  The terminal level uses safety of the cell representative;
+    interior levels multiply by the whole-cell safety flag, subtract delta,
+    and clamp.
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -401,7 +422,13 @@ def ssr_backward(probs: np.ndarray, part: Partition, ssr: SsrParams, T: int) -> 
 def ssr_value_iteration(
     part: Partition, dp_model: DpModel, ssr: SsrParams, T: int
 ) -> np.ndarray:
-    """``ssr_backward`` on the empirical cell matrix of ``dp_model``."""
+    """``ssr_backward`` on the empirical cell matrix of ``dp_model``.
+
+    The matrix is ``empirical_cell_probs(part, dp_model)``, so after an
+    earlier call on the same partition and model, such as the one that fed
+    the interval iteration, no solve is made and no dead-row warning
+    repeats.
+    """
     return ssr_backward(empirical_cell_probs(part, dp_model), part, ssr, T)
 
 

@@ -122,7 +122,8 @@ class SafeRegion:
         return np.asarray(self.low), np.asarray(self.high)
 
     def in_box(self, x: np.ndarray) -> np.ndarray:
-        """Closed-box membership, obstacles aside, of each point of a batch (n, d)."""
+        """Closed-box membership, obstacles aside, of each point of a batch
+        (n, d); d must be the region's dimension (ValueError)."""
         pts = np.asarray(x, dtype=float)
         return _in_box([pts[:, k] for k in range(pts.shape[1])], self.low, self.high)
 
@@ -141,7 +142,10 @@ def default_safe_region() -> SafeRegion:
 
 
 def _in_box(cols: list[np.ndarray], low: tuple[float, ...], high: tuple[float, ...]) -> np.ndarray:
-    """Closed-box membership, elementwise over equally shaped coordinate arrays."""
+    """Closed-box membership, elementwise over equally shaped coordinate
+    arrays, one per dimension of the box; ValueError for another number."""
+    if len(cols) != len(low):
+        raise ValueError(f"points of dimension {len(cols)}, but a region of dimension {len(low)}")
     inside = cols[0] >= low[0]
     inside &= cols[0] <= high[0]
     for k in range(1, len(low)):
@@ -151,7 +155,8 @@ def _in_box(cols: list[np.ndarray], low: tuple[float, ...], high: tuple[float, .
 
 
 def _safe_columns(region: SafeRegion, cols: list[np.ndarray]) -> np.ndarray:
-    """Safe-set membership, elementwise over one array per coordinate.
+    """Safe-set membership, elementwise over one array per coordinate of
+    the region (ValueError for another number).
 
     Each array is compared as a contiguous copy: a column of an (n, d) batch
     is a stride-d view, and every box reads it twice.
@@ -165,14 +170,16 @@ def _safe_columns(region: SafeRegion, cols: list[np.ndarray]) -> np.ndarray:
 
 
 def is_safe(region: SafeRegion, x: np.ndarray) -> np.ndarray:
-    """Membership in the safe set for each point of a batch (n, d)."""
+    """Membership in the safe set for each point of a batch (n, d); d must
+    be the region's dimension (ValueError)."""
     pts = np.asarray(x, dtype=float)
     return _safe_columns(region, [pts[:, k] for k in range(pts.shape[1])])
 
 
 def trajectory_safe(region: SafeRegion, traj: np.ndarray) -> np.ndarray:
     """Whole-trajectory safety of each trajectory of a batch (n, T+1, d): min
-    over t in {0..T} of the state indicator."""
+    over t in {0..T} of the state indicator; d must be the region's
+    dimension (ValueError)."""
     arr = np.asarray(traj, dtype=float)
     return _safe_columns(region, [arr[..., k] for k in range(arr.shape[2])]).all(axis=1)
 

@@ -72,13 +72,16 @@ class ValueVector:
     v: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DpModel:
     """One-step conditional model over transition samples (``fit_dp``).
 
     It holds the factored ridge system over the source states with every
     next state as an extra point, and every application of the transfer
-    operator is its ``extra_expansion``.
+    operator is its ``extra_expansion``.  It is frozen and hashed by
+    identity, so what is derived from it, such as a partition's cell
+    matrix (``abstraction.empirical_cell_probs``), can be kept per model;
+    ``dataclasses.replace`` makes a new model.
     """
 
     gram: GramSystem        # over source states, with extra points x_next

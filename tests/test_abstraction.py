@@ -1,6 +1,8 @@
+import gc
 import re
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from safecert import (
     ssr_value_iteration,
 )
 from safecert.abstraction import _ROW_BLOCK, _order_max
-from safecert.kernels import query_blocks
+from safecert.kernels import GramSystem, query_blocks
 
 UNIT_SQUARE = SafeRegion(
     low=(0.0, 0.0), high=(1.0, 1.0), obstacles=(((0.3, 0.3), (0.45, 0.45)),)
@@ -196,15 +198,26 @@ def one_call_probs(part, dp_model) -> np.ndarray:
 
 
 @pytest.fixture(scope="module")
-def wide_model() -> tuple:
-    """(partition, model): 1600 cells against M = 2000 samples span three
-    query blocks of 512 centers and a partial one of 64."""
-    return build_partition(UNIT_SQUARE, (40, 40)), fitted_dp(2000, 3)
+def wide_model() -> DpModel:
+    """A model of M = 2000 samples: the 1600 cells of a 40 x 40 partition
+    span three query blocks of 512 centers and a partial one of 64.  Each
+    test builds its own partition, which holds the matrix it builds."""
+    return fitted_dp(2000, 3)
+
+
+@pytest.fixture
+def weights_at_calls(monkeypatch) -> list:
+    """The number of queries of each ``GramSystem.weights_at`` call."""
+    calls = []
+    weights_at = GramSystem.weights_at
+    monkeypatch.setattr(GramSystem, "weights_at",
+                        lambda self, query: calls.append(len(query)) or weights_at(self, query))
+    return calls
 
 
 class TestEmpiricalCellProbs:
     def test_streamed_blocks_match_one_weights_call(self, wide_model, one_blas_thread):
-        part, dp_model = wide_model
+        part, dp_model = build_partition(UNIT_SQUARE, (40, 40)), wide_model
         blocks = query_blocks(part.n_cells, dp_model.gram.size)
         assert len(blocks) > 2 and blocks[-1].stop - blocks[-1].start < blocks[0].stop
         got = empirical_cell_probs(part, dp_model)
@@ -214,7 +227,7 @@ class TestEmpiricalCellProbs:
         """With several BLAS threads the solve of a block of columns splits
         its products by the block's width, so the last bits may move; about
         1e-13 was seen at two threads."""
-        part, dp_model = wide_model
+        part, dp_model = build_partition(UNIT_SQUARE, (40, 40)), wide_model
         got = empirical_cell_probs(part, dp_model)
         assert np.max(np.abs(got - one_call_probs(part, dp_model))) <= 1e-12
 
@@ -235,7 +248,7 @@ class TestEmpiricalCellProbs:
     def test_holds_no_cells_by_samples_array(self, wide_model):
         """The (1600, 2000) weight matrix would be 25.6 MB; streamed, the
         call holds its (1600, 1600) result and about one block beside it."""
-        part, dp_model = wide_model
+        part, dp_model = build_partition(UNIT_SQUARE, (40, 40)), wide_model
         empirical_cell_probs(build_partition(UNIT_SQUARE, (2, 2)), dp_model)  # imports done
         tracemalloc.start()
         try:
@@ -293,6 +306,50 @@ class TestEmpiricalCellProbs:
         assert np.all(probs >= 0) and np.all(probs <= 1)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.max(np.abs(probs - scatter_reference(part, model))) <= 1e-14
+
+
+class TestHeldCellMatrix:
+    """The partition holds the matrix built from each live model."""
+
+    def test_second_call_returns_the_held_matrix(self, weights_at_calls):
+        part, dp_model = build_partition(UNIT_SQUARE, (5, 5)), fitted_dp()
+        probs = empirical_cell_probs(part, dp_model)
+        assert weights_at_calls == [25]
+        assert empirical_cell_probs(part, dp_model) is probs
+        assert weights_at_calls == [25]
+
+    def test_ssr_reads_the_held_matrix(self, weights_at_calls):
+        part, dp_model = build_partition(UNIT_SQUARE, (5, 5)), fitted_dp()
+        probs = empirical_cell_probs(part, dp_model)
+        weights_at_calls.clear()
+        v = ssr_value_iteration(part, dp_model, SsrParams(delta=0.01), 6)
+        assert weights_at_calls == []
+        assert v.tobytes() == ssr_backward(probs, part, SsrParams(delta=0.01), 6).tobytes()
+
+    def test_another_model_or_partition_builds_again(self, weights_at_calls):
+        part, dp_model = build_partition(UNIT_SQUARE, (5, 5)), fitted_dp()
+        probs = empirical_cell_probs(part, dp_model)
+        refit = empirical_cell_probs(part, fitted_dp())
+        fresh = empirical_cell_probs(build_partition(UNIT_SQUARE, (5, 5)), dp_model)
+        assert refit is not probs and fresh is not probs
+        assert empirical_cell_probs(part, dp_model) is probs
+        assert weights_at_calls == [25, 25, 25]
+
+    @pytest.mark.parametrize("dropped", ["model", "partition"])
+    def test_matrix_dies_with_its_model_or_partition(self, dropped):
+        live = {"partition": build_partition(UNIT_SQUARE, (5, 5)), "model": fitted_dp()}
+        held = weakref.ref(empirical_cell_probs(live["partition"], live["model"]))
+        gc.collect()
+        assert held() is not None
+        del live[dropped]
+        gc.collect()
+        assert held() is None
+
+    def test_matrix_is_read_only(self):
+        probs = empirical_cell_probs(build_partition(UNIT_SQUARE, (5, 5)), fitted_dp())
+        assert not probs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            probs[0, 0] = 1.0
 
 
 class TestIntervalInnerMin:
@@ -531,7 +588,7 @@ class TestIntervalModel:
         iterating hold the budgets, one block of bounds and one chunk of
         order-maximisation beside the caller's matrix, where two explicit
         bound matrices would be 41 MB."""
-        part, dp_model = wide_model
+        part, dp_model = build_partition(UNIT_SQUARE, (40, 40)), wide_model
         probs = empirical_cell_probs(part, dp_model)
         small = build_partition(UNIT_SQUARE, (2, 2))
         imp_value_iteration(IntervalModel.from_radii(np.eye(4), 0.01), small, 2)  # imports done

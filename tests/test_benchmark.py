@@ -142,6 +142,18 @@ class TestRegion:
         assert model.gram.inputs.tolist() == inside.tolist()
         assert build_partition(region, (4, 4)).locate(pts)[1].tolist() == verdict
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_every_reader_refuses_points_of_another_dimension(self, region, d):
+        """A point is compared in every coordinate of the region or refused:
+        reading only the first columns would judge [0, 0, 99] safe."""
+        pts = np.zeros((2, d))
+        named = rf"points of dimension {d}, but a region of dimension 2"
+        for read in (region.in_box, lambda p: is_safe(region, p),
+                     lambda p: trajectory_safe(region, p[None]),
+                     build_partition(region, (4, 4)).locate):
+            with pytest.raises(ValueError, match=named):
+                read(pts)
+
     def test_outside_box_unsafe(self, region):
         pts = np.array([[2.51, 0.0], [0.0, -2.01]])
         assert is_safe(region, pts).tolist() == [False, False]

@@ -359,8 +359,7 @@ class TestFittedModels:
         assert model.gram.rank is None and model.gram._extra.shape == (2, 4)
 
     def test_penalized_pass_solves_once_per_level(self, monkeypatch):
-        model = random_fitted_model(3, n=60)
-        model.ambiguity = 0.002
+        model = replace(random_fitted_model(3, n=60), ambiguity=0.002)
         T = 6
         # the recursion as two separate solves per level: norm, then transfer
         v = model.safe_mask_next.copy()
@@ -380,8 +379,7 @@ class TestFittedModels:
     def test_penalized_query_reuses_the_norm_of_v1(self, monkeypatch):
         """One solve for v1 gives both the estimate and the norm in the
         penalty; the result matches the weight-matrix form to rounding."""
-        model = random_fitted_model(3, n=60)
-        model.ambiguity = 0.002
+        model = replace(random_fitted_model(3, n=60), ambiguity=0.002)
         stack = backward_value(model, 4)
         grid = np.random.default_rng(7).uniform(-3, 3, size=(25, 2))
         v1 = stack[1].v

@@ -298,8 +298,8 @@ class TestReadTable:
 class TestAtomicWrite:
     @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077, 0o027])
     def test_file_mode_is_what_open_gives(self, tmp_path: Path, umask):
-        """The temp file's 0o600 does not survive the rename: the file gets
-        0o666 less the umask, as a plain ``open`` would create it."""
+        """The temp file is created with mode 0o666 that the OS reduces by
+        the umask, so the renamed file has the mode a plain ``open`` gives."""
         old = os.umask(umask)
         try:
             atomic_write(tmp_path / "a" / "t.csv", "a\n1\n")
