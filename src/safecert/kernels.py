@@ -41,12 +41,14 @@ squares, scale, exp) before moving on, and a dense single-vector solve runs
 six level-2 calls (two triangular solves and a product per triangle of L),
 a low-rank one two products with Lx and an m x m solve.
 
-A batch of queries is never held as one (n, M) kernel or weight matrix:
-``query_blocks`` cuts it into row blocks of about QUERY_BLOCK_BYTES of kernel
-values (512 rows at least, 8 * 512 * M bytes), and ``kernel_expansion`` (so
-``GramSystem.expand``) and ``abstraction.empirical_cell_probs`` finish each
-block before building the next.  Beside the fitted system a query therefore
-holds one block, whatever the number of queries.
+A batch of queries is never held as one (n, M) kernel or weight matrix.
+``kernel_expansion`` (so ``GramSystem.expand``) builds and applies K(query,
+points) in row blocks of at most QUERY_BLOCK_BYTES of kernel values, whatever
+M; ``abstraction.empirical_cell_probs``, which solves each block of weights,
+cuts its queries by ``query_blocks``, the same bytes but at least 512 rows
+(8 * 512 * M bytes), since narrow blocks solve slower.  Each finishes a block
+before building the next, so beside the fitted system a query holds one
+block, whatever the number of queries.
 """
 
 from __future__ import annotations
@@ -76,14 +78,16 @@ KAPPA = 1.0
 # together) stay in cache from the first difference to the exp
 _BLOCK_ENTRIES = 1 << 16
 
-# bytes of kernel values per block of a query batch (see query_blocks)
+# bytes of kernel values per block of a query batch (see kernel_expansion
+# and query_blocks)
 QUERY_BLOCK_BYTES = 4 << 20
 
-# but at least this many rows: a block of ridge weights is one triangular
-# solve over the whole factor, and narrow blocks solve slower (one
-# BLAS thread of a 2-core Xeon: 1600 queries at M = 2000 take 0.37 s in
-# 512-row blocks or one call, 0.46 s in 256-row blocks; 400 at M = 15000
-# take 4.0 s in one call, 7.1 s in 32-row blocks)
+# but a block of ridge weights (query_blocks) has at least this many rows:
+# it is one triangular solve over the whole factor, and narrow blocks solve
+# slower (one BLAS thread of a 2-core Xeon: 1600 queries at M = 2000 take
+# 0.37 s in 512-row blocks or one call, 0.46 s in 256-row blocks; 400 at
+# M = 15000 take 4.0 s in one call, 7.1 s in 32-row blocks).  A block of a
+# plain product (kernel_expansion) gains nothing from the floor
 _MIN_ROWS = 512
 
 # a dense ridge system is stored padded to a multiple of this order, so
@@ -129,9 +133,10 @@ _ROW_GRANULE = 16
 
 # a low-rank column solve runs its products with Lx over granules of this
 # many columns, the last one zero-padded, so each product has one shape;
-# query blocks are a multiple of it.  One BLAS thread of a 2-core Xeon,
-# 512 queries at the desk cell (M = 4500, rank 516): 0.14 s in granules of
-# 128 or in one product, 0.18 s in granules of 64, 0.28 s in granules of 16
+# the blocks of query_blocks are a multiple of it.  One BLAS thread of a
+# 2-core Xeon, 512 queries at the desk cell (M = 4500, rank 516): 0.14 s in
+# granules of 128 or in one product, 0.18 s in granules of 64, 0.28 s in
+# granules of 16
 _SOLVE_GRANULE = 128
 
 
@@ -247,10 +252,13 @@ def _gaussian(u: np.ndarray, vt: np.ndarray, out: np.ndarray) -> None:
 
 
 def query_blocks(n: int, m: int) -> list[slice]:
-    """Row slices covering a batch of ``n`` queries against ``m`` points, in
-    blocks of about QUERY_BLOCK_BYTES of kernel values each, or _MIN_ROWS
-    rows where that is more (m above 1024), rounded down to a multiple of
-    _SOLVE_GRANULE and cut by ``row_blocks``.
+    """Row slices covering a batch of ``n`` queries against ``m`` points
+    whose weight rows are solved one block at a time
+    (``abstraction.empirical_cell_probs``), in blocks of about
+    QUERY_BLOCK_BYTES of kernel values each, or _MIN_ROWS rows where that is
+    more (m above 1024), rounded down to a multiple of _SOLVE_GRANULE and
+    cut by ``row_blocks``.  ``kernel_expansion`` solves nothing per block
+    and keeps no floor.
     """
     rows = max(_MIN_ROWS, QUERY_BLOCK_BYTES // (8 * max(m, 1)))
     return row_blocks(n, rows // _SOLVE_GRANULE * _SOLVE_GRANULE)
@@ -278,13 +286,17 @@ def kernel_expansion(spec: KernelSpec, query: np.ndarray, points: np.ndarray,
     """sum_j alpha_j k(x, points_j) at each query x of a batch (n, d).
 
     ``alpha`` is (m,) or (m, k) for m points; the result is (n,) or (n, k).
-    K(query, points) is built and applied one block of ``query_blocks`` at a
-    time, so no (n, m) array is held.
+    K(query, points) is built and applied one ``row_blocks`` block of at
+    most QUERY_BLOCK_BYTES of kernel values at a time (one _ROW_GRANULE of
+    rows where m is above 32768), with no row floor: no (n, m) array is
+    held, and at one BLAS thread each row gets the bytes of one product over
+    the whole batch.
     """
     q = np.atleast_2d(np.asarray(query, dtype=float))
     alpha = np.asarray(alpha, dtype=float)
     out = np.empty((q.shape[0],) + alpha.shape[1:])
-    for rows in query_blocks(q.shape[0], points.shape[0]):
+    rows_per_block = QUERY_BLOCK_BYTES // (8 * max(points.shape[0], 1))
+    for rows in row_blocks(q.shape[0], rows_per_block):
         np.matmul(gram_matrix(spec, q[rows], points), alpha, out=out[rows])
     return out
 

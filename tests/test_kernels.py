@@ -20,6 +20,7 @@ from safecert.kernels import (
     _padded,
     _source_rows,
     fit_system,
+    kernel_expansion,
     query_blocks,
 )
 
@@ -409,7 +410,9 @@ class TestQueryBlocks:
             assert (blocks[0].start, blocks[-1].stop) == (0, n)
         rows = query_blocks(2**20, m)[0].stop
         assert rows % kernels._SOLVE_GRANULE == 0 and rows % 16 == 0
-        # a block holds about QUERY_BLOCK_BYTES of kernel values, or 512 rows
+        # a block holds about QUERY_BLOCK_BYTES of kernel values, or 512 rows:
+        # the solve rule for blocks of weights, which narrow blocks solve
+        # slower (kernel_expansion keeps no floor)
         assert rows >= 512
         assert rows * m * 8 <= QUERY_BLOCK_BYTES or rows == 512
         for b in blocks[:-1]:
@@ -419,22 +422,30 @@ class TestQueryBlocks:
             assert blocks[-1].stop - blocks[-1].start > 1
 
     @pytest.mark.parametrize("tail", [13, 1])
-    def test_expand_gives_the_bytes_of_one_product(self, tail, one_blas_thread):
-        """Over 2 blocks and a partial one (or a one-row tail, which joins the
-        block before), the streamed expansion equals the product over the
-        whole batch byte for byte."""
+    def test_expand_gives_the_bytes_of_one_product(self, tail, one_blas_thread, monkeypatch):
+        """The expansion builds its kernel in blocks of QUERY_BLOCK_BYTES with
+        no row floor (1040 rows at M = 500, 112 at M = 4500).  Over 2 blocks
+        and a partial one (or a one-row tail, which joins the block before),
+        it equals the product over the whole batch byte for byte."""
         rng = np.random.default_rng(20)
-        m = 500
-        x = rng.uniform(-2, 2, size=(m, 2))
         spec = KernelSpec(lengthscales=(0.9, 0.6), lam=1e-4)
-        sys = fit_weights(spec, x)
-        alpha = sys.solve(rng.uniform(0, 1, size=m))
-        rows = query_blocks(2**20, m)[0].stop
-        q = rng.uniform(-2, 2, size=(2 * rows + tail, 2))
-        assert len(query_blocks(q.shape[0], m)) == (3 if tail > 1 else 2)
-        got = sys.expand(q, alpha)
-        want = gram_matrix(spec, q, x) @ alpha
-        assert got.tobytes() == want.tobytes()
+        built = []
+
+        def counted(spec, query, points):
+            built.append(query.shape[0])
+            return gram_matrix(spec, query, points)
+
+        monkeypatch.setattr(kernels, "gram_matrix", counted)
+        for m in (500, 4500):
+            x = rng.uniform(-2, 2, size=(m, 2))
+            alpha = rng.uniform(-1, 1, size=m)
+            rows = QUERY_BLOCK_BYTES // (8 * m) // 16 * 16
+            q = rng.uniform(-2, 2, size=(2 * rows + tail, 2))
+            built.clear()
+            got = kernel_expansion(spec, q, x, alpha)
+            assert built == ([rows, rows, tail] if tail > 1 else [rows, rows + 1])
+            want = gram_matrix(spec, q, x) @ alpha
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", [2000, 2001])
     def test_weights_in_blocks_give_the_bytes_of_one_call(self, m, one_blas_thread):
@@ -451,22 +462,25 @@ class TestQueryBlocks:
         got = np.vstack([sys.weights_at(q[rows]) for rows in blocks])
         assert got.tobytes() == sys.weights_at(q).tobytes()
 
-    def test_expand_holds_no_query_by_input_array(self):
+    def test_expand_holds_no_query_by_input_array(self, desk_systems):
         """20000 queries against M = 500 inputs would be an 80 MB kernel
-        matrix built whole; streamed, the call peaks near one block."""
+        matrix built whole, and 2600 against the desk system's M = 4500 a
+        94 MB one (one 512-row block of it is 18.4 MB); streamed, each call
+        peaks near one block of QUERY_BLOCK_BYTES."""
         rng = np.random.default_rng(21)
         x = rng.uniform(-2, 2, size=(500, 2))
-        sys = fit_weights(KernelSpec(lengthscales=(0.9, 0.6), lam=1e-4), x)
-        alpha = sys.solve(rng.uniform(0, 1, size=500))
-        q = rng.uniform(-2, 2, size=(20000, 2))
-        tracemalloc.start()
-        try:
-            out = sys.expand(q, alpha)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert out.shape == (20000,)
-        assert peak < 2 * QUERY_BLOCK_BYTES
+        small = fit_weights(KernelSpec(lengthscales=(0.9, 0.6), lam=1e-4), x)
+        for sys, n in ((small, 20000), (desk_systems[0], 2600)):
+            alpha = sys.solve(rng.uniform(0, 1, size=sys.size))
+            q = rng.uniform(-2, 2, size=(n, 2))
+            tracemalloc.start()
+            try:
+                out = sys.expand(q, alpha)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert out.shape == (n,)
+            assert peak < 2 * QUERY_BLOCK_BYTES
 
 
 @pytest.fixture(scope="module")
